@@ -105,8 +105,10 @@ def _run_one(checker: Checker, entry: CorpusEntry) -> CorpusResult:
     commands = 0
     start = time.perf_counter()
     try:
-        commands = len(parse_script(text, file=str(entry.path)))
-        checker.run_text(text, file=str(entry.path))
+        parsed = parse_script(text, file=str(entry.path))
+        commands = len(parsed)
+        for cmd in parsed:
+            checker.run_command(cmd)
     except LttwError as e:
         return CorpusResult(entry, f"{REJECT_PREFIX}{type(e).__name__}",
                             time.perf_counter() - start, commands, e)

@@ -41,7 +41,7 @@ from .surface import (
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, contains_meta, free_vars,
-    fresh_name, metas_of, spine, subst, subst_parallel,
+    fresh_name, metas_of, rename, spine, subst, subst_parallel,
 )
 
 _INVERSION_DEPTH = 8
@@ -177,16 +177,15 @@ class Elaborator:
         x, body_s = s.var, s.body
         if x in ctx:
             # keep contexts duplicate-free; the surface name still resolves
-            # to this binder because we rename consistently
-            x2 = fresh_name(x, ctx.names())
+            # to this binder because we rename consistently. Names resolve in
+            # the context first, so the new one must not be a constant's.
+            x2 = fresh_name(x, ctx.names().union(self.sig.entries))
             body_s = _rename_surface(body_s, x, x2)
             x = x2
         ctx2 = ctx.extend(x, dom)
         cod = None
         if isinstance(expected, PiKind):
-            cod = expected.codomain
-            if expected.var != x:
-                cod = subst(cod, expected.var, Var(x))
+            cod = rename(expected.codomain, expected.var, x)
         body, body_kind = self.term(ctx2, body_s, cod)
         result_kind = expected if expected is not None \
             else PiKind(x, dom, body_kind)
@@ -236,7 +235,7 @@ class Elaborator:
             dom = self.kind(ctx, s.domain)
             x, cod_s = s.var, s.codomain
             if x in ctx:
-                x2 = fresh_name(x, ctx.names())
+                x2 = fresh_name(x, ctx.names().union(self.sig.entries))
                 cod_s = _rename_surface_kind(cod_s, x, x2)
                 x = x2
             cod = self.kind(ctx.extend(x, dom), cod_s)
@@ -277,8 +276,8 @@ class Elaborator:
             self.unify_kinds(ctx, k1.domain, k2.domain, span)
             x = fresh_name(k1.var, ctx.names() | free_vars(k1)
                            | free_vars(k2))
-            c1 = subst(k1.codomain, k1.var, Var(x))
-            c2 = subst(k2.codomain, k2.var, Var(x))
+            c1 = rename(k1.codomain, k1.var, x)
+            c2 = rename(k2.codomain, k2.var, x)
             self.unify_kinds(ctx.extend(x, k1.domain), c1, c2, span)
             return
         raise TypeError(f"not a kind: {k1!r}")
@@ -298,7 +297,7 @@ class Elaborator:
         if isinstance(at, PiKind):
             x = fresh_name(at.var, ctx.names() | free_vars(a) | free_vars(b)
                            | free_vars(at))
-            cod = subst(at.codomain, at.var, Var(x))
+            cod = rename(at.codomain, at.var, x)
             self._unify(ctx.extend(x, at.domain), App(a, Var(x)),
                         App(b, Var(x)), cod, span, depth)
             return
@@ -315,14 +314,14 @@ class Elaborator:
                 x = fresh_name(a.var, ctx.names() | free_vars(a)
                                | free_vars(b))
                 self._unify(ctx.extend(x, a.ann),
-                            subst(a.body, a.var, Var(x)),
-                            subst(b.body, b.var, Var(x)), None, span, depth)
+                            rename(a.body, a.var, x),
+                            rename(b.body, b.var, x), None, span, depth)
                 return
             lam, other = (a, b) if la else (b, a)
             x = fresh_name(lam.var, ctx.names() | free_vars(a)
                            | free_vars(b))
             self._unify(ctx.extend(x, lam.ann),
-                        subst(lam.body, lam.var, Var(x)),
+                        rename(lam.body, lam.var, x),
                         App(other, Var(x)), None, span, depth)
             return
         ha, sa = spine(a)

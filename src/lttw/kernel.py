@@ -22,7 +22,7 @@ from .signature import CompiledRule, Definition, Signature
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, app, free_vars, fresh_name,
-    spine, subst, subst_parallel,
+    rename, spine, subst, subst_parallel,
 )
 
 DEFAULT_FUEL = 100000
@@ -216,8 +216,7 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
         x = fresh_name(at.var, ctx.names() | free_vars(a) | free_vars(b)
                        | free_vars(at))
         ctx2 = ctx.extend(x, at.domain)
-        cod = at.codomain if x == at.var else subst(at.codomain, at.var,
-                                                    Var(x))
+        cod = rename(at.codomain, at.var, x)
         return _conv(sig, ctx2, App(a, Var(x)), App(b, Var(x)), cod, f)
     a = whnf(sig, a, f)
     b = whnf(sig, b, f)
@@ -232,12 +231,12 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
             x = fresh_name(a.var, ctx.names() | free_vars(a) | free_vars(b))
             ctx2 = ctx.extend(x, a.ann)
             return _conv(sig, ctx2,
-                         subst(a.body, a.var, Var(x)),
-                         subst(b.body, b.var, Var(x)), None, f)
+                         rename(a.body, a.var, x),
+                         rename(b.body, b.var, x), None, f)
         lam, other = (a, b) if la else (b, a)
         x = fresh_name(lam.var, ctx.names() | free_vars(a) | free_vars(b))
         ctx2 = ctx.extend(x, lam.ann)
-        return _conv(sig, ctx2, subst(lam.body, lam.var, Var(x)),
+        return _conv(sig, ctx2, rename(lam.body, lam.var, x),
                      App(other, Var(x)), None, f)
     ha, sa = spine(a)
     hb, sb = spine(b)
@@ -292,10 +291,8 @@ def _eqk(sig: Signature, ctx: Context, k1: Kind, k2: Kind, f: Fuel) -> bool:
             return False
         x = fresh_name(k1.var, ctx.names() | free_vars(k1) | free_vars(k2))
         ctx2 = ctx.extend(x, k1.domain)
-        c1 = k1.codomain if x == k1.var else subst(k1.codomain, k1.var,
-                                                   Var(x))
-        c2 = k2.codomain if x == k2.var else subst(k2.codomain, k2.var,
-                                                   Var(x))
+        c1 = rename(k1.codomain, k1.var, x)
+        c2 = rename(k2.codomain, k2.var, x)
         return _eqk(sig, ctx2, c1, c2, f)
     raise TypeError(f"not a kind: {k1!r}")
 
@@ -329,11 +326,10 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
             diagnostic=Diagnostic("meta", subject=t))
     if isinstance(t, Lam):
         check_kind_valid(sig, ctx, t.ann, f)
-        x, body = t.var, t.body
+        x = t.var
         if x in ctx:
-            x2 = fresh_name(x, ctx.names() | free_vars(body))
-            body = subst(body, x, Var(x2))
-            x = x2
+            x = fresh_name(x, ctx.names() | free_vars(t.body))
+        body = rename(t.body, t.var, x)
         body_kind = _infer(sig, ctx.extend(x, t.ann), body, f)
         return PiKind(x, t.ann, body_kind)
     if isinstance(t, App):
@@ -381,11 +377,10 @@ def _check_kind(sig: Signature, ctx: Context, k: Kind, f: Fuel) -> None:
         return
     if isinstance(k, PiKind):
         _check_kind(sig, ctx, k.domain, f)
-        x, cod = k.var, k.codomain
+        x = k.var
         if x in ctx:
-            x2 = fresh_name(x, ctx.names() | free_vars(cod))
-            cod = subst(cod, x, Var(x2))
-            x = x2
+            x = fresh_name(x, ctx.names() | free_vars(k.codomain))
+        cod = rename(k.codomain, k.var, x)
         _check_kind(sig, ctx.extend(x, k.domain), cod, f)
         return
     raise TypeError(f"not a kind: {k!r}")

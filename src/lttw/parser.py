@@ -355,11 +355,11 @@ class _Parser:
             return SProp(t.span(self.file))
         if t.type == "ident" and t.value == "El":
             self.next()
-            body = self._kind_operand_term(start)
+            body = self.parse_term()
             return SEl(body, self._span_from(start))
         if t.type == "ident" and t.value == "Prf":
             self.next()
-            body = self._kind_operand_term(start)
+            body = self.parse_term()
             return SPrf(body, self._span_from(start))
         if t.type == "(":
             # parenthesised kind; may continue as a term application
@@ -374,27 +374,13 @@ class _Parser:
                 return STermKind(term, self._span_from(start))
             return inner
         # bare term in kind position
-        term = self._kind_operand_term(start)
+        term = self.parse_term()
         return STermKind(term, self._span_from(start))
 
     def _starts_term(self, t: Token) -> bool:
         if t.type == "ident":
             return t.value not in DIRECTIVES and t.value not in KEYWORDS_KIND
         return t.type in ("?", "(", "[")
-
-    def _kind_operand_term(self, start: Token) -> SurfaceTerm:
-        """A term as an arrow operand: application stops at '->'."""
-        t = self.peek()
-        if t is None:
-            raise UnterminatedCommand("input ended where a term was expected",
-                                      span=self._last_span())
-        if t.type == "[":
-            return self._lambda()
-        atom = self._atom()
-        if atom is None:
-            raise ScriptSyntaxError(f"expected a term, found {t.value!r}",
-                                    span=t.span(self.file))
-        return self._application(atom, t)
 
 
 def parse_script(text: str, file: str = "<script>") -> list[Command]:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .syntax import (
     App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind, PropKind, Term,
-    TypeKind, Var, free_vars, fresh_name, spine, subst,
+    TypeKind, Var, free_vars, fresh_name, rename, spine,
 )
 
 
@@ -50,9 +50,8 @@ def _term(t: Term, taken: set, top: bool) -> str:
     if isinstance(t, Lam):
         x, ann, body = t.var, t.ann, t.body
         if x in taken or (x in free_vars(ann)):
-            x2 = fresh_name(x, taken | free_vars(body) | free_vars(ann))
-            body = subst(body, x, Var(x2))
-            x = x2
+            x = fresh_name(x, taken | free_vars(body) | free_vars(ann))
+            body = rename(body, t.var, x)
         inner = _term(body, taken, top=True)
         s = f"[{x} : {_kind(ann, taken, left_of_arrow=False)}] {inner}"
         return s if top else f"({s})"
@@ -89,9 +88,8 @@ def _kind(k: Kind, taken: set, left_of_arrow: bool) -> str:
         x, dom, cod = k.var, k.domain, k.codomain
         if x in free_vars(cod):
             if x in taken:
-                x2 = fresh_name(x, taken | free_vars(cod) | free_vars(dom))
-                cod = subst(cod, x, Var(x2))
-                x = x2
+                x = fresh_name(x, taken | free_vars(cod) | free_vars(dom))
+                cod = rename(cod, k.var, x)
             s = (f"({x} : {_kind(dom, taken, left_of_arrow=False)}) "
                  f"{_kind(cod, taken, left_of_arrow=False)}")
             return f"({s})" if left_of_arrow else s

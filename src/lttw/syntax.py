@@ -8,6 +8,11 @@ abstraction and product carries its domain kind.
 Alpha-equivalent terms are interchangeable everywhere; structural identity of
 Python objects is never significant. Nodes compare by identity (use alpha_eq),
 and free-variable sets are cached on the node.
+
+Substitution has one engine, subst_parallel: a single simultaneous,
+capture-avoiding pass. subst (one name) and rename (binder opening: one name
+to a fresh variable) are calls into it, and a binder that would capture is
+renamed inside the same pass rather than by a walk of its own.
 """
 
 from __future__ import annotations
@@ -175,92 +180,60 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 
 def subst(target: Expr, var: str, replacement: Term) -> Expr:
     """Capture-avoiding substitution of replacement for free var in target."""
-    if isinstance(target, Var):
-        return replacement if target.name == var else target
-    if isinstance(target, (Const, Meta, TypeKind, PropKind)):
-        return target
-    if isinstance(target, App):
-        if var not in free_vars(target):
-            return target
-        return App(subst(target.fn, var, replacement),
-                   subst(target.arg, var, replacement))
-    if isinstance(target, ElKind):
-        if var not in free_vars(target):
-            return target
-        return ElKind(subst(target.body, var, replacement))
-    if isinstance(target, PrfKind):
-        if var not in free_vars(target):
-            return target
-        return PrfKind(subst(target.body, var, replacement))
-    if isinstance(target, Lam):
-        if var not in free_vars(target):
-            return target
-        ann = subst(target.ann, var, replacement)
-        x, body = _subst_under_binder(target.var, target.body, var, replacement)
-        return target if (ann is target.ann and body is target.body
-                          and x == target.var) else Lam(x, ann, body)
-    if isinstance(target, PiKind):
-        if var not in free_vars(target):
-            return target
-        dom = subst(target.domain, var, replacement)
-        x, cod = _subst_under_binder(target.var, target.codomain, var,
-                                     replacement)
-        return target if (dom is target.domain and cod is target.codomain
-                          and x == target.var) else PiKind(x, dom, cod)
-    raise TypeError(f"not a term or kind: {target!r}")
+    return subst_parallel(target, {var: replacement})
 
 
-def _subst_under_binder(x: str, body: Expr, var: str, replacement: Term):
-    if x == var or var not in free_vars(body):
-        return x, body
-    if x in free_vars(replacement):
-        # binder would capture; rename it away from everything in sight
-        x2 = fresh_name(x, free_vars(body) | free_vars(replacement) | {var})
-        body = subst(body, x, Var(x2))
-        return x2, subst(body, var, replacement)
-    return x, subst(body, var, replacement)
+def rename(e: Expr, old: str, new: str) -> Expr:
+    """e with its free name old renamed to new; e itself when they agree."""
+    return e if old == new else subst_parallel(e, {old: Var(new)})
 
 
 def subst_parallel(target: Expr, mapping: dict[str, Term]) -> Expr:
-    """Simultaneous capture-avoiding substitution.
+    """Simultaneous capture-avoiding substitution: the one substitution engine.
 
-    Unlike iterated subst, names substituted in never get re-substituted:
-    firing a rewrite rule whose contractum mentions several pattern variables
-    must not let one binding's free names collide with another binding.
+    Every name in mapping is replaced at once, so names substituted in never
+    get re-substituted: firing a rewrite rule whose contractum mentions
+    several pattern variables must not let one binding's free names collide
+    with another binding. A binder that would capture a free name of a
+    replacement is renamed by adding `binder -> Var(fresh)` to the mapping
+    its body is substituted with, so every subterm is walked once.
+    Subterms without a mapped free name are shared, not copied.
     """
-    live = {v: t for v, t in mapping.items() if v in free_vars(target)}
-    if not live:
+    cls = type(target)
+    if cls is Var:
+        return mapping.get(target.name, target)
+    if free_vars(target).isdisjoint(mapping):
         return target
-    if isinstance(target, Var):
-        return live.get(target.name, target)
-    if isinstance(target, App):
-        return App(subst_parallel(target.fn, live),
-                   subst_parallel(target.arg, live))
-    if isinstance(target, ElKind):
-        return ElKind(subst_parallel(target.body, live))
-    if isinstance(target, PrfKind):
-        return PrfKind(subst_parallel(target.body, live))
-    if isinstance(target, Lam):
-        ann = subst_parallel(target.ann, live)
-        x, body = _subst_parallel_under(target.var, target.body, live)
+    if cls is App:
+        return App(subst_parallel(target.fn, mapping),
+                   subst_parallel(target.arg, mapping))
+    if cls is ElKind:
+        return ElKind(subst_parallel(target.body, mapping))
+    if cls is PrfKind:
+        return PrfKind(subst_parallel(target.body, mapping))
+    if cls is Lam:
+        ann = subst_parallel(target.ann, mapping)
+        x, body = _under_binder(target.var, target.body, mapping)
         return Lam(x, ann, body)
-    if isinstance(target, PiKind):
-        dom = subst_parallel(target.domain, live)
-        x, cod = _subst_parallel_under(target.var, target.codomain, live)
+    if cls is PiKind:
+        dom = subst_parallel(target.domain, mapping)
+        x, cod = _under_binder(target.var, target.codomain, mapping)
         return PiKind(x, dom, cod)
     raise TypeError(f"not a term or kind: {target!r}")
 
 
-def _subst_parallel_under(x: str, body: Expr, mapping: dict[str, Term]):
-    live = {v: t for v, t in mapping.items()
-            if v != x and v in free_vars(body)}
+def _under_binder(x: str, body: Expr, mapping: dict[str, Term]):
+    """The binder name and body that `x. body` has after mapping."""
+    fv = free_vars(body)
+    live = {v: t for v, t in mapping.items() if v != x and v in fv}
     if not live:
         return x, body
     incoming = frozenset().union(*(free_vars(t) for t in live.values()))
     if x in incoming:
-        x2 = fresh_name(x, free_vars(body) | incoming | set(live))
-        body = subst(body, x, Var(x2))
-        return x2, subst_parallel(body, live)
+        # binder would capture; rename it away from everything in sight
+        x2 = fresh_name(x, fv | incoming | set(live))
+        live[x] = Var(x2)
+        x = x2
     return x, subst_parallel(body, live)
 
 
@@ -310,26 +283,14 @@ def _aeq(a: Expr, b: Expr, ea: dict, eb: dict, depth: int) -> bool:
     raise TypeError(f"not a term or kind: {a!r}")
 
 
-def contains_meta(e: Expr) -> bool:
-    if isinstance(e, Meta):
-        return True
-    if isinstance(e, (Var, Const, TypeKind, PropKind)):
-        return False
-    if isinstance(e, App):
-        return contains_meta(e.fn) or contains_meta(e.arg)
-    if isinstance(e, Lam):
-        return contains_meta(e.ann) or contains_meta(e.body)
-    if isinstance(e, (ElKind, PrfKind)):
-        return contains_meta(e.body)
-    if isinstance(e, PiKind):
-        return contains_meta(e.domain) or contains_meta(e.codomain)
-    raise TypeError(f"not a term or kind: {e!r}")
-
-
 def metas_of(e: Expr) -> set[int]:
     out: set[int] = set()
     _collect_metas(e, out)
     return out
+
+
+def contains_meta(e: Expr) -> bool:
+    return bool(metas_of(e))
 
 
 def _collect_metas(e: Expr, out: set[int]) -> None:

@@ -170,3 +170,23 @@ def test_duplicate_declaration_carries_span():
         ck.run_text("> [A : Type];\n> [A : Type];\n")
     assert info.value.span is not None
     assert info.value.span.line == 2
+
+
+# A binder that shadows one in scope is renamed apart; the new name must not
+# be a declared constant's, which the body would then resolve to the binder.
+CAPTURE_PRELUDE = "> [Nat : Type];\n> [x1 : Prop];\n"
+
+
+def test_shadowing_lambda_binder_does_not_capture_a_constant():
+    ck = Checker()
+    ck.run_text(CAPTURE_PRELUDE
+                + "> Check [x : Nat] [x : Nat] x1 : Nat -> Nat -> Prop;\n")
+    _, t, _ = ck.log[-1]
+    assert alpha_eq(t.body.body, Const("x1"))
+
+
+def test_shadowing_product_binder_does_not_capture_a_constant():
+    ck = Checker()
+    ck.run_text(CAPTURE_PRELUDE + "> [bad : (x : Nat) (x : Nat) Prf x1];\n")
+    assert alpha_eq(ck.sig.entries["bad"].kind.codomain.codomain.body,
+                    Const("x1"))

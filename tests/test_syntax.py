@@ -15,6 +15,8 @@ from lttw.syntax import (
     PropKind, Var, alpha_eq, free_vars, fresh_name, spine, app, subst,
     subst_parallel,
 )
+import lttw.syntax
+from lttw.syntax import rename
 
 # ---------------------------------------------------------------- oracle
 
@@ -222,6 +224,29 @@ def test_subst_reaches_annotations_under_shadowing():
     t = Lam("x", ElKind(Var("x")), Var("x"))
     got = subst(t, "x", Const("c"))
     assert alpha_eq(got, Lam("x", ElKind(Const("c")), Var("x")))
+
+
+def test_rename_to_the_same_name_returns_the_term_itself():
+    t = Lam("y", TYPE, App(Var("x"), Var("y")))
+    assert rename(t, "x", "x") is t
+
+
+def test_capturing_binder_is_renamed_in_the_same_pass(monkeypatch):
+    # ([y : Type] x y)[x := y]: the binder is renamed while substituting,
+    # so each of the five nodes is visited exactly once
+    engine = lttw.syntax.subst_parallel
+    visited = []
+
+    def counted(target, mapping):
+        visited.append(target)
+        return engine(target, mapping)
+
+    monkeypatch.setattr(lttw.syntax, "subst_parallel", counted)
+    t = Lam("y", TYPE, App(Var("x"), Var("y")))
+    got = rename(t, "x", "y")
+    assert got.var != "y"
+    assert alpha_eq(got, Lam("w", TYPE, App(Var("y"), Var("w"))))
+    assert len(visited) == 5
 
 
 def test_fresh_name_basic():
