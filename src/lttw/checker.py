@@ -191,9 +191,9 @@ class Checker:
             el._drain(cmd.span)
             t = el.finish_term(t, cmd.span)
             k = el.finish_kind(k, cmd.span)
-            # the kernel alone confirms what elaboration produced
-            kernel.check_term(self.sig, EMPTY_CONTEXT, t, k,
-                              self.config.fuel)
+            # the kernel alone confirms what elaboration produced, from
+            # what is left of the command's budget
+            kernel.check_term(self.sig, EMPTY_CONTEXT, t, k, el.fuel)
             self.log.append(("check", t, k))
             self.output.append(
                 f"Check {print_term(t)} : {print_kind(k)}")

@@ -41,7 +41,7 @@ from .surface import (
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, contains_meta, free_vars,
-    fresh_name, metas_of, rename, spine, subst, subst_parallel,
+    fresh_name, metas_of, rename, spine, subst_parallel,
 )
 
 _INVERSION_DEPTH = 8
@@ -80,22 +80,28 @@ class MetaState:
         self.queue = list(self.queue)
 
     def zonk(self, e):
-        """Apply current solutions throughout a term or kind."""
-        if isinstance(e, Meta):
+        """Apply current solutions throughout a term or kind. Subterms
+        without a solved hole are shared, not copied."""
+        cls = type(e)
+        if not self.solutions or cls in (Var, Const, TypeKind, PropKind):
+            return e
+        if cls is Meta:
             sol = self.solutions.get(e.ident)
             return e if sol is None else self.zonk(sol)
-        if isinstance(e, (Var, Const, TypeKind, PropKind)):
-            return e
-        if isinstance(e, App):
-            return App(self.zonk(e.fn), self.zonk(e.arg))
-        if isinstance(e, Lam):
-            return Lam(e.var, self.zonk(e.ann), self.zonk(e.body))
-        if isinstance(e, ElKind):
-            return ElKind(self.zonk(e.body))
-        if isinstance(e, PrfKind):
-            return PrfKind(self.zonk(e.body))
-        if isinstance(e, PiKind):
-            return PiKind(e.var, self.zonk(e.domain), self.zonk(e.codomain))
+        if cls is App:
+            fn, arg = self.zonk(e.fn), self.zonk(e.arg)
+            return e if fn is e.fn and arg is e.arg else App(fn, arg)
+        if cls is Lam:
+            ann, body = self.zonk(e.ann), self.zonk(e.body)
+            return e if ann is e.ann and body is e.body \
+                else Lam(e.var, ann, body)
+        if cls is ElKind or cls is PrfKind:
+            body = self.zonk(e.body)
+            return e if body is e.body else cls(body)
+        if cls is PiKind:
+            dom, cod = self.zonk(e.domain), self.zonk(e.codomain)
+            return e if dom is e.domain and cod is e.codomain \
+                else PiKind(e.var, dom, cod)
         raise TypeError(f"not a term or kind: {e!r}")
 
 
@@ -178,8 +184,11 @@ class Elaborator:
         if x in ctx:
             # keep contexts duplicate-free; the surface name still resolves
             # to this binder because we rename consistently. Names resolve in
-            # the context first, so the new one must not be a constant's.
-            x2 = fresh_name(x, ctx.names().union(self.sig.entries))
+            # the context first, so the new one must not be a constant's,
+            # nor any name written in the body, where an inner binder of
+            # that name would capture the renamed occurrences.
+            x2 = fresh_name(x, ctx.names().union(self.sig.entries,
+                                                 _surface_names(body_s)))
             body_s = _rename_surface(body_s, x, x2)
             x = x2
         ctx2 = ctx.extend(x, dom)
@@ -199,24 +208,25 @@ class Elaborator:
             fn = fn.fn
         chain.reverse()
         t, k = self.term(ctx, fn, None)
+        # the head's kind is instantiated lazily, as in the kernel
+        mapping: dict[str, Term] = {}
         for arg_s in chain:
-            k = self._force_product(ctx, k, fn, arg_s)
+            if not isinstance(k, PiKind):
+                raise NotAProduct(
+                    "too many arguments: the head's kind is not a product "
+                    "here", span=getattr(arg_s, "span", None),
+                    diagnostic=Diagnostic(
+                        "app-fn",
+                        actual=self.state.zonk(subst_parallel(k, mapping))))
+            domain = subst_parallel(k.domain, mapping)
             if isinstance(arg_s, SHole):
-                arg = self.state.fresh(k.domain, ctx, arg_s.span)
+                arg = self.state.fresh(domain, ctx, arg_s.span)
             else:
-                arg, _ = self.term(ctx, arg_s, k.domain)
+                arg, _ = self.term(ctx, arg_s, domain)
             t = App(t, arg)
-            k = subst(k.codomain, k.var, arg)
-        return t, k
-
-    def _force_product(self, ctx: Context, k: Kind, fn, arg_s) -> PiKind:
-        if isinstance(k, PiKind):
-            return k
-        span = getattr(arg_s, "span", None)
-        raise NotAProduct(
-            "too many arguments: the head's kind is not a product here",
-            span=span,
-            diagnostic=Diagnostic("app-fn", actual=self.state.zonk(k)))
+            mapping[k.var] = arg
+            k = k.codomain
+        return t, subst_parallel(k, mapping)
 
     # ----------------------------------------------------------- kinds
 
@@ -235,7 +245,8 @@ class Elaborator:
             dom = self.kind(ctx, s.domain)
             x, cod_s = s.var, s.codomain
             if x in ctx:
-                x2 = fresh_name(x, ctx.names().union(self.sig.entries))
+                x2 = fresh_name(x, ctx.names().union(
+                    self.sig.entries, _surface_names(cod_s)))
                 cod_s = _rename_surface_kind(cod_s, x, x2)
                 x = x2
             cod = self.kind(ctx.extend(x, dom), cod_s)
@@ -351,11 +362,15 @@ class Elaborator:
             elif isinstance(ha, Const):
                 entry = self.sig.get(ha.name)
                 k = entry.kind if entry is not None else None
+            # as in kernel._conv: only a product domain is instantiated
+            mapping: dict[str, Term] = {}
             for u, v in zip(sa, sb):
                 arg_at = None
                 if isinstance(k, PiKind):
-                    arg_at = k.domain
-                    k = subst(k.codomain, k.var, u)
+                    if isinstance(k.domain, PiKind):
+                        arg_at = subst_parallel(k.domain, mapping)
+                    mapping[k.var] = u
+                    k = k.codomain
                 else:
                     k = None
                 self._unify(ctx, u, v, arg_at, span, depth)
@@ -479,6 +494,31 @@ class Elaborator:
         info = self.state.info[ident]
         raise UnsolvedMeta("a hole was never determined",
                            span=info.span or span)
+
+
+def _surface_names(s) -> set[str]:
+    """Every name written in a surface term or kind, bound or free."""
+    out: set[str] = set()
+    todo = [s]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, SName):
+            out.add(s.name)
+        elif isinstance(s, SApp):
+            todo += (s.fn, s.arg)
+        elif isinstance(s, SLam):
+            out.add(s.var)
+            todo.append(s.body)
+            if s.ann is not None:
+                todo.append(s.ann)
+        elif isinstance(s, SPi):
+            out.add(s.var)
+            todo += (s.domain, s.codomain)
+        elif isinstance(s, (SEl, SPrf)):
+            todo.append(s.body)
+        elif isinstance(s, STermKind):
+            todo.append(s.term)
+    return out
 
 
 def _rename_surface(s: SurfaceTerm, old: str, new: str) -> SurfaceTerm:

@@ -4,6 +4,15 @@ Definitional equality is beta + eta (at product kinds) + rewrite rules +
 transparent unfolding of definitions, decided by weak-head normalisation and
 spine comparison directed by the kind at which two terms are compared.
 
+An application spine is instantiated once, not once per argument. Beta
+contracts every lambda binder that has an argument in one simultaneous
+substitution of the innermost body; kind inference, spine comparison and
+their elaborator counterparts carry a map from the head kind's binders to
+the arguments seen so far and substitute a domain only when it is needed,
+the final codomain once. Instantiating `Pi x1:A1. Pi x2:A2. B` with a1, a2
+one binder at a time equals `B[x1:=a1, x2:=a2]` done simultaneously, and a
+later binder of the same name simply overwrites the earlier entry.
+
 Every entry point takes a fuel bound shared across all reduction the call
 performs; running out raises FuelExhausted rather than looping. Rejections
 raise typed errors carrying a Diagnostic with the violated rule's name.
@@ -22,7 +31,7 @@ from .signature import CompiledRule, Definition, Signature
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, app, free_vars, fresh_name,
-    rename, spine, subst, subst_parallel,
+    rename, spine, subst_parallel,
 )
 
 DEFAULT_FUEL = 100000
@@ -93,15 +102,26 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
     """Weak-head normal form: reduce until the head is a binder with no
     argument, a variable, a metavariable, or a constant no rule fires on.
     Arguments in constructor positions of candidate rules are reduced (the
-    result keeps that work); other arguments are untouched."""
+    result keeps that work); other arguments are untouched.
+
+    A lambda chain applied to a spine, written or exposed by unfolding a
+    definition, is contracted in one substitution for all the binders that
+    have an argument; each binder still spends one step of fuel."""
     f = _fuel(fuel)
     head, args = spine(t)
     changed = False
     while True:
         if isinstance(head, Lam) and args:
-            f.spend()
-            head = subst(head.body, head.var, args[0])
-            args = args[1:]
+            # contract every binder that has an argument in one pass
+            mapping: dict[str, Term] = {}
+            n = 0
+            while isinstance(head, Lam) and n < len(args):
+                f.spend()
+                mapping[head.var] = args[n]
+                head = head.body
+                n += 1
+            head = subst_parallel(head, mapping)
+            args = args[n:]
             changed = True
             head, args2 = spine(head)
             args = args2 + args
@@ -257,12 +277,17 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
         head_kind = None
     else:
         return False
+    # only a product domain steers the comparison (eta), so only such a
+    # domain is instantiated
     k = head_kind
+    mapping: dict[str, Term] = {}
     for u, v in zip(sa, sb):
         arg_at = None
         if isinstance(k, PiKind):
-            arg_at = k.domain
-            k = subst(k.codomain, k.var, u)
+            if isinstance(k.domain, PiKind):
+                arg_at = subst_parallel(k.domain, mapping)
+            mapping[k.var] = u
+            k = k.codomain
         else:
             k = None
         if not _conv(sig, ctx, u, v, arg_at, f):
@@ -333,20 +358,27 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
         body_kind = _infer(sig, ctx.extend(x, t.ann), body, f)
         return PiKind(x, t.ann, body_kind)
     if isinstance(t, App):
-        fn_kind = _infer(sig, ctx, t.fn, f)
-        if not isinstance(fn_kind, PiKind):
-            raise NotAProduct(
-                "application of a term whose kind is not a product",
-                diagnostic=Diagnostic("app-fn", subject=t.fn,
-                                      actual=fn_kind))
-        arg_kind = _infer(sig, ctx, t.arg, f)
-        if not _eqk(sig, ctx, arg_kind, fn_kind.domain, f):
-            raise DomainMismatch(
-                "argument kind does not match the function's domain",
-                diagnostic=Diagnostic("app-domain", subject=t.arg,
-                                      expected=fn_kind.domain,
-                                      actual=arg_kind))
-        return subst(fn_kind.codomain, fn_kind.var, t.arg)
+        # walk the spine once; the head's kind is instantiated lazily
+        head, args = spine(t)
+        k = _infer(sig, ctx, head, f)
+        mapping: dict[str, Term] = {}
+        for i, arg in enumerate(args):
+            if not isinstance(k, PiKind):
+                raise NotAProduct(
+                    "application of a term whose kind is not a product",
+                    diagnostic=Diagnostic(
+                        "app-fn", subject=app(head, *args[:i]),
+                        actual=subst_parallel(k, mapping)))
+            domain = subst_parallel(k.domain, mapping)
+            arg_kind = _infer(sig, ctx, arg, f)
+            if not _eqk(sig, ctx, arg_kind, domain, f):
+                raise DomainMismatch(
+                    "argument kind does not match the function's domain",
+                    diagnostic=Diagnostic("app-domain", subject=arg,
+                                          expected=domain, actual=arg_kind))
+            mapping[k.var] = arg
+            k = k.codomain
+        return subst_parallel(k, mapping)
     raise TypeError(f"not a term: {t!r}")
 
 

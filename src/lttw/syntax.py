@@ -135,8 +135,27 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+# Every cached set costs a node its own frozenset (216 bytes even when
+# empty), so closed nodes share one empty set and a node whose names all
+# come from one child shares that child's set.
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _unbind(fv: frozenset[str], x: str) -> frozenset[str]:
+    return fv - {x} if x in fv else fv
+
+
 def free_vars(e: Expr) -> frozenset[str]:
-    """Free variable names of a term or kind (cached per node)."""
+    """Free variable names of a term or kind (cached per node, shared
+    between nodes where equal)."""
     cached = getattr(e, "_fv", None)
     if cached is not None:
         return cached
@@ -144,15 +163,16 @@ def free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, Var):
         fv = frozenset((e.name,))
     elif isinstance(e, (Const, Meta, TypeKind, PropKind)):
-        fv = frozenset()
+        fv = _NO_NAMES
     elif isinstance(e, App):
-        fv = free_vars(e.fn) | free_vars(e.arg)
+        fv = _union(free_vars(e.fn), free_vars(e.arg))
     elif isinstance(e, Lam):
-        fv = free_vars(e.ann) | (free_vars(e.body) - {e.var})
+        fv = _union(free_vars(e.ann), _unbind(free_vars(e.body), e.var))
     elif isinstance(e, (ElKind, PrfKind)):
         fv = free_vars(e.body)
     elif isinstance(e, PiKind):
-        fv = free_vars(e.domain) | (free_vars(e.codomain) - {e.var})
+        fv = _union(free_vars(e.domain),
+                    _unbind(free_vars(e.codomain), e.var))
     else:
         raise TypeError(f"not a term or kind: {e!r}")
     object.__setattr__(e, "_fv", fv)

@@ -11,7 +11,8 @@ from lttw.errors import (
 )
 from lttw.signature import Definition
 from lttw.syntax import (
-    TYPE, Const, PropKind, TypeKind, alpha_eq, contains_meta,
+    TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, PropKind, TypeKind, Var,
+    alpha_eq, contains_meta,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -123,6 +124,22 @@ def test_setoption_fuel_bounds_reduction():
         ck.run_text("> Reduce f zero;\n")
 
 
+def test_check_recheck_spends_from_the_elaboration_budget():
+    # elaborating the Check unfolds `one` once and so does the kernel's
+    # re-check: each fits in one step, the command as a whole needs two
+    prelude = NAT_PRELUDE + """
+> [one = succ zero];
+> [P : Nat -> Prop];
+> [p1 : P (succ zero)];
+"""
+    ck = Checker()
+    ck.run_text(prelude + "> SetOption fuel 2;\n> Check p1 : P one;\n")
+    assert ck.output == ["Check p1 : Prf (P one)"]
+    ck = Checker()
+    with pytest.raises(FuelExhausted):
+        ck.run_text(prelude + "> SetOption fuel 1;\n> Check p1 : P one;\n")
+
+
 def test_setoption_rejects_junk():
     ck = Checker()
     with pytest.raises(ScriptSyntaxError):
@@ -190,3 +207,26 @@ def test_shadowing_product_binder_does_not_capture_a_constant():
     ck.run_text(CAPTURE_PRELUDE + "> [bad : (x : Nat) (x : Nat) Prf x1];\n")
     assert alpha_eq(ck.sig.entries["bad"].kind.codomain.codomain.body,
                     Const("x1"))
+
+
+# The renamed binder must also avoid the names bound inside its body, or an
+# inner binder of that name captures the renamed occurrences.
+NAT = ElKind(Const("Nat"))
+
+
+def test_shadowing_lambda_binder_avoids_inner_binder_names():
+    ck = Checker()
+    ck.run_text("> [Nat : Type];\n> [zero : Nat];\n> Check [x : Nat] "
+                "[x : Nat] [x1 : Nat] x : Nat -> Nat -> Nat -> Nat;\n")
+    _, t, _ = ck.log[-1]
+    assert alpha_eq(t, Lam("a", NAT,
+                           Lam("b", NAT, Lam("c", NAT, Var("b")))))
+
+
+def test_shadowing_product_binder_avoids_inner_binder_names():
+    ck = Checker()
+    ck.run_text("> [Nat : Type];\n> [P : Nat -> Prop];\n"
+                "> [c : (x : Nat) (x : Nat) (x1 : Nat) P x];\n")
+    want = PiKind("a", NAT, PiKind("b", NAT, PiKind(
+        "c", NAT, PrfKind(App(Const("P"), Var("b"))))))
+    assert alpha_eq(ck.sig.entries["c"].kind, want)

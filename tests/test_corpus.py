@@ -14,11 +14,13 @@ from lttw.corpus import (
     CORPUS_DIR, MANIFEST, MANIFEST_IMPREDICATIVE, check_corpus,
     parse_manifest,
 )
+from lttw.elaborator import elaborate
 from lttw.errors import (
     FuelExhausted, KindMismatch, LttwError, MismatchedOutcome,
     UnknownConstant,
 )
 from lttw.kernel import EMPTY_CONTEXT
+from lttw.parser import parse_term
 from lttw.printer import print_term
 from lttw.signature import Signature
 from lttw.stdlib import load_standard
@@ -34,6 +36,13 @@ def predicative():
 def impredicative():
     return check_corpus(MANIFEST_IMPREDICATIVE, mode="impredicative",
                         strict=False)
+
+
+@pytest.fixture(scope="module")
+def arith_signature():
+    ck = load_standard()
+    ck.run_path(CORPUS_DIR / "arith.lf")
+    return ck.sig
 
 
 # ------------------------------------------------------------- manifest
@@ -137,6 +146,20 @@ def test_reduction_outputs(predicative):
     # 2 * (-1) = -2, as the difference pair (0, 2)
     assert ("Reduce zmult ztwo (zneg zone) = "
             "pair Nat Nat zero (succ (succ zero))") in out
+
+
+@pytest.mark.parametrize("source, spent", [
+    ("mult three three", 60),
+    ("plus (succ (succ zero)) three", 15),
+    ("minus four two", 50),
+])
+def test_normalisation_fuel_after_arith(arith_signature, source, spent):
+    # beta over a whole spine spends one step per binder it consumes, as
+    # contracting the binders one at a time did
+    t = elaborate(arith_signature, EMPTY_CONTEXT, parse_term(source))
+    fuel = kernel.Fuel()
+    kernel.normalize(arith_signature, t, fuel)
+    assert fuel.limit - fuel.left == spent
 
 
 def test_key_checked_kinds(predicative):

@@ -263,6 +263,51 @@ def test_domain_mismatch_diagnostic_names_rule(sig):
         raise AssertionError("expected DomainMismatch")
 
 
+# A spine is checked argument by argument against the head's kind,
+# instantiated with the arguments before: the diagnostics show that kind.
+def _diagnostic(sig, t, error):
+    with pytest.raises(error) as info:
+        infer_kind(sig, EMPTY_CONTEXT, t)
+    return info.value.diagnostic
+
+
+def test_spine_diagnostics_at_the_second_argument(sig):
+    d = _diagnostic(sig, app(Const("succ"), Const("zero"), Const("zero"),
+                             Const("zero")), NotAProduct)
+    assert d.rule == "app-fn"
+    assert alpha_eq(d.subject, App(Const("succ"), Const("zero")))
+    assert alpha_eq(d.actual, NAT)
+    family = const_nat_family()
+    d = _diagnostic(sig, app(Const("E_Nat"), family, Const("Nat"),
+                             Const("zero")), DomainMismatch)
+    assert d.rule == "app-domain"
+    assert alpha_eq(d.subject, Const("Nat"))
+    assert alpha_eq(d.expected, ElKind(App(family, Const("zero"))))
+    assert alpha_eq(d.actual, TYPE)
+
+
+def test_spine_diagnostics_at_the_third_argument():
+    s = nat_signature()
+    # pick : (C : Nat -> Type) (n : Nat) El (C n)
+    pick_kind = ElKind(App(Var("C"), Var("n")))
+    declare_constant(s, "pick", PiKind("C", arrow(NAT, TYPE),
+                                       PiKind("n", NAT, pick_kind)))
+    family = const_nat_family()
+    d = _diagnostic(s, app(Const("pick"), family, Const("zero"),
+                           Const("zero")), NotAProduct)
+    assert d.rule == "app-fn"
+    assert alpha_eq(d.subject, app(Const("pick"), family, Const("zero")))
+    assert alpha_eq(d.actual, ElKind(App(family, Const("zero"))))
+    d = _diagnostic(s, app(Const("E_Nat"), family, Const("zero"),
+                           Const("zero")), DomainMismatch)
+    assert d.rule == "app-domain"
+    assert alpha_eq(d.subject, Const("zero"))
+    c_n = ElKind(App(family, Var("n")))
+    c_sn = ElKind(App(family, App(Const("succ"), Var("n"))))
+    assert alpha_eq(d.expected, PiKind("n", NAT, arrow(c_n, c_sn)))
+    assert alpha_eq(d.actual, NAT)
+
+
 def test_infer_lambda_gives_product(sig):
     t = Lam("x", NAT, App(Const("succ"), Var("x")))
     k = infer_kind(sig, EMPTY_CONTEXT, t)

@@ -8,8 +8,10 @@ capture-avoidance property the named implementation must guarantee.
 """
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from lttw.kernel import Fuel, whnf
+from lttw.signature import Signature
 from lttw.syntax import (
     PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, TypeKind,
     PropKind, Var, alpha_eq, free_vars, fresh_name, spine, app, subst,
@@ -247,6 +249,49 @@ def test_capturing_binder_is_renamed_in_the_same_pass(monkeypatch):
     assert got.var != "y"
     assert alpha_eq(got, Lam("w", TYPE, App(Var("y"), Var("w"))))
     assert len(visited) == 5
+
+
+# whnf contracts a lambda chain applied to a spine in one simultaneous
+# substitution; the reference contracts one binder at a time with subst.
+# Arguments and the body's head are lambda-free, so the contractum is
+# already weak-head normal.
+lam_free_terms = st.deferred(lambda: st.one_of(
+    names.map(Var),
+    consts.map(Const),
+    st.builds(App, lam_free_terms, lam_free_terms),
+))
+
+
+@CASES
+@example([("x", TYPE), ("x", TYPE)], [Const("c"), Const("d")], "x", [])
+@example([("x", TYPE), ("y", TYPE)], [Var("y")], "x", [Var("y")])
+@given(st.lists(st.tuples(names, kinds), min_size=1, max_size=4),
+       st.lists(lam_free_terms, min_size=1, max_size=5), names,
+       st.lists(terms, max_size=2))
+def test_whnf_beta_spine_matches_one_binder_at_a_time(binders, args, head,
+                                                      rest):
+    chain = app(Var(head), *rest)
+    for x, k in reversed(binders):
+        chain = Lam(x, k, chain)
+    want, left = chain, list(args)
+    while left and isinstance(want, Lam):
+        want = subst(want.body, want.var, left.pop(0))
+    want = app(want, *left)
+    fuel = Fuel()
+    got = whnf(Signature(), app(chain, *args), fuel)
+    assert alpha_eq(got, want)
+    assert fuel.limit - fuel.left == min(len(binders), len(args))
+
+
+def test_free_variable_sets_are_shared_not_copied():
+    # a cached set costs a node its own frozenset: closed nodes share one,
+    # and a node whose names all come from one child shares that child's
+    assert free_vars(Const("c")) is free_vars(App(Const("d"), Const("c")))
+    x = Var("x")
+    assert free_vars(App(x, Const("c"))) is free_vars(x)
+    assert free_vars(Lam("y", TYPE, App(x, Var("y")))) == {"x"}
+    body = App(x, Const("c"))
+    assert free_vars(Lam("y", TYPE, body)) is free_vars(body)
 
 
 def test_fresh_name_basic():
