@@ -1,10 +1,15 @@
 """Running proof-script commands against a signature.
 
 The elaborator fills holes and coerces terms written in kind position; every
-accepted command is then pushed through the signature layer, whose own kernel
-checks see only hole-free syntax. Each accepted command also appends a replay
-record (kernel objects, no surface syntax), so a whole session can be
-re-checked later with the elaborator out of the loop entirely.
+accepted command is then turned into a replay record (kernel objects, no
+surface syntax) and committed: `commit` checks the record with the signature
+layer and the kernel, which see only hole-free syntax, and the record is
+appended to the log. `replay` commits a log the same way, so a whole session
+can be re-checked later with the elaborator out of the loop entirely.
+
+One command spends from one step budget of `fuel` steps: elaboration, the
+kernel check of its record and the normalisation of a `Reduce` draw on the
+same `Fuel`. A `Load` runs each command of the loaded file on its own budget.
 
 Option `prop_placement` decides what kind the distinguished constant `prop`
 is declared at: "prop" keeps the script's `Prop`, "type" turns the
@@ -22,7 +27,7 @@ from typing import Optional
 from .elaborator import Elaborator
 from .errors import LttwError, ScriptSyntaxError
 from . import kernel
-from .kernel import Context, DEFAULT_FUEL, EMPTY_CONTEXT
+from .kernel import Context, DEFAULT_FUEL, EMPTY_CONTEXT, Fuel
 from .parser import parse_script
 from .printer import print_kind, print_term
 from .signature import (
@@ -86,7 +91,18 @@ class Checker:
             raise TypeError(f"not a command: {cmd!r}")
 
     def _elaborator(self) -> Elaborator:
-        return Elaborator(self.sig, self.config.fuel)
+        # the command's one budget: elaboration, the commit and a Reduce's
+        # normalisation all spend from it
+        return Elaborator(self.sig, Fuel(self.config.fuel))
+
+    def _commit(self, record: tuple, fuel: Fuel, span) -> None:
+        try:
+            commit(self.sig, record, fuel)
+        except LttwError as e:
+            if e.span is None:
+                e.span = span
+            raise
+        self.log.append(record)
 
     def _binder_telescope(self, el: Elaborator, binders,
                           what: str) -> tuple[Context, list]:
@@ -105,28 +121,20 @@ class Checker:
     def _declare(self, cmd: Declare) -> None:
         el = self._elaborator()
         ctx, pairs = self._binder_telescope(el, cmd.binders, "declaration")
-        result = el.kind(ctx, cmd.kind)
-        el._drain(cmd.span)
-        kind = result
+        kind = el.kind(ctx, cmd.kind)
         for name, k in reversed(pairs):
             kind = PiKind(name, k, kind)
         kind = el.finish_kind(kind, cmd.span)
         if (self.config.prop_placement == "type" and cmd.name == "prop"
                 and isinstance(kind, PropKind)):
             kind = TYPE
-        try:
-            declare_constant(self.sig, cmd.name, kind,
-                             fuel=self.config.fuel)
-        except LttwError as e:
-            raise self._with_span(e, cmd.span)
-        self.log.append(("declare", cmd.name, kind))
+        self._commit(("declare", cmd.name, kind), el.fuel, cmd.span)
 
     def _define(self, cmd: Define) -> None:
         el = self._elaborator()
         ctx, pairs = self._binder_telescope(el, cmd.binders, "definition")
         expected = el.kind(ctx, cmd.kind) if cmd.kind is not None else None
         body, _ = el.term(ctx, cmd.body, expected)
-        el._drain(cmd.span)
         for name, k in reversed(pairs):
             body = Lam(name, k, body)
         body = el.finish_term(body, cmd.span)
@@ -136,12 +144,8 @@ class Checker:
             for name, bk in reversed(pairs):
                 k = PiKind(name, bk, k)
             ascription = k
-        try:
-            define(self.sig, cmd.name, body, ascription,
-                   fuel=self.config.fuel)
-        except LttwError as e:
-            raise self._with_span(e, cmd.span)
-        self.log.append(("define", cmd.name, body, ascription))
+        self._commit(("define", cmd.name, body, ascription), el.fuel,
+                     cmd.span)
 
     def _rule(self, cmd: DeclareRule) -> None:
         el = self._elaborator()
@@ -149,17 +153,11 @@ class Checker:
         ascription = el.kind(ctx, cmd.kind)
         lhs, _ = el.term(ctx, cmd.lhs, ascription)
         rhs, _ = el.term(ctx, cmd.rhs, ascription)
-        el._drain(cmd.span)
-        lhs = el.finish_term(lhs, cmd.span)
-        rhs = el.finish_term(rhs, cmd.span)
-        ascription = el.finish_kind(ascription, cmd.span)
-        rule = RewriteRule(binders=tuple(pairs), lhs=lhs, rhs=rhs,
-                           ascription=ascription)
-        try:
-            declare_rewrite(self.sig, rule, fuel=self.config.fuel)
-        except LttwError as e:
-            raise self._with_span(e, cmd.span)
-        self.log.append(("rule", rule))
+        rule = RewriteRule(binders=tuple(pairs),
+                           lhs=el.finish_term(lhs, cmd.span),
+                           rhs=el.finish_term(rhs, cmd.span),
+                           ascription=el.finish_kind(ascription, cmd.span))
+        self._commit(("rule", rule), el.fuel, cmd.span)
 
     # ------------------------------------------------------- directives
 
@@ -172,75 +170,73 @@ class Checker:
             return
         if op is DirectiveOp.SETOPTION:
             name, value = cmd.payload
-            if name == "fuel":
-                try:
-                    self.config.fuel = int(value)
-                except ValueError:
-                    raise ScriptSyntaxError(
-                        f"fuel must be a number, got {value!r}",
-                        span=cmd.span)
-                return
-            raise ScriptSyntaxError(f"unknown option {name!r}",
-                                    span=cmd.span)
+            if name != "fuel":
+                raise ScriptSyntaxError(f"unknown option {name!r}",
+                                        span=cmd.span)
+            try:
+                fuel = int(value)
+            except ValueError:
+                raise ScriptSyntaxError(
+                    f"fuel must be a number, got {value!r}", span=cmd.span)
+            if fuel <= 0:
+                raise ScriptSyntaxError(
+                    f"fuel must be positive, got {fuel}", span=cmd.span)
+            self.config.fuel = fuel
+            return
         el = self._elaborator()
+        expected = None
         if op is DirectiveOp.CHECK:
             term_s, kind_s = cmd.payload
-            expected = (el.kind(EMPTY_CONTEXT, kind_s)
-                        if kind_s is not None else None)
-            t, k = el.term(EMPTY_CONTEXT, term_s, expected)
-            el._drain(cmd.span)
-            t = el.finish_term(t, cmd.span)
-            k = el.finish_kind(k, cmd.span)
-            # the kernel alone confirms what elaboration produced, from
-            # what is left of the command's budget
-            kernel.check_term(self.sig, EMPTY_CONTEXT, t, k, el.fuel)
-            self.log.append(("check", t, k))
-            self.output.append(
-                f"Check {print_term(t)} : {print_kind(k)}")
-            return
-        (term_s,) = cmd.payload
-        t, k = el.term(EMPTY_CONTEXT, term_s, None)
-        el._drain(cmd.span)
+            if kind_s is not None:
+                expected = el.kind(EMPTY_CONTEXT, kind_s)
+        else:
+            (term_s,) = cmd.payload
+        t, k = el.term(EMPTY_CONTEXT, term_s, expected)
         t = el.finish_term(t, cmd.span)
         k = el.finish_kind(k, cmd.span)
-        if op is DirectiveOp.TYPEOF:
-            self.output.append(
-                f"TypeOf {print_term(t)} : {print_kind(k)}")
-            return
-        if op is DirectiveOp.REDUCE:
-            reduced = kernel.normalize(self.sig, t, self.config.fuel)
+        if op is DirectiveOp.CHECK:
+            # the kernel alone confirms what elaboration produced
+            self._commit(("check", t, k), el.fuel, cmd.span)
+            self.output.append(f"Check {print_term(t)} : {print_kind(k)}")
+        elif op is DirectiveOp.TYPEOF:
+            self.output.append(f"TypeOf {print_term(t)} : {print_kind(k)}")
+        elif op is DirectiveOp.REDUCE:
+            reduced = kernel.normalize(self.sig, t, el.fuel)
             self.output.append(
                 f"Reduce {print_term(t)} = {print_term(reduced)}")
-            return
-        raise TypeError(f"not a directive: {op!r}")
+        else:
+            raise TypeError(f"not a directive: {op!r}")
 
-    @staticmethod
-    def _with_span(e: LttwError, span) -> LttwError:
-        if e.span is None:
-            e.span = span
-        return e
+
+def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
+    """Check one replay record with the signature layer and the kernel,
+    spending from `fuel`, and store what it declares. A `check` record
+    stores nothing. Raises on rejection, leaving `sig` unchanged."""
+    tag = record[0]
+    if tag == "declare":
+        _, name, kind = record
+        declare_constant(sig, name, kind, fuel=fuel)
+    elif tag == "define":
+        _, name, body, ascription = record
+        define(sig, name, body, ascription, fuel=fuel)
+    elif tag == "rule":
+        _, rule = record
+        declare_rewrite(sig, rule, fuel=fuel)
+    elif tag == "check":
+        _, t, k = record
+        kernel.check_term(sig, EMPTY_CONTEXT, t, k, fuel)
+    else:
+        raise ValueError(f"unknown replay record {tag!r}")
 
 
 def replay(log: list[tuple],
            sig: Optional[Signature] = None,
            fuel: int = DEFAULT_FUEL) -> Signature:
     """Re-check a session from its replay records: signature and kernel
-    only, no parsing, no elaboration. Raises on the first rejection."""
+    only, no parsing, no elaboration. Each record is committed on its own
+    budget of `fuel` steps, as its command was. Raises on the first
+    rejection."""
     sig = sig if sig is not None else Signature()
     for record in log:
-        tag = record[0]
-        if tag == "declare":
-            _, name, kind = record
-            declare_constant(sig, name, kind, fuel=fuel)
-        elif tag == "define":
-            _, name, body, ascription = record
-            define(sig, name, body, ascription, fuel=fuel)
-        elif tag == "rule":
-            _, rule = record
-            declare_rewrite(sig, rule, fuel=fuel)
-        elif tag == "check":
-            _, t, k = record
-            kernel.check_term(sig, EMPTY_CONTEXT, t, k, fuel)
-        else:
-            raise ValueError(f"unknown replay record {tag!r}")
+        commit(sig, record, Fuel(fuel))
     return sig

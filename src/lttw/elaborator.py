@@ -24,7 +24,7 @@ re-checked by the caller with the kernel alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     Diagnostic, IllFormedKind, KindMismatch, Mismatch, NotAProduct,
@@ -106,9 +106,9 @@ class MetaState:
 
 
 class Elaborator:
-    def __init__(self, sig: Signature, fuel: Union[int, Fuel, None] = None):
+    def __init__(self, sig: Signature, fuel: Optional[Fuel] = None):
         self.sig = sig
-        self.fuel = kernel._fuel(fuel)
+        self.fuel = fuel if fuel is not None else Fuel()
         self.state = MetaState()
 
     # ----------------------------------------------------------- terms
@@ -469,6 +469,7 @@ class Elaborator:
     # ---------------------------------------------------------- finish
 
     def finish_term(self, t: Term, span=None) -> Term:
+        self._drain(span)
         t = self.state.zonk(t)
         left = metas_of(t)
         if left or self.state.queue:
@@ -476,6 +477,7 @@ class Elaborator:
         return t
 
     def finish_kind(self, k: Kind, span=None) -> Kind:
+        self._drain(span)
         k = self.state.zonk(k)
         left = metas_of(k)
         if left or self.state.queue:
@@ -557,25 +559,23 @@ def _rename_surface_kind(s: SurfaceKind, old: str, new: str) -> SurfaceKind:
 
 def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
               expected: Optional[Kind] = None,
-              fuel: Union[int, Fuel, None] = None) -> Term:
+              fuel: Optional[Fuel] = None) -> Term:
     """Elaborate one surface term to a Meta-free kernel term."""
     el = Elaborator(sig, fuel)
     t, _ = el.term(ctx, s, expected)
-    el._drain(getattr(s, "span", None))
     return el.finish_term(t, getattr(s, "span", None))
 
 
 def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
-                   fuel: Union[int, Fuel, None] = None) -> Kind:
+                   fuel: Optional[Fuel] = None) -> Kind:
     el = Elaborator(sig, fuel)
     k = el.kind(ctx, s)
-    el._drain(getattr(s, "span", None))
     return el.finish_kind(k, getattr(s, "span", None))
 
 
 def unify(sig: Signature, ctx: Context, a: Term, b: Term,
           at: Optional[Kind], state: MetaState,
-          fuel: Union[int, Fuel, None] = None) -> None:
+          fuel: Optional[Fuel] = None) -> None:
     """Standalone entry point over an existing MetaState."""
     el = Elaborator(sig, fuel)
     el.state = state

@@ -13,8 +13,9 @@ the final codomain once. Instantiating `Pi x1:A1. Pi x2:A2. B` with a1, a2
 one binder at a time equals `B[x1:=a1, x2:=a2]` done simultaneously, and a
 later binder of the same name simply overwrites the earlier entry.
 
-Every entry point takes a fuel bound shared across all reduction the call
-performs; running out raises FuelExhausted rather than looping. Rejections
+Every entry point takes a fuel bound: a `Fuel`, which the call shares with
+whatever else its caller spends from it, or a number of steps for a fresh
+budget. Running out raises FuelExhausted rather than looping. Rejections
 raise typed errors carrying a Diagnostic with the violated rule's name.
 """
 
@@ -38,7 +39,7 @@ DEFAULT_FUEL = 100000
 
 
 class Fuel:
-    """Shared step budget. One instance flows through a whole judgement."""
+    """Shared step budget. One instance flows through a whole command."""
 
     __slots__ = ("limit", "left")
 

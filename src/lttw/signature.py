@@ -5,9 +5,10 @@ opaque; definitions unfold during reduction; rewrite rules attach to a
 declared head constant and fire on depth-1 constructor patterns.
 
 Every mutating operation validates its input with the kernel before storing
-anything, so a signature that exists is well-formed. Declaration order is
-significant (later entries may mention earlier ones); nothing here attempts
-reordering.
+anything, so a signature that exists is well-formed. It spends all of its
+kernel checks from one budget: the `Fuel` it is given, or a fresh one of
+the given number of steps. Declaration order is significant (later entries
+may mention earlier ones); nothing here attempts reordering.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ class Signature:
         self.entries: dict[str, Entry] = {}
         self.rules: dict[str, list[CompiledRule]] = {}
 
-    def copy(self) -> "Signature":
-        s = Signature()
-        s.entries = dict(self.entries)
-        s.rules = {h: list(rs) for h, rs in self.rules.items()}
-        return s
-
     def get(self, name: str) -> Optional[Entry]:
         return self.entries.get(name)
 
@@ -103,6 +98,7 @@ def declare_constant(sig: Signature, name: str, kind: Kind,
 
     if name in sig.entries:
         raise DuplicateName(f"{name!r} is already declared")
+    fuel = kernel._fuel(fuel)
     kernel.check_kind_valid(sig, kernel.EMPTY_CONTEXT, kind, fuel)
     decl = ConstDecl(name, kind)
     sig.entries[name] = decl
@@ -115,6 +111,7 @@ def define(sig: Signature, name: str, body: Term,
 
     if name in sig.entries:
         raise DuplicateName(f"{name!r} is already declared")
+    fuel = kernel._fuel(fuel)
     inferred = kernel.infer_kind(sig, kernel.EMPTY_CONTEXT, body, fuel)
     kind = inferred
     if ascription is not None:
@@ -147,7 +144,7 @@ def declare_rewrite(sig: Signature, rule: RewriteRule,
                 f"rewrite rule overlaps an existing rule for "
                 f"{compiled.head!r}",
                 diagnostic=Diagnostic("rewrite-overlap", subject=rule.lhs))
-    _check_rule_kinds(sig, rule, fuel)
+    _check_rule_kinds(sig, rule, kernel._fuel(fuel))
     sig.rules.setdefault(compiled.head, []).append(compiled)
     return compiled
 
@@ -220,8 +217,7 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
     return ("con", head.name, subpats)
 
 
-def _check_rule_kinds(sig: Signature, rule: RewriteRule,
-                      fuel=None) -> None:
+def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel) -> None:
     from . import kernel
 
     ctx = kernel.EMPTY_CONTEXT

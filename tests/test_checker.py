@@ -9,7 +9,8 @@ from lttw.checker import Checker, CheckerConfig, replay
 from lttw.errors import (
     DuplicateName, FuelExhausted, KindMismatch, ScriptSyntaxError,
 )
-from lttw.signature import Definition
+from lttw.kernel import DEFAULT_FUEL, Fuel
+from lttw.signature import Definition, declare_rewrite
 from lttw.syntax import (
     TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, PropKind, TypeKind, Var,
     alpha_eq, contains_meta,
@@ -138,6 +139,59 @@ def test_check_recheck_spends_from_the_elaboration_budget():
     ck = Checker()
     with pytest.raises(FuelExhausted):
         ck.run_text(prelude + "> SetOption fuel 1;\n> Check p1 : P one;\n")
+
+
+# `one` unfolds in one step; p1 and c1 prove `P one` only after that step
+ONE_PRELUDE = NAT_PRELUDE + """
+> [one = succ zero];
+> [P : Nat -> Prop];
+> [p1 : P (succ zero)];
+> [c1 : P (succ zero)];
+"""
+
+
+def _run_with_fuel(fuel, text):
+    ck = Checker()
+    ck.run_text(ONE_PRELUDE + f"> SetOption fuel {fuel};\n" + text)
+    return ck
+
+
+@pytest.mark.parametrize("text, needed", [
+    # elaboration unfolds `one` once, so does the kernel's check
+    ("> [q = p1 : P one];\n", 2),
+    # once per side in elaboration and once per side in the kernel
+    ("> rule c1 = p1 : P one;\n", 4),
+    # elaboration unfolds `one` once, normalisation contracts one redex
+    ("> [g : Prf (P one) -> Nat];\n> Reduce ([x : Nat] x) (g p1);\n", 2),
+], ids=["define", "rule", "reduce"])
+def test_one_budget_covers_the_whole_command(text, needed):
+    with pytest.raises(FuelExhausted):
+        _run_with_fuel(needed - 1, text)
+    _run_with_fuel(needed, text)
+
+
+def test_replay_gives_each_record_one_budget():
+    ck = _run_with_fuel(4, "> rule c1 = p1 : P one;\n")
+    *before, record = ck.log
+    with pytest.raises(FuelExhausted):
+        replay([record], replay(before), fuel=1)
+    replay([record], replay(before), fuel=2)
+
+
+def test_declare_rewrite_spends_every_kernel_check_from_one_fuel():
+    ck = _run_with_fuel(4, "> rule c1 = p1 : P one;\n")
+    (_, rule), sig = ck.log[-1], replay(ck.log[:-1])
+    fuel = Fuel()
+    declare_rewrite(sig, rule, fuel=fuel)
+    assert fuel.limit - fuel.left == 2
+
+
+def test_setoption_rejects_non_positive_fuel():
+    ck = Checker()
+    with pytest.raises(ScriptSyntaxError) as info:
+        ck.run_text("> SetOption fuel 0;\n")
+    assert "positive" in str(info.value)
+    assert ck.config.fuel == DEFAULT_FUEL
 
 
 def test_setoption_rejects_junk():
