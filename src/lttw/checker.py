@@ -9,7 +9,13 @@ can be re-checked later with the elaborator out of the loop entirely.
 
 One command spends from one step budget of `fuel` steps: elaboration, the
 kernel check of its record and the normalisation of a `Reduce` draw on the
-same `Fuel`. A `Load` runs each command of the loaded file on its own budget.
+same `Fuel`. A `Load` runs each command of the loaded file on its own budget
+and is all-or-nothing: a file that fails leaves the signature, the log and
+the set of loaded files as they were before it.
+
+A command nested deeper than the interpreter's stack allows is rejected
+with NestingTooDeep, like any other rejection, and leaves the signature
+unchanged.
 
 Option `prop_placement` decides what kind the distinguished constant `prop`
 is declared at: "prop" keeps the script's `Prop`, "type" turns the
@@ -25,7 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 from .elaborator import Elaborator
-from .errors import LttwError, ScriptSyntaxError
+from .errors import Diagnostic, LttwError, NestingTooDeep, ScriptSyntaxError
 from . import kernel
 from .kernel import Context, DEFAULT_FUEL, EMPTY_CONTEXT, Fuel
 from .parser import parse_script
@@ -65,9 +71,17 @@ class Checker:
             raise ScriptSyntaxError(
                 f"Load cycle through {path!s}")
         text = Path(resolved).read_text(encoding="utf-8")
+        entries = dict(self.sig.entries)
+        rules = {head: list(rs) for head, rs in self.sig.rules.items()}
+        logged, loaded = len(self.log), set(self.loaded)
         self._loading.append(resolved)
         try:
             self.run_text(text, file=str(path))
+        except Exception:
+            self.sig.entries, self.sig.rules = entries, rules
+            del self.log[logged:]
+            self.loaded = loaded
+            raise
         finally:
             self._loading.pop()
         self.loaded.add(resolved)
@@ -79,16 +93,21 @@ class Checker:
     # --------------------------------------------------------- commands
 
     def run_command(self, cmd: Command) -> None:
-        if isinstance(cmd, Declare):
-            self._declare(cmd)
-        elif isinstance(cmd, Define):
-            self._define(cmd)
-        elif isinstance(cmd, DeclareRule):
-            self._rule(cmd)
-        elif isinstance(cmd, Directive):
-            self._directive(cmd)
-        else:
-            raise TypeError(f"not a command: {cmd!r}")
+        try:
+            if isinstance(cmd, Declare):
+                self._declare(cmd)
+            elif isinstance(cmd, Define):
+                self._define(cmd)
+            elif isinstance(cmd, DeclareRule):
+                self._rule(cmd)
+            elif isinstance(cmd, Directive):
+                self._directive(cmd)
+            else:
+                raise TypeError(f"not a command: {cmd!r}")
+        except RecursionError:
+            raise NestingTooDeep("command nests too deeply to check",
+                                 span=cmd.span,
+                                 diagnostic=Diagnostic("depth")) from None
 
     def _elaborator(self) -> Elaborator:
         # the command's one budget: elaboration, the commit and a Reduce's
@@ -237,6 +256,11 @@ def replay(log: list[tuple],
     budget of `fuel` steps, as its command was. Raises on the first
     rejection."""
     sig = sig if sig is not None else Signature()
-    for record in log:
-        commit(sig, record, Fuel(fuel))
+    for i, record in enumerate(log):
+        try:
+            commit(sig, record, Fuel(fuel))
+        except RecursionError:
+            raise NestingTooDeep(
+                f"replay record {i} nests too deeply to check",
+                diagnostic=Diagnostic("depth")) from None
     return sig

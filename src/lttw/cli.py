@@ -1,6 +1,8 @@
 """Command-line front end: check scripts, query terms, run the corpus.
 
-Results go to stdout, diagnostics to stderr. Exit status 0 means every
+Results go to stdout, diagnostics to stderr: a rejection prints its
+`span: message` line and, indented under it, the rule, subject, expected
+and actual kind of its Diagnostic when it has one. Exit status 0 means every
 requested check passed, 1 means a script or term was rejected (or the
 corpus deviated from its manifest), 2 means the request itself was bad:
 unreadable file, malformed flag or environment override.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import textwrap
 import time
 from pathlib import Path
 from typing import Optional
@@ -200,6 +203,9 @@ def main(argv=None) -> int:
         return _cmd_corpus(args)
     except LttwError as e:
         print(e, file=sys.stderr)
+        if e.diagnostic is not None:
+            print(textwrap.indent(e.diagnostic.render(), "  "),
+                  file=sys.stderr)
         return 1
     except UsageError as e:
         print(f"lttw: {e}", file=sys.stderr)

@@ -1,5 +1,13 @@
 """Elaboration: resolve names, fill holes, coerce terms used as kinds.
 
+A surface name resolves to the innermost binder of that name in scope,
+else to a constant of the signature. Kernel contexts hold each name once,
+so a binder that shadows a name already in the context enters it under a
+fresh kernel name (from `Context.bind`); the elaborator's scope maps the
+surface name to that kernel name and hides the fresh name from surface
+lookup, so `x1` written under `[x : Nat] [x : Nat]` never reaches the
+renamed binder. Surface syntax is never rewritten.
+
 Unification is first-order and eager: both sides are reduced to weak-head
 form (metavariable heads block), then compared structurally; constraints that
 are flex-headed get postponed and retried after every solution. Two bounded
@@ -41,7 +49,7 @@ from .surface import (
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, contains_meta, free_vars,
-    fresh_name, metas_of, rename, spine, subst_parallel,
+    metas_of, rename, spine, subst_parallel,
 )
 
 _INVERSION_DEPTH = 8
@@ -110,6 +118,9 @@ class Elaborator:
         self.sig = sig
         self.fuel = fuel if fuel is not None else Fuel()
         self.state = MetaState()
+        # surface name -> kernel name, for the binders `_bind` renamed;
+        # None hides a fresh kernel name from surface lookup
+        self.scope: dict[str, Optional[str]] = {}
 
     # ----------------------------------------------------------- terms
 
@@ -133,9 +144,10 @@ class Elaborator:
         raise TypeError(f"not a surface term: {s!r}")
 
     def _name(self, ctx: Context, s: SName) -> tuple[Term, Kind]:
-        k = ctx.lookup(s.name)
+        x = self.scope.get(s.name, s.name)
+        k = ctx.lookup(x)
         if k is not None:
-            return Var(s.name), k
+            return Var(x), k
         entry = self.sig.get(s.name)
         if entry is not None:
             return Const(s.name), entry.kind
@@ -180,22 +192,14 @@ class Elaborator:
         else:
             raise UnsolvedMeta(
                 f"binder {s.var!r} needs an annotation here", span=s.span)
-        x, body_s = s.var, s.body
-        if x in ctx:
-            # keep contexts duplicate-free; the surface name still resolves
-            # to this binder because we rename consistently. Names resolve in
-            # the context first, so the new one must not be a constant's,
-            # nor any name written in the body, where an inner binder of
-            # that name would capture the renamed occurrences.
-            x2 = fresh_name(x, ctx.names().union(self.sig.entries,
-                                                 _surface_names(body_s)))
-            body_s = _rename_surface(body_s, x, x2)
-            x = x2
-        ctx2 = ctx.extend(x, dom)
-        cod = None
-        if isinstance(expected, PiKind):
-            cod = rename(expected.codomain, expected.var, x)
-        body, body_kind = self.term(ctx2, body_s, cod)
+        x, ctx2, outer = self._bind(ctx, s.var, dom)
+        try:
+            cod = None
+            if isinstance(expected, PiKind):
+                cod = rename(expected.codomain, expected.var, x)
+            body, body_kind = self.term(ctx2, s.body, cod)
+        finally:
+            self.scope = outer
         result_kind = expected if expected is not None \
             else PiKind(x, dom, body_kind)
         return Lam(x, dom, body), result_kind
@@ -228,6 +232,19 @@ class Elaborator:
             k = k.codomain
         return t, subst_parallel(k, mapping)
 
+    def _bind(self, ctx: Context, name: str, kind: Kind):
+        """Enter the surface binder `name`: its kernel name, the extended
+        context and the scope to restore on leaving it. A name already in
+        the context gets a fresh kernel name, which also avoids the
+        constants so that printed terms keep variables and constants
+        apart; the surface name resolves to it, and surface lookup of the
+        fresh name itself finds no binder."""
+        x, ctx2 = ctx.bind(name, kind, avoid=self.sig.entries)
+        outer = self.scope
+        if x != name:
+            self.scope = {**outer, name: x, x: None}
+        return x, ctx2, outer
+
     # ----------------------------------------------------------- kinds
 
     def kind(self, ctx: Context, s: SurfaceKind) -> Kind:
@@ -243,14 +260,11 @@ class Elaborator:
             return PrfKind(t)
         if isinstance(s, SPi):
             dom = self.kind(ctx, s.domain)
-            x, cod_s = s.var, s.codomain
-            if x in ctx:
-                x2 = fresh_name(x, ctx.names().union(
-                    self.sig.entries, _surface_names(cod_s)))
-                cod_s = _rename_surface_kind(cod_s, x, x2)
-                x = x2
-            cod = self.kind(ctx.extend(x, dom), cod_s)
-            return PiKind(x, dom, cod)
+            x, ctx2, outer = self._bind(ctx, s.var, dom)
+            try:
+                return PiKind(x, dom, self.kind(ctx2, s.codomain))
+            finally:
+                self.scope = outer
         if isinstance(s, STermKind):
             t, k = self.term(ctx, s.term, None)
             k = self.state.zonk(k)
@@ -285,11 +299,10 @@ class Elaborator:
             return
         if t1 is PiKind:
             self.unify_kinds(ctx, k1.domain, k2.domain, span)
-            x = fresh_name(k1.var, ctx.names() | free_vars(k1)
-                           | free_vars(k2))
+            x, ctx2 = ctx.bind(k1.var, k1.domain, k1, k2)
             c1 = rename(k1.codomain, k1.var, x)
             c2 = rename(k2.codomain, k2.var, x)
-            self.unify_kinds(ctx.extend(x, k1.domain), c1, c2, span)
+            self.unify_kinds(ctx2, c1, c2, span)
             return
         raise TypeError(f"not a kind: {k1!r}")
 
@@ -306,11 +319,10 @@ class Elaborator:
             return
         at = self.state.zonk(at) if at is not None else None
         if isinstance(at, PiKind):
-            x = fresh_name(at.var, ctx.names() | free_vars(a) | free_vars(b)
-                           | free_vars(at))
+            x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
             cod = rename(at.codomain, at.var, x)
-            self._unify(ctx.extend(x, at.domain), App(a, Var(x)),
-                        App(b, Var(x)), cod, span, depth)
+            self._unify(ctx2, App(a, Var(x)), App(b, Var(x)), cod, span,
+                        depth)
             return
         if isinstance(a, Meta):
             self._solve(ctx, a.ident, b, span)
@@ -322,17 +334,13 @@ class Elaborator:
         if la or lb:
             if la and lb:
                 self.unify_kinds(ctx, a.ann, b.ann, span)
-                x = fresh_name(a.var, ctx.names() | free_vars(a)
-                               | free_vars(b))
-                self._unify(ctx.extend(x, a.ann),
-                            rename(a.body, a.var, x),
+                x, ctx2 = ctx.bind(a.var, a.ann, a, b)
+                self._unify(ctx2, rename(a.body, a.var, x),
                             rename(b.body, b.var, x), None, span, depth)
                 return
             lam, other = (a, b) if la else (b, a)
-            x = fresh_name(lam.var, ctx.names() | free_vars(a)
-                           | free_vars(b))
-            self._unify(ctx.extend(x, lam.ann),
-                        rename(lam.body, lam.var, x),
+            x, ctx2 = ctx.bind(lam.var, lam.ann, a, b)
+            self._unify(ctx2, rename(lam.body, lam.var, x),
                         App(other, Var(x)), None, span, depth)
             return
         ha, sa = spine(a)
@@ -356,23 +364,8 @@ class Elaborator:
                                                               None)
                      and len(sa) == len(sb))
         if same_head:
-            k = None
-            if isinstance(ha, Var):
-                k = ctx.lookup(ha.name)
-            elif isinstance(ha, Const):
-                entry = self.sig.get(ha.name)
-                k = entry.kind if entry is not None else None
-            # as in kernel._conv: only a product domain is instantiated
-            mapping: dict[str, Term] = {}
-            for u, v in zip(sa, sb):
-                arg_at = None
-                if isinstance(k, PiKind):
-                    if isinstance(k.domain, PiKind):
-                        arg_at = subst_parallel(k.domain, mapping)
-                    mapping[k.var] = u
-                    k = k.codomain
-                else:
-                    k = None
+            for u, v, arg_at in zip(sa, sb, kernel.spine_domains(
+                    self.sig, ctx, ha, sa)):
                 self._unify(ctx, u, v, arg_at, span, depth)
             return
         if depth > 0:
@@ -420,7 +413,7 @@ class Elaborator:
             snap = self.state.snapshot()
             try:
                 binding = {x: self.state.fresh(k, ctx, span)
-                           for x, k in rule.binder_kinds}
+                           for x, k in rule.source.binders}
                 rhs_inst = subst_parallel(rule.rhs, binding)
                 self._unify(ctx, rhs_inst, rhs, None, span, depth - 1)
                 lhs_inst, lhs_args = spine(
@@ -468,21 +461,17 @@ class Elaborator:
 
     # ---------------------------------------------------------- finish
 
-    def finish_term(self, t: Term, span=None) -> Term:
+    def finish_term(self, e, span=None):
+        """Drain the pending constraints and return the term or kind `e`
+        with every hole filled; raises if a hole or constraint is left."""
         self._drain(span)
-        t = self.state.zonk(t)
-        left = metas_of(t)
+        e = self.state.zonk(e)
+        left = metas_of(e)
         if left or self.state.queue:
             self._report_unsolved(left, span)
-        return t
+        return e
 
-    def finish_kind(self, k: Kind, span=None) -> Kind:
-        self._drain(span)
-        k = self.state.zonk(k)
-        left = metas_of(k)
-        if left or self.state.queue:
-            self._report_unsolved(left, span)
-        return k
+    finish_kind = finish_term
 
     def _report_unsolved(self, left: set, span) -> None:
         if self.state.queue:
@@ -496,65 +485,6 @@ class Elaborator:
         info = self.state.info[ident]
         raise UnsolvedMeta("a hole was never determined",
                            span=info.span or span)
-
-
-def _surface_names(s) -> set[str]:
-    """Every name written in a surface term or kind, bound or free."""
-    out: set[str] = set()
-    todo = [s]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, SName):
-            out.add(s.name)
-        elif isinstance(s, SApp):
-            todo += (s.fn, s.arg)
-        elif isinstance(s, SLam):
-            out.add(s.var)
-            todo.append(s.body)
-            if s.ann is not None:
-                todo.append(s.ann)
-        elif isinstance(s, SPi):
-            out.add(s.var)
-            todo += (s.domain, s.codomain)
-        elif isinstance(s, (SEl, SPrf)):
-            todo.append(s.body)
-        elif isinstance(s, STermKind):
-            todo.append(s.term)
-    return out
-
-
-def _rename_surface(s: SurfaceTerm, old: str, new: str) -> SurfaceTerm:
-    if isinstance(s, SName):
-        return SName(new, s.span) if s.name == old else s
-    if isinstance(s, SHole):
-        return s
-    if isinstance(s, SApp):
-        return SApp(_rename_surface(s.fn, old, new),
-                    _rename_surface(s.arg, old, new), s.span)
-    if isinstance(s, SLam):
-        ann = _rename_surface_kind(s.ann, old, new) if s.ann else None
-        if s.var == old:
-            return SLam(s.var, ann, s.body, s.span)
-        return SLam(s.var, ann, _rename_surface(s.body, old, new), s.span)
-    raise TypeError(f"not a surface term: {s!r}")
-
-
-def _rename_surface_kind(s: SurfaceKind, old: str, new: str) -> SurfaceKind:
-    if isinstance(s, (SType, SProp)):
-        return s
-    if isinstance(s, SEl):
-        return SEl(_rename_surface(s.body, old, new), s.span)
-    if isinstance(s, SPrf):
-        return SPrf(_rename_surface(s.body, old, new), s.span)
-    if isinstance(s, STermKind):
-        return STermKind(_rename_surface(s.term, old, new), s.span)
-    if isinstance(s, SPi):
-        dom = _rename_surface_kind(s.domain, old, new)
-        if s.var == old:
-            return SPi(s.var, dom, s.codomain, s.span)
-        return SPi(s.var, dom, _rename_surface_kind(s.codomain, old, new),
-                   s.span)
-    raise TypeError(f"not a surface kind: {s!r}")
 
 
 def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,

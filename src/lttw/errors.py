@@ -8,7 +8,7 @@ anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -39,7 +39,6 @@ class Diagnostic:
     subject: Any = None
     expected: Any = None
     actual: Any = None
-    notes: list = field(default_factory=list)
 
     def render(self) -> str:
         from .printer import show  # deferred: printer needs syntax
@@ -51,7 +50,6 @@ class Diagnostic:
             parts.append(f"expected: {show(self.expected)}")
         if self.actual is not None:
             parts.append(f"actual: {show(self.actual)}")
-        parts.extend(str(n) for n in self.notes)
         return "\n".join(parts)
 
 
@@ -69,6 +67,11 @@ class LttwError(Exception):
         if self.span is not None:
             return f"{self.span}: {self.message}"
         return self.message
+
+
+class NestingTooDeep(LttwError):
+    """The input nests deeper than the interpreter's stack allows. Its
+    diagnostic's rule is "depth"."""
 
 
 # lexing / parsing

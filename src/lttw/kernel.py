@@ -21,7 +21,7 @@ raise typed errors carrying a Diagnostic with the violated rule's name.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     Diagnostic, DomainMismatch, DuplicateVariable, FuelExhausted,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .signature import CompiledRule, Definition, Signature
 from .syntax import (
-    PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
+    PROP, TYPE, App, Const, ElKind, Expr, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, app, free_vars, fresh_name,
     rename, spine, subst_parallel,
 )
@@ -63,20 +63,35 @@ def _fuel(f: Union[int, Fuel, None]) -> Fuel:
 
 class Context:
     """Ordered variable context. Names are unique; extend raises on shadowing
-    (callers freshen binders first)."""
+    (`bind` picks a name that does not shadow)."""
 
-    __slots__ = ("entries", "_map")
+    __slots__ = ("_map",)
 
-    def __init__(self, entries: tuple = (), _map: Optional[dict] = None):
-        self.entries = entries
-        self._map = _map if _map is not None else dict(entries)
+    def __init__(self, _map: Optional[dict] = None):
+        self._map = _map if _map is not None else {}
 
     def extend(self, name: str, kind: Kind) -> "Context":
         if name in self._map:
             raise DuplicateVariable(f"variable {name!r} already in context")
         m = dict(self._map)
         m[name] = kind
-        return Context(self.entries + ((name, kind),), m)
+        return Context(m)
+
+    def bind(self, hint: str, kind: Kind, *terms: Expr,
+             avoid: Iterable[str] = ()) -> tuple[str, "Context"]:
+        """Open a binder of `kind` over `terms`: its name and the context
+        extended with it. The name is `hint` when that is neither in the
+        context nor free in `terms`, else a fresh name avoiding the
+        context, the free names of `terms` and `avoid`."""
+        if hint not in self._map:
+            for e in terms:
+                if hint in free_vars(e):
+                    break
+            else:
+                return hint, self.extend(hint, kind)
+        x = fresh_name(hint, set(self._map).union(avoid,
+                                                  *map(free_vars, terms)))
+        return x, self.extend(x, kind)
 
     def lookup(self, name: str) -> Optional[Kind]:
         return self._map.get(name)
@@ -88,10 +103,10 @@ class Context:
         return set(self._map)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._map)
 
     def __repr__(self) -> str:
-        return "Context(" + ", ".join(n for n, _ in self.entries) + ")"
+        return "Context(" + ", ".join(self._map) + ")"
 
 
 EMPTY_CONTEXT = Context()
@@ -234,9 +249,7 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
     if alpha_eq(a, b):
         return True
     if isinstance(at, PiKind):
-        x = fresh_name(at.var, ctx.names() | free_vars(a) | free_vars(b)
-                       | free_vars(at))
-        ctx2 = ctx.extend(x, at.domain)
+        x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
         cod = rename(at.codomain, at.var, x)
         return _conv(sig, ctx2, App(a, Var(x)), App(b, Var(x)), cod, f)
     a = whnf(sig, a, f)
@@ -249,51 +262,52 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
         if la and lb:
             if not equal_kinds(sig, ctx, a.ann, b.ann, f):
                 return False
-            x = fresh_name(a.var, ctx.names() | free_vars(a) | free_vars(b))
-            ctx2 = ctx.extend(x, a.ann)
+            x, ctx2 = ctx.bind(a.var, a.ann, a, b)
             return _conv(sig, ctx2,
                          rename(a.body, a.var, x),
                          rename(b.body, b.var, x), None, f)
         lam, other = (a, b) if la else (b, a)
-        x = fresh_name(lam.var, ctx.names() | free_vars(a) | free_vars(b))
-        ctx2 = ctx.extend(x, lam.ann)
+        x, ctx2 = ctx.bind(lam.var, lam.ann, a, b)
         return _conv(sig, ctx2, rename(lam.body, lam.var, x),
                      App(other, Var(x)), None, f)
     ha, sa = spine(a)
     hb, sb = spine(b)
     if type(ha) is not type(hb) or len(sa) != len(sb):
         return False
-    if isinstance(ha, Var):
-        if ha.name != hb.name:
-            return False
-        head_kind = ctx.lookup(ha.name)
-    elif isinstance(ha, Const):
-        if ha.name != hb.name:
-            return False
-        entry = sig.get(ha.name)
-        head_kind = entry.kind if entry is not None else None
-    elif isinstance(ha, Meta):
+    if isinstance(ha, Meta):
         if ha.ident != hb.ident:
             return False
-        head_kind = None
-    else:
+    elif not isinstance(ha, (Var, Const)) or ha.name != hb.name:
         return False
-    # only a product domain steers the comparison (eta), so only such a
-    # domain is instantiated
-    k = head_kind
-    mapping: dict[str, Term] = {}
-    for u, v in zip(sa, sb):
-        arg_at = None
-        if isinstance(k, PiKind):
-            if isinstance(k.domain, PiKind):
-                arg_at = subst_parallel(k.domain, mapping)
-            mapping[k.var] = u
-            k = k.codomain
-        else:
-            k = None
+    for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, ha, sa)):
         if not _conv(sig, ctx, u, v, arg_at, f):
             return False
     return True
+
+
+def spine_domains(sig: Signature, ctx: Context, head: Term,
+                  args: list) -> Iterator[Optional[Kind]]:
+    """For each argument of `head args`, the kind the argument is compared
+    at: its domain in the head's kind, instantiated with the arguments
+    before it, when that domain is a product, else None. Only a product
+    steers a comparison (eta), so no other domain is instantiated. The
+    head's kind is a variable's in `ctx` or a constant's in `sig`; any
+    other head gives None throughout."""
+    k: Optional[Kind] = None
+    if isinstance(head, Var):
+        k = ctx.lookup(head.name)
+    elif isinstance(head, Const):
+        entry = sig.get(head.name)
+        k = entry.kind if entry is not None else None
+    mapping: dict[str, Term] = {}
+    for u in args:
+        if not isinstance(k, PiKind):
+            yield None
+            continue
+        yield (subst_parallel(k.domain, mapping)
+               if isinstance(k.domain, PiKind) else None)
+        mapping[k.var] = u
+        k = k.codomain
 
 
 def equal_kinds(sig: Signature, ctx: Context, k1: Kind, k2: Kind,
@@ -315,8 +329,7 @@ def _eqk(sig: Signature, ctx: Context, k1: Kind, k2: Kind, f: Fuel) -> bool:
     if t1 is PiKind:
         if not _eqk(sig, ctx, k1.domain, k2.domain, f):
             return False
-        x = fresh_name(k1.var, ctx.names() | free_vars(k1) | free_vars(k2))
-        ctx2 = ctx.extend(x, k1.domain)
+        x, ctx2 = ctx.bind(k1.var, k1.domain, k1, k2)
         c1 = rename(k1.codomain, k1.var, x)
         c2 = rename(k2.codomain, k2.var, x)
         return _eqk(sig, ctx2, c1, c2, f)
@@ -352,11 +365,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
             diagnostic=Diagnostic("meta", subject=t))
     if isinstance(t, Lam):
         check_kind_valid(sig, ctx, t.ann, f)
-        x = t.var
-        if x in ctx:
-            x = fresh_name(x, ctx.names() | free_vars(t.body))
-        body = rename(t.body, t.var, x)
-        body_kind = _infer(sig, ctx.extend(x, t.ann), body, f)
+        x, ctx2 = ctx.bind(t.var, t.ann, t)
+        body_kind = _infer(sig, ctx2, rename(t.body, t.var, x), f)
         return PiKind(x, t.ann, body_kind)
     if isinstance(t, App):
         # walk the spine once; the head's kind is instantiated lazily
@@ -410,11 +420,8 @@ def _check_kind(sig: Signature, ctx: Context, k: Kind, f: Fuel) -> None:
         return
     if isinstance(k, PiKind):
         _check_kind(sig, ctx, k.domain, f)
-        x = k.var
-        if x in ctx:
-            x = fresh_name(x, ctx.names() | free_vars(k.codomain))
-        cod = rename(k.codomain, k.var, x)
-        _check_kind(sig, ctx.extend(x, k.domain), cod, f)
+        x, ctx2 = ctx.bind(k.var, k.domain, k)
+        _check_kind(sig, ctx2, rename(k.codomain, k.var, x), f)
         return
     raise TypeError(f"not a kind: {k!r}")
 

@@ -14,6 +14,9 @@ Terms: application is juxtaposition (left-associative) and a trailing
 unparenthesised lambda is the final argument; `[x : K] t` / `[x] t` abstract;
 `?` is a hole. Kinds: `Type`, `Prop`, `Prf t`, `El t`, `(x : K) K'`,
 `K -> K'`, or a bare term (coerced by the elaborator).
+
+Input nested deeper than the interpreter's stack allows is rejected with
+NestingTooDeep at the token where the command, term or kind began.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ScriptSyntaxError, SourceSpan, UnterminatedCommand
+from .errors import (
+    Diagnostic, NestingTooDeep, ScriptSyntaxError, SourceSpan,
+    UnterminatedCommand,
+)
 from .surface import (
     Binder, Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
     SApp, SEl, SHole, SLam, SName, SPi, SProp, SPrf, SType, STermKind,
@@ -143,12 +149,20 @@ class _Parser:
         return SourceSpan(self.file, start.line, start.col, end.line,
                           end.col + len(end.value))
 
+    def too_deep(self, start: Token) -> NestingTooDeep:
+        return NestingTooDeep(
+            "input nests too deeply to parse", span=start.span(self.file),
+            diagnostic=Diagnostic("depth"))
+
     # ------------------------------------------------------- commands
 
     def parse_script(self) -> list[Command]:
         commands = []
-        while self.peek() is not None:
-            commands.append(self.parse_command())
+        while (start := self.peek()) is not None:
+            try:
+                commands.append(self.parse_command())
+            except RecursionError:
+                raise self.too_deep(start) from None
         return commands
 
     def parse_command(self) -> Command:
@@ -391,7 +405,10 @@ def parse_term(text: str, file: str = "<term>") -> SurfaceTerm:
     """Parse a standalone term (no leading '>' markers needed)."""
     marked = "\n".join("> " + line for line in text.splitlines())
     p = _Parser(tokenize(marked, file), file)
-    term = p.parse_term()
+    try:
+        term = p.parse_term()
+    except RecursionError:
+        raise p.too_deep(p.tokens[0]) from None
     t = p.peek()
     if t is not None:
         raise ScriptSyntaxError(f"unexpected {t.value!r} after the term",
@@ -402,7 +419,10 @@ def parse_term(text: str, file: str = "<term>") -> SurfaceTerm:
 def parse_kind(text: str, file: str = "<kind>") -> SurfaceKind:
     marked = "\n".join("> " + line for line in text.splitlines())
     p = _Parser(tokenize(marked, file), file)
-    kind = p.parse_kind()
+    try:
+        kind = p.parse_kind()
+    except RecursionError:
+        raise p.too_deep(p.tokens[0]) from None
     t = p.peek()
     if t is not None:
         raise ScriptSyntaxError(f"unexpected {t.value!r} after the kind",

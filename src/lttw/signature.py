@@ -61,8 +61,6 @@ class CompiledRule:
     arity: int
     patterns: tuple
     rhs: Term
-    binder_kinds: tuple[tuple[str, Kind], ...]
-    ascription: Kind
     source: RewriteRule
 
 
@@ -179,7 +177,7 @@ def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
             + ", ".join(sorted(extra)))
 
     return CompiledRule(head.name, len(patterns), tuple(patterns), rule.rhs,
-                        tuple(rule.binders), rule.ascription, rule)
+                        rule)
 
 
 def _compile_pattern(sig: Signature, arg: Term, binders: set[str],

@@ -6,11 +6,14 @@ from pathlib import Path
 import pytest
 
 from lttw.checker import Checker, CheckerConfig, replay
+from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
-    DuplicateName, FuelExhausted, KindMismatch, ScriptSyntaxError,
+    DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
+    ScriptSyntaxError, UnknownConstant,
 )
 from lttw.kernel import DEFAULT_FUEL, Fuel
 from lttw.signature import Definition, declare_rewrite
+from lttw.stdlib import load_standard
 from lttw.syntax import (
     TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, PropKind, TypeKind, Var,
     alpha_eq, contains_meta,
@@ -284,3 +287,75 @@ def test_shadowing_product_binder_avoids_inner_binder_names():
     want = PiKind("a", NAT, PiKind("b", NAT, PiKind(
         "c", NAT, PrfKind(App(Const("P"), Var("b"))))))
     assert alpha_eq(ck.sig.entries["c"].kind, want)
+
+
+# Surface names resolve through the binders in scope; the fresh kernel name
+# of a shadowing binder is not a name the script can write.
+def test_fresh_name_of_a_shadowing_binder_is_hidden():
+    ck = Checker()
+    with pytest.raises(UnknownConstant):
+        ck.run_text("> [Nat : Type];\n> Check [x : Nat] [x : Nat] x1 "
+                    ": Nat -> Nat -> Nat;\n")
+
+
+# ------------------------------------------------- robustness of commands
+
+def test_too_deep_a_command_is_a_typed_rejection():
+    ck = load_standard()
+    ck.run_path(CORPUS_DIR / "arith.lf")
+    ck.run_text("> [five = plus two three];\n> [ten = plus five five];\n"
+                "> [hund = mult ten ten];\n")
+    with pytest.raises(NestingTooDeep) as info:
+        ck.run_text("> Reduce mult hund ten;\n", file="deep.lf")
+    span = info.value.span
+    assert (span.file, span.line, span.col) == ("deep.lf", 1, 3)
+    assert info.value.diagnostic.rule == "depth"
+    assert info.value.diagnostic.subject is None
+    ck.run_text("> Reduce plus two two;\n")
+    assert ck.output[-1] == ("Reduce plus two two = "
+                             "succ (succ (succ (succ zero)))")
+
+
+def test_failed_load_leaves_the_checker_as_it_was(tmp_path):
+    ck = Checker()
+    ck.run_text("> [B : Type];\n")
+    entries, rules, log = dict(ck.sig.entries), dict(ck.sig.rules), \
+        list(ck.log)
+    script = tmp_path / "partial.lf"
+    script.write_text("> [A : Type];\n> [a : A];\n> [b : Nope];\n")
+    with pytest.raises(UnknownConstant):
+        ck.run_path(script)
+    assert ck.sig.entries == entries
+    assert ck.sig.rules == rules
+    assert ck.log == log
+    script.write_text("> [A : Type];\n> [a : A];\n> [b : A];\n")
+    ck.run_path(script)
+    assert {"A", "a", "b"} <= set(ck.sig.entries)
+
+
+def test_failed_load_forgets_the_files_it_loaded(tmp_path):
+    # the inner file's declarations are rolled back with the outer file,
+    # so a second Load must run it again
+    (tmp_path / "inner.lf").write_text("> [A : Type];\n")
+    outer = tmp_path / "outer.lf"
+    outer.write_text('> Load "inner.lf";\n> [a : A];\n> [b : Nope];\n')
+    ck = Checker()
+    with pytest.raises(UnknownConstant):
+        ck.run_path(outer)
+    assert ck.sig.entries == {} and ck.loaded == set()
+    outer.write_text('> Load "inner.lf";\n> [a : A];\n')
+    ck.run_path(outer)
+    assert {"A", "a"} <= set(ck.sig.entries)
+
+
+def test_replay_of_too_deep_a_record_is_a_typed_rejection():
+    nat = ElKind(Const("N"))
+    deep = Const("z")
+    for _ in range(3000):
+        deep = App(Const("s"), deep)
+    log = [("declare", "N", TYPE), ("declare", "z", nat),
+           ("declare", "s", PiKind("_", nat, nat)), ("check", deep, nat)]
+    with pytest.raises(NestingTooDeep) as info:
+        replay(log)
+    assert "record 3" in str(info.value)
+    assert info.value.diagnostic.rule == "depth"

@@ -168,3 +168,22 @@ def test_fuel_flag_bounds_reduction(capsys):
                          "--fuel", "40", "mult three three")
     assert code == 1
     assert "within 40 steps" in err
+
+
+def test_rejection_prints_its_diagnostic(capsys):
+    code, out, err = run(capsys, "check", GATE_NEG)
+    assert code == 1
+    assert out == ""
+    assert "\n  rule: " in err
+    assert "\n  expected: " in err
+
+
+def test_too_deep_a_script_exits_1_without_a_traceback(capsys, tmp_path):
+    script = tmp_path / "deep.lf"
+    script.write_text("> [N : Type];\n> [z : N];\n> [s : N -> N];\n"
+                      "> Check " + "s (" * 2000 + "z" + ")" * 2000
+                      + " : N;\n")
+    code, out, err = run(capsys, "check", "--stdlib", "none", str(script))
+    assert code == 1
+    assert "Traceback" not in err
+    assert "deep.lf:4:3: input nests too deeply to parse" in err
