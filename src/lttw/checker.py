@@ -185,7 +185,13 @@ class Checker:
         if op is DirectiveOp.LOAD:
             (rel,) = cmd.payload
             base = Path(cmd.span.file).parent if cmd.span.file else Path(".")
-            self.run_path(base / rel)
+            try:
+                self.run_path(base / rel)
+            except OSError as e:
+                # the script is at fault, not the command line
+                raise ScriptSyntaxError(
+                    f"cannot Load {rel!r}: {e.strerror or e}",
+                    span=cmd.span) from None
             return
         if op is DirectiveOp.SETOPTION:
             name, value = cmd.payload

@@ -163,10 +163,12 @@ class Elaborator:
     def _require_kinds_equal(self, ctx: Context, actual: Kind,
                              expected: Kind, span, rule: str) -> None:
         """Kernel equality when no holes are involved (so rejections carry
-        kernel error classes); unification otherwise."""
+        kernel error classes); unification otherwise. A command that has
+        made no hole yet needs no scan for one."""
         a = self.state.zonk(actual)
         e = self.state.zonk(expected)
-        if not (contains_meta(a) or contains_meta(e)):
+        if self.state.counter == 0 or not (
+                contains_meta(a) or contains_meta(e)):
             if not kernel.equal_kinds(self.sig, ctx, a, e, self.fuel):
                 raise KindMismatch(
                     "kind does not match what this position requires",
@@ -223,10 +225,7 @@ class Elaborator:
                         "app-fn",
                         actual=self.state.zonk(subst_parallel(k, mapping))))
             domain = subst_parallel(k.domain, mapping)
-            if isinstance(arg_s, SHole):
-                arg = self.state.fresh(domain, ctx, arg_s.span)
-            else:
-                arg, _ = self.term(ctx, arg_s, domain)
+            arg, _ = self.term(ctx, arg_s, domain)
             t = App(t, arg)
             mapping[k.var] = arg
             k = k.codomain

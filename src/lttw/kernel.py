@@ -1,8 +1,8 @@
 """Kernel: reduction, convertibility, kind inference and validity.
 
-Definitional equality is beta + eta (at product kinds) + rewrite rules +
-transparent unfolding of definitions, decided by weak-head normalisation and
-spine comparison directed by the kind at which two terms are compared.
+Definitional equality (beta, eta, rewrite rules, unfolding of definitions)
+is decided at the kind both sides have: eta only at a product kind, else
+weak-head spines with one variable or constant head, argument by argument.
 
 An application spine is instantiated once, not once per argument. Beta
 contracts every lambda binder that has an argument in one simultaneous
@@ -95,9 +95,6 @@ class Context:
 
     def lookup(self, name: str) -> Optional[Kind]:
         return self._map.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
 
     def names(self) -> set[str]:
         return set(self._map)
@@ -237,9 +234,9 @@ def normalize_kind(sig: Signature, k: Kind,
 def convertible(sig: Signature, ctx: Context, a: Term, b: Term,
                 at: Optional[Kind], fuel: Union[int, Fuel, None] = None
                 ) -> bool:
-    """Definitional equality of a and b at kind `at` (None = kind unknown,
-    compare structurally). Kind direction matters for eta: at a product kind
-    both sides are applied to a fresh variable."""
+    """Definitional equality of a and b at `at`, the kind both sides have.
+    Eta happens only when `at` is a product; None means no eta at this
+    level, where a lambda is ill-typed and convertible with nothing."""
     f = _fuel(fuel)
     return _conv(sig, ctx, a, b, at, f)
 
@@ -256,28 +253,11 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
     b = whnf(sig, b, f)
     if alpha_eq(a, b):
         return True
-    la, lb = isinstance(a, Lam), isinstance(b, Lam)
-    if la or lb:
-        # `at` was not a product (or unknown); fall back to untyped eta
-        if la and lb:
-            if not equal_kinds(sig, ctx, a.ann, b.ann, f):
-                return False
-            x, ctx2 = ctx.bind(a.var, a.ann, a, b)
-            return _conv(sig, ctx2,
-                         rename(a.body, a.var, x),
-                         rename(b.body, b.var, x), None, f)
-        lam, other = (a, b) if la else (b, a)
-        x, ctx2 = ctx.bind(lam.var, lam.ann, a, b)
-        return _conv(sig, ctx2, rename(lam.body, lam.var, x),
-                     App(other, Var(x)), None, f)
     ha, sa = spine(a)
     hb, sb = spine(b)
     if type(ha) is not type(hb) or len(sa) != len(sb):
         return False
-    if isinstance(ha, Meta):
-        if ha.ident != hb.ident:
-            return False
-    elif not isinstance(ha, (Var, Const)) or ha.name != hb.name:
+    if not isinstance(ha, (Var, Const)) or ha.name != hb.name:
         return False
     for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, ha, sa)):
         if not _conv(sig, ctx, u, v, arg_at, f):
@@ -365,7 +345,9 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
             diagnostic=Diagnostic("meta", subject=t))
     if isinstance(t, Lam):
         check_kind_valid(sig, ctx, t.ann, f)
-        x, ctx2 = ctx.bind(t.var, t.ann, t)
+        # t.var can be free in t only through t.ann, so only if ctx has it
+        x, ctx2 = ctx.bind(t.var, t.ann,
+                           *((t,) if ctx.lookup(t.var) is not None else ()))
         body_kind = _infer(sig, ctx2, rename(t.body, t.var, x), f)
         return PiKind(x, t.ann, body_kind)
     if isinstance(t, App):
@@ -420,7 +402,9 @@ def _check_kind(sig: Signature, ctx: Context, k: Kind, f: Fuel) -> None:
         return
     if isinstance(k, PiKind):
         _check_kind(sig, ctx, k.domain, f)
-        x, ctx2 = ctx.bind(k.var, k.domain, k)
+        # k.var can be free in k only through k.domain, so only if ctx has it
+        x, ctx2 = ctx.bind(k.var, k.domain,
+                           *((k,) if ctx.lookup(k.var) is not None else ()))
         _check_kind(sig, ctx2, rename(k.codomain, k.var, x), f)
         return
     raise TypeError(f"not a kind: {k!r}")

@@ -403,28 +403,23 @@ def parse_script(text: str, file: str = "<script>") -> list[Command]:
 
 def parse_term(text: str, file: str = "<term>") -> SurfaceTerm:
     """Parse a standalone term (no leading '>' markers needed)."""
-    marked = "\n".join("> " + line for line in text.splitlines())
-    p = _Parser(tokenize(marked, file), file)
-    try:
-        term = p.parse_term()
-    except RecursionError:
-        raise p.too_deep(p.tokens[0]) from None
-    t = p.peek()
-    if t is not None:
-        raise ScriptSyntaxError(f"unexpected {t.value!r} after the term",
-                                span=t.span(file))
-    return term
+    return _parse_standalone(text, file, _Parser.parse_term, "term")
 
 
 def parse_kind(text: str, file: str = "<kind>") -> SurfaceKind:
+    """Parse a standalone kind (no leading '>' markers needed)."""
+    return _parse_standalone(text, file, _Parser.parse_kind, "kind")
+
+
+def _parse_standalone(text: str, file: str, parse, what: str):
     marked = "\n".join("> " + line for line in text.splitlines())
     p = _Parser(tokenize(marked, file), file)
     try:
-        kind = p.parse_kind()
+        result = parse(p)
     except RecursionError:
         raise p.too_deep(p.tokens[0]) from None
     t = p.peek()
     if t is not None:
-        raise ScriptSyntaxError(f"unexpected {t.value!r} after the kind",
+        raise ScriptSyntaxError(f"unexpected {t.value!r} after the {what}",
                                 span=t.span(file))
-    return kind
+    return result

@@ -218,10 +218,7 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
 def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel) -> None:
     from . import kernel
 
-    ctx = kernel.EMPTY_CONTEXT
-    for x, k in rule.binders:
-        kernel.check_kind_valid(sig, ctx, k, fuel)
-        ctx = ctx.extend(x, k)
+    ctx = kernel.check_context(sig, rule.binders, fuel)
     kernel.check_kind_valid(sig, ctx, rule.ascription, fuel)
     lhs_kind = kernel.infer_kind(sig, ctx, rule.lhs, fuel)
     if not kernel.equal_kinds(sig, ctx, lhs_kind, rule.ascription,

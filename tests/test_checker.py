@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import lttw.elaborator
 from lttw.checker import Checker, CheckerConfig, replay
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
@@ -93,6 +94,23 @@ def test_check_fills_holes():
     assert tag == "check"
     assert not contains_meta(t)
     assert ck.output[-1] == "Check id Nat zero : Nat"
+
+
+def test_only_a_command_with_holes_scans_for_them(monkeypatch):
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return contains_meta(e)
+
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE + "> [id [A : Type] [x : A] = x];\n")
+    monkeypatch.setattr(lttw.elaborator, "contains_meta", counted)
+    ck.run_text("> Check zero : Nat;\n")
+    assert calls == []
+    ck.run_text("> Check id ? zero : Nat;\n")
+    assert calls
+    assert ck.output == ["Check zero : Nat", "Check id Nat zero : Nat"]
 
 
 def test_typeof_output():

@@ -91,6 +91,16 @@ def test_missing_script_is_a_usage_error(capsys, tmp_path):
     assert "no such script" in err
 
 
+def test_load_of_a_missing_file_is_a_rejection_at_the_load(capsys,
+                                                         tmp_path):
+    script = tmp_path / "loads.lf"
+    script.write_text('> [A : Type];\n> Load "nope.lf";\n')
+    code, out, err = run(capsys, "check", "--stdlib", "none", str(script))
+    assert code == 1
+    assert "loads.lf:2:" in err
+    assert "lttw:" not in err
+
+
 def test_rejected_script_exits_1_with_diagnostic(capsys):
     code, out, err = run(capsys, "check", GATE_NEG)
     assert code == 1

@@ -215,6 +215,17 @@ def test_eta_nested(sig):
     assert convertible(sig, EMPTY_CONTEXT, expanded, Const("g2"), two)
 
 
+def test_eta_only_at_the_product_kind_compared_at(sig):
+    # the kind both sides have steers the comparison: at Nat -> Nat the
+    # eta-expansion of f is f; at None there is no eta, and a lambda meets
+    # a constant head, which no well-typed pair at a non-product kind does
+    declare_constant(sig, "f", arrow(NAT, NAT))
+    expanded = Lam("x", NAT, App(Const("f"), Var("x")))
+    assert convertible(sig, EMPTY_CONTEXT, expanded, Const("f"),
+                       arrow(NAT, NAT))
+    assert not convertible(sig, EMPTY_CONTEXT, expanded, Const("f"), None)
+
+
 def test_distinct_constructors_not_convertible(sig):
     assert not convertible(sig, EMPTY_CONTEXT, Const("zero"),
                            App(Const("succ"), Const("zero")), NAT)
@@ -320,6 +331,22 @@ def test_binder_shadowing_context_variable(sig):
     t = Lam("x", NAT, Lam("x", NAT, Var("x")))
     k = infer_kind(sig, EMPTY_CONTEXT, t)
     assert equal_kinds(sig, EMPTY_CONTEXT, k, arrow(NAT, arrow(NAT, NAT)))
+
+
+def test_inferring_a_closed_lambda_caches_no_free_names_on_it(sig):
+    # a binder not in the context cannot be free in the lambda it opens,
+    # so no free-variable set of the whole lambda is computed and kept
+    t = Lam("x", NAT, Var("x"))
+    infer_kind(sig, EMPTY_CONTEXT, t)
+    assert not hasattr(t, "_fv")
+
+
+def test_binder_in_the_context_does_not_capture_a_free_name(sig):
+    # x is in the context, so the binder gets a fresh name; that name must
+    # avoid x1, which is free (and unbound) in the body
+    ctx = EMPTY_CONTEXT.extend("x", NAT)
+    with pytest.raises(UnboundVariable):
+        infer_kind(sig, ctx, Lam("x", NAT, Var("x1")))
 
 
 def test_dependent_codomain_substitution(sig):
