@@ -104,6 +104,11 @@ class Checker:
                 self._directive(cmd)
             else:
                 raise TypeError(f"not a command: {cmd!r}")
+        except LttwError as e:
+            # the innermost command that raised it is the one to blame
+            if e.span is None:
+                e.span = cmd.span
+            raise
         except RecursionError:
             raise NestingTooDeep("command nests too deeply to check",
                                  span=cmd.span,
@@ -114,13 +119,8 @@ class Checker:
         # normalisation all spend from it
         return Elaborator(self.sig, Fuel(self.config.fuel))
 
-    def _commit(self, record: tuple, fuel: Fuel, span) -> None:
-        try:
-            commit(self.sig, record, fuel)
-        except LttwError as e:
-            if e.span is None:
-                e.span = span
-            raise
+    def _commit(self, record: tuple, fuel: Fuel) -> None:
+        commit(self.sig, record, fuel)
         self.log.append(record)
 
     def _binder_telescope(self, el: Elaborator, binders,
@@ -147,7 +147,7 @@ class Checker:
         if (self.config.prop_placement == "type" and cmd.name == "prop"
                 and isinstance(kind, PropKind)):
             kind = TYPE
-        self._commit(("declare", cmd.name, kind), el.fuel, cmd.span)
+        self._commit(("declare", cmd.name, kind), el.fuel)
 
     def _define(self, cmd: Define) -> None:
         el = self._elaborator()
@@ -163,8 +163,7 @@ class Checker:
             for name, bk in reversed(pairs):
                 k = PiKind(name, bk, k)
             ascription = k
-        self._commit(("define", cmd.name, body, ascription), el.fuel,
-                     cmd.span)
+        self._commit(("define", cmd.name, body, ascription), el.fuel)
 
     def _rule(self, cmd: DeclareRule) -> None:
         el = self._elaborator()
@@ -176,7 +175,7 @@ class Checker:
                            lhs=el.finish_term(lhs, cmd.span),
                            rhs=el.finish_term(rhs, cmd.span),
                            ascription=el.finish_kind(ascription, cmd.span))
-        self._commit(("rule", rule), el.fuel, cmd.span)
+        self._commit(("rule", rule), el.fuel)
 
     # ------------------------------------------------------- directives
 
@@ -221,7 +220,7 @@ class Checker:
         k = el.finish_kind(k, cmd.span)
         if op is DirectiveOp.CHECK:
             # the kernel alone confirms what elaboration produced
-            self._commit(("check", t, k), el.fuel, cmd.span)
+            self._commit(("check", t, k), el.fuel)
             self.output.append(f"Check {print_term(t)} : {print_kind(k)}")
         elif op is DirectiveOp.TYPEOF:
             self.output.append(f"TypeOf {print_term(t)} : {print_kind(k)}")

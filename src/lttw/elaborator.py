@@ -8,18 +8,22 @@ surface name to that kernel name and hides the fresh name from surface
 lookup, so `x1` written under `[x : Nat] [x : Nat]` never reaches the
 renamed binder. Surface syntax is never rewritten.
 
-Unification is first-order and eager: both sides are reduced to weak-head
-form (metavariable heads block), then compared structurally; constraints that
-are flex-headed get postponed and retried after every solution. Two bounded
-extras handle the universe-style constants:
+Unification is the kernel's conversion plus holes, first-order and eager:
+both sides are reduced to weak-head form (metavariable heads block) and
+compared at their kind, with eta only when it is a product (None: no eta);
+spines with one variable or constant head are compared argument by
+argument at their domains. Flex-headed constraints get postponed and
+retried after every solution. Two bounded extras handle the universe-style
+constants:
 
   - rule inversion: a constraint `c args ~ rhs` whose heads differ, where c
     has rewrite rules and the args still contain holes, is attempted against
     each rule (binders become fresh holes, the rule's right-hand side is
-    unified with rhs, then the instantiated left-hand side with the
-    constraint's own); nesting is depth-bounded and failed attempts roll
-    back. This is what solves `T ?m ~ Nat` or `V ?m ~ bot` without the
-    elaborator knowing any constant by name.
+    unified with rhs at the rule's kind, then the instantiated left-hand
+    side's arguments with the constraint's own at their domains); nesting
+    is depth-bounded and failed attempts roll back. This is what solves
+    `T ?m ~ Nat` or `V ?m ~ bot` without the elaborator knowing any
+    constant by name.
   - pattern solutions: `?m x1 ... xn ~ t` with distinct context variables
     x1..xn is solved by abstracting them from t.
 
@@ -307,6 +311,8 @@ class Elaborator:
 
     def unify(self, ctx: Context, a: Term, b: Term, at: Optional[Kind],
               span=None) -> None:
+        """Make a and b equal at `at`, the kind both have, solving holes.
+        Eta only when `at` is a product; None means no eta at this level."""
         self._unify(ctx, a, b, at, span, _INVERSION_DEPTH)
         self._drain(span)
 
@@ -329,19 +335,6 @@ class Elaborator:
         if isinstance(b, Meta):
             self._solve(ctx, b.ident, a, span)
             return
-        la, lb = isinstance(a, Lam), isinstance(b, Lam)
-        if la or lb:
-            if la and lb:
-                self.unify_kinds(ctx, a.ann, b.ann, span)
-                x, ctx2 = ctx.bind(a.var, a.ann, a, b)
-                self._unify(ctx2, rename(a.body, a.var, x),
-                            rename(b.body, b.var, x), None, span, depth)
-                return
-            lam, other = (a, b) if la else (b, a)
-            x, ctx2 = ctx.bind(lam.var, lam.ann, a, b)
-            self._unify(ctx2, rename(lam.body, lam.var, x),
-                        App(other, Var(x)), None, span, depth)
-            return
         ha, sa = spine(a)
         hb, sb = spine(b)
         if isinstance(ha, Meta) or isinstance(hb, Meta):
@@ -358,11 +351,8 @@ class Elaborator:
                 return
             self.state.queue.append((ctx, a, b, at, span))
             return
-        same_head = (type(ha) is type(hb)
-                     and getattr(ha, "name", None) == getattr(hb, "name",
-                                                              None)
-                     and len(sa) == len(sb))
-        if same_head:
+        if (isinstance(ha, (Var, Const)) and type(ha) is type(hb)
+                and ha.name == hb.name and len(sa) == len(sb)):
             for u, v, arg_at in zip(sa, sb, kernel.spine_domains(
                     self.sig, ctx, ha, sa)):
                 self._unify(ctx, u, v, arg_at, span, depth)
@@ -384,8 +374,6 @@ class Elaborator:
     def _try_pattern(self, ctx: Context, head: Meta, args: list, rhs: Term,
                      span) -> bool:
         """?m x1 ... xn ~ rhs with distinct context variables: abstract."""
-        if not args:
-            return False
         names = []
         for x in args:
             if not isinstance(x, Var) or x.name in names:
@@ -413,12 +401,13 @@ class Elaborator:
             try:
                 binding = {x: self.state.fresh(k, ctx, span)
                            for x, k in rule.source.binders}
-                rhs_inst = subst_parallel(rule.rhs, binding)
-                self._unify(ctx, rhs_inst, rhs, None, span, depth - 1)
-                lhs_inst, lhs_args = spine(
-                    subst_parallel(rule.source.lhs, binding))
-                for u, v in zip(args, lhs_args):
-                    self._unify(ctx, u, v, None, span, depth - 1)
+                self._unify(ctx, subst_parallel(rule.rhs, binding), rhs,
+                            subst_parallel(rule.source.ascription, binding),
+                            span, depth - 1)
+                _, lhs_args = spine(subst_parallel(rule.source.lhs, binding))
+                for u, v, arg_at in zip(args, lhs_args, kernel.spine_domains(
+                        self.sig, ctx, head, args)):
+                    self._unify(ctx, u, v, arg_at, span, depth - 1)
                 return True
             except UnificationFailure:
                 self.state.restore(snap)
@@ -462,7 +451,10 @@ class Elaborator:
 
     def finish_term(self, e, span=None):
         """Drain the pending constraints and return the term or kind `e`
-        with every hole filled; raises if a hole or constraint is left."""
+        with every hole filled; raises if a hole or constraint is left.
+        A command that made no hole has nothing to drain or fill."""
+        if self.state.counter == 0:
+            return e
         self._drain(span)
         e = self.state.zonk(e)
         left = metas_of(e)

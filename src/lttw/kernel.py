@@ -150,10 +150,7 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
             rules = sig.rules_for(head.name)
             if rules and len(args) >= rules[0].arity:
                 arity = rules[0].arity
-                con_positions = sorted({
-                    i for r in rules
-                    for i, p in enumerate(r.patterns) if p[0] == "con"})
-                for i in con_positions:
+                for i in rules[-1].con_positions:
                     reduced = whnf(sig, args[i], f)
                     if reduced is not args[i]:
                         args = args[:i] + [reduced] + args[i + 1:]
@@ -184,8 +181,6 @@ def _match(rule: CompiledRule, args: list) -> Optional[dict]:
         tag = pat[0]
         if tag == "var":
             binding[pat[1]] = arg
-        elif tag == "forced":
-            pass
         else:  # constructor: arg is already in whnf
             head, sub = spine(arg)
             if not (isinstance(head, Const) and head.name == pat[1]

@@ -53,15 +53,19 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class CompiledRule:
-    """Match-ready form. Each pattern is ("var", name) for a first binding,
-    ("forced", name) for a repeat the kind system already forces equal, or
-    ("con", constant, subpatterns) where subpatterns are var/forced entries."""
+    """Match-ready form. Each pattern is ("var", name) or ("con", constant,
+    subpatterns); a subpattern is ("var", name) for a first binding or
+    ("forced", name) for a repeat the kind system already forces equal.
+    `con_positions` are the sorted argument positions where this rule or an
+    earlier rule for the same head has a constructor pattern: the ones
+    reduction must bring to weak-head form before the head's rules match."""
 
     head: str
     arity: int
     patterns: tuple
     rhs: Term
     source: RewriteRule
+    con_positions: tuple[int, ...]
 
 
 class Signature:
@@ -176,8 +180,11 @@ def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
             "rule right-hand side uses variables the pattern never binds: "
             + ", ".join(sorted(extra)))
 
+    earlier = sig.rules_for(head.name)
+    positions = {i for i, p in enumerate(patterns) if p[0] == "con"}
+    positions.update(earlier[-1].con_positions if earlier else ())
     return CompiledRule(head.name, len(patterns), tuple(patterns), rule.rhs,
-                        rule)
+                        rule, tuple(sorted(positions)))
 
 
 def _compile_pattern(sig: Signature, arg: Term, binders: set[str],

@@ -17,7 +17,7 @@ from lttw.signature import Definition, declare_rewrite
 from lttw.stdlib import load_standard
 from lttw.syntax import (
     TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, PropKind, TypeKind, Var,
-    alpha_eq, contains_meta,
+    alpha_eq, contains_meta, metas_of,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -113,6 +113,23 @@ def test_only_a_command_with_holes_scans_for_them(monkeypatch):
     assert ck.output == ["Check zero : Nat", "Check id Nat zero : Nat"]
 
 
+def test_only_a_command_with_holes_finishes_them(monkeypatch):
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return metas_of(e)
+
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE + "> [id [A : Type] [x : A] = x];\n")
+    monkeypatch.setattr(lttw.elaborator, "metas_of", counted)
+    ck.run_text("> Check zero : Nat;\n")
+    assert calls == []
+    ck.run_text("> Check id ? zero : Nat;\n")
+    assert calls
+    assert ck.output == ["Check zero : Nat", "Check id Nat zero : Nat"]
+
+
 def test_typeof_output():
     ck = Checker()
     ck.run_text(NAT_PRELUDE + "> TypeOf succ zero;\n")
@@ -132,6 +149,23 @@ def test_load_cycle_detected():
     with pytest.raises(ScriptSyntaxError) as info:
         ck.run_path(FIXTURES / "cycle_a.lf")
     assert "cycle" in str(info.value).lower()
+
+
+# `f z` rewrites to itself, so reducing it never ends
+LOOP_PRELUDE = """
+> [N : Type];
+> [z : N];
+> [f : N -> N];
+> rule f z = f z : N;
+"""
+
+
+def test_fuel_running_out_in_elaboration_carries_the_command_span():
+    ck = Checker(config=CheckerConfig(fuel=50))
+    with pytest.raises(FuelExhausted) as info:
+        ck.run_text(LOOP_PRELUDE + "> [P : N -> Prop];\n> [p : Prf (P z)];\n"
+                    "> Check p : Prf (P (f z));\n")
+    assert str(info.value.span) == "<script>:8:3"
 
 
 def test_setoption_fuel_bounds_reduction():
@@ -205,6 +239,23 @@ def test_declare_rewrite_spends_every_kernel_check_from_one_fuel():
     fuel = Fuel()
     declare_rewrite(sig, rule, fuel=fuel)
     assert fuel.limit - fuel.left == 2
+
+
+def test_rule_dispatch_reduces_the_constructor_positions_of_every_rule():
+    # only the earlier rule has a constructor in the first position, and
+    # `zz` must be unfolded there for it to fire
+    ck = Checker()
+    ck.run_text("""
+> [N : Type];
+> [z : N];
+> [s : N -> N];
+> [g : N -> N -> N];
+> rule [y : N] g z (s y) = y : N;
+> rule [x : N] g x z = x : N;
+> [zz = z];
+> Reduce g zz (s z);
+""")
+    assert ck.output == ["Reduce g zz (s z) = z"]
 
 
 def test_setoption_rejects_non_positive_fuel():

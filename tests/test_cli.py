@@ -5,6 +5,8 @@ All invocations go through main() in-process; expected outputs repeat
 strings already pinned by the corpus tests.
 """
 
+from pathlib import Path
+
 import pytest
 
 from lttw.cli import main
@@ -13,6 +15,7 @@ from lttw.corpus import CORPUS_DIR
 ARITH = str(CORPUS_DIR / "arith.lf")
 GATE_NEG = str(CORPUS_DIR / "impredicative_neg.lf")
 GATE_ONLY = str(CORPUS_DIR / "impredicative_only.lf")
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +102,23 @@ def test_load_of_a_missing_file_is_a_rejection_at_the_load(capsys,
     assert code == 1
     assert "loads.lf:2:" in err
     assert "lttw:" not in err
+
+
+def test_load_cycle_is_rejected_at_the_load_that_closes_it(capsys):
+    code, out, err = run(capsys, "check", "--stdlib", "none",
+                         str(FIXTURES / "cycle_a.lf"))
+    assert code == 1
+    assert "cycle_b.lf:3:3: Load cycle through" in err
+
+
+def test_reduce_out_of_fuel_is_rejected_at_the_reduce(capsys, tmp_path):
+    script = tmp_path / "loop.lf"
+    script.write_text("> [N : Type];\n> [z : N];\n> [f : N -> N];\n"
+                      "> rule f z = f z : N;\n> Reduce f z;\n")
+    code, out, err = run(capsys, "check", "--stdlib", "none", "--fuel", "50",
+                         str(script))
+    assert code == 1
+    assert "loop.lf:5:3: no reduction head-normalised within 50 steps" in err
 
 
 def test_rejected_script_exits_1_with_diagnostic(capsys):

@@ -206,6 +206,21 @@ def test_solution_is_final(sig):
               None, st)
 
 
+def test_unification_eta_expands_only_at_a_product(sig):
+    # a hole under a binder unifies at the product kind both sides have;
+    # at no kind, two lambdas are not compared at all
+    st = MetaState()
+    m = st.fresh(NAT, EMPTY_CONTEXT)
+    unify(sig, EMPTY_CONTEXT, Lam("x", NAT, m), Lam("x", NAT, Const("zero")),
+          arrow(NAT, NAT), st)
+    assert alpha_eq(st.solutions[m.ident], Const("zero"))
+    st = MetaState()
+    m = st.fresh(NAT, EMPTY_CONTEXT)
+    with pytest.raises(Mismatch):
+        unify(sig, EMPTY_CONTEXT, Lam("x", NAT, m),
+              Lam("x", NAT, Const("zero")), None, st)
+
+
 def test_flex_flex_postpones_then_reports(sig):
     el = Elaborator(sig)
     m1 = el.state.fresh(arrow(NAT, NAT), EMPTY_CONTEXT)
