@@ -25,7 +25,9 @@ from .checker import Checker, CheckerConfig
 from .corpus import MANIFEST, MANIFEST_IMPREDICATIVE, check_corpus
 from .errors import LttwError
 from .kernel import DEFAULT_FUEL
+from .parser import parse_term
 from .stdlib import load_core_signature, load_standard
+from .surface import Directive, DirectiveOp
 
 MODES = ("predicative", "impredicative")
 PLACEMENTS = ("prop", "type")
@@ -153,7 +155,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_terms(args, directive: str) -> int:
+def _cmd_terms(args, op: DirectiveOp) -> int:
     checker = _make_checker(args)
     for name in args.load:
         path = Path(name)
@@ -162,7 +164,9 @@ def _cmd_terms(args, directive: str) -> int:
         checker.run_path(path)
     seen = len(checker.output)
     for text in args.terms:
-        checker.run_text(f"> {directive} {text};", file="<argument>")
+        # each argument is one term, never a script
+        term = parse_term(text, file="<argument>")
+        checker.run_command(Directive(op, (term,), term.span))
         seen = _emit(checker, seen, args.quiet)
     return 0
 
@@ -197,9 +201,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "typeof":
-            return _cmd_terms(args, "TypeOf")
+            return _cmd_terms(args, DirectiveOp.TYPEOF)
         if args.command == "reduce":
-            return _cmd_terms(args, "Reduce")
+            return _cmd_terms(args, DirectiveOp.REDUCE)
         return _cmd_corpus(args)
     except LttwError as e:
         print(e, file=sys.stderr)

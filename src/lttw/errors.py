@@ -80,10 +80,6 @@ class ScriptSyntaxError(LttwError):
     pass
 
 
-# our own, not the builtin; scripts use the name SyntaxError in manifests
-SyntaxError = ScriptSyntaxError
-
-
 class UnterminatedCommand(ScriptSyntaxError):
     pass
 
@@ -196,7 +192,8 @@ def matches_error_name(exc: BaseException, name: str) -> bool:
     """True when exc's class, or any ancestor, is called name.
 
     Manifest expectations like reject:KindMismatch match subclasses too
-    (DomainMismatch, AscriptionMismatch).
+    (DomainMismatch, AscriptionMismatch). Manifests spell ScriptSyntaxError
+    as SyntaxError, the builtin's name.
     """
     if name == "SyntaxError":
         return isinstance(exc, ScriptSyntaxError)

@@ -15,6 +15,14 @@ unparenthesised lambda is the final argument; `[x : K] t` / `[x] t` abstract;
 `?` is a hole. Kinds: `Type`, `Prop`, `Prf t`, `El t`, `(x : K) K'`,
 `K -> K'`, or a bare term (coerced by the elaborator).
 
+One regex, _TOKEN, lexes: each match is optional blank space and one token.
+Columns are 1-based in the line as written, so a script's columns count the
+`>` marker and the text before it, while standalone text (parse_term,
+parse_kind) counts from its own first character. The parser sees the tokens
+followed by `eof` tokens that sit on the last real token (on 1:1 for empty
+input), so lookahead never runs off the end, and input that ends too soon is
+an UnterminatedCommand at that last token.
+
 Input nested deeper than the interpreter's stack allows is rejected with
 NestingTooDeep at the token where the command, term or kind began.
 """
@@ -35,18 +43,23 @@ from .surface import (
     SurfaceKind, SurfaceTerm,
 )
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_NUMBER = re.compile(r"[0-9]+")
-_STRING = re.compile(r'"([^"\\]*)"')
-_PUNCT = ("->", "[", "]", "(", ")", ":", ";", "=", "?")
+_TOKEN = re.compile(r"""
+    \s*(?:
+        (?P<string>"[^"\\]*")
+      | (?P<punct>->|[][():;=?])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<number>[0-9]+)   # numbers only occur as SetOption values
+      | (?P<bad>\S)
+    )""", re.VERBOSE)
 
 KEYWORDS_KIND = {"Type", "Prop", "El", "Prf"}
 DIRECTIVES = {d.value: d for d in DirectiveOp}
+_RESERVED = KEYWORDS_KIND | DIRECTIVES.keys()  # names that start no term
 
 
 @dataclass(frozen=True)
 class Token:
-    type: str  # "ident", "string", or the punctuation itself
+    type: str  # "ident", "string", "number", "eof", or the punctuation itself
     value: str
     line: int
     col: int
@@ -60,89 +73,68 @@ def tokenize(text: str, file: str) -> list[Token]:
     tokens: list[Token] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.lstrip()
-        if not stripped.startswith(">"):
-            continue
-        offset = len(raw) - len(stripped) + 1  # content after the marker
-        line = stripped[1:]
-        i = 0
-        n = len(line)
-        while i < n:
-            c = line[i]
-            if c.isspace():
-                i += 1
-                continue
-            col = offset + i + 1
-            if c == '"':
-                m = _STRING.match(line, i)
-                if not m:
-                    raise ScriptSyntaxError(
-                        "unterminated string literal",
-                        span=SourceSpan(file, lineno, col, lineno, col + 1))
-                tokens.append(Token("string", m.group(1), lineno, col))
-                i = m.end()
-                continue
-            if line.startswith("->", i):
-                tokens.append(Token("->", "->", lineno, col))
-                i += 2
-                continue
-            if c in "[]():;=?":
-                tokens.append(Token(c, c, lineno, col))
-                i += 1
-                continue
-            m = _IDENT.match(line, i)
-            if m:
-                tokens.append(Token("ident", m.group(0), lineno, col))
-                i = m.end()
-                continue
-            m = _NUMBER.match(line, i)
-            if m:
-                # numbers only occur as SetOption values
-                tokens.append(Token("number", m.group(0), lineno, col))
-                i = m.end()
-                continue
-            raise ScriptSyntaxError(
-                f"unexpected character {c!r}",
-                span=SourceSpan(file, lineno, col, lineno, col + 1))
+        if stripped.startswith(">"):
+            _scan(raw, len(raw) - len(stripped) + 1, lineno, file, tokens)
     return tokens
+
+
+def _scan(line: str, pos: int, lineno: int, file: str,
+          tokens: list[Token]) -> None:
+    """Append the tokens of line[pos:] to tokens; columns count from the
+    line's first character."""
+    for m in _TOKEN.finditer(line, pos):
+        kind = m.lastgroup
+        value = m[kind]
+        col = m.start(kind) + 1
+        if kind == "punct":
+            kind = value
+        elif kind == "string":
+            value = value[1:-1]
+        elif kind == "bad":
+            raise ScriptSyntaxError(
+                "unterminated string literal" if value == '"'
+                else f"unexpected character {value!r}",
+                span=SourceSpan(file, lineno, col, lineno, col + 1))
+        tokens.append(Token(kind, value, lineno, col))
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
+        # three end-of-input tokens cover the longest lookahead (_binders);
+        # each spans the last real token
+        last = tokens[-1] if tokens else Token("eof", "", 1, 1)
+        self.tokens = tokens + [Token("eof", last.value, last.line,
+                                      last.col)] * 3
         self.file = file
         self.pos = 0
 
     # ------------------------------------------------------- plumbing
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
-        t = self.peek()
-        if t is None:
-            raise UnterminatedCommand(
-                "input ended inside a command", span=self._last_span())
-        self.pos += 1
-        return t
+    def accept(self, type_: str) -> bool:
+        """Consume the next token if it has type type_."""
+        if self.tokens[self.pos].type == type_:
+            self.pos += 1
+            return True
+        return False
 
     def expect(self, type_: str) -> Token:
-        t = self.peek()
-        if t is None:
-            raise UnterminatedCommand(
-                f"input ended where {type_!r} was expected",
-                span=self._last_span())
+        t = self.tokens[self.pos]
         if t.type != type_:
-            raise ScriptSyntaxError(
-                f"expected {type_!r}, found {t.value!r}",
-                span=t.span(self.file))
+            raise self.error(t, f"where {type_!r} was expected",
+                             f"expected {type_!r}, found {t.value!r}")
         self.pos += 1
         return t
 
-    def _last_span(self) -> SourceSpan:
-        if self.tokens:
-            return self.tokens[-1].span(self.file)
-        return SourceSpan(self.file, 1, 1, 1, 1)
+    def error(self, t: Token, where: str, message: str) -> ScriptSyntaxError:
+        """The error for an unwanted token t: input ended `where` when t is
+        the end of input, `message` otherwise."""
+        if t.type == "eof":
+            return UnterminatedCommand(f"input ended {where}",
+                                       span=t.span(self.file))
+        return ScriptSyntaxError(message, span=t.span(self.file))
 
     def _span_from(self, start: Token) -> SourceSpan:
         end = self.tokens[self.pos - 1] if self.pos else start
@@ -158,7 +150,7 @@ class _Parser:
 
     def parse_script(self) -> list[Command]:
         commands = []
-        while (start := self.peek()) is not None:
+        while (start := self.peek()).type != "eof":
             try:
                 commands.append(self.parse_command())
             except RecursionError:
@@ -167,7 +159,6 @@ class _Parser:
 
     def parse_command(self) -> Command:
         t = self.peek()
-        assert t is not None
         if t.type == "ident" and t.value == "rule":
             return self._rule_command()
         if t.type == "ident" and t.value in DIRECTIVES:
@@ -182,30 +173,21 @@ class _Parser:
         start = self.expect("[")
         name = self.expect("ident").value
         binders = self._binders()
-        t = self.peek()
-        if t is not None and t.type == ":":
-            self.next()
+        if self.accept(":"):
             kind = self.parse_kind()
             self.expect("]")
             self.expect(";")
             return Declare(name, binders, kind, self._span_from(start))
-        if t is not None and t.type == "=":
-            self.next()
+        if self.accept("="):
             body = self.parse_term()
-            kind = None
-            t2 = self.peek()
-            if t2 is not None and t2.type == ":":
-                self.next()
-                kind = self.parse_kind()
+            kind = self.parse_kind() if self.accept(":") else None
             self.expect("]")
             self.expect(";")
             return Define(name, binders, body, kind, self._span_from(start))
-        if t is None:
-            raise UnterminatedCommand("input ended inside a declaration",
-                                      span=self._last_span())
-        raise ScriptSyntaxError(
-            f"expected ':' or '=' in a declaration, found {t.value!r}",
-            span=t.span(self.file))
+        t = self.peek()
+        raise self.error(t, "inside a declaration",
+                         f"expected ':' or '=' in a declaration, "
+                         f"found {t.value!r}")
 
     def _rule_command(self) -> Command:
         start = self.expect("ident")  # "rule"
@@ -227,21 +209,20 @@ class _Parser:
             return Directive(op, (path,), self._span_from(start))
         if op is DirectiveOp.SETOPTION:
             name = self.expect("ident").value
-            value = self.next()
+            value = self.peek()
             if value.type not in ("ident", "string", "number"):
-                raise ScriptSyntaxError(
+                raise self.error(
+                    value, "inside a command",
                     f"SetOption value must be a name, number, or string, "
-                    f"found {value.value!r}", span=value.span(self.file))
+                    f"found {value.value!r}")
+            self.pos += 1
             self.expect(";")
             return Directive(op, (name, value.value),
                              self._span_from(start))
         term = self.parse_term()
         kind = None
-        if op is DirectiveOp.CHECK:
-            t = self.peek()
-            if t is not None and t.type == ":":
-                self.next()
-                kind = self.parse_kind()
+        if op is DirectiveOp.CHECK and self.accept(":"):
+            kind = self.parse_kind()
         self.expect(";")
         if op is DirectiveOp.CHECK:
             return Directive(op, (term, kind), self._span_from(start))
@@ -252,47 +233,34 @@ class _Parser:
         not look like a binder (never happens in command position, where the
         next token after binders is ':' or '=' or a term)."""
         binders: list[Binder] = []
-        while True:
-            t = self.peek()
-            if t is None or t.type != "[":
-                break
-            t1 = self.peek(1)
-            t2 = self.peek(2)
-            if t1 is None or t1.type != "ident":
-                break
-            if t2 is None or t2.type not in (":", "]"):
-                break
-            start = self.next()
-            name = self.expect("ident").value
-            ann = None
-            if self.peek() is not None and self.peek().type == ":":
-                self.next()
-                ann = self.parse_kind()
-            self.expect("]")
-            binders.append((name, ann, self._span_from(start)))
+        while (self.peek().type == "[" and self.peek(1).type == "ident"
+               and self.peek(2).type in (":", "]")):
+            binders.append(self._binder())
         return tuple(binders)
+
+    def _binder(self) -> Binder:
+        """One [x : K] or [x]."""
+        start = self.expect("[")
+        name = self.expect("ident").value
+        ann = self.parse_kind() if self.accept(":") else None
+        self.expect("]")
+        return name, ann, self._span_from(start)
 
     # ---------------------------------------------------------- terms
 
     def parse_term(self) -> SurfaceTerm:
         t = self.peek()
-        if t is None:
-            raise UnterminatedCommand("input ended where a term was expected",
-                                      span=self._last_span())
         if t.type == "[":
             return self._lambda()
         atom = self._atom()
         if atom is None:
-            raise ScriptSyntaxError(f"expected a term, found {t.value!r}",
-                                    span=t.span(self.file))
+            raise self.error(t, "where a term was expected",
+                             f"expected a term, found {t.value!r}")
         return self._application(atom, t)
 
     def _application(self, fn: SurfaceTerm, start: Token) -> SurfaceTerm:
         while True:
-            t = self.peek()
-            if t is None:
-                return fn
-            if t.type == "[":
+            if self.peek().type == "[":
                 # trailing lambda is the final argument
                 arg = self._lambda()
                 return SApp(fn, arg, self._span_from(start))
@@ -302,32 +270,23 @@ class _Parser:
             fn = SApp(fn, arg, self._span_from(start))
 
     def _atom(self) -> Optional[SurfaceTerm]:
+        """A name, a hole or a parenthesised term, or None. Callers take a
+        '[' as a lambda before they ask for an atom."""
         t = self.peek()
-        if t is None:
+        if not self._starts_term(t):
             return None
+        self.pos += 1
         if t.type == "ident":
-            if t.value in DIRECTIVES or t.value in KEYWORDS_KIND:
-                return None
-            self.next()
             return SName(t.value, t.span(self.file))
         if t.type == "?":
-            self.next()
             return SHole(t.span(self.file))
-        if t.type == "(":
-            self.next()
-            inner = self.parse_term()
-            self.expect(")")
-            return inner
-        return None
+        inner = self.parse_term()
+        self.expect(")")
+        return inner
 
     def _lambda(self) -> SurfaceTerm:
-        start = self.expect("[")
-        name = self.expect("ident").value
-        ann = None
-        if self.peek() is not None and self.peek().type == ":":
-            self.next()
-            ann = self.parse_kind()
-        self.expect("]")
+        start = self.peek()
+        name, ann, _ = self._binder()
         body = self.parse_term()
         return SLam(name, ann, body, self._span_from(start))
 
@@ -335,55 +294,47 @@ class _Parser:
 
     def parse_kind(self) -> SurfaceKind:
         start = self.peek()
-        if start is None:
+        if start.type == "eof":
             raise UnterminatedCommand("input ended where a kind was expected",
-                                      span=self._last_span())
-        if start.type == "(":
-            t1, t2 = self.peek(1), self.peek(2)
-            if (t1 is not None and t1.type == "ident"
-                    and t2 is not None and t2.type == ":"):
-                # named product (x : K) K'
-                self.next()
-                name = self.expect("ident").value
-                self.expect(":")
-                dom = self.parse_kind()
-                self.expect(")")
-                cod = self.parse_kind()
-                return SPi(name, dom, cod, self._span_from(start))
+                                      span=start.span(self.file))
+        if (start.type == "(" and self.peek(1).type == "ident"
+                and self.peek(2).type == ":"):
+            # named product (x : K) K'
+            self.expect("(")
+            name = self.expect("ident").value
+            self.expect(":")
+            dom = self.parse_kind()
+            self.expect(")")
+            cod = self.parse_kind()
+            return SPi(name, dom, cod, self._span_from(start))
         left = self._kind_arrow_operand(start)
-        t = self.peek()
-        if t is not None and t.type == "->":
-            self.next()
+        if self.accept("->"):
             right = self.parse_kind()
             return SPi("_", left, right, self._span_from(start))
         return left
 
     def _kind_arrow_operand(self, start: Token) -> SurfaceKind:
         t = self.peek()
-        assert t is not None
         if t.type == "ident" and t.value == "Type":
-            self.next()
+            self.pos += 1
             return SType(t.span(self.file))
         if t.type == "ident" and t.value == "Prop":
-            self.next()
+            self.pos += 1
             return SProp(t.span(self.file))
         if t.type == "ident" and t.value == "El":
-            self.next()
+            self.pos += 1
             body = self.parse_term()
             return SEl(body, self._span_from(start))
         if t.type == "ident" and t.value == "Prf":
-            self.next()
+            self.pos += 1
             body = self.parse_term()
             return SPrf(body, self._span_from(start))
-        if t.type == "(":
+        if self.accept("("):
             # parenthesised kind; may continue as a term application
-            self.next()
             inner = self.parse_kind()
             self.expect(")")
-            nxt = self.peek()
-            if (isinstance(inner, STermKind) and nxt is not None
-                    and nxt.type in ("ident", "?", "(", "[")
-                    and self._starts_term(nxt)):
+            if (isinstance(inner, STermKind)
+                    and self._starts_term(self.peek())):
                 term = self._application(inner.term, start)
                 return STermKind(term, self._span_from(start))
             return inner
@@ -393,7 +344,7 @@ class _Parser:
 
     def _starts_term(self, t: Token) -> bool:
         if t.type == "ident":
-            return t.value not in DIRECTIVES and t.value not in KEYWORDS_KIND
+            return t.value not in _RESERVED
         return t.type in ("?", "(", "[")
 
 
@@ -412,14 +363,16 @@ def parse_kind(text: str, file: str = "<kind>") -> SurfaceKind:
 
 
 def _parse_standalone(text: str, file: str, parse, what: str):
-    marked = "\n".join("> " + line for line in text.splitlines())
-    p = _Parser(tokenize(marked, file), file)
+    tokens: list[Token] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        _scan(line, 0, lineno, file, tokens)
+    p = _Parser(tokens, file)
     try:
         result = parse(p)
     except RecursionError:
         raise p.too_deep(p.tokens[0]) from None
     t = p.peek()
-    if t is not None:
+    if t.type != "eof":
         raise ScriptSyntaxError(f"unexpected {t.value!r} after the {what}",
                                 span=t.span(file))
     return result

@@ -24,6 +24,8 @@ from .syntax import App, Const, ElKind, Kind, Lam, PROP, PiKind, Term, Var, app
 
 STDLIB_DIR = Path(__file__).parent / "stdlib"
 
+# the load order: the core files, then DERIVED_FILE, then (on demand)
+# IMPREDICATIVE_FILE
 CORE_FILES = (
     "01_logic.lf",
     "02_nat.lf",
@@ -36,17 +38,6 @@ CORE_FILES = (
 )
 DERIVED_FILE = "09_derived.lf"
 IMPREDICATIVE_FILE = "10_impredicative.lf"
-MANIFEST_FILE = "manifest.txt"
-
-
-def manifest_files() -> list[str]:
-    lines = (STDLIB_DIR / MANIFEST_FILE).read_text(encoding="utf-8")
-    out = []
-    for line in lines.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
 
 
 def load_core_signature(prop_placement: str = "prop",

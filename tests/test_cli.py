@@ -48,6 +48,19 @@ def test_reduce_after_loading_script(capsys):
                    "succ (succ (succ (succ (succ zero))))\n")
 
 
+def test_term_argument_is_one_term(capsys):
+    code, out, err = run(capsys, "typeof", "zero; [evil : Prop]; Check evil")
+    assert code == 1
+    assert out == ""
+    assert err == "<argument>:1:5: unexpected ';' after the term\n"
+
+
+def test_term_argument_counts_its_own_columns(capsys):
+    code, out, err = run(capsys, "reduce", "f & x")
+    assert code == 1
+    assert err == "<argument>:1:3: unexpected character '&'\n"
+
+
 def test_check_prints_script_output(capsys):
     code, out, err = run(capsys, "check", ARITH)
     assert code == 0

@@ -106,6 +106,14 @@ def test_strict_mode_raises_on_deviation(tmp_path):
         check_corpus(manifest)
 
 
+def test_manifest_name_syntax_error_matches_script_syntax_error(tmp_path):
+    (tmp_path / "bad.lf").write_text("> [c : A & B];\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("bad.lf reject:SyntaxError\n")
+    _, (result,) = check_corpus(manifest)
+    assert result.ok and result.outcome == "reject:ScriptSyntaxError"
+
+
 def test_extended_entries_can_be_skipped():
     _, results = check_corpus(include_extended=False, strict=True)
     names = [r.entry.name for r in results]

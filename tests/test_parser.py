@@ -162,6 +162,60 @@ def test_unterminated_command():
         parse_script("> ] stray;")
 
 
+@pytest.mark.parametrize("parse, text, error, message", [
+    pytest.param(parse_script, "> SetOption fuel", UnterminatedCommand,
+                 "<script>:1:13: input ended inside a command",
+                 id="ends-in-command"),
+    pytest.param(parse_script, "> [c", UnterminatedCommand,
+                 "<script>:1:4: input ended inside a declaration",
+                 id="ends-in-declaration"),
+    pytest.param(parse_script, "> Check", UnterminatedCommand,
+                 "<script>:1:3: input ended where a term was expected",
+                 id="ends-before-term"),
+    pytest.param(parse_script, "> [c :", UnterminatedCommand,
+                 "<script>:1:6: input ended where a kind was expected",
+                 id="ends-before-kind"),
+    pytest.param(parse_script, "> [c : Prop", UnterminatedCommand,
+                 "<script>:1:8: input ended where ']' was expected",
+                 id="ends-before-token"),
+    pytest.param(parse_script, "> [c : A & B];", ScriptSyntaxError,
+                 "<script>:1:10: unexpected character '&'",
+                 id="bad-character"),
+    pytest.param(parse_script, '> Load "abc;', ScriptSyntaxError,
+                 "<script>:1:8: unterminated string literal",
+                 id="unterminated-string"),
+    pytest.param(parse_script, "> ] stray;", ScriptSyntaxError,
+                 "<script>:1:3: a command starts with '[', 'rule', or a "
+                 "directive; found ']'", id="stray-token"),
+    pytest.param(parse_script, "> [c ; Prop];", ScriptSyntaxError,
+                 "<script>:1:6: expected ':' or '=' in a declaration, "
+                 "found ';'", id="declaration-without-colon-or-equals"),
+    pytest.param(parse_script, "> Check ];", ScriptSyntaxError,
+                 "<script>:1:9: expected a term, found ']'", id="not-a-term"),
+    pytest.param(parse_script, "> SetOption fuel ];", ScriptSyntaxError,
+                 "<script>:1:18: SetOption value must be a name, number, or "
+                 "string, found ']'", id="bad-setoption-value"),
+    pytest.param(parse_term, "f x )", ScriptSyntaxError,
+                 "<term>:1:5: unexpected ')' after the term",
+                 id="trailing-token"),
+])
+def test_error_contract(parse, text, error, message):
+    with pytest.raises(ScriptSyntaxError) as e:
+        parse(text)
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def test_standalone_error_column_is_its_own():
+    with pytest.raises(ScriptSyntaxError) as e:
+        parse_term("f & x")
+    assert str(e.value) == "<term>:1:3: unexpected character '&'"
+
+
+def test_standalone_span_column_is_its_own():
+    assert str(parse_term("f x").span) == "<term>:1:1"
+
+
 # ---------------------------------------------------------------- terms
 
 def test_application_is_left_associative():

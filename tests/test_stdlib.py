@@ -11,10 +11,10 @@ from lttw.kernel import EMPTY_CONTEXT
 from lttw.printer import print_kind
 from lttw.signature import ConstDecl
 from lttw.stdlib import (
-    CORE_FILES, DERIVED_FILE, STDLIB_DIR, base_nat, carrier, code,
-    describe, enumerate_categories, equality_kind, fun, generate_equality,
-    is_basic, load_core_signature,
-    load_impredicative_extension, load_standard, manifest_files, prod, set_of,
+    CORE_FILES, DERIVED_FILE, IMPREDICATIVE_FILE, STDLIB_DIR, base_nat,
+    carrier, code, describe, enumerate_categories, equality_kind, fun,
+    generate_equality, is_basic, load_core_signature,
+    load_impredicative_extension, load_standard, prod, set_of,
 )
 from lttw.syntax import (
     PROP, App, Const, ElKind, Lam, PiKind, TypeKind, Var,
@@ -46,10 +46,9 @@ def test_core_counts(core):
     assert core.sig.rule_count() == 11
 
 
-def test_manifest_lists_core_then_derived():
-    assert manifest_files() == list(CORE_FILES) + [DERIVED_FILE]
-    for name in manifest_files():
-        assert (STDLIB_DIR / name).is_file()
+def test_load_order_names_every_stdlib_file_once():
+    named = list(CORE_FILES) + [DERIVED_FILE, IMPREDICATIVE_FILE]
+    assert sorted(named) == sorted(p.name for p in STDLIB_DIR.glob("*.lf"))
 
 
 def test_declared_kinds_match_golden(core):
