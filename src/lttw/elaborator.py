@@ -93,10 +93,11 @@ class MetaState:
 
     def zonk(self, e):
         """Apply current solutions throughout a term or kind. Subterms
-        without a solved hole are shared, not copied."""
-        cls = type(e)
-        if not self.solutions or cls in (Var, Const, TypeKind, PropKind):
+        without a solved hole are shared, not copied, and a subterm without
+        a hole is not walked."""
+        if not self.solutions or not e.holes:
             return e
+        cls = type(e)
         if cls is Meta:
             sol = self.solutions.get(e.ident)
             return e if sol is None else self.zonk(sol)
@@ -110,11 +111,10 @@ class MetaState:
         if cls is ElKind or cls is PrfKind:
             body = self.zonk(e.body)
             return e if body is e.body else cls(body)
-        if cls is PiKind:
-            dom, cod = self.zonk(e.domain), self.zonk(e.codomain)
-            return e if dom is e.domain and cod is e.codomain \
-                else PiKind(e.var, dom, cod)
-        raise TypeError(f"not a term or kind: {e!r}")
+        # the only other node a hole can occur in
+        dom, cod = self.zonk(e.domain), self.zonk(e.codomain)
+        return e if dom is e.domain and cod is e.codomain \
+            else PiKind(e.var, dom, cod)
 
 
 class Elaborator:

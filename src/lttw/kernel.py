@@ -31,7 +31,7 @@ from .errors import (
 from .signature import CompiledRule, Definition, Signature
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Expr, Kind, Lam, Meta, PiKind, PrfKind,
-    PropKind, Term, TypeKind, Var, alpha_eq, app, free_vars, fresh_name,
+    PropKind, Term, TypeKind, Var, alpha_eq, app, fresh_name,
     rename, spine, subst_parallel,
 )
 
@@ -85,12 +85,12 @@ class Context:
         context, the free names of `terms` and `avoid`."""
         if hint not in self._map:
             for e in terms:
-                if hint in free_vars(e):
+                if hint in e.fv:
                     break
             else:
                 return hint, self.extend(hint, kind)
         x = fresh_name(hint, set(self._map).union(avoid,
-                                                  *map(free_vars, terms)))
+                                                  *(e.fv for e in terms)))
         return x, self.extend(x, kind)
 
     def lookup(self, name: str) -> Optional[Kind]:
@@ -340,9 +340,7 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
             diagnostic=Diagnostic("meta", subject=t))
     if isinstance(t, Lam):
         check_kind_valid(sig, ctx, t.ann, f)
-        # t.var can be free in t only through t.ann, so only if ctx has it
-        x, ctx2 = ctx.bind(t.var, t.ann,
-                           *((t,) if ctx.lookup(t.var) is not None else ()))
+        x, ctx2 = ctx.bind(t.var, t.ann, t)
         body_kind = _infer(sig, ctx2, rename(t.body, t.var, x), f)
         return PiKind(x, t.ann, body_kind)
     if isinstance(t, App):
@@ -397,9 +395,7 @@ def _check_kind(sig: Signature, ctx: Context, k: Kind, f: Fuel) -> None:
         return
     if isinstance(k, PiKind):
         _check_kind(sig, ctx, k.domain, f)
-        # k.var can be free in k only through k.domain, so only if ctx has it
-        x, ctx2 = ctx.bind(k.var, k.domain,
-                           *((k,) if ctx.lookup(k.var) is not None else ()))
+        x, ctx2 = ctx.bind(k.var, k.domain, k)
         _check_kind(sig, ctx2, rename(k.codomain, k.var, x), f)
         return
     raise TypeError(f"not a kind: {k!r}")

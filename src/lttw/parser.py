@@ -60,13 +60,18 @@ _RESERVED = KEYWORDS_KIND | DIRECTIVES.keys()  # names that start no term
 @dataclass(frozen=True)
 class Token:
     type: str  # "ident", "string", "number", "eof", or the punctuation itself
-    value: str
+    value: str  # as written: a string literal keeps its quotes
     line: int
     col: int
 
     def span(self, file: str) -> SourceSpan:
         return SourceSpan(file, self.line, self.col, self.line,
                           self.col + len(self.value))
+
+    def shown(self) -> str:
+        """The token as a message quotes it; a string literal is already
+        quoted."""
+        return self.value if self.type == "string" else repr(self.value)
 
 
 def tokenize(text: str, file: str) -> list[Token]:
@@ -88,8 +93,6 @@ def _scan(line: str, pos: int, lineno: int, file: str,
         col = m.start(kind) + 1
         if kind == "punct":
             kind = value
-        elif kind == "string":
-            value = value[1:-1]
         elif kind == "bad":
             raise ScriptSyntaxError(
                 "unterminated string literal" if value == '"'
@@ -124,7 +127,7 @@ class _Parser:
         t = self.tokens[self.pos]
         if t.type != type_:
             raise self.error(t, f"where {type_!r} was expected",
-                             f"expected {type_!r}, found {t.value!r}")
+                             f"expected {type_!r}, found {t.shown()}")
         self.pos += 1
         return t
 
@@ -167,7 +170,7 @@ class _Parser:
             return self._declaration()
         raise ScriptSyntaxError(
             f"a command starts with '[', 'rule', or a directive; "
-            f"found {t.value!r}", span=t.span(self.file))
+            f"found {t.shown()}", span=t.span(self.file))
 
     def _declaration(self) -> Command:
         start = self.expect("[")
@@ -187,7 +190,7 @@ class _Parser:
         t = self.peek()
         raise self.error(t, "inside a declaration",
                          f"expected ':' or '=' in a declaration, "
-                         f"found {t.value!r}")
+                         f"found {t.shown()}")
 
     def _rule_command(self) -> Command:
         start = self.expect("ident")  # "rule"
@@ -204,7 +207,7 @@ class _Parser:
         start = self.expect("ident")
         op = DIRECTIVES[start.value]
         if op is DirectiveOp.LOAD:
-            path = self.expect("string").value
+            path = self.expect("string").value[1:-1]
             self.expect(";")
             return Directive(op, (path,), self._span_from(start))
         if op is DirectiveOp.SETOPTION:
@@ -214,11 +217,13 @@ class _Parser:
                 raise self.error(
                     value, "inside a command",
                     f"SetOption value must be a name, number, or string, "
-                    f"found {value.value!r}")
+                    f"found {value.shown()}")
             self.pos += 1
             self.expect(";")
-            return Directive(op, (name, value.value),
-                             self._span_from(start))
+            literal = value.value
+            if value.type == "string":
+                literal = literal[1:-1]
+            return Directive(op, (name, literal), self._span_from(start))
         term = self.parse_term()
         kind = None
         if op is DirectiveOp.CHECK and self.accept(":"):
@@ -255,7 +260,7 @@ class _Parser:
         atom = self._atom()
         if atom is None:
             raise self.error(t, "where a term was expected",
-                             f"expected a term, found {t.value!r}")
+                             f"expected a term, found {t.shown()}")
         return self._application(atom, t)
 
     def _application(self, fn: SurfaceTerm, start: Token) -> SurfaceTerm:
@@ -373,6 +378,6 @@ def _parse_standalone(text: str, file: str, parse, what: str):
         raise p.too_deep(p.tokens[0]) from None
     t = p.peek()
     if t.type != "eof":
-        raise ScriptSyntaxError(f"unexpected {t.value!r} after the {what}",
+        raise ScriptSyntaxError(f"unexpected {t.shown()} after the {what}",
                                 span=t.span(file))
     return result

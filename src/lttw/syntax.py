@@ -6,8 +6,10 @@ injecting terms back into the kind layer. Binding is Church-style: every
 abstraction and product carries its domain kind.
 
 Alpha-equivalent terms are interchangeable everywhere; structural identity of
-Python objects is never significant. Nodes compare by identity (use alpha_eq),
-and free-variable sets are cached on the node.
+Python objects is never significant. Nodes compare by identity (use alpha_eq).
+Each node is an immutable tuple of its fields followed by its free-name set
+and a flag telling whether a Meta occurs in it; both are computed when the
+node is built, so free_vars and contains_meta are field reads.
 
 Substitution has one engine, subst_parallel: a single simultaneous,
 capture-avoiding pass. subst (one name) and rename (binder opening: one name
@@ -17,102 +19,143 @@ renamed inside the same pass rather than by a walk of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Union
 
+# Every free-name set costs a node its own frozenset (216 bytes even when
+# empty), so closed nodes share one empty set, a variable shares the one
+# singleton set of its name, and a node whose names all come from one child
+# shares that child's set.
+_NO_NAMES: frozenset[str] = frozenset()
+_NAME_SETS: dict[str, frozenset[str]] = {}
 
-class Term:
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _unbind(fv: frozenset[str], x: str) -> frozenset[str]:
+    return fv - {x} if x in fv else fv
+
+
+_new = tuple.__new__
+
+
+class _Node:
+    """Shared behaviour of the tuple-backed nodes. Each node class is a
+    namedtuple of its fields followed by `fv`, its free names, and `holes`,
+    whether a Meta occurs in it; its `__new__` computes both from the
+    children. Equality and hashing are by identity, as for any object, and
+    nodes do not order: the tuple's structural comparisons never apply."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = object.__lt__
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a node from its fields, not fv and holes
+        return self[:-2]
+
+    def __repr__(self):
+        fields = ", ".join(map(repr, self[:-2]))
+        return f"{type(self).__name__}({fields})"
+
+
+class Term(_Node):
     __slots__ = ()
 
 
-class Kind:
+class Kind(_Node):
     __slots__ = ()
 
 
 Expr = Union[Term, Kind]
 
 
-@dataclass(frozen=True, eq=False)
-class Var(Term):
-    name: str
+class Var(Term, namedtuple("Var", "name fv holes")):
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"Var({self.name!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class Const(Term):
-    name: str
-
-    def __repr__(self):
-        return f"Const({self.name!r})"
+    def __new__(cls, name: str):
+        fv = _NAME_SETS.get(name)
+        if fv is None:
+            fv = _NAME_SETS[name] = frozenset((name,))
+        return _new(cls, (name, fv, False))
 
 
-@dataclass(frozen=True, eq=False)
-class Lam(Term):
-    var: str
-    ann: "Kind"
-    body: Term
+class Const(Term, namedtuple("Const", "name fv holes")):
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"Lam({self.var!r}, {self.ann!r}, {self.body!r})"
+    def __new__(cls, name: str):
+        return _new(cls, (name, _NO_NAMES, False))
 
 
-@dataclass(frozen=True, eq=False)
-class App(Term):
-    fn: Term
-    arg: Term
+class Lam(Term, namedtuple("Lam", "var ann body fv holes")):
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"App({self.fn!r}, {self.arg!r})"
+    def __new__(cls, var: str, ann: Kind, body: Term):
+        return _new(cls, (var, ann, body,
+                          _union(ann.fv, _unbind(body.fv, var)),
+                          ann.holes or body.holes))
 
 
-@dataclass(frozen=True, eq=False)
-class Meta(Term):
+class App(Term, namedtuple("App", "fn arg fv holes")):
+    __slots__ = ()
+
+    def __new__(cls, fn: Term, arg: Term):
+        return _new(cls, (fn, arg, _union(fn.fv, arg.fv),
+                          fn.holes or arg.holes))
+
+
+class Meta(Term, namedtuple("Meta", "ident fv holes")):
     """Elaboration-time unknown. Never survives into kernel checking."""
 
-    ident: int
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"Meta({self.ident})"
-
-
-@dataclass(frozen=True, eq=False)
-class TypeKind(Kind):
-    def __repr__(self):
-        return "TypeKind()"
+    def __new__(cls, ident: int):
+        return _new(cls, (ident, _NO_NAMES, True))
 
 
-@dataclass(frozen=True, eq=False)
-class PropKind(Kind):
-    def __repr__(self):
-        return "PropKind()"
+class TypeKind(Kind, namedtuple("TypeKind", "fv holes")):
+    __slots__ = ()
+
+    def __new__(cls):
+        return _new(cls, (_NO_NAMES, False))
 
 
-@dataclass(frozen=True, eq=False)
-class ElKind(Kind):
-    body: Term
+class PropKind(Kind, namedtuple("PropKind", "fv holes")):
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"ElKind({self.body!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class PrfKind(Kind):
-    body: Term
-
-    def __repr__(self):
-        return f"PrfKind({self.body!r})"
+    def __new__(cls):
+        return _new(cls, (_NO_NAMES, False))
 
 
-@dataclass(frozen=True, eq=False)
-class PiKind(Kind):
-    var: str
-    domain: "Kind"
-    codomain: "Kind"
+class ElKind(Kind, namedtuple("ElKind", "body fv holes")):
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"PiKind({self.var!r}, {self.domain!r}, {self.codomain!r})"
+    def __new__(cls, body: Term):
+        return _new(cls, (body, body.fv, body.holes))
+
+
+class PrfKind(Kind, namedtuple("PrfKind", "body fv holes")):
+    __slots__ = ()
+
+    def __new__(cls, body: Term):
+        return _new(cls, (body, body.fv, body.holes))
+
+
+class PiKind(Kind, namedtuple("PiKind", "var domain codomain fv holes")):
+    __slots__ = ()
+
+    def __new__(cls, var: str, domain: Kind, codomain: Kind):
+        return _new(cls, (var, domain, codomain,
+                          _union(domain.fv, _unbind(codomain.fv, var)),
+                          domain.holes or codomain.holes))
 
 
 TYPE = TypeKind()
@@ -135,48 +178,10 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-# Every cached set costs a node its own frozenset (216 bytes even when
-# empty), so closed nodes share one empty set and a node whose names all
-# come from one child shares that child's set.
-_NO_NAMES: frozenset[str] = frozenset()
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _unbind(fv: frozenset[str], x: str) -> frozenset[str]:
-    return fv - {x} if x in fv else fv
-
-
 def free_vars(e: Expr) -> frozenset[str]:
-    """Free variable names of a term or kind (cached per node, shared
-    between nodes where equal)."""
-    cached = getattr(e, "_fv", None)
-    if cached is not None:
-        return cached
-    fv: frozenset[str]
-    if isinstance(e, Var):
-        fv = frozenset((e.name,))
-    elif isinstance(e, (Const, Meta, TypeKind, PropKind)):
-        fv = _NO_NAMES
-    elif isinstance(e, App):
-        fv = _union(free_vars(e.fn), free_vars(e.arg))
-    elif isinstance(e, Lam):
-        fv = _union(free_vars(e.ann), _unbind(free_vars(e.body), e.var))
-    elif isinstance(e, (ElKind, PrfKind)):
-        fv = free_vars(e.body)
-    elif isinstance(e, PiKind):
-        fv = _union(free_vars(e.domain),
-                    _unbind(free_vars(e.codomain), e.var))
-    else:
-        raise TypeError(f"not a term or kind: {e!r}")
-    object.__setattr__(e, "_fv", fv)
-    return fv
+    """Free variable names of a term or kind (computed when the node is
+    built, shared between nodes where equal)."""
+    return e.fv
 
 
 _DIGITS = "0123456789"
@@ -222,7 +227,7 @@ def subst_parallel(target: Expr, mapping: dict[str, Term]) -> Expr:
     cls = type(target)
     if cls is Var:
         return mapping.get(target.name, target)
-    if free_vars(target).isdisjoint(mapping):
+    if target.fv.isdisjoint(mapping):
         return target
     if cls is App:
         return App(subst_parallel(target.fn, mapping),
@@ -244,11 +249,11 @@ def subst_parallel(target: Expr, mapping: dict[str, Term]) -> Expr:
 
 def _under_binder(x: str, body: Expr, mapping: dict[str, Term]):
     """The binder name and body that `x. body` has after mapping."""
-    fv = free_vars(body)
+    fv = body.fv
     live = {v: t for v, t in mapping.items() if v != x and v in fv}
     if not live:
         return x, body
-    incoming = frozenset().union(*(free_vars(t) for t in live.values()))
+    incoming = frozenset().union(*(t.fv for t in live.values()))
     if x in incoming:
         # binder would capture; rename it away from everything in sight
         x2 = fresh_name(x, fv | incoming | set(live))
@@ -310,10 +315,12 @@ def metas_of(e: Expr) -> set[int]:
 
 
 def contains_meta(e: Expr) -> bool:
-    return bool(metas_of(e))
+    return e.holes
 
 
 def _collect_metas(e: Expr, out: set[int]) -> None:
+    if not e.holes:
+        return
     if isinstance(e, Meta):
         out.add(e.ident)
     elif isinstance(e, App):

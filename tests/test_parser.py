@@ -129,15 +129,17 @@ def test_directives():
         '> TypeOf succ;\n'
         '> Reduce plus;\n'
         '> Load "stdlib/01_logic.lf";\n'
-        '> SetOption fuel 5000;\n')
+        '> SetOption fuel 5000;\n'
+        '> SetOption fuel "5000";\n')
     ops = [c.op for c in cmds]
     assert ops == [DirectiveOp.CHECK, DirectiveOp.CHECK, DirectiveOp.TYPEOF,
                    DirectiveOp.REDUCE, DirectiveOp.LOAD,
-                   DirectiveOp.SETOPTION]
+                   DirectiveOp.SETOPTION, DirectiveOp.SETOPTION]
     assert cmds[0].payload[1] is None
     assert cmds[1].payload[1] is not None
     assert cmds[4].payload == ("stdlib/01_logic.lf",)
     assert cmds[5].payload == ("fuel", "5000")
+    assert cmds[6].payload == ("fuel", "5000")
 
 
 def test_number_rejected_in_term_position():
@@ -162,48 +164,53 @@ def test_unterminated_command():
         parse_script("> ] stray;")
 
 
-@pytest.mark.parametrize("parse, text, error, message", [
+@pytest.mark.parametrize("parse, text, error, message, end_col", [
     pytest.param(parse_script, "> SetOption fuel", UnterminatedCommand,
                  "<script>:1:13: input ended inside a command",
-                 id="ends-in-command"),
+                 17, id="ends-in-command"),
     pytest.param(parse_script, "> [c", UnterminatedCommand,
                  "<script>:1:4: input ended inside a declaration",
-                 id="ends-in-declaration"),
+                 5, id="ends-in-declaration"),
     pytest.param(parse_script, "> Check", UnterminatedCommand,
                  "<script>:1:3: input ended where a term was expected",
-                 id="ends-before-term"),
+                 8, id="ends-before-term"),
     pytest.param(parse_script, "> [c :", UnterminatedCommand,
                  "<script>:1:6: input ended where a kind was expected",
-                 id="ends-before-kind"),
+                 7, id="ends-before-kind"),
     pytest.param(parse_script, "> [c : Prop", UnterminatedCommand,
                  "<script>:1:8: input ended where ']' was expected",
-                 id="ends-before-token"),
+                 12, id="ends-before-token"),
     pytest.param(parse_script, "> [c : A & B];", ScriptSyntaxError,
                  "<script>:1:10: unexpected character '&'",
-                 id="bad-character"),
+                 11, id="bad-character"),
     pytest.param(parse_script, '> Load "abc;', ScriptSyntaxError,
                  "<script>:1:8: unterminated string literal",
-                 id="unterminated-string"),
+                 9, id="unterminated-string"),
     pytest.param(parse_script, "> ] stray;", ScriptSyntaxError,
                  "<script>:1:3: a command starts with '[', 'rule', or a "
-                 "directive; found ']'", id="stray-token"),
+                 "directive; found ']'", 4, id="stray-token"),
     pytest.param(parse_script, "> [c ; Prop];", ScriptSyntaxError,
                  "<script>:1:6: expected ':' or '=' in a declaration, "
-                 "found ';'", id="declaration-without-colon-or-equals"),
+                 "found ';'", 7, id="declaration-without-colon-or-equals"),
     pytest.param(parse_script, "> Check ];", ScriptSyntaxError,
-                 "<script>:1:9: expected a term, found ']'", id="not-a-term"),
+                 "<script>:1:9: expected a term, found ']'",
+                 10, id="not-a-term"),
     pytest.param(parse_script, "> SetOption fuel ];", ScriptSyntaxError,
                  "<script>:1:18: SetOption value must be a name, number, or "
-                 "string, found ']'", id="bad-setoption-value"),
+                 "string, found ']'", 19, id="bad-setoption-value"),
+    pytest.param(parse_script, '> Check "abc";', ScriptSyntaxError,
+                 '<script>:1:9: expected a term, found "abc"', 14,
+                 id="string-literal"),
     pytest.param(parse_term, "f x )", ScriptSyntaxError,
                  "<term>:1:5: unexpected ')' after the term",
-                 id="trailing-token"),
+                 6, id="trailing-token"),
 ])
-def test_error_contract(parse, text, error, message):
+def test_error_contract(parse, text, error, message, end_col):
     with pytest.raises(ScriptSyntaxError) as e:
         parse(text)
     assert type(e.value) is error
     assert str(e.value) == message
+    assert e.value.span.end_col == end_col
 
 
 def test_standalone_error_column_is_its_own():

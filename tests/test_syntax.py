@@ -7,15 +7,19 @@ replacements carry no dangling bound references, which is exactly the
 capture-avoidance property the named implementation must guarantee.
 """
 
+import copy
+import pickle
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from lttw.kernel import Fuel, whnf
 from lttw.signature import Signature
 from lttw.syntax import (
-    PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, TypeKind,
-    PropKind, Var, alpha_eq, free_vars, fresh_name, spine, app, subst,
-    subst_parallel,
+    PROP, TYPE, App, Const, ElKind, Lam, Meta, PiKind, PrfKind, TypeKind,
+    PropKind, Var, alpha_eq, contains_meta, free_vars, fresh_name, metas_of,
+    spine, app, subst, subst_parallel,
 )
 import lttw.syntax
 from lttw.syntax import rename
@@ -284,14 +288,95 @@ def test_whnf_beta_spine_matches_one_binder_at_a_time(binders, args, head,
 
 
 def test_free_variable_sets_are_shared_not_copied():
-    # a cached set costs a node its own frozenset: closed nodes share one,
-    # and a node whose names all come from one child shares that child's
+    # a stored set costs a node its own frozenset: closed nodes share one,
+    # variables of one name share one, and a node whose names all come
+    # from one child shares that child's
     assert free_vars(Const("c")) is free_vars(App(Const("d"), Const("c")))
     x = Var("x")
     assert free_vars(App(x, Const("c"))) is free_vars(x)
     assert free_vars(Lam("y", TYPE, App(x, Var("y")))) == {"x"}
     body = App(x, Const("c"))
     assert free_vars(Lam("y", TYPE, body)) is free_vars(body)
+    assert free_vars(Var("x")) is free_vars(x)
+    assert free_vars(Lam("x", TYPE, x)) is free_vars(TYPE)
+
+
+# Terms and kinds with holes, and a reference computation of what each
+# node stores about its subtree: its free names and whether a Meta occurs.
+holey_terms = st.deferred(lambda: st.one_of(
+    names.map(Var),
+    consts.map(Const),
+    st.integers(0, 3).map(Meta),
+    st.builds(App, holey_terms, holey_terms),
+    st.builds(Lam, names, holey_kinds, holey_terms),
+))
+
+holey_kinds = st.deferred(lambda: st.one_of(
+    st.just(TYPE),
+    st.just(PROP),
+    holey_terms.map(ElKind),
+    holey_terms.map(PrfKind),
+    st.builds(PiKind, names, holey_kinds, holey_kinds),
+))
+
+
+def reference_names_and_holes(e):
+    """(free names, idents of the Metas) of e, by recursion over it."""
+    if isinstance(e, Var):
+        return {e.name}, set()
+    if isinstance(e, Meta):
+        return set(), {e.ident}
+    if isinstance(e, (Const, TypeKind, PropKind)):
+        return set(), set()
+    if isinstance(e, (ElKind, PrfKind)):
+        return reference_names_and_holes(e.body)
+    if isinstance(e, App):
+        parts, binder = (e.fn, e.arg), None
+    elif isinstance(e, Lam):
+        parts, binder = (e.ann, e.body), e.var
+    else:
+        parts, binder = (e.domain, e.codomain), e.var
+    (fv1, m1), (fv2, m2) = map(reference_names_and_holes, parts)
+    return fv1 | (fv2 - {binder}), m1 | m2
+
+
+@CASES
+@given(st.one_of(holey_terms, holey_kinds))
+def test_stored_names_and_hole_flag_match_a_reference(e):
+    fv, metas = reference_names_and_holes(e)
+    assert e.fv == fv and free_vars(e) is e.fv
+    assert e.holes is bool(metas) and contains_meta(e) is e.holes
+    assert metas_of(e) == metas
+
+
+def test_node_fields_cannot_be_assigned():
+    for node, field in [(Var("x"), "name"), (App(Var("f"), Meta(0)), "fn"),
+                        (Lam("x", TYPE, Var("x")), "fv"),
+                        (PiKind("x", TYPE, PROP), "holes")]:
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            object.__setattr__(node, field, None)
+    # nor can a cache be attached
+    with pytest.raises(AttributeError):
+        Var("x")._fv = frozenset()
+
+
+def test_structurally_equal_nodes_are_distinct():
+    a = App(Var("x"), Const("c"))
+    b = App(Var("x"), Const("c"))
+    assert a != b and not a == b and a == a
+    assert hash(a) != hash(b) and len({a, b}) == 2
+    assert TypeKind() != TYPE
+    with pytest.raises(TypeError):
+        a < b
+
+
+def test_a_copied_node_is_rebuilt_from_its_fields():
+    t = Lam("y", ElKind(Var("A")), App(Meta(3), Var("y")))
+    for got in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert got is not t and alpha_eq(got, t)
+        assert got.fv == {"A"} and got.holes
 
 
 def test_fresh_name_basic():
