@@ -5,11 +5,14 @@ accepted command is then turned into a replay record (kernel objects, no
 surface syntax) and committed: `commit` checks the record with the signature
 layer and the kernel, which see only hole-free syntax, and the record is
 appended to the log. `replay` commits a log the same way, so a whole session
-can be re-checked later with the elaborator out of the loop entirely.
+can be re-checked later with the elaborator out of the loop entirely. A
+`TypeOf` or `Reduce` declares nothing and leaves no record, but the kernel
+checks the term it elaborated all the same before it is printed or
+normalised.
 
 One command spends from one step budget of `fuel` steps: elaboration, the
-kernel check of its record and the normalisation of a `Reduce` draw on the
-same `Fuel`. A `Load` runs each command of the loaded file on its own budget
+kernel check of what it elaborated and the normalisation of a `Reduce` draw
+on the same `Fuel`. A `Load` runs each command of the loaded file on its own budget
 and is all-or-nothing: a file that fails leaves the signature, the log and
 the set of loaded files as they were before it.
 
@@ -198,14 +201,9 @@ class Checker:
                 raise ScriptSyntaxError(f"unknown option {name!r}",
                                         span=cmd.span)
             try:
-                fuel = int(value)
-            except ValueError:
-                raise ScriptSyntaxError(
-                    f"fuel must be a number, got {value!r}", span=cmd.span)
-            if fuel <= 0:
-                raise ScriptSyntaxError(
-                    f"fuel must be positive, got {fuel}", span=cmd.span)
-            self.config.fuel = fuel
+                self.config.fuel = kernel.parse_fuel(value)
+            except ValueError as e:
+                raise ScriptSyntaxError(str(e), span=cmd.span) from None
             return
         el = self._elaborator()
         expected = None
@@ -218,18 +216,19 @@ class Checker:
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)
         t = el.finish_term(t, cmd.span)
         k = el.finish_kind(k, cmd.span)
+        # the kernel alone confirms what elaboration produced; only a Check
+        # is also a replay record
         if op is DirectiveOp.CHECK:
-            # the kernel alone confirms what elaboration produced
             self._commit(("check", t, k), el.fuel)
-            self.output.append(f"Check {print_term(t)} : {print_kind(k)}")
-        elif op is DirectiveOp.TYPEOF:
-            self.output.append(f"TypeOf {print_term(t)} : {print_kind(k)}")
-        elif op is DirectiveOp.REDUCE:
+        else:
+            kernel.check_term(self.sig, EMPTY_CONTEXT, t, k, el.fuel)
+        if op is DirectiveOp.REDUCE:
             reduced = kernel.normalize(self.sig, t, el.fuel)
             self.output.append(
                 f"Reduce {print_term(t)} = {print_term(reduced)}")
         else:
-            raise TypeError(f"not a directive: {op!r}")
+            self.output.append(
+                f"{op.value} {print_term(t)} : {print_kind(k)}")
 
 
 def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:

@@ -5,26 +5,23 @@ Results go to stdout, diagnostics to stderr: a rejection prints its
 and actual kind of its Diagnostic when it has one. Exit status 0 means every
 requested check passed, 1 means a script or term was rejected (or the
 corpus deviated from its manifest), 2 means the request itself was bad:
-unreadable file, malformed flag or environment override.
+unreadable file or malformed flag.
 
-Every flag can also be set by an LTTW_* environment variable (flag
-wins): LTTW_MODE, LTTW_PROP_AT, LTTW_FUEL, LTTW_STDLIB, LTTW_MANIFEST.
+Each setting comes from its flag and nowhere else.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import textwrap
 import time
 from pathlib import Path
-from typing import Optional
 
 from .checker import Checker, CheckerConfig
 from .corpus import MANIFEST, MANIFEST_IMPREDICATIVE, check_corpus
 from .errors import LttwError
-from .kernel import DEFAULT_FUEL
+from .kernel import DEFAULT_FUEL, parse_fuel
 from .parser import parse_term
 from .stdlib import load_core_signature, load_standard
 from .surface import Directive, DirectiveOp
@@ -38,102 +35,73 @@ class UsageError(Exception):
     pass
 
 
-def _env(name: str) -> Optional[str]:
-    return os.environ.get(f"LTTW_{name}")
-
-
-def _resolve(flag_value, env_name: str, default, allowed=None):
-    value = flag_value
-    if value is None:
-        value = _env(env_name)
-    if value is None:
-        return default
-    if allowed is not None and value not in allowed:
-        raise UsageError(
-            f"{env_name.lower().replace('_', '-')} must be one of "
-            f"{', '.join(allowed)}; got {value!r}")
-    return value
-
-
-def _resolve_fuel(flag_value) -> int:
-    value = flag_value
-    if value is None:
-        value = _env("FUEL")
-    if value is None:
-        return DEFAULT_FUEL
+def _fuel(text: str) -> int:
     try:
-        fuel = int(value)
-    except ValueError:
-        raise UsageError(f"fuel must be a number, got {value!r}")
-    if fuel <= 0:
-        raise UsageError(f"fuel must be positive, got {fuel}")
-    return fuel
+        return parse_fuel(text)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _add_options(p: argparse.ArgumentParser, preload: bool) -> None:
+    p.add_argument("--mode", choices=MODES, default="predicative",
+                   help="predicativity mode (default predicative)")
+    p.add_argument("--prop-at", choices=PLACEMENTS, dest="prop_at",
+                   default="prop",
+                   help="kind at which the name-level prop constant is "
+                        "declared (default prop)")
+    p.add_argument("--fuel", default=str(DEFAULT_FUEL),
+                   help=f"reduction budget (default {DEFAULT_FUEL})")
+    if preload:
+        p.add_argument("--stdlib", choices=SIGNATURES, default="standard",
+                       help="signature to preload: standard, core "
+                            "(no derived connectives), or none")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress result lines; keep diagnostics")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=MODES, default=None,
-                        help="predicativity mode (default predicative)")
-    common.add_argument("--prop-at", choices=PLACEMENTS, dest="prop_at",
-                        default=None,
-                        help="kind at which the name-level prop constant "
-                             "is declared (default prop)")
-    common.add_argument("--fuel", default=None,
-                        help=f"reduction budget (default {DEFAULT_FUEL})")
-    common.add_argument("--stdlib", choices=SIGNATURES, default=None,
-                        help="signature to preload: standard, core "
-                             "(no derived connectives), or none")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress result lines; keep diagnostics")
-
     top = argparse.ArgumentParser(
         prog="lttw",
         description="Proof checker for a typed logical framework with "
                     "name-level propositions and user rewrite rules.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check",
                        help="run proof scripts, printing their output")
+    _add_options(p, preload=True)
     p.add_argument("files", nargs="+", help="proof scripts, in load order")
 
-    p = sub.add_parser("typeof", parents=[common],
-                       help="elaborate terms and print their kinds")
-    p.add_argument("--load", action="append", default=[], metavar="FILE",
-                   help="script to run before the query (repeatable)")
-    p.add_argument("terms", nargs="+", help="term expressions")
+    for name, what in (("typeof", "elaborate terms and print their kinds"),
+                       ("reduce", "normalize terms and print the results")):
+        p = sub.add_parser(name, help=what)
+        _add_options(p, preload=True)
+        p.add_argument("--load", action="append", default=[],
+                       metavar="FILE",
+                       help="script to run before the query (repeatable)")
+        p.add_argument("terms", nargs="+", help="term expressions")
 
-    p = sub.add_parser("reduce", parents=[common],
-                       help="normalize terms and print the results")
-    p.add_argument("--load", action="append", default=[], metavar="FILE",
-                   help="script to run before the query (repeatable)")
-    p.add_argument("terms", nargs="+", help="term expressions")
-
-    p = sub.add_parser("corpus", parents=[common],
+    p = sub.add_parser("corpus",
                        help="run the bundled corpus against its manifest "
                             "(always over the standard signature)")
+    _add_options(p, preload=False)
     p.add_argument("--manifest", default=None,
                    help="manifest path (default: the bundled manifest "
                         "for the selected mode)")
-    p.add_argument("--no-extended", action="store_true",
-                   help="skip entries tagged extended")
     return top
 
 
 def _make_checker(args) -> Checker:
-    mode = _resolve(args.mode, "MODE", "predicative", MODES)
-    placement = _resolve(args.prop_at, "PROP_AT", "prop", PLACEMENTS)
-    fuel = _resolve_fuel(args.fuel)
-    which = _resolve(args.stdlib, "STDLIB", "standard", SIGNATURES)
-    if which == "none":
-        return Checker(config=CheckerConfig(prop_placement=placement,
-                                            fuel=fuel))
-    if which == "core":
-        if mode == "impredicative":
+    if args.stdlib == "none":
+        return Checker(config=CheckerConfig(prop_placement=args.prop_at,
+                                            fuel=args.fuel))
+    if args.stdlib == "core":
+        if args.mode == "impredicative":
             raise UsageError(
                 "the impredicative overlay needs the derived layer; "
                 "use --stdlib standard")
-        return load_core_signature(placement, fuel)
-    return load_standard(mode=mode, prop_placement=placement, fuel=fuel)
+        return load_core_signature(args.prop_at, args.fuel)
+    return load_standard(mode=args.mode, prop_placement=args.prop_at,
+                         fuel=args.fuel)
 
 
 def _emit(checker: Checker, start: int, quiet: bool) -> int:
@@ -172,19 +140,15 @@ def _cmd_terms(args, op: DirectiveOp) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    mode = _resolve(args.mode, "MODE", "predicative", MODES)
-    placement = _resolve(args.prop_at, "PROP_AT", "prop", PLACEMENTS)
-    fuel = _resolve_fuel(args.fuel)
-    manifest = _resolve(args.manifest, "MANIFEST", None)
+    manifest = args.manifest
     if manifest is None:
-        manifest = (MANIFEST_IMPREDICATIVE if mode == "impredicative"
+        manifest = (MANIFEST_IMPREDICATIVE if args.mode == "impredicative"
                     else MANIFEST)
     elif not Path(manifest).is_file():
         raise OSError(f"no such manifest: {manifest}")
     start = time.perf_counter()
-    _, results = check_corpus(manifest, mode=mode,
-                              prop_placement=placement, fuel=fuel,
-                              include_extended=not args.no_extended,
+    _, results = check_corpus(manifest, mode=args.mode,
+                              prop_placement=args.prop_at, fuel=args.fuel,
                               strict=False)
     elapsed = time.perf_counter() - start
     if not args.quiet:
@@ -198,6 +162,7 @@ def _cmd_corpus(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.fuel = _fuel(args.fuel)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "typeof":

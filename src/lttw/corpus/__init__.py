@@ -1,14 +1,12 @@
 """Running the bundled proof-script corpus against a manifest.
 
-A manifest lists scripts in load order, each with the outcome it must
-produce: "accept", or "reject:<ErrorName>" naming an error class
-(subclasses match). Scripts run through one cumulative checker so later
-scripts can use names declared by earlier ones; a script expected to be
-rejected must fail on its first command, which keeps the shared
-signature clean for whatever follows.
-
-Entries may carry an "extended" tag marking material beyond the core
-corpus; the runner can skip those.
+A manifest lists scripts in load order, one `file outcome` line each. The
+outcome is the one the script must produce: "accept", or
+"reject:<ErrorName>" naming an error class (subclasses match). Scripts run
+through one cumulative checker so later scripts can use names declared by
+earlier ones; a script expected to be rejected must fail on its first
+command, which keeps the shared signature clean for whatever follows. To
+run a subset, write a manifest that lists it.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ REJECT_PREFIX = "reject:"
 class CorpusEntry:
     path: Path
     outcome: str  # "accept" or "reject:<ErrorName>"
-    extended: bool = False
 
     @property
     def name(self) -> str:
@@ -81,22 +78,16 @@ def parse_manifest(path: Union[str, Path]) -> list[CorpusEntry]:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) not in (2, 3):
+        if len(fields) != 2:
             raise CorpusError(
                 f"{path}:{lineno}: manifest lines are "
-                f"'file outcome [extended]', got {raw!r}")
-        name, outcome = fields[0], fields[1]
+                f"'file outcome', got {raw!r}")
+        name, outcome = fields
         if outcome != ACCEPT and not outcome.startswith(REJECT_PREFIX):
             raise CorpusError(
                 f"{path}:{lineno}: outcome must be 'accept' or "
                 f"'reject:<ErrorName>', got {outcome!r}")
-        extended = False
-        if len(fields) == 3:
-            if fields[2] != "extended":
-                raise CorpusError(
-                    f"{path}:{lineno}: unknown tag {fields[2]!r}")
-            extended = True
-        entries.append(CorpusEntry(base / name, outcome, extended))
+        entries.append(CorpusEntry(base / name, outcome))
     return entries
 
 
@@ -120,7 +111,6 @@ def check_corpus(manifest_path: Union[str, Path] = MANIFEST,
                  mode: str = "predicative",
                  prop_placement: str = "prop",
                  fuel: int = DEFAULT_FUEL,
-                 include_extended: bool = True,
                  strict: bool = True) -> tuple[Checker, list[CorpusResult]]:
     """Load the standard signature, then run every manifest entry.
 
@@ -133,8 +123,6 @@ def check_corpus(manifest_path: Union[str, Path] = MANIFEST,
                             fuel=fuel)
     results = []
     for entry in entries:
-        if entry.extended and not include_extended:
-            continue
         result = _run_one(checker, entry)
         results.append(result)
         if strict and not result.ok:

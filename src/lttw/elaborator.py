@@ -338,11 +338,6 @@ class Elaborator:
         ha, sa = spine(a)
         hb, sb = spine(b)
         if isinstance(ha, Meta) or isinstance(hb, Meta):
-            if (isinstance(ha, Meta) and isinstance(hb, Meta)
-                    and ha.ident == hb.ident and len(sa) == len(sb)):
-                for u, v in zip(sa, sb):
-                    self._unify(ctx, u, v, None, span, depth)
-                return
             if isinstance(ha, Meta) and self._try_pattern(ctx, ha, sa, b,
                                                           span):
                 return

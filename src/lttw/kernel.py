@@ -38,6 +38,18 @@ from .syntax import (
 DEFAULT_FUEL = 100000
 
 
+def parse_fuel(text: str) -> int:
+    """A step budget as written on the command line or in `SetOption fuel`:
+    a positive whole number. Raises ValueError saying what is wrong."""
+    try:
+        fuel = int(text)
+    except ValueError:
+        raise ValueError(f"fuel must be a number, got {text!r}") from None
+    if fuel <= 0:
+        raise ValueError(f"fuel must be positive, got {fuel}")
+    return fuel
+
+
 class Fuel:
     """Shared step budget. One instance flows through a whole command."""
 

@@ -10,14 +10,17 @@ Conventions (these fix the golden-file format):
   - El is implicit (the term is printed bare in kind position); Prf prints
     its argument as an atom.
 
-Binder names survive printing unchanged unless they collide with a name in
-`taken` (pass the signature's constant names when printing terms that might
-bind a name a later unfolding introduced; elaborated source never does).
+Binder names survive printing unchanged unless a constant of the same name
+occurs in the printed term or kind: such a binder would capture the
+constant when the output is read back, so it is renamed (`x` to `x1`).
+Substitution can bring a constant under a binder of its name, say `K x`
+for `K = [y : Nat] [x : Nat] y`; elaborated source never binds one.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cache
+from typing import Callable
 
 from .syntax import (
     App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind, PropKind, Term,
@@ -25,12 +28,12 @@ from .syntax import (
 )
 
 
-def print_term(t: Term, taken: Optional[set] = None) -> str:
-    return _term(t, taken or set(), top=True)
+def print_term(t: Term) -> str:
+    return _term(t, cache(lambda: _constants(t)), top=True)
 
 
-def print_kind(k: Kind, taken: Optional[set] = None) -> str:
-    return _kind(k, taken or set(), left_of_arrow=False)
+def print_kind(k: Kind) -> str:
+    return _kind(k, cache(lambda: _constants(k)), left_of_arrow=False)
 
 
 def show(obj) -> str:
@@ -42,15 +45,39 @@ def show(obj) -> str:
     return str(obj)
 
 
-def _term(t: Term, taken: set, top: bool) -> str:
+# `taken()` gives the constant names of the whole printed object; it
+# collects them when the first binder asks, so a term without binders
+# costs no extra walk
+Taken = Callable[[], frozenset]
+
+
+def _constants(root) -> frozenset:
+    names, stack = set(), [root]
+    while stack:
+        e = stack.pop()
+        cls = type(e)
+        if cls is Const:
+            names.add(e.name)
+        elif cls is App:
+            stack += (e.fn, e.arg)
+        elif cls is Lam:
+            stack += (e.ann, e.body)
+        elif cls is PiKind:
+            stack += (e.domain, e.codomain)
+        elif cls is ElKind or cls is PrfKind:
+            stack.append(e.body)
+    return frozenset(names)
+
+
+def _term(t: Term, taken: Taken, top: bool) -> str:
     if isinstance(t, Var) or isinstance(t, Const):
         return t.name
     if isinstance(t, Meta):
         return f"?{t.ident}"
     if isinstance(t, Lam):
         x, ann, body = t.var, t.ann, t.body
-        if x in taken or (x in free_vars(ann)):
-            x = fresh_name(x, taken | free_vars(body) | free_vars(ann))
+        if x in taken() or x in free_vars(ann):
+            x = fresh_name(x, taken() | free_vars(body) | free_vars(ann))
             body = rename(body, t.var, x)
         inner = _term(body, taken, top=True)
         s = f"[{x} : {_kind(ann, taken, left_of_arrow=False)}] {inner}"
@@ -69,7 +96,7 @@ def _atomic(t: Term) -> bool:
     return isinstance(t, (Var, Const, Meta))
 
 
-def _kind(k: Kind, taken: set, left_of_arrow: bool) -> str:
+def _kind(k: Kind, taken: Taken, left_of_arrow: bool) -> str:
     if isinstance(k, TypeKind):
         return "Type"
     if isinstance(k, PropKind):
@@ -87,8 +114,8 @@ def _kind(k: Kind, taken: set, left_of_arrow: bool) -> str:
     if isinstance(k, PiKind):
         x, dom, cod = k.var, k.domain, k.codomain
         if x in free_vars(cod):
-            if x in taken:
-                x = fresh_name(x, taken | free_vars(cod) | free_vars(dom))
+            if x in taken():
+                x = fresh_name(x, taken() | free_vars(cod) | free_vars(dom))
                 cod = rename(cod, k.var, x)
             s = (f"({x} : {_kind(dom, taken, left_of_arrow=False)}) "
                  f"{_kind(cod, taken, left_of_arrow=False)}")

@@ -313,7 +313,7 @@ def test_08_randomized_property_suites_hold_with_five_hundred_cases_each(
     # printing then reparsing is the identity on core terms
     for _ in range(500):
         t = gen_term(rng, 4)
-        printed = print_term(t, taken=set(CONST_POOL))
+        printed = print_term(t)
         assert alpha_eq(resolve_term(parse_term(printed)), t), printed
 
     # every term the corpus checked stays well-kinded after reduction

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lttw.elaborator
+import lttw.kernel
 from lttw.checker import Checker, CheckerConfig, replay
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
@@ -136,6 +137,41 @@ def test_typeof_output():
     assert ck.output == ["TypeOf succ zero : Nat"]
 
 
+def test_typeof_and_reduce_are_rechecked_by_the_kernel(monkeypatch):
+    # an elaborator that hands back a term of the wrong kind is caught
+    # before anything is printed or normalised, and neither directive
+    # leaves a replay record
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE + "> [Bool : Type];\n> [tt : Bool];\n"
+                + "> TypeOf zero;\n> Reduce succ zero;\n")
+    output, logged = list(ck.output), len(ck.log)
+    monkeypatch.setattr(lttw.elaborator.Elaborator, "finish_term",
+                        lambda self, e, span=None: Const("tt"))
+    monkeypatch.setattr(lttw.kernel, "normalize", None)
+    for directive in ("TypeOf zero", "Reduce zero"):
+        with pytest.raises(KindMismatch) as info:
+            ck.run_text(f"> {directive};\n")
+        assert "term does not have the required kind" in str(info.value)
+        assert alpha_eq(info.value.diagnostic.subject, Const("tt"))
+    assert ck.output == output
+    assert len(ck.log) == logged
+
+
+def test_printed_terms_read_back_as_what_was_printed():
+    # substitution puts the constant x under a binder named x; the printer
+    # renames the binder, so the printed kind is the one checked
+    ck = load_standard()
+    ck.run_text("> [K [y : Nat] [x : Nat] = y : Nat];\n> [x : Nat];\n"
+                "> Reduce K x;\n")
+    assert ck.output[-1] == "Reduce K x = [x1 : Nat] x"
+    ck = load_standard()
+    ck.run_text("> [F : (y : Nat) (x : Nat) Prf (Eq hatNat y x)];\n"
+                "> [x : Nat];\n> TypeOf F x;\n")
+    assert ck.output[-1] == "TypeOf F x : (x1 : Nat) Prf (Eq hatNat x x1)"
+    ck.run_text("> Check F x : (x1 : Nat) Prf (Eq hatNat x x1);\n")
+    assert ck.output[-1] == "Check F x : (x1 : Nat) Prf (Eq hatNat x x1)"
+
+
 def test_load_is_relative_and_idempotent():
     ck = Checker()
     ck.run_path(FIXTURES / "loads_conjunction.lf")
@@ -216,8 +252,9 @@ def _run_with_fuel(fuel, text):
     ("> [q = p1 : P one];\n", 2),
     # once per side in elaboration and once per side in the kernel
     ("> rule c1 = p1 : P one;\n", 4),
-    # elaboration unfolds `one` once, normalisation contracts one redex
-    ("> [g : Prf (P one) -> Nat];\n> Reduce ([x : Nat] x) (g p1);\n", 2),
+    # elaboration unfolds `one` once, so does the kernel's re-check, and
+    # normalisation contracts one redex
+    ("> [g : Prf (P one) -> Nat];\n> Reduce ([x : Nat] x) (g p1);\n", 3),
 ], ids=["define", "rule", "reduce"])
 def test_one_budget_covers_the_whole_command(text, needed):
     with pytest.raises(FuelExhausted):

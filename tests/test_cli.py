@@ -1,5 +1,5 @@
-"""Command line: subcommands, flag/environment precedence, exit codes,
-and the stdout/stderr split.
+"""Command line: subcommands, flags, exit codes, and the stdout/stderr
+split.
 
 All invocations go through main() in-process; expected outputs repeat
 strings already pinned by the corpus tests.
@@ -16,12 +16,6 @@ ARITH = str(CORPUS_DIR / "arith.lf")
 GATE_NEG = str(CORPUS_DIR / "impredicative_neg.lf")
 GATE_ONLY = str(CORPUS_DIR / "impredicative_only.lf")
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in ("MODE", "PROP_AT", "FUEL", "STDLIB", "MANIFEST"):
-        monkeypatch.delenv(f"LTTW_{name}", raising=False)
 
 
 def run(capsys, *argv):
@@ -81,11 +75,12 @@ def test_corpus_runs_green(capsys):
     assert err == ""
 
 
-def test_corpus_no_extended(capsys):
-    code, out, err = run(capsys, "corpus", "--no-extended")
-    assert code == 0
-    assert "11/11 as expected" in out
-    assert "cardinality_thms_ext" not in out
+def test_corpus_takes_no_stdlib_flag(capsys):
+    # the corpus always runs over the standard signature
+    with pytest.raises(SystemExit) as exit:
+        main(["corpus", "--stdlib", "core"])
+    assert exit.value.code == 2
+    assert "--stdlib" in capsys.readouterr().err
 
 
 def test_corpus_mismatch_exits_1(capsys, tmp_path):
@@ -156,30 +151,25 @@ def test_impredicative_mode_accepts_overlay_script(capsys):
     assert "TypeOf member_of_all_sets : Set Nat" in out
 
 
-def test_env_sets_mode(capsys, monkeypatch):
+def test_environment_sets_no_option(capsys, monkeypatch):
+    # options come from flags alone; the variable is not read
     monkeypatch.setenv("LTTW_MODE", "impredicative")
     code, out, err = run(capsys, "check", GATE_ONLY)
-    assert code == 0
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("LTTW_MODE", "impredicative")
-    code, out, err = run(capsys, "check", "--mode", "predicative",
-                         GATE_ONLY)
     assert code == 1
     assert "barForall" in err
 
 
-def test_bad_env_value_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("LTTW_FUEL", "plenty")
-    code, out, err = run(capsys, "typeof", "TopI")
+def test_bad_flag_value_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "typeof", "--fuel", "plenty", "TopI")
     assert code == 2
-    assert "fuel" in err
-    monkeypatch.setenv("LTTW_FUEL", "100000")
-    monkeypatch.setenv("LTTW_MODE", "classical")
-    code, out, err = run(capsys, "typeof", "TopI")
+    assert err == "lttw: fuel must be a number, got 'plenty'\n"
+    code, out, err = run(capsys, "typeof", "--fuel", "0", "TopI")
     assert code == 2
-    assert "mode" in err
+    assert err == "lttw: fuel must be positive, got 0\n"
+    with pytest.raises(SystemExit) as exit:
+        main(["typeof", "--mode", "classical", "TopI"])
+    assert exit.value.code == 2
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_stdlib_none_starts_empty(capsys, tmp_path):

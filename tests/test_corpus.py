@@ -51,8 +51,9 @@ def test_manifest_shape():
     entries = parse_manifest(MANIFEST)
     assert len(entries) == 12
     assert all(e.path.is_file() for e in entries)
-    tagged = [e.name for e in entries if e.extended]
-    assert tagged == ["cardinality_thms_ext.lf"]
+    names = [e.name for e in entries]
+    assert names.index("cardinality_thms_ext.lf") \
+        == names.index("cardinality_thms.lf") + 1
     rejected = {e.name: e.outcome for e in entries
                 if e.outcome != "accept"}
     assert rejected == {
@@ -67,6 +68,9 @@ def test_manifest_rejects_bad_lines(tmp_path):
     with pytest.raises(LttwError):
         parse_manifest(bad)
     bad.write_text("a.lf accept shiny\n")
+    with pytest.raises(LttwError):
+        parse_manifest(bad)
+    bad.write_text("a.lf accept extended\n")
     with pytest.raises(LttwError):
         parse_manifest(bad)
 
@@ -112,13 +116,6 @@ def test_manifest_name_syntax_error_matches_script_syntax_error(tmp_path):
     manifest.write_text("bad.lf reject:SyntaxError\n")
     _, (result,) = check_corpus(manifest)
     assert result.ok and result.outcome == "reject:ScriptSyntaxError"
-
-
-def test_extended_entries_can_be_skipped():
-    _, results = check_corpus(include_extended=False, strict=True)
-    names = [r.entry.name for r in results]
-    assert "cardinality_thms_ext.lf" not in names
-    assert len(results) == 11
 
 
 def test_rejected_scripts_leave_no_trace():

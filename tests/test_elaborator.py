@@ -13,7 +13,7 @@ from lttw.errors import (
 from lttw.kernel import EMPTY_CONTEXT, convertible, equal_kinds, infer_kind
 from lttw.parser import parse_kind, parse_term
 from lttw.syntax import (
-    PROP, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq,
+    PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq,
     app, contains_meta,
 )
 
@@ -230,6 +230,42 @@ def test_flex_flex_postpones_then_reports(sig):
     assert el.state.queue
     with pytest.raises(UnificationFailure):
         el.finish_term(App(m1, Const("zero")))
+
+
+def test_same_hole_on_both_sides_is_postponed_until_solved(sig):
+    # ?m zero ~ ?m (succ zero) is solvable by ?m := [_ : Nat] zero, so it
+    # waits instead of demanding zero ~ succ zero; solving ?m later
+    # discharges it
+    el = Elaborator(sig)
+    m = el.state.fresh(arrow(NAT, NAT), EMPTY_CONTEXT)
+    el.unify(EMPTY_CONTEXT, App(m, Const("zero")),
+             App(m, App(Const("succ"), Const("zero"))), NAT)
+    assert el.state.queue and m.ident not in el.state.solutions
+    constant = Lam("x", NAT, Const("zero"))
+    el.unify(EMPTY_CONTEXT, m, constant, arrow(NAT, NAT))
+    assert alpha_eq(el.state.solutions[m.ident], constant)
+    assert el.state.queue == []
+
+
+def test_unify_kinds_at_a_product(sig):
+    # binder names differ, the domain holds a hole and the codomain
+    # depends on the binder
+    def eq_zero(a, b):
+        return PrfKind(app(Const("Eq"), Const("hatNat"), a, b))
+
+    el = Elaborator(sig)
+    hole = el.state.fresh(TYPE, EMPTY_CONTEXT)
+    el.unify_kinds(EMPTY_CONTEXT,
+                   PiKind("x", ElKind(hole), eq_zero(Var("x"), Const("zero"))),
+                   PiKind("y", NAT, eq_zero(Var("y"), Const("zero"))), None)
+    assert alpha_eq(el.state.solutions[hole.ident], Const("Nat"))
+    el = Elaborator(sig)
+    hole = el.state.fresh(TYPE, EMPTY_CONTEXT)
+    with pytest.raises(Mismatch):
+        el.unify_kinds(
+            EMPTY_CONTEXT,
+            PiKind("x", ElKind(hole), eq_zero(Var("x"), Const("zero"))),
+            PiKind("y", NAT, eq_zero(Const("zero"), Var("y"))), None)
 
 
 def test_unification_respects_reduction(sig):

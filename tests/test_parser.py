@@ -335,6 +335,8 @@ def resolve_kind(s, bound=frozenset()):
 
 
 _var_names = st.sampled_from(["x", "y", "z", "w"])
+# a binder may share its name with a constant, which the printer renames
+_binder_names = st.sampled_from(["x", "y", "z", "w", "Nat", "f"])
 _const_names = st.sampled_from(sorted(CONSTS))
 
 
@@ -347,7 +349,7 @@ def _terms(depth):
     return st.one_of(
         base,
         st.tuples(sub_t, sub_t).map(lambda p: App(*p)),
-        st.tuples(_var_names, sub_k, sub_t).map(lambda p: Lam(*p)),
+        st.tuples(_binder_names, sub_k, sub_t).map(lambda p: Lam(*p)),
     )
 
 
@@ -361,20 +363,20 @@ def _kinds(depth):
         base,
         sub_t.map(ElKind),
         sub_t.map(PrfKind),
-        st.tuples(_var_names, sub_k, sub_k).map(lambda p: PiKind(*p)),
+        st.tuples(_binder_names, sub_k, sub_k).map(lambda p: PiKind(*p)),
     )
 
 
 @given(_terms(4))
 def test_term_print_parse_round_trip(t):
-    printed = print_term(t, taken=set(CONSTS))
+    printed = print_term(t)
     back = resolve_term(parse_term(printed))
     assert alpha_eq(back, t), f"{printed!r} reparsed differently"
 
 
 @given(_kinds(4))
 def test_kind_print_parse_round_trip(k):
-    printed = print_kind(k, taken=set(CONSTS))
+    printed = print_kind(k)
     back = resolve_kind(parse_kind(printed))
     assert alpha_eq(back, k), f"{printed!r} reparsed differently"
 
@@ -404,9 +406,9 @@ def test_printed_term_parenthesisation():
 
 
 def test_printer_renames_captured_binder():
-    # binder collides with a constant that matters to the reader
-    lam = Lam("Nat", TYPE, Var("Nat"))
-    printed = print_term(lam, taken={"Nat"})
+    # printed as it stands, the binder would capture the constant Nat
+    lam = Lam("Nat", TYPE, Const("Nat"))
+    printed = print_term(lam)
     binder = printed[1:printed.index(" :")]
     assert binder != "Nat"
     back = resolve_term(parse_term(printed))
