@@ -160,7 +160,11 @@ def _cmd_corpus(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed its usage error (2) or the help (0)
+        return e.code
     try:
         args.fuel = _fuel(args.fuel)
         if args.command == "check":

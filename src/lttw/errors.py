@@ -8,19 +8,19 @@ anything.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Optional
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Half-open source range: line/col are 1-based, end is exclusive."""
+class SourceSpan(namedtuple("SourceSpan", "file line col end_line end_col")):
+    """Half-open source range: line/col are 1-based, end is exclusive.
 
-    file: str
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+    An immutable tuple of its five fields. The parser builds one for every
+    node, so its hot paths skip the class's Python-level __new__ and call
+    tuple.__new__ directly."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"

@@ -15,14 +15,19 @@ unparenthesised lambda is the final argument; `[x : K] t` / `[x] t` abstract;
 `?` is a hole. Kinds: `Type`, `Prop`, `Prf t`, `El t`, `(x : K) K'`,
 `K -> K'`, or a bare term (coerced by the elaborator).
 
-One regex, _TOKEN, lexes: each match is optional blank space and one token.
-Columns are 1-based in the line as written, so a script's columns count the
-`>` marker and the text before it, while standalone text (parse_term,
-parse_kind) counts from its own first character. The parser sees the tokens
-followed by `eof` tokens that sit on the last real token (on 1:1 for empty
-input), so lookahead never runs off the end, and input that ends too soon is
-an UnterminatedCommand at that last token.
+One regex, _TOKEN, lexes: each match is optional blank space and one token,
+and the number of the group that matched gives the token's type. Columns are
+1-based in the line as written, so a script's columns count the `>` marker
+and the text before it, while standalone text (parse_term, parse_kind)
+counts from its own first character. The parser sees the tokens followed by
+`eof` tokens that sit on the last real token (on 1:1 for empty input), so
+lookahead never runs off the end, and input that ends too soon is an
+UnterminatedCommand at that last token.
 
+Tokens and spans are tuples, and the hot paths (the lexer loop and the
+term loop, _application) build them with tuple.__new__. _application
+reads a whole application, its parenthesised arguments and its trailing
+lambda in one loop, so each level of parentheses costs one stack frame.
 Input nested deeper than the interpreter's stack allows is rejected with
 NestingTooDeep at the token where the command, term or kind began.
 """
@@ -30,7 +35,7 @@ NestingTooDeep at the token where the command, term or kind began.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .errors import (
@@ -45,28 +50,32 @@ from .surface import (
 
 _TOKEN = re.compile(r"""
     \s*(?:
-        (?P<string>"[^"\\]*")
-      | (?P<punct>->|[][():;=?])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<number>[0-9]+)   # numbers only occur as SetOption values
-      | (?P<bad>\S)
+        ("[^"\\]*")                  # 1: string
+      | (->|[][():;=?])              # 2: punctuation, its own type
+      | ([A-Za-z_][A-Za-z0-9_']*)    # 3: ident
+      | ([0-9]+)                     # 4: number, only as a SetOption value
+      | (\S)                         # 5: no token starts here
     )""", re.VERBOSE)
+_TYPES = (None, "string", None, "ident", "number")  # by group; None: value
+_BAD = 5
 
 KEYWORDS_KIND = {"Type", "Prop", "El", "Prf"}
 DIRECTIVES = {d.value: d for d in DirectiveOp}
 _RESERVED = KEYWORDS_KIND | DIRECTIVES.keys()  # names that start no term
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str  # "ident", "string", "number", "eof", or the punctuation itself
-    value: str  # as written: a string literal keeps its quotes
-    line: int
-    col: int
+_new = tuple.__new__
+
+
+class Token(namedtuple("Token", "type value line col")):
+    """type is "ident", "string", "number", "eof" or the punctuation itself;
+    value is as written, so a string literal keeps its quotes."""
+
+    __slots__ = ()
 
     def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.col, self.line,
-                          self.col + len(self.value))
+        return _new(SourceSpan, (file, self.line, self.col, self.line,
+                                 self.col + len(self.value)))
 
     def shown(self) -> str:
         """The token as a message quotes it; a string literal is already
@@ -87,18 +96,17 @@ def _scan(line: str, pos: int, lineno: int, file: str,
           tokens: list[Token]) -> None:
     """Append the tokens of line[pos:] to tokens; columns count from the
     line's first character."""
+    append = tokens.append
     for m in _TOKEN.finditer(line, pos):
-        kind = m.lastgroup
-        value = m[kind]
-        col = m.start(kind) + 1
-        if kind == "punct":
-            kind = value
-        elif kind == "bad":
+        group = m.lastindex
+        value = m[group]
+        col = m.start(group) + 1
+        if group == _BAD:
             raise ScriptSyntaxError(
                 "unterminated string literal" if value == '"'
                 else f"unexpected character {value!r}",
                 span=SourceSpan(file, lineno, col, lineno, col + 1))
-        tokens.append(Token(kind, value, lineno, col))
+        append(_new(Token, (_TYPES[group] or value, value, lineno, col)))
 
 
 class _Parser:
@@ -141,8 +149,8 @@ class _Parser:
 
     def _span_from(self, start: Token) -> SourceSpan:
         end = self.tokens[self.pos - 1] if self.pos else start
-        return SourceSpan(self.file, start.line, start.col, end.line,
-                          end.col + len(end.value))
+        return _new(SourceSpan, (self.file, start.line, start.col, end.line,
+                                 end.col + len(end.value)))
 
     def too_deep(self, start: Token) -> NestingTooDeep:
         return NestingTooDeep(
@@ -254,40 +262,48 @@ class _Parser:
     # ---------------------------------------------------------- terms
 
     def parse_term(self) -> SurfaceTerm:
-        t = self.peek()
-        if t.type == "[":
-            return self._lambda()
-        atom = self._atom()
-        if atom is None:
-            raise self.error(t, "where a term was expected",
-                             f"expected a term, found {t.shown()}")
-        return self._application(atom, t)
+        return self._application(None, self.tokens[self.pos])
 
-    def _application(self, fn: SurfaceTerm, start: Token) -> SurfaceTerm:
+    def _application(self, fn: Optional[SurfaceTerm],
+                     start: Token) -> SurfaceTerm:
+        """fn applied to the arguments that follow, as one left-nested SApp
+        spanning from start; with fn None, the first argument is the head,
+        and at least one is required. An argument is a name, a hole, a
+        parenthesised term or a lambda; a lambda is the last argument, and
+        a term that starts with one is that lambda."""
+        tokens, file = self.tokens, self.file
+        _, _, line, col = start
         while True:
-            if self.peek().type == "[":
-                # trailing lambda is the final argument
+            t = tokens[self.pos]
+            type_, value, at_line, at_col = t
+            if type_ == "ident" and value not in _RESERVED:
+                self.pos += 1
+                arg = SName(value, _new(SourceSpan, (
+                    file, at_line, at_col, at_line, at_col + len(value))))
+            elif type_ == "?":
+                self.pos += 1
+                arg = SHole(_new(SourceSpan, (
+                    file, at_line, at_col, at_line, at_col + 1)))
+            elif type_ == "(":
+                self.pos += 1
+                arg = self._application(None, tokens[self.pos])
+                self.expect(")")
+            elif type_ == "[":
                 arg = self._lambda()
+                if fn is None:
+                    return arg
                 return SApp(fn, arg, self._span_from(start))
-            arg = self._atom()
-            if arg is None:
+            elif fn is None:
+                raise self.error(t, "where a term was expected",
+                                 f"expected a term, found {t.shown()}")
+            else:
                 return fn
-            fn = SApp(fn, arg, self._span_from(start))
-
-    def _atom(self) -> Optional[SurfaceTerm]:
-        """A name, a hole or a parenthesised term, or None. Callers take a
-        '[' as a lambda before they ask for an atom."""
-        t = self.peek()
-        if not self._starts_term(t):
-            return None
-        self.pos += 1
-        if t.type == "ident":
-            return SName(t.value, t.span(self.file))
-        if t.type == "?":
-            return SHole(t.span(self.file))
-        inner = self.parse_term()
-        self.expect(")")
-        return inner
+            if fn is None:
+                fn = arg
+            else:
+                _, end, end_line, end_col = tokens[self.pos - 1]
+                fn = SApp(fn, arg, _new(SourceSpan, (
+                    file, line, col, end_line, end_col + len(end))))
 
     def _lambda(self) -> SurfaceTerm:
         start = self.peek()
@@ -338,19 +354,14 @@ class _Parser:
             # parenthesised kind; may continue as a term application
             inner = self.parse_kind()
             self.expect(")")
-            if (isinstance(inner, STermKind)
-                    and self._starts_term(self.peek())):
+            if isinstance(inner, STermKind):
                 term = self._application(inner.term, start)
-                return STermKind(term, self._span_from(start))
+                if term is not inner.term:
+                    return STermKind(term, self._span_from(start))
             return inner
         # bare term in kind position
         term = self.parse_term()
         return STermKind(term, self._span_from(start))
-
-    def _starts_term(self, t: Token) -> bool:
-        if t.type == "ident":
-            return t.value not in _RESERVED
-        return t.type in ("?", "(", "[")
 
 
 def parse_script(text: str, file: str = "<script>") -> list[Command]:

@@ -3,6 +3,13 @@
 Names are unresolved (binder or constant is decided during elaboration),
 holes stand for arguments to be inferred, and binder annotations may be
 missing. Every node carries its source span.
+
+Term and kind nodes are plain classes with __slots__. The parser builds one
+for nearly every token, and a slotted object is built several times faster
+than a frozen dataclass; the elaborator reads their fields on every command,
+and a slot reads as fast as a dataclass attribute, where a named tuple field
+reads slower. Like term nodes they compare by identity. Commands stay
+frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -14,77 +21,107 @@ from typing import Optional, Union
 from .errors import SourceSpan
 
 
-class SurfaceTerm:
+class _Node:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SurfaceTerm(_Node):
     __slots__ = ()
 
 
-class SurfaceKind:
+class SurfaceKind(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SName(SurfaceTerm):
-    name: str
-    span: SourceSpan
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: SourceSpan):
+        self.name = name
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SHole(SurfaceTerm):
-    span: SourceSpan
+    __slots__ = ("span",)
+
+    def __init__(self, span: SourceSpan):
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SLam(SurfaceTerm):
-    var: str
-    ann: Optional["SurfaceKind"]
-    body: SurfaceTerm
-    span: SourceSpan
+    __slots__ = ("var", "ann", "body", "span")
+
+    def __init__(self, var: str, ann: Optional[SurfaceKind],
+                 body: SurfaceTerm, span: SourceSpan):
+        self.var = var
+        self.ann = ann
+        self.body = body
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SApp(SurfaceTerm):
-    fn: SurfaceTerm
-    arg: SurfaceTerm
-    span: SourceSpan
+    __slots__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: SurfaceTerm, arg: SurfaceTerm, span: SourceSpan):
+        self.fn = fn
+        self.arg = arg
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SType(SurfaceKind):
-    span: SourceSpan
+    __slots__ = ("span",)
+
+    def __init__(self, span: SourceSpan):
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SProp(SurfaceKind):
-    span: SourceSpan
+    __slots__ = ("span",)
+
+    def __init__(self, span: SourceSpan):
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SEl(SurfaceKind):
-    body: SurfaceTerm
-    span: SourceSpan
+    __slots__ = ("body", "span")
+
+    def __init__(self, body: SurfaceTerm, span: SourceSpan):
+        self.body = body
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SPrf(SurfaceKind):
-    body: SurfaceTerm
-    span: SourceSpan
+    __slots__ = ("body", "span")
+
+    def __init__(self, body: SurfaceTerm, span: SourceSpan):
+        self.body = body
+        self.span = span
 
 
-@dataclass(frozen=True)
 class SPi(SurfaceKind):
-    var: str
-    domain: "SurfaceKind"
-    codomain: "SurfaceKind"
-    span: SourceSpan
+    __slots__ = ("var", "domain", "codomain", "span")
+
+    def __init__(self, var: str, domain: SurfaceKind, codomain: SurfaceKind,
+                 span: SourceSpan):
+        self.var = var
+        self.domain = domain
+        self.codomain = codomain
+        self.span = span
 
 
-@dataclass(frozen=True)
 class STermKind(SurfaceKind):
     """A term written where a kind belongs; elaboration coerces it to El or
     Prf according to its inferred kind."""
 
-    term: SurfaceTerm
-    span: SourceSpan
+    __slots__ = ("term", "span")
+
+    def __init__(self, term: SurfaceTerm, span: SourceSpan):
+        self.term = term
+        self.span = span
 
 
 Binder = tuple[str, Optional[SurfaceKind], SourceSpan]

@@ -422,6 +422,15 @@ def test_too_deep_a_command_is_a_typed_rejection():
                              "succ (succ (succ (succ zero)))")
 
 
+def test_a_300_deep_numeral_is_accepted():
+    # perfbench's deep family checks this numeral (check_numeral_300); a
+    # parser that spent more stack frames per parenthesis would reject it
+    numeral = "succ (" * 299 + "succ zero" + ")" * 299
+    ck = load_standard()
+    ck.run_text(f"> Check {numeral} : Nat;\n")
+    assert ck.output[-1] == f"Check {numeral} : Nat"
+
+
 def test_failed_load_leaves_the_checker_as_it_was(tmp_path):
     ck = Checker()
     ck.run_text("> [B : Type];\n")

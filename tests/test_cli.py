@@ -7,8 +7,6 @@ strings already pinned by the corpus tests.
 
 from pathlib import Path
 
-import pytest
-
 from lttw.cli import main
 from lttw.corpus import CORPUS_DIR
 
@@ -77,10 +75,9 @@ def test_corpus_runs_green(capsys):
 
 def test_corpus_takes_no_stdlib_flag(capsys):
     # the corpus always runs over the standard signature
-    with pytest.raises(SystemExit) as exit:
-        main(["corpus", "--stdlib", "core"])
-    assert exit.value.code == 2
-    assert "--stdlib" in capsys.readouterr().err
+    code, out, err = run(capsys, "corpus", "--stdlib", "core")
+    assert code == 2
+    assert "--stdlib" in err
 
 
 def test_corpus_mismatch_exits_1(capsys, tmp_path):
@@ -166,10 +163,15 @@ def test_bad_flag_value_is_a_usage_error(capsys):
     code, out, err = run(capsys, "typeof", "--fuel", "0", "TopI")
     assert code == 2
     assert err == "lttw: fuel must be positive, got 0\n"
-    with pytest.raises(SystemExit) as exit:
-        main(["typeof", "--mode", "classical", "TopI"])
-    assert exit.value.code == 2
-    assert "--mode" in capsys.readouterr().err
+    code, out, err = run(capsys, "typeof", "--mode", "classical", "TopI")
+    assert code == 2
+    assert "--mode" in err
+
+
+def test_help_is_not_an_error(capsys):
+    code, out, err = run(capsys, "corpus", "--help")
+    assert code == 0
+    assert out.startswith("usage: lttw corpus") and err == ""
 
 
 def test_stdlib_none_starts_empty(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lttw.corpus import CORPUS_DIR
 from lttw.errors import ScriptSyntaxError, UnterminatedCommand
 from lttw.parser import parse_kind, parse_script, parse_term, tokenize
 from lttw.printer import print_kind, print_term
@@ -10,6 +11,7 @@ from lttw.surface import (
     Declare, DeclareRule, Define, Directive, DirectiveOp, SApp, SEl, SHole,
     SLam, SName, SPi, SProp, SPrf, SType, STermKind,
 )
+from lttw.stdlib import STDLIB_DIR
 from lttw.syntax import (
     PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq, app,
 )
@@ -221,6 +223,64 @@ def test_standalone_error_column_is_its_own():
 
 def test_standalone_span_column_is_its_own():
     assert str(parse_term("f x").span) == "<term>:1:1"
+
+
+# ---------------------------------------------------------------- spans
+
+SHIPPED = sorted(STDLIB_DIR.glob("*.lf")) + sorted(CORPUS_DIR.glob("*.lf"))
+
+
+def _parts(x):
+    """The span of a surface node, binder or command, and the nodes and
+    binders directly under it."""
+    if isinstance(x, tuple):  # binder (name, annotation, span)
+        return x[2], [x[1]] if x[1] is not None else []
+    if isinstance(x, SApp):
+        under = [x.fn, x.arg]
+    elif isinstance(x, SLam):
+        under = [x.ann, x.body]
+    elif isinstance(x, (SEl, SPrf)):
+        under = [x.body]
+    elif isinstance(x, SPi):
+        under = [x.domain, x.codomain]
+    elif isinstance(x, STermKind):
+        under = [x.term]
+    elif isinstance(x, Declare):
+        under = [*x.binders, x.kind]
+    elif isinstance(x, Define):
+        under = [*x.binders, x.body, x.kind]
+    elif isinstance(x, DeclareRule):
+        under = [*x.binders, x.lhs, x.rhs, x.kind]
+    elif isinstance(x, Directive):
+        under = [p for p in x.payload if not isinstance(p, str)]
+    else:  # SName, SHole, SType, SProp
+        under = []
+    return x.span, [u for u in under if u is not None]
+
+
+def _inside(inner, outer):
+    return ((outer.line, outer.col) <= (inner.line, inner.col)
+            and (inner.end_line, inner.end_col)
+            <= (outer.end_line, outer.end_col))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_spans_nest_and_slice_their_tokens(path):
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    for cmd in parse_script(text, file=path.name):
+        todo = [(cmd, cmd.span)]
+        while todo:
+            x, outer = todo.pop()
+            span, under = _parts(x)
+            assert span.file == path.name
+            assert _inside(span, outer) and _inside(span, cmd.span), x
+            if isinstance(x, (SName, SHole)):
+                written = x.name if isinstance(x, SName) else "?"
+                assert span.line == span.end_line
+                assert (lines[span.line - 1][span.col - 1:span.end_col - 1]
+                        == written)
+            todo.extend((u, span) for u in under)
 
 
 # ---------------------------------------------------------------- terms

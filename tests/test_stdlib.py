@@ -11,14 +11,17 @@ from lttw.kernel import EMPTY_CONTEXT
 from lttw.printer import print_kind
 from lttw.signature import ConstDecl
 from lttw.stdlib import (
-    CORE_FILES, DERIVED_FILE, IMPREDICATIVE_FILE, STDLIB_DIR, base_nat,
-    carrier, code, describe, enumerate_categories, equality_kind, fun,
-    generate_equality, is_basic, load_core_signature,
-    load_impredicative_extension, load_standard, prod, set_of,
+    CORE_FILES, DERIVED_FILE, IMPREDICATIVE_FILE, STDLIB_DIR,
+    load_core_signature, load_impredicative_extension, load_standard,
 )
 from lttw.syntax import (
     PROP, App, Const, ElKind, Lam, PiKind, TypeKind, Var,
     alpha_eq, app,
+)
+
+from categories import (
+    base_nat, carrier, code, describe, enumerate_categories, equality_kind,
+    fun, generate_equality, is_basic, prod, set_of,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "standard_kinds.txt"
