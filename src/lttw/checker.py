@@ -10,11 +10,20 @@ can be re-checked later with the elaborator out of the loop entirely. A
 checks the term it elaborated all the same before it is printed or
 normalised.
 
-One command spends from one step budget of `fuel` steps: elaboration, the
-kernel check of what it elaborated and the normalisation of a `Reduce` draw
-on the same `Fuel`. A `Load` runs each command of the loaded file on its own budget
-and is all-or-nothing: a file that fails leaves the signature, the log and
-the set of loaded files as they were before it.
+The kernel decides every kind equality without holes, once. The elaborator
+decides only the equalities that involve a hole; it records the others as
+obligations and leaves them to the kernel's check. When a command is
+rejected, the elaborator explains the rejection: it decides the
+obligations in order, and the first that fails gives the error, so the
+error is the one deciding them during elaboration would have raised. The
+kind written in a `Check` is the exception, as the kernel takes it as
+given: its equalities are decided during elaboration.
+
+One command spends from one step budget of `fuel` steps: hole solving, the
+kernel check of what was elaborated and the normalisation of a `Reduce`
+draw on the same `Fuel`. A `Load` runs each command of the loaded file on
+its own budget and is all-or-nothing: a file that fails leaves the
+signature, the log and the set of loaded files as they were before it.
 
 A command nested deeper than the interpreter's stack allows is rejected
 with NestingTooDeep, like any other rejection, and leaves the signature
@@ -48,6 +57,10 @@ from .surface import (
 from .syntax import TYPE, Lam, PiKind, PropKind
 
 
+# directives that elaborate nothing
+_UNELABORATED = (DirectiveOp.LOAD, DirectiveOp.SETOPTION)
+
+
 @dataclass
 class CheckerConfig:
     prop_placement: str = "prop"  # "prop" | "type"
@@ -63,6 +76,8 @@ class Checker:
         self.output: list[str] = []
         self.loaded: set[str] = set()
         self._loading: list[str] = []
+        # the elaborator of the command being run
+        self._el: Optional[Elaborator] = None
 
     # ------------------------------------------------------------ files
 
@@ -97,16 +112,10 @@ class Checker:
 
     def run_command(self, cmd: Command) -> None:
         try:
-            if isinstance(cmd, Declare):
-                self._declare(cmd)
-            elif isinstance(cmd, Define):
-                self._define(cmd)
-            elif isinstance(cmd, DeclareRule):
-                self._rule(cmd)
-            elif isinstance(cmd, Directive):
+            if isinstance(cmd, Directive) and cmd.op in _UNELABORATED:
                 self._directive(cmd)
             else:
-                raise TypeError(f"not a command: {cmd!r}")
+                self._elaborate_and_commit(self._step(cmd), cmd)
         except LttwError as e:
             # the innermost command that raised it is the one to blame
             if e.span is None:
@@ -116,6 +125,44 @@ class Checker:
             raise NestingTooDeep("command nests too deeply to check",
                                  span=cmd.span,
                                  diagnostic=Diagnostic("depth")) from None
+
+    def _step(self, cmd: Command):
+        if isinstance(cmd, Declare):
+            return self._declare
+        if isinstance(cmd, Define):
+            return self._define
+        if isinstance(cmd, DeclareRule):
+            return self._rule
+        if isinstance(cmd, Directive):
+            return self._directive
+        raise TypeError(f"not a command: {cmd!r}")
+
+    def _elaborate_and_commit(self, step, cmd: Command) -> None:
+        """Run `step`, a command that elaborates, with its kind equalities
+        without holes left to the kernel's check and a rejection explained
+        from them (see the module docstring). An attempt or explanation
+        nested too deeply is run again deciding them in place."""
+        el = self._el = self._elaborator()
+        el.obligations = []
+        try:
+            step(cmd)
+            return
+        except RecursionError:
+            pass
+        except Exception as e:
+            # past a false obligation, elaboration and the kernel may fail
+            # in any way; the explanation says which error stands
+            try:
+                error = el.explain(e)
+            except RecursionError:
+                pass
+            else:
+                raise error
+        self._run_in_place(step, cmd)
+
+    def _run_in_place(self, step, cmd: Command) -> None:
+        self._el = self._elaborator()
+        step(cmd)
 
     def _elaborator(self) -> Elaborator:
         # the command's one budget: elaboration, the commit and a Reduce's
@@ -141,7 +188,7 @@ class Checker:
         return ctx, pairs
 
     def _declare(self, cmd: Declare) -> None:
-        el = self._elaborator()
+        el = self._el
         ctx, pairs = self._binder_telescope(el, cmd.binders, "declaration")
         kind = el.kind(ctx, cmd.kind)
         for name, k in reversed(pairs):
@@ -153,7 +200,7 @@ class Checker:
         self._commit(("declare", cmd.name, kind), el.fuel)
 
     def _define(self, cmd: Define) -> None:
-        el = self._elaborator()
+        el = self._el
         ctx, pairs = self._binder_telescope(el, cmd.binders, "definition")
         expected = el.kind(ctx, cmd.kind) if cmd.kind is not None else None
         body, _ = el.term(ctx, cmd.body, expected)
@@ -169,7 +216,7 @@ class Checker:
         self._commit(("define", cmd.name, body, ascription), el.fuel)
 
     def _rule(self, cmd: DeclareRule) -> None:
-        el = self._elaborator()
+        el = self._el
         ctx, pairs = self._binder_telescope(el, cmd.binders, "rule")
         ascription = el.kind(ctx, cmd.kind)
         lhs, _ = el.term(ctx, cmd.lhs, ascription)
@@ -205,12 +252,13 @@ class Checker:
             except ValueError as e:
                 raise ScriptSyntaxError(str(e), span=cmd.span) from None
             return
-        el = self._elaborator()
+        el = self._el
         expected = None
         if op is DirectiveOp.CHECK:
             term_s, kind_s = cmd.payload
             if kind_s is not None:
-                expected = el.kind(EMPTY_CONTEXT, kind_s)
+                # the kernel takes a Check's kind as given
+                expected = el.kind_in_place(EMPTY_CONTEXT, kind_s)
         else:
             (term_s,) = cmd.payload
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)

@@ -31,6 +31,13 @@ A hole's solution may only mention variables that were in scope where the
 hole was written; solutions are final once recorded; every hole of a command
 must be solved by the end of it. Elaborated output is Meta-free and is
 re-checked by the caller with the kernel alone.
+
+A kind equality that involves no hole is decided with the kernel's
+equality. `elaborate` and `elaborate_kind` decide it in place. The checker
+has it recorded as an obligation instead, because its kernel check of the
+elaborated command decides every such equality: the elaborator then only
+explains a rejection (`Elaborator.explain`), deciding the obligations in
+order with the steps deciding in place would have had left.
 """
 
 from __future__ import annotations
@@ -39,9 +46,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    Diagnostic, IllFormedKind, KindMismatch, Mismatch, NotAProduct,
-    OccursCheck, ScopeEscape, SourceSpan, UnificationFailure, UnknownConstant,
-    UnsolvedMeta,
+    Diagnostic, FuelExhausted, IllFormedKind, KindMismatch, Mismatch,
+    NotAProduct, OccursCheck, ScopeEscape, SourceSpan, UnificationFailure,
+    UnknownConstant, UnsolvedMeta,
 )
 from . import kernel
 from .kernel import Context, Fuel
@@ -57,6 +64,14 @@ from .syntax import (
 )
 
 _INVERSION_DEPTH = 8
+
+
+def _kind_mismatch(span, rule: str, expected: Kind,
+                   actual: Kind) -> KindMismatch:
+    return KindMismatch("kind does not match what this position requires",
+                        span=span,
+                        diagnostic=Diagnostic(rule, expected=expected,
+                                              actual=actual))
 
 
 @dataclass
@@ -125,6 +140,10 @@ class Elaborator:
         # surface name -> kernel name, for the binders `_bind` renamed;
         # None hides a fresh kernel name from surface lookup
         self.scope: dict[str, Optional[str]] = {}
+        # None: each kind equality without holes is decided in place. A
+        # list: it is recorded there instead, as (ctx, actual, expected,
+        # span, rule, steps spent so far), for `explain`
+        self.obligations: Optional[list] = None
 
     # ----------------------------------------------------------- terms
 
@@ -167,19 +186,49 @@ class Elaborator:
     def _require_kinds_equal(self, ctx: Context, actual: Kind,
                              expected: Kind, span, rule: str) -> None:
         """Kernel equality when no holes are involved (so rejections carry
-        kernel error classes); unification otherwise. A command that has
-        made no hole yet needs no scan for one."""
+        kernel error classes), decided in place or recorded as an
+        obligation; unification otherwise. A command that has made no hole
+        yet needs no scan for one."""
         a = self.state.zonk(actual)
         e = self.state.zonk(expected)
         if self.state.counter == 0 or not (
                 contains_meta(a) or contains_meta(e)):
-            if not kernel.equal_kinds(self.sig, ctx, a, e, self.fuel):
-                raise KindMismatch(
-                    "kind does not match what this position requires",
-                    span=span,
-                    diagnostic=Diagnostic(rule, expected=e, actual=a))
+            if self.obligations is not None:
+                self.obligations.append(
+                    (ctx, a, e, span, rule, self.fuel.limit - self.fuel.left))
+            elif not kernel.equal_kinds(self.sig, ctx, a, e, self.fuel):
+                raise _kind_mismatch(span, rule, e, a)
             return
         self.unify_kinds(ctx, a, e, span)
+
+    def explain(self, error: Exception) -> Exception:
+        """The error this command would have raised had every obligation
+        been decided in place, given that elaborating it with them
+        recorded, and then checking the result, raised `error`.
+
+        The obligations are decided in order, each with the steps deciding
+        in place would have had left at that point: the first that is
+        false or runs out of steps gives the error. When all hold, `error`
+        stands, unless its steps and theirs together overrun the budget."""
+        budget = self.fuel.limit
+        used = 0  # steps the obligations decided so far took
+        for ctx, actual, expected, span, rule, spent in self.obligations:
+            left = budget - spent - used
+            if left < 0:
+                # elaboration would have run out before this obligation
+                return self.fuel.exhausted()
+            fuel = Fuel(budget)
+            fuel.left = left
+            try:
+                if not kernel.equal_kinds(self.sig, ctx, actual, expected,
+                                          fuel):
+                    return _kind_mismatch(span, rule, expected, actual)
+            except FuelExhausted as e:
+                return e
+            used += left - fuel.left
+        if used > self.fuel.left:
+            return self.fuel.exhausted()
+        return error
 
     def _lambda(self, ctx: Context, s: SLam,
                 expected: Optional[Kind]) -> tuple[Term, Kind]:
@@ -280,6 +329,16 @@ class Elaborator:
                 span=s.span,
                 diagnostic=Diagnostic("kind-coercion", subject=t, actual=k))
         raise TypeError(f"not a surface kind: {s!r}")
+
+    def kind_in_place(self, ctx: Context, s: SurfaceKind) -> Kind:
+        """`kind`, with its equalities without holes decided in place even
+        while obligations are recorded: for a kind that no kernel check
+        takes apart again."""
+        obligations, self.obligations = self.obligations, None
+        try:
+            return self.kind(ctx, s)
+        finally:
+            self.obligations = obligations
 
     # ----------------------------------------------------- unification
 

@@ -61,10 +61,14 @@ class Fuel:
 
     def spend(self) -> None:
         if self.left <= 0:
-            raise FuelExhausted(
-                f"no reduction head-normalised within {self.limit} steps",
-                diagnostic=Diagnostic("fuel"))
+            raise self.exhausted()
         self.left -= 1
+
+    def exhausted(self) -> FuelExhausted:
+        """The error a spend beyond this budget raises."""
+        return FuelExhausted(
+            f"no reduction head-normalised within {self.limit} steps",
+            diagnostic=Diagnostic("fuel"))
 
 
 def _fuel(f: Union[int, Fuel, None]) -> Fuel:
@@ -84,7 +88,9 @@ class Context:
 
     def extend(self, name: str, kind: Kind) -> "Context":
         if name in self._map:
-            raise DuplicateVariable(f"variable {name!r} already in context")
+            raise DuplicateVariable(
+                f"variable {name!r} already in context",
+                diagnostic=Diagnostic("context-fresh", subject=Var(name)))
         m = dict(self._map)
         m[name] = kind
         return Context(m)

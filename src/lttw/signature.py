@@ -94,12 +94,18 @@ def lookup(sig: Signature, name: str) -> Entry:
     return entry
 
 
+def _require_fresh(sig: Signature, name: str) -> None:
+    if name in sig.entries:
+        raise DuplicateName(
+            f"{name!r} is already declared",
+            diagnostic=Diagnostic("signature-fresh", subject=Const(name)))
+
+
 def declare_constant(sig: Signature, name: str, kind: Kind,
                      fuel=None) -> ConstDecl:
     from . import kernel
 
-    if name in sig.entries:
-        raise DuplicateName(f"{name!r} is already declared")
+    _require_fresh(sig, name)
     fuel = kernel._fuel(fuel)
     kernel.check_kind_valid(sig, kernel.EMPTY_CONTEXT, kind, fuel)
     decl = ConstDecl(name, kind)
@@ -111,8 +117,7 @@ def define(sig: Signature, name: str, body: Term,
            ascription: Optional[Kind] = None, fuel=None) -> Definition:
     from . import kernel
 
-    if name in sig.entries:
-        raise DuplicateName(f"{name!r} is already declared")
+    _require_fresh(sig, name)
     fuel = kernel._fuel(fuel)
     inferred = kernel.infer_kind(sig, kernel.EMPTY_CONTEXT, body, fuel)
     kind = inferred
@@ -152,10 +157,13 @@ def declare_rewrite(sig: Signature, rule: RewriteRule,
 
 
 def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
-    binder_names = [x for x, _ in rule.binders]
-    if len(set(binder_names)) != len(binder_names):
-        raise NonLinearPattern("rule binders must be distinct")
-    binders = set(binder_names)
+    binders: set[str] = set()
+    for x, _ in rule.binders:
+        if x in binders:
+            raise NonLinearPattern(
+                "rule binders must be distinct",
+                diagnostic=Diagnostic("rewrite-linear", subject=Var(x)))
+        binders.add(x)
 
     head, args = spine(rule.lhs)
     if not isinstance(head, Const):
@@ -200,7 +208,8 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
             if direct or bound[arg.name] != "direct":
                 raise NonLinearPattern(
                     f"pattern variable {arg.name!r} repeats in a position "
-                    "the kind system does not force")
+                    "the kind system does not force",
+                    diagnostic=Diagnostic("rewrite-linear", subject=arg))
             return ("forced", arg.name)
         bound[arg.name] = "direct" if direct else "nested"
         return ("var", arg.name)

@@ -216,46 +216,47 @@ def test_setoption_fuel_bounds_reduction():
         ck.run_text("> Reduce f zero;\n")
 
 
-def test_check_recheck_spends_from_the_elaboration_budget():
-    # elaborating the Check unfolds `one` once and so does the kernel's
-    # re-check: each fits in one step, the command as a whole needs two
-    prelude = NAT_PRELUDE + """
-> [one = succ zero];
-> [P : Nat -> Prop];
-> [p1 : P (succ zero)];
-"""
-    ck = Checker()
-    ck.run_text(prelude + "> SetOption fuel 2;\n> Check p1 : P one;\n")
-    assert ck.output == ["Check p1 : Prf (P one)"]
-    ck = Checker()
-    with pytest.raises(FuelExhausted):
-        ck.run_text(prelude + "> SetOption fuel 1;\n> Check p1 : P one;\n")
-
-
 # `one` unfolds in one step; p1 and c1 prove `P one` only after that step
 ONE_PRELUDE = NAT_PRELUDE + """
 > [one = succ zero];
 > [P : Nat -> Prop];
 > [p1 : P (succ zero)];
 > [c1 : P (succ zero)];
+> [pall : (n : Nat) P n];
 """
 
 
 def _run_with_fuel(fuel, text):
     ck = Checker()
-    ck.run_text(ONE_PRELUDE + f"> SetOption fuel {fuel};\n" + text)
+    ck.run_text(ONE_PRELUDE)
+    # set directly, as `SetOption fuel` takes no budget below one step
+    ck.config.fuel = fuel
+    ck.run_text(text)
     return ck
 
 
+def test_check_recheck_spends_from_the_elaboration_budget():
+    # solving the hole against `P one` unfolds `one` once and the kernel's
+    # re-check unfolds it again: each fits in one step, the command as a
+    # whole needs two
+    text = "> Check pall ? : P one;\n"
+    with pytest.raises(FuelExhausted):
+        _run_with_fuel(1, text)
+    ck = _run_with_fuel(2, text)
+    assert ck.output == ["Check pall (succ zero) : Prf (P one)"]
+
+
 @pytest.mark.parametrize("text, needed", [
-    # elaboration unfolds `one` once, so does the kernel's check
-    ("> [q = p1 : P one];\n", 2),
-    # once per side in elaboration and once per side in the kernel
-    ("> rule c1 = p1 : P one;\n", 4),
-    # elaboration unfolds `one` once, so does the kernel's re-check, and
-    # normalisation contracts one redex
-    ("> [g : Prf (P one) -> Nat];\n> Reduce ([x : Nat] x) (g p1);\n", 3),
-], ids=["define", "rule", "reduce"])
+    # the elaborator leaves the equality without holes to the kernel,
+    # whose check unfolds `one` once
+    ("> Check p1 : P one;\n", 1),
+    ("> [q = p1 : P one];\n", 1),
+    # once per side in the kernel
+    ("> rule c1 = p1 : P one;\n", 2),
+    # the kernel's re-check unfolds `one` once and normalisation contracts
+    # one redex
+    ("> [g : Prf (P one) -> Nat];\n> Reduce ([x : Nat] x) (g p1);\n", 2),
+], ids=["check", "define", "rule", "reduce"])
 def test_one_budget_covers_the_whole_command(text, needed):
     with pytest.raises(FuelExhausted):
         _run_with_fuel(needed - 1, text)

@@ -213,6 +213,37 @@ def test_rejection_prints_its_diagnostic(capsys):
     assert "\n  expected: " in err
 
 
+def _check_script(capsys, tmp_path, text):
+    script = tmp_path / "probe.lf"
+    script.write_text(text)
+    return run(capsys, "check", str(script))
+
+
+def test_duplicate_declaration_names_its_rule(capsys, tmp_path):
+    code, out, err = _check_script(capsys, tmp_path, "> [zero : Nat];\n")
+    assert code == 1
+    assert err.endswith("probe.lf:1:3: 'zero' is already declared\n"
+                        "  rule: signature-fresh\n  subject: zero\n")
+
+
+def test_duplicate_parameter_names_its_rule(capsys, tmp_path):
+    code, out, err = _check_script(capsys, tmp_path,
+                                   "> [g [x : Nat] [x : Nat] : Nat];\n")
+    assert code == 1
+    assert err.endswith("probe.lf:1:3: variable 'x' already in context\n"
+                        "  rule: context-fresh\n  subject: x\n")
+
+
+def test_repeated_pattern_variable_names_its_rule(capsys, tmp_path):
+    code, out, err = _check_script(
+        capsys, tmp_path,
+        "> [f : Nat -> Nat -> Nat];\n> rule [x : Nat] f x x = x : Nat;\n")
+    assert code == 1
+    assert err.endswith("probe.lf:2:3: pattern variable 'x' repeats in a "
+                        "position the kind system does not force\n"
+                        "  rule: rewrite-linear\n  subject: x\n")
+
+
 def test_too_deep_a_script_exits_1_without_a_traceback(capsys, tmp_path):
     script = tmp_path / "deep.lf"
     script.write_text("> [N : Type];\n> [z : N];\n> [s : N -> N];\n"

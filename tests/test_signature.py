@@ -104,6 +104,19 @@ def test_plain_nonlinear_pattern_rejected():
             ascription=NAT))
 
 
+def test_repeated_rule_binder_names_its_rule():
+    sig = nat_signature()
+    declare_constant(sig, "eat2", arrow(NAT, arrow(NAT, NAT)))
+    with pytest.raises(NonLinearPattern) as info:
+        declare_rewrite(sig, RewriteRule(
+            binders=(("x", NAT), ("x", NAT)),
+            lhs=app(Const("eat2"), Var("x"), Var("x")),
+            rhs=Var("x"),
+            ascription=NAT))
+    assert info.value.message == "rule binders must be distinct"
+    assert info.value.diagnostic.render() == "rule: rewrite-linear\nsubject: x"
+
+
 def test_forced_repeat_under_constructor_allowed():
     # proj (wrap A a) with A repeated: wrap's kind forces the repeat equal
     sig = Signature()
