@@ -16,8 +16,8 @@ obligations and leaves them to the kernel's check. When a command is
 rejected, the elaborator explains the rejection: it decides the
 obligations in order, and the first that fails gives the error, so the
 error is the one deciding them during elaboration would have raised. The
-kind written in a `Check` is the exception, as the kernel takes it as
-given: its equalities are decided during elaboration.
+kernel checks that the kind of a `check` record is well formed before it
+checks the term against it, so a `Check`'s own kind is no exception.
 
 One command spends from one step budget of `fuel` steps: hole solving, the
 kernel check of what was elaborated and the normalisation of a `Reduce`
@@ -257,8 +257,7 @@ class Checker:
         if op is DirectiveOp.CHECK:
             term_s, kind_s = cmd.payload
             if kind_s is not None:
-                # the kernel takes a Check's kind as given
-                expected = el.kind_in_place(EMPTY_CONTEXT, kind_s)
+                expected = el.kind(EMPTY_CONTEXT, kind_s)
         else:
             (term_s,) = cmd.payload
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)
@@ -282,7 +281,8 @@ class Checker:
 def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
     """Check one replay record with the signature layer and the kernel,
     spending from `fuel`, and store what it declares. A `check` record
-    stores nothing. Raises on rejection, leaving `sig` unchanged."""
+    stores nothing; its kind must be well formed and its term of that
+    kind. Raises on rejection, leaving `sig` unchanged."""
     tag = record[0]
     if tag == "declare":
         _, name, kind = record
@@ -295,6 +295,7 @@ def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
         declare_rewrite(sig, rule, fuel=fuel)
     elif tag == "check":
         _, t, k = record
+        kernel.check_kind_valid(sig, EMPTY_CONTEXT, k, fuel)
         kernel.check_term(sig, EMPTY_CONTEXT, t, k, fuel)
     else:
         raise ValueError(f"unknown replay record {tag!r}")

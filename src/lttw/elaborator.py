@@ -330,16 +330,6 @@ class Elaborator:
                 diagnostic=Diagnostic("kind-coercion", subject=t, actual=k))
         raise TypeError(f"not a surface kind: {s!r}")
 
-    def kind_in_place(self, ctx: Context, s: SurfaceKind) -> Kind:
-        """`kind`, with its equalities without holes decided in place even
-        while obligations are recorded: for a kind that no kernel check
-        takes apart again."""
-        obligations, self.obligations = self.obligations, None
-        try:
-            return self.kind(ctx, s)
-        finally:
-            self.obligations = obligations
-
     # ----------------------------------------------------- unification
 
     def unify_kinds(self, ctx: Context, k1: Kind, k2: Kind, span) -> None:

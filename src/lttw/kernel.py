@@ -31,7 +31,7 @@ from .errors import (
 from .signature import CompiledRule, Definition, Signature
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Expr, Kind, Lam, Meta, PiKind, PrfKind,
-    PropKind, Term, TypeKind, Var, alpha_eq, app, fresh_name,
+    PropKind, Term, TypeKind, Var, alpha_eq, app, fresh_name, name_mask,
     rename, spine, subst_parallel,
 )
 
@@ -102,8 +102,9 @@ class Context:
         context nor free in `terms`, else a fresh name avoiding the
         context, the free names of `terms` and `avoid`."""
         if hint not in self._map:
+            bit = name_mask(hint)
             for e in terms:
-                if hint in e.fv:
+                if e.mask & bit:
                     break
             else:
                 return hint, self.extend(hint, kind)
@@ -338,6 +339,29 @@ def infer_kind(sig: Signature, ctx: Context, t: Term,
 
 
 def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
+    if isinstance(t, App):
+        # the commonest node first. Walk the spine once; the head's kind
+        # is instantiated lazily
+        head, args = spine(t)
+        k = _infer(sig, ctx, head, f)
+        mapping: dict[str, Term] = {}
+        for i, arg in enumerate(args):
+            if not isinstance(k, PiKind):
+                raise NotAProduct(
+                    "application of a term whose kind is not a product",
+                    diagnostic=Diagnostic(
+                        "app-fn", subject=app(head, *args[:i]),
+                        actual=subst_parallel(k, mapping)))
+            domain = subst_parallel(k.domain, mapping)
+            arg_kind = _infer(sig, ctx, arg, f)
+            if not _eqk(sig, ctx, arg_kind, domain, f):
+                raise DomainMismatch(
+                    "argument kind does not match the function's domain",
+                    diagnostic=Diagnostic("app-domain", subject=arg,
+                                          expected=domain, actual=arg_kind))
+            mapping[k.var] = arg
+            k = k.codomain
+        return subst_parallel(k, mapping)
     if isinstance(t, Var):
         k = ctx.lookup(t.name)
         if k is None:
@@ -361,28 +385,6 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
         x, ctx2 = ctx.bind(t.var, t.ann, t)
         body_kind = _infer(sig, ctx2, rename(t.body, t.var, x), f)
         return PiKind(x, t.ann, body_kind)
-    if isinstance(t, App):
-        # walk the spine once; the head's kind is instantiated lazily
-        head, args = spine(t)
-        k = _infer(sig, ctx, head, f)
-        mapping: dict[str, Term] = {}
-        for i, arg in enumerate(args):
-            if not isinstance(k, PiKind):
-                raise NotAProduct(
-                    "application of a term whose kind is not a product",
-                    diagnostic=Diagnostic(
-                        "app-fn", subject=app(head, *args[:i]),
-                        actual=subst_parallel(k, mapping)))
-            domain = subst_parallel(k.domain, mapping)
-            arg_kind = _infer(sig, ctx, arg, f)
-            if not _eqk(sig, ctx, arg_kind, domain, f):
-                raise DomainMismatch(
-                    "argument kind does not match the function's domain",
-                    diagnostic=Diagnostic("app-domain", subject=arg,
-                                          expected=domain, actual=arg_kind))
-            mapping[k.var] = arg
-            k = k.codomain
-        return subst_parallel(k, mapping)
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -24,8 +24,12 @@ counts from its own first character. The parser sees the tokens followed by
 lookahead never runs off the end, and input that ends too soon is an
 UnterminatedCommand at that last token.
 
-Tokens and spans are tuples, and the hot paths (the lexer loop and the
-term loop, _application) build them with tuple.__new__. _application
+A token is a plain tuple (type, value, line, col), not an instance of a
+tuple subclass: CPython's garbage collector stops tracking an exact tuple
+of untracked values such as strings and ints the first time a collection
+sees it, while it rescans a tuple subclass at every collection for as long
+as it lives, and a script holds tens of thousands of tokens. Spans are
+SourceSpan tuples, built on the hot paths with tuple.__new__. _application
 reads a whole application, its parenthesised arguments and its trailing
 lambda in one loop, so each level of parentheses costs one stack frame.
 Input nested deeper than the interpreter's stack allows is rejected with
@@ -35,7 +39,6 @@ NestingTooDeep at the token where the command, term or kind began.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from typing import Optional
 
 from .errors import (
@@ -67,20 +70,22 @@ _RESERVED = KEYWORDS_KIND | DIRECTIVES.keys()  # names that start no term
 _new = tuple.__new__
 
 
-class Token(namedtuple("Token", "type value line col")):
-    """type is "ident", "string", "number", "eof" or the punctuation itself;
-    value is as written, so a string literal keeps its quotes."""
+# (type, value, line, col): type is "ident", "string", "number", "eof" or
+# the punctuation itself; value is as written, so a string literal keeps
+# its quotes
+Token = tuple[str, str, int, int]
 
-    __slots__ = ()
 
-    def span(self, file: str) -> SourceSpan:
-        return _new(SourceSpan, (file, self.line, self.col, self.line,
-                                 self.col + len(self.value)))
+def _span(t: Token, file: str) -> SourceSpan:
+    """The source range a token covers."""
+    _, value, line, col = t
+    return _new(SourceSpan, (file, line, col, line, col + len(value)))
 
-    def shown(self) -> str:
-        """The token as a message quotes it; a string literal is already
-        quoted."""
-        return self.value if self.type == "string" else repr(self.value)
+
+def _shown(t: Token) -> str:
+    """The token as a message quotes it; a string literal is already
+    quoted."""
+    return t[1] if t[0] == "string" else repr(t[1])
 
 
 def tokenize(text: str, file: str) -> list[Token]:
@@ -106,16 +111,15 @@ def _scan(line: str, pos: int, lineno: int, file: str,
                 "unterminated string literal" if value == '"'
                 else f"unexpected character {value!r}",
                 span=SourceSpan(file, lineno, col, lineno, col + 1))
-        append(_new(Token, (_TYPES[group] or value, value, lineno, col)))
+        append((_TYPES[group] or value, value, lineno, col))
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
         # three end-of-input tokens cover the longest lookahead (_binders);
         # each spans the last real token
-        last = tokens[-1] if tokens else Token("eof", "", 1, 1)
-        self.tokens = tokens + [Token("eof", last.value, last.line,
-                                      last.col)] * 3
+        _, value, line, col = tokens[-1] if tokens else ("eof", "", 1, 1)
+        self.tokens = tokens + [("eof", value, line, col)] * 3
         self.file = file
         self.pos = 0
 
@@ -126,42 +130,44 @@ class _Parser:
 
     def accept(self, type_: str) -> bool:
         """Consume the next token if it has type type_."""
-        if self.tokens[self.pos].type == type_:
+        if self.tokens[self.pos][0] == type_:
             self.pos += 1
             return True
         return False
 
     def expect(self, type_: str) -> Token:
         t = self.tokens[self.pos]
-        if t.type != type_:
+        if t[0] != type_:
             raise self.error(t, f"where {type_!r} was expected",
-                             f"expected {type_!r}, found {t.shown()}")
+                             f"expected {type_!r}, found {_shown(t)}")
         self.pos += 1
         return t
 
     def error(self, t: Token, where: str, message: str) -> ScriptSyntaxError:
         """The error for an unwanted token t: input ended `where` when t is
         the end of input, `message` otherwise."""
-        if t.type == "eof":
+        if t[0] == "eof":
             return UnterminatedCommand(f"input ended {where}",
-                                       span=t.span(self.file))
-        return ScriptSyntaxError(message, span=t.span(self.file))
+                                       span=_span(t, self.file))
+        return ScriptSyntaxError(message, span=_span(t, self.file))
 
     def _span_from(self, start: Token) -> SourceSpan:
-        end = self.tokens[self.pos - 1] if self.pos else start
-        return _new(SourceSpan, (self.file, start.line, start.col, end.line,
-                                 end.col + len(end.value)))
+        _, _, line, col = start
+        _, value, end_line, end_col = (self.tokens[self.pos - 1] if self.pos
+                                       else start)
+        return _new(SourceSpan, (self.file, line, col, end_line,
+                                 end_col + len(value)))
 
     def too_deep(self, start: Token) -> NestingTooDeep:
         return NestingTooDeep(
-            "input nests too deeply to parse", span=start.span(self.file),
+            "input nests too deeply to parse", span=_span(start, self.file),
             diagnostic=Diagnostic("depth"))
 
     # ------------------------------------------------------- commands
 
     def parse_script(self) -> list[Command]:
         commands = []
-        while (start := self.peek()).type != "eof":
+        while (start := self.peek())[0] != "eof":
             try:
                 commands.append(self.parse_command())
             except RecursionError:
@@ -170,19 +176,20 @@ class _Parser:
 
     def parse_command(self) -> Command:
         t = self.peek()
-        if t.type == "ident" and t.value == "rule":
+        type_, value, _, _ = t
+        if type_ == "ident" and value == "rule":
             return self._rule_command()
-        if t.type == "ident" and t.value in DIRECTIVES:
+        if type_ == "ident" and value in DIRECTIVES:
             return self._directive()
-        if t.type == "[":
+        if type_ == "[":
             return self._declaration()
         raise ScriptSyntaxError(
             f"a command starts with '[', 'rule', or a directive; "
-            f"found {t.shown()}", span=t.span(self.file))
+            f"found {_shown(t)}", span=_span(t, self.file))
 
     def _declaration(self) -> Command:
         start = self.expect("[")
-        name = self.expect("ident").value
+        name = self.expect("ident")[1]
         binders = self._binders()
         if self.accept(":"):
             kind = self.parse_kind()
@@ -198,7 +205,7 @@ class _Parser:
         t = self.peek()
         raise self.error(t, "inside a declaration",
                          f"expected ':' or '=' in a declaration, "
-                         f"found {t.shown()}")
+                         f"found {_shown(t)}")
 
     def _rule_command(self) -> Command:
         start = self.expect("ident")  # "rule"
@@ -213,23 +220,23 @@ class _Parser:
 
     def _directive(self) -> Command:
         start = self.expect("ident")
-        op = DIRECTIVES[start.value]
+        op = DIRECTIVES[start[1]]
         if op is DirectiveOp.LOAD:
-            path = self.expect("string").value[1:-1]
+            path = self.expect("string")[1][1:-1]
             self.expect(";")
             return Directive(op, (path,), self._span_from(start))
         if op is DirectiveOp.SETOPTION:
-            name = self.expect("ident").value
-            value = self.peek()
-            if value.type not in ("ident", "string", "number"):
+            name = self.expect("ident")[1]
+            t = self.peek()
+            type_, literal, _, _ = t
+            if type_ not in ("ident", "string", "number"):
                 raise self.error(
-                    value, "inside a command",
+                    t, "inside a command",
                     f"SetOption value must be a name, number, or string, "
-                    f"found {value.shown()}")
+                    f"found {_shown(t)}")
             self.pos += 1
             self.expect(";")
-            literal = value.value
-            if value.type == "string":
+            if type_ == "string":
                 literal = literal[1:-1]
             return Directive(op, (name, literal), self._span_from(start))
         term = self.parse_term()
@@ -246,15 +253,15 @@ class _Parser:
         not look like a binder (never happens in command position, where the
         next token after binders is ':' or '=' or a term)."""
         binders: list[Binder] = []
-        while (self.peek().type == "[" and self.peek(1).type == "ident"
-               and self.peek(2).type in (":", "]")):
+        while (self.peek()[0] == "[" and self.peek(1)[0] == "ident"
+               and self.peek(2)[0] in (":", "]")):
             binders.append(self._binder())
         return tuple(binders)
 
     def _binder(self) -> Binder:
         """One [x : K] or [x]."""
         start = self.expect("[")
-        name = self.expect("ident").value
+        name = self.expect("ident")[1]
         ann = self.parse_kind() if self.accept(":") else None
         self.expect("]")
         return name, ann, self._span_from(start)
@@ -295,7 +302,7 @@ class _Parser:
                 return SApp(fn, arg, self._span_from(start))
             elif fn is None:
                 raise self.error(t, "where a term was expected",
-                                 f"expected a term, found {t.shown()}")
+                                 f"expected a term, found {_shown(t)}")
             else:
                 return fn
             if fn is None:
@@ -315,14 +322,14 @@ class _Parser:
 
     def parse_kind(self) -> SurfaceKind:
         start = self.peek()
-        if start.type == "eof":
+        if start[0] == "eof":
             raise UnterminatedCommand("input ended where a kind was expected",
-                                      span=start.span(self.file))
-        if (start.type == "(" and self.peek(1).type == "ident"
-                and self.peek(2).type == ":"):
+                                      span=_span(start, self.file))
+        if (start[0] == "(" and self.peek(1)[0] == "ident"
+                and self.peek(2)[0] == ":"):
             # named product (x : K) K'
             self.expect("(")
-            name = self.expect("ident").value
+            name = self.expect("ident")[1]
             self.expect(":")
             dom = self.parse_kind()
             self.expect(")")
@@ -336,17 +343,18 @@ class _Parser:
 
     def _kind_arrow_operand(self, start: Token) -> SurfaceKind:
         t = self.peek()
-        if t.type == "ident" and t.value == "Type":
+        type_, value, _, _ = t
+        if type_ == "ident" and value == "Type":
             self.pos += 1
-            return SType(t.span(self.file))
-        if t.type == "ident" and t.value == "Prop":
+            return SType(_span(t, self.file))
+        if type_ == "ident" and value == "Prop":
             self.pos += 1
-            return SProp(t.span(self.file))
-        if t.type == "ident" and t.value == "El":
+            return SProp(_span(t, self.file))
+        if type_ == "ident" and value == "El":
             self.pos += 1
             body = self.parse_term()
             return SEl(body, self._span_from(start))
-        if t.type == "ident" and t.value == "Prf":
+        if type_ == "ident" and value == "Prf":
             self.pos += 1
             body = self.parse_term()
             return SPrf(body, self._span_from(start))
@@ -388,7 +396,7 @@ def _parse_standalone(text: str, file: str, parse, what: str):
     except RecursionError:
         raise p.too_deep(p.tokens[0]) from None
     t = p.peek()
-    if t.type != "eof":
-        raise ScriptSyntaxError(f"unexpected {t.shown()} after the {what}",
-                                span=t.span(file))
+    if t[0] != "eof":
+        raise ScriptSyntaxError(f"unexpected {_shown(t)} after the {what}",
+                                span=_span(t, file))
     return result

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .syntax import (
     App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind, PropKind, Term,
-    TypeKind, Var, free_vars, fresh_name, rename, spine,
+    TypeKind, Var, free_vars, fresh_name, name_mask, rename, spine,
 )
 
 
@@ -76,7 +76,7 @@ def _term(t: Term, taken: Taken, top: bool) -> str:
         return f"?{t.ident}"
     if isinstance(t, Lam):
         x, ann, body = t.var, t.ann, t.body
-        if x in taken() or x in free_vars(ann):
+        if x in taken() or ann.mask & name_mask(x):
             x = fresh_name(x, taken() | free_vars(body) | free_vars(ann))
             body = rename(body, t.var, x)
         inner = _term(body, taken, top=True)
@@ -113,7 +113,7 @@ def _kind(k: Kind, taken: Taken, left_of_arrow: bool) -> str:
         return f"Prf ({_term(body, taken, top=True)})"
     if isinstance(k, PiKind):
         x, dom, cod = k.var, k.domain, k.codomain
-        if x in free_vars(cod):
+        if cod.mask & name_mask(x):
             if x in taken():
                 x = fresh_name(x, taken() | free_vars(cod) | free_vars(dom))
                 cod = rename(cod, k.var, x)

@@ -145,7 +145,8 @@ def declare_rewrite(sig: Signature, rule: RewriteRule,
         if other.arity != compiled.arity:
             raise SignatureError(
                 f"rules for {compiled.head!r} must all take "
-                f"{other.arity} arguments")
+                f"{other.arity} arguments",
+                diagnostic=Diagnostic("rewrite-arity", subject=rule.lhs))
         if not _distinguishable(other, compiled):
             raise DuplicateName(
                 f"rewrite rule overlaps an existing rule for "
@@ -172,10 +173,13 @@ def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
             diagnostic=Diagnostic("rewrite-head", subject=rule.lhs))
     head_entry = sig.get(head.name)
     if head_entry is None:
-        raise UnknownConstant(f"unknown rewrite head {head.name!r}")
+        raise UnknownConstant(
+            f"unknown rewrite head {head.name!r}",
+            diagnostic=Diagnostic("rewrite-head-declared", subject=head))
     if isinstance(head_entry, Definition):
         raise HeadNotConstant(
-            f"{head.name!r} is a definition; rules need a declared constant")
+            f"{head.name!r} is a definition; rules need a declared constant",
+            diagnostic=Diagnostic("rewrite-head-opaque", subject=head))
 
     bound: dict[str, str] = {}  # name -> "direct" | "nested"
     patterns = []
@@ -186,7 +190,8 @@ def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
     if extra:
         raise IllTyped(
             "rule right-hand side uses variables the pattern never binds: "
-            + ", ".join(sorted(extra)))
+            + ", ".join(sorted(extra)),
+            diagnostic=Diagnostic("rewrite-rhs-bound", subject=rule.rhs))
 
     earlier = sig.rules_for(head.name)
     positions = {i for i, p in enumerate(patterns) if p[0] == "con"}
@@ -200,7 +205,8 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
     if isinstance(arg, Var):
         if arg.name not in binders:
             raise IllTyped(
-                f"pattern variable {arg.name!r} is not a rule binder")
+                f"pattern variable {arg.name!r} is not a rule binder",
+                diagnostic=Diagnostic("rewrite-pattern-binder", subject=arg))
         if arg.name in bound:
             # A repeat is tolerable only when well-kindedness forces it
             # equal to the binding occurrence: the first use was a direct
@@ -214,7 +220,9 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
         bound[arg.name] = "direct" if direct else "nested"
         return ("var", arg.name)
     if not direct:
-        raise IllTyped("patterns nest constructors at most one level deep")
+        raise IllTyped(
+            "patterns nest constructors at most one level deep",
+            diagnostic=Diagnostic("rewrite-pattern-depth", subject=arg))
     head, sub = spine(arg)
     if not isinstance(head, Const):
         raise IllTyped(
@@ -222,10 +230,15 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
             diagnostic=Diagnostic("rewrite-pattern", subject=arg))
     entry = sig.get(head.name)
     if entry is None:
-        raise UnknownConstant(f"unknown constructor {head.name!r} in pattern")
+        raise UnknownConstant(
+            f"unknown constructor {head.name!r} in pattern",
+            diagnostic=Diagnostic("rewrite-constructor-declared",
+                                  subject=head))
     if isinstance(entry, Definition):
         raise HeadNotConstant(
-            f"{head.name!r} unfolds, so it cannot head a pattern")
+            f"{head.name!r} unfolds, so it cannot head a pattern",
+            diagnostic=Diagnostic("rewrite-constructor-opaque",
+                                  subject=head))
     subpats = tuple(_compile_pattern(sig, s, binders, bound, direct=False)
                     for s in sub)
     return ("con", head.name, subpats)

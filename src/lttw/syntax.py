@@ -7,9 +7,24 @@ abstraction and product carries its domain kind.
 
 Alpha-equivalent terms are interchangeable everywhere; structural identity of
 Python objects is never significant. Nodes compare by identity (use alpha_eq).
-Each node is an immutable tuple of its fields followed by its free-name set
-and a flag telling whether a Meta occurs in it; both are computed when the
-node is built, so free_vars and contains_meta are field reads.
+Each node is an immutable tuple of its fields followed by `mask`, its free
+names, and `holes`, a flag telling whether a Meta occurs in it; both are
+computed when the node is built, so testing a free name and contains_meta
+are field reads.
+
+A set of free names is an int with one bit per variable name. The bits come
+from one registry for the whole process: the first `Var(name)` takes the
+next bit, and every later `Var(name)` returns that same node, as
+`Const(name)` returns one node per name. A union is `|`, leaving a binder
+is `& ~bit`, and whether any of a set of names occurs free is one `&`.
+free_vars and `node.fv` decode a mask into a frozenset for the few callers
+that need the names themselves. The three benchmark workloads together see
+89 distinct variable names, so their masks fit in 3 int digits.
+
+The garbage collector is why: nodes are acyclic and immutable, but CPython's
+cyclic collector tracks every tuple subclass and frozenset and rescans each
+live one at every full collection. An int is never tracked, and a leaf
+shared per name is one tracked object, not one per occurrence.
 
 Substitution has one engine, subst_parallel: a single simultaneous,
 capture-avoiding pass. subst (one name) and rename (binder opening: one name
@@ -20,37 +35,45 @@ renamed inside the same pass rather than by a walk of its own.
 from __future__ import annotations
 
 from collections import namedtuple
+from threading import Lock
 from typing import Iterable, Union
 
-# Every free-name set costs a node its own frozenset (216 bytes even when
-# empty), so closed nodes share one empty set, a variable shares the one
-# singleton set of its name, and a node whose names all come from one child
-# shares that child's set.
-_NO_NAMES: frozenset[str] = frozenset()
-_NAME_SETS: dict[str, frozenset[str]] = {}
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _unbind(fv: frozenset[str], x: str) -> frozenset[str]:
-    return fv - {x} if x in fv else fv
-
-
 _new = tuple.__new__
+
+# The registry of variable names: the one Var of each name, and the names
+# by bit position (a name's bit is 1 << its index). A name enters under the
+# lock so that no two names share a bit; lookups take no lock.
+_VARS: dict[str, "Var"] = {}
+_NAMES: list[str] = []
+_REGISTERING = Lock()
+# the one Const of each name
+_CONSTS: dict[str, "Const"] = {}
+
+
+def _names(mask: int) -> frozenset[str]:
+    """The names whose bits are set in mask."""
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(_NAMES[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(names)
+
+
+def name_mask(name: str) -> int:
+    """The bit of `name` in free-name masks; 0 for a name that no variable
+    has had, which occurs free nowhere."""
+    v = _VARS.get(name)
+    return 0 if v is None else v.mask
 
 
 class _Node:
     """Shared behaviour of the tuple-backed nodes. Each node class is a
-    namedtuple of its fields followed by `fv`, its free names, and `holes`,
-    whether a Meta occurs in it; its `__new__` computes both from the
-    children. Equality and hashing are by identity, as for any object, and
-    nodes do not order: the tuple's structural comparisons never apply."""
+    namedtuple of its fields followed by `mask`, its free names, and
+    `holes`, whether a Meta occurs in it; its `__new__` computes both from
+    the children. Equality and hashing are by identity, as for any object,
+    and nodes do not order: the tuple's structural comparisons never
+    apply."""
 
     __slots__ = ()
     __eq__ = object.__eq__
@@ -58,8 +81,13 @@ class _Node:
     __hash__ = object.__hash__
     __lt__ = __le__ = __gt__ = __ge__ = object.__lt__
 
+    @property
+    def fv(self) -> frozenset[str]:
+        """The free names, decoded from `mask`."""
+        return _names(self.mask)
+
     def __getnewargs__(self):
-        # copy and pickle rebuild a node from its fields, not fv and holes
+        # copy and pickle rebuild a node from its fields, not mask and holes
         return self[:-2]
 
     def __repr__(self):
@@ -78,83 +106,95 @@ class Kind(_Node):
 Expr = Union[Term, Kind]
 
 
-class Var(Term, namedtuple("Var", "name fv holes")):
+class Var(Term, namedtuple("Var", "name mask holes")):
+    """The one variable node of its name; its mask is the name's bit."""
+
     __slots__ = ()
 
     def __new__(cls, name: str):
-        fv = _NAME_SETS.get(name)
-        if fv is None:
-            fv = _NAME_SETS[name] = frozenset((name,))
-        return _new(cls, (name, fv, False))
+        v = _VARS.get(name)
+        if v is None:
+            with _REGISTERING:
+                v = _VARS.get(name)
+                if v is None:
+                    bit = 1 << len(_NAMES)
+                    _NAMES.append(name)
+                    v = _VARS[name] = _new(cls, (name, bit, False))
+        return v
 
 
-class Const(Term, namedtuple("Const", "name fv holes")):
+class Const(Term, namedtuple("Const", "name mask holes")):
+    """The one constant node of its name."""
+
     __slots__ = ()
 
     def __new__(cls, name: str):
-        return _new(cls, (name, _NO_NAMES, False))
+        c = _CONSTS.get(name)
+        if c is None:
+            c = _CONSTS.setdefault(name, _new(cls, (name, 0, False)))
+        return c
 
 
-class Lam(Term, namedtuple("Lam", "var ann body fv holes")):
+class Lam(Term, namedtuple("Lam", "var ann body mask holes")):
     __slots__ = ()
 
     def __new__(cls, var: str, ann: Kind, body: Term):
         return _new(cls, (var, ann, body,
-                          _union(ann.fv, _unbind(body.fv, var)),
+                          ann.mask | (body.mask & ~name_mask(var)),
                           ann.holes or body.holes))
 
 
-class App(Term, namedtuple("App", "fn arg fv holes")):
+class App(Term, namedtuple("App", "fn arg mask holes")):
     __slots__ = ()
 
     def __new__(cls, fn: Term, arg: Term):
-        return _new(cls, (fn, arg, _union(fn.fv, arg.fv),
+        return _new(cls, (fn, arg, fn.mask | arg.mask,
                           fn.holes or arg.holes))
 
 
-class Meta(Term, namedtuple("Meta", "ident fv holes")):
+class Meta(Term, namedtuple("Meta", "ident mask holes")):
     """Elaboration-time unknown. Never survives into kernel checking."""
 
     __slots__ = ()
 
     def __new__(cls, ident: int):
-        return _new(cls, (ident, _NO_NAMES, True))
+        return _new(cls, (ident, 0, True))
 
 
-class TypeKind(Kind, namedtuple("TypeKind", "fv holes")):
+class TypeKind(Kind, namedtuple("TypeKind", "mask holes")):
     __slots__ = ()
 
     def __new__(cls):
-        return _new(cls, (_NO_NAMES, False))
+        return _new(cls, (0, False))
 
 
-class PropKind(Kind, namedtuple("PropKind", "fv holes")):
+class PropKind(Kind, namedtuple("PropKind", "mask holes")):
     __slots__ = ()
 
     def __new__(cls):
-        return _new(cls, (_NO_NAMES, False))
+        return _new(cls, (0, False))
 
 
-class ElKind(Kind, namedtuple("ElKind", "body fv holes")):
+class ElKind(Kind, namedtuple("ElKind", "body mask holes")):
     __slots__ = ()
 
     def __new__(cls, body: Term):
-        return _new(cls, (body, body.fv, body.holes))
+        return _new(cls, (body, body.mask, body.holes))
 
 
-class PrfKind(Kind, namedtuple("PrfKind", "body fv holes")):
+class PrfKind(Kind, namedtuple("PrfKind", "body mask holes")):
     __slots__ = ()
 
     def __new__(cls, body: Term):
-        return _new(cls, (body, body.fv, body.holes))
+        return _new(cls, (body, body.mask, body.holes))
 
 
-class PiKind(Kind, namedtuple("PiKind", "var domain codomain fv holes")):
+class PiKind(Kind, namedtuple("PiKind", "var domain codomain mask holes")):
     __slots__ = ()
 
     def __new__(cls, var: str, domain: Kind, codomain: Kind):
         return _new(cls, (var, domain, codomain,
-                          _union(domain.fv, _unbind(codomain.fv, var)),
+                          domain.mask | (codomain.mask & ~name_mask(var)),
                           domain.holes or codomain.holes))
 
 
@@ -179,9 +219,8 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    """Free variable names of a term or kind (computed when the node is
-    built, shared between nodes where equal)."""
-    return e.fv
+    """Free variable names of a term or kind, decoded from its mask."""
+    return _names(e.mask)
 
 
 _DIGITS = "0123456789"
@@ -224,47 +263,61 @@ def subst_parallel(target: Expr, mapping: dict[str, Term]) -> Expr:
     its body is substituted with, so every subterm is walked once.
     Subterms without a mapped free name are shared, not copied.
     """
+    if not target.mask:
+        return target
+    keys = 0
+    for v in mapping:
+        keys |= Var(v).mask
+    return _subst(target, mapping, keys)
+
+
+def _subst(target: Expr, mapping: dict[str, Term], keys: int) -> Expr:
+    """subst_parallel's recursion; `keys` is the mask of mapping's names."""
+    if not target.mask & keys:
+        return target
     cls = type(target)
     if cls is Var:
-        return mapping.get(target.name, target)
-    if target.fv.isdisjoint(mapping):
-        return target
+        return mapping[target.name]
     if cls is App:
-        return App(subst_parallel(target.fn, mapping),
-                   subst_parallel(target.arg, mapping))
+        return App(_subst(target.fn, mapping, keys),
+                   _subst(target.arg, mapping, keys))
     if cls is ElKind:
-        return ElKind(subst_parallel(target.body, mapping))
+        return ElKind(_subst(target.body, mapping, keys))
     if cls is PrfKind:
-        return PrfKind(subst_parallel(target.body, mapping))
+        return PrfKind(_subst(target.body, mapping, keys))
     if cls is Lam:
-        ann = subst_parallel(target.ann, mapping)
-        x, body = _under_binder(target.var, target.body, mapping)
+        ann = _subst(target.ann, mapping, keys)
+        x, body = _under_binder(target.var, target.body, mapping, keys)
         return Lam(x, ann, body)
     if cls is PiKind:
-        dom = subst_parallel(target.domain, mapping)
-        x, cod = _under_binder(target.var, target.codomain, mapping)
+        dom = _subst(target.domain, mapping, keys)
+        x, cod = _under_binder(target.var, target.codomain, mapping, keys)
         return PiKind(x, dom, cod)
     raise TypeError(f"not a term or kind: {target!r}")
 
 
-def _under_binder(x: str, body: Expr, mapping: dict[str, Term]):
+def _under_binder(x: str, body: Expr, mapping: dict[str, Term], keys: int):
     """The binder name and body that `x. body` has after mapping."""
-    fv = body.fv
-    live = {v: t for v, t in mapping.items() if v != x and v in fv}
+    bound = name_mask(x)
+    live = body.mask & keys & ~bound
     if not live:
         return x, body
-    incoming = frozenset().union(*(t.fv for t in live.values()))
-    if x in incoming:
+    sub = {v: t for v, t in mapping.items() if _VARS[v].mask & live}
+    incoming = 0
+    for t in sub.values():
+        incoming |= t.mask
+    if incoming & bound:
         # binder would capture; rename it away from everything in sight
-        x2 = fresh_name(x, fv | incoming | set(live))
-        live[x] = Var(x2)
+        x2 = fresh_name(x, _names(body.mask | incoming).union(sub))
+        sub[x] = Var(x2)
         x = x2
-    return x, subst_parallel(body, live)
+        live |= bound
+    return x, _subst(body, sub, live)
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
     """Equality up to consistent renaming of bound variables."""
-    return _aeq(a, b, {}, {}, 0)
+    return a is b or _aeq(a, b, {}, {}, 0)
 
 
 def _aeq(a: Expr, b: Expr, ea: dict, eb: dict, depth: int) -> bool:

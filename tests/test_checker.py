@@ -10,7 +10,7 @@ import lttw.kernel
 from lttw.checker import Checker, CheckerConfig, replay
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
-    DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
+    DomainMismatch, DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
     ScriptSyntaxError, UnknownConstant,
 )
 from lttw.kernel import DEFAULT_FUEL, Fuel
@@ -343,6 +343,17 @@ def test_replay_rejects_tampered_log():
         replay(bad)
     with pytest.raises(ValueError):
         replay([("mystery",)])
+
+
+def test_replay_rejects_a_check_record_whose_kind_is_ill_kinded():
+    # `K bot Nat` unfolds to Nat whatever K's first argument is, so `zero`
+    # checks against it; the kind itself applies K to a proposition
+    ck = load_standard()
+    ck.run_text("> [K [a : Nat] [b : Type] = b];\n")
+    kind = ElKind(App(App(Const("K"), Const("bot")), Const("Nat")))
+    with pytest.raises(DomainMismatch) as info:
+        replay(ck.log + [("check", Const("zero"), kind)])
+    assert info.value.diagnostic.rule == "app-domain"
 
 
 def test_duplicate_declaration_carries_span():

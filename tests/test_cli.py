@@ -7,8 +7,15 @@ strings already pinned by the corpus tests.
 
 from pathlib import Path
 
+import pytest
+
 from lttw.cli import main
 from lttw.corpus import CORPUS_DIR
+from lttw.errors import LttwError
+from lttw.signature import RewriteRule, declare_constant, declare_rewrite
+from lttw.syntax import App, Const, Var
+
+from mini import NAT, arrow, nat_signature
 
 ARITH = str(CORPUS_DIR / "arith.lf")
 GATE_NEG = str(CORPUS_DIR / "impredicative_neg.lf")
@@ -242,6 +249,61 @@ def test_repeated_pattern_variable_names_its_rule(capsys, tmp_path):
     assert err.endswith("probe.lf:2:3: pattern variable 'x' repeats in a "
                         "position the kind system does not force\n"
                         "  rule: rewrite-linear\n  subject: x\n")
+
+
+# Each signature-layer rejection of a rewrite rule, with the message it
+# prints and the rule it names: a script for `lttw check` where the
+# elaborator lets the rule reach the signature layer, else a rule passed to
+# `declare_rewrite` over the miniature Nat signature with `f : Nat -> Nat`.
+RULE_REJECTIONS = [
+    ("rewrite-arity",
+     "> [f : Nat -> Nat -> Nat];\n"
+     "> rule [y : Nat] f zero y = y : Nat;\n"
+     "> rule f zero = [y : Nat] y : Nat -> Nat;\n",
+     "rules for 'f' must all take 2 arguments"),
+    ("rewrite-head-declared",
+     RewriteRule((("x", NAT),), App(Const("ghost"), Var("x")), Var("x"),
+                 NAT),
+     "unknown rewrite head 'ghost'"),
+    ("rewrite-head-opaque",
+     "> [d = zero];\n> rule d = zero : Nat;\n",
+     "'d' is a definition; rules need a declared constant"),
+    ("rewrite-rhs-bound",
+     "> [f : Nat -> Nat];\n> rule [x : Nat] [y : Nat] f x = y : Nat;\n",
+     "rule right-hand side uses variables the pattern never binds: y"),
+    ("rewrite-pattern-binder",
+     RewriteRule((("x", NAT),), App(Const("f"), Var("y")), Var("x"), NAT),
+     "pattern variable 'y' is not a rule binder"),
+    ("rewrite-pattern-depth",
+     "> [f : Nat -> Nat];\n"
+     "> rule [x : Nat] f (succ (succ x)) = x : Nat;\n",
+     "patterns nest constructors at most one level deep"),
+    ("rewrite-constructor-declared",
+     RewriteRule((("x", NAT),), App(Const("f"), App(Const("ghost"),
+                                                    Var("x"))),
+                 Var("x"), NAT),
+     "unknown constructor 'ghost' in pattern"),
+    ("rewrite-constructor-opaque",
+     "> [d = zero];\n> [f : Nat -> Nat];\n> rule f d = zero : Nat;\n",
+     "'d' unfolds, so it cannot head a pattern"),
+]
+
+
+@pytest.mark.parametrize("rule, probe, message", RULE_REJECTIONS,
+                         ids=[r[0] for r in RULE_REJECTIONS])
+def test_rewrite_rule_rejection_names_its_rule(capsys, tmp_path, rule,
+                                               probe, message):
+    if isinstance(probe, str):
+        code, out, err = _check_script(capsys, tmp_path, probe)
+        assert code == 1
+        assert f": {message}\n  rule: {rule}\n" in err
+        return
+    sig = nat_signature()
+    declare_constant(sig, "f", arrow(NAT, NAT))
+    with pytest.raises(LttwError) as info:
+        declare_rewrite(sig, probe)
+    assert info.value.message == message
+    assert info.value.diagnostic.rule == rule
 
 
 def test_too_deep_a_script_exits_1_without_a_traceback(capsys, tmp_path):

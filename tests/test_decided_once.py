@@ -266,10 +266,10 @@ def test_predicative_corpus_and_its_ill_kinded_mutants_are_checked_the_same():
     assert pair.fuel_to_accept == []
 
 
-def test_a_check_kind_no_kernel_check_revisits_is_decided_in_place():
-    # `K bot Nat` unfolds to Nat whatever K's first argument is, so the
-    # kernel's check of `zero` against it would accept; the ill-kinded
-    # `bot` is rejected while the kind is elaborated
+def test_an_ill_kinded_check_kind_is_rejected_as_deciding_in_place_would():
+    # `K bot Nat` unfolds to Nat whatever K's first argument is, so `zero`
+    # checks against it; the kernel's check of the kind rejects the
+    # ill-kinded `bot`, and the explanation names the obligation it broke
     pair = Pair()
     for cmd in parse_script("> [K = [a : Nat] [b : Type] b];\n"
                             "> Check zero : K bot Nat;\n"):

@@ -334,11 +334,12 @@ def test_binder_shadowing_context_variable(sig):
 
 
 def test_inferring_a_closed_lambda_caches_no_free_names_on_it(sig):
-    # every node carries its free names, so a closed lambda must keep no
-    # set of its own: it shares the one empty set of every closed node
+    # every node carries its free names as a mask, so a closed lambda's
+    # is 0, the mask of every closed node
     t = Lam("x", NAT, Var("x"))
     infer_kind(sig, EMPTY_CONTEXT, t)
-    assert free_vars(t) is free_vars(Const("c"))
+    assert t.mask == 0 and t.mask == Const("c").mask
+    assert free_vars(t) == free_vars(Const("c")) == frozenset()
 
 
 def test_binder_in_the_context_does_not_capture_a_free_name(sig):

@@ -38,18 +38,29 @@ def test_only_marked_lines_are_code():
 
 def test_token_positions():
     toks = tokenize("> [bot : Prop];\n>   Check bot;", "f.lf")
-    assert toks[0].value == "[" and toks[0].line == 1 and toks[0].col == 3
-    assert toks[1].value == "bot" and toks[1].col == 4
-    check = [t for t in toks if t.value == "Check"][0]
-    assert check.line == 2 and check.col == 5
+    _, value, line, col = toks[0]
+    assert value == "[" and line == 1 and col == 3
+    _, value, _, col = toks[1]
+    assert value == "bot" and col == 4
+    _, _, line, col = [t for t in toks if t[1] == "Check"][0]
+    assert line == 2 and col == 5
 
 
 def test_number_and_apostrophe_tokens():
     toks = tokenize("> SetOption fuel 200;\n> [setminus' : Prop];", "f.lf")
-    values = [t.value for t in toks]
+    values = [value for _, value, _, _ in toks]
     assert "200" in values and "setminus'" in values
-    num = [t for t in toks if t.value == "200"][0]
-    assert num.type == "number"
+    type_, _, _, _ = [t for t in toks if t[1] == "200"][0]
+    assert type_ == "number"
+
+
+def test_tokens_are_exact_tuples():
+    # the collector stops tracking an exact tuple of strings and ints, but
+    # rescans an instance of a tuple subclass for as long as it lives
+    toks = tokenize("> [c : Nat -> Type];\n> Load \"x.lf\";\n"
+                    "> SetOption fuel 7;", "f.lf")
+    assert len(toks) == 15
+    assert all(type(t) is tuple and len(t) == 4 for t in toks)
 
 
 def test_bad_character_rejected():

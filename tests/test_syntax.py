@@ -19,7 +19,7 @@ from lttw.signature import Signature
 from lttw.syntax import (
     PROP, TYPE, App, Const, ElKind, Lam, Meta, PiKind, PrfKind, TypeKind,
     PropKind, Var, alpha_eq, contains_meta, free_vars, fresh_name, metas_of,
-    spine, app, subst, subst_parallel,
+    name_mask, spine, app, subst, subst_parallel,
 )
 import lttw.syntax
 from lttw.syntax import rename
@@ -211,6 +211,46 @@ def test_free_vars_matches_oracle(t):
     assert free_vars(t) == frozenset(nameless_free(nameless(t)))
 
 
+# More names than a machine word has bits. They are registered last name
+# first, so the three drawn most often take the highest bits, and masks span
+# several int digits.
+WIDE = [f"w{i}" for i in range(100)]
+for _name in reversed(WIDE):
+    Var(_name)
+
+wide_names = st.one_of(st.sampled_from(WIDE[:3]), st.sampled_from(WIDE))
+
+wide_terms = st.deferred(lambda: st.one_of(
+    wide_names.map(Var),
+    consts.map(Const),
+    st.builds(App, wide_terms, wide_terms),
+    st.builds(Lam, wide_names, wide_kinds, wide_terms),
+))
+
+wide_kinds = st.deferred(lambda: st.one_of(
+    st.just(TYPE),
+    wide_terms.map(ElKind),
+    wide_terms.map(PrfKind),
+    st.builds(PiKind, wide_names, wide_kinds, wide_kinds),
+))
+
+wide_exprs = st.one_of(wide_terms, wide_kinds)
+
+
+@CASES
+@given(wide_exprs, wide_exprs,
+       st.dictionaries(wide_names, wide_terms, max_size=3))
+def test_masks_wider_than_a_machine_word_agree_with_oracle(t, u, mapping):
+    assert min(name_mask(x) for x in WIDE[:3]).bit_length() > 64
+    assert free_vars(t) == frozenset(nameless_free(nameless(t)))
+    got = nameless(subst_parallel(t, mapping))
+    want = nameless_subst_parallel(
+        nameless(t), {v: nameless(r) for v, r in mapping.items()})
+    assert got == want
+    assert alpha_eq(t, u) == (nameless(t) == nameless(u))
+    assert alpha_eq(t, unname(nameless(t), iter(range(10 ** 6))))
+
+
 def test_subst_avoids_capture_concretely():
     # ([y : Type] x y)[x := y]  must rename the binder, not capture
     t = Lam("y", TYPE, App(Var("x"), Var("y")))
@@ -239,15 +279,15 @@ def test_rename_to_the_same_name_returns_the_term_itself():
 
 def test_capturing_binder_is_renamed_in_the_same_pass(monkeypatch):
     # ([y : Type] x y)[x := y]: the binder is renamed while substituting,
-    # so each of the five nodes is visited exactly once
-    engine = lttw.syntax.subst_parallel
+    # so each of the five nodes is visited exactly once by the recursion
+    engine = lttw.syntax._subst
     visited = []
 
-    def counted(target, mapping):
+    def counted(target, mapping, keys):
         visited.append(target)
-        return engine(target, mapping)
+        return engine(target, mapping, keys)
 
-    monkeypatch.setattr(lttw.syntax, "subst_parallel", counted)
+    monkeypatch.setattr(lttw.syntax, "_subst", counted)
     t = Lam("y", TYPE, App(Var("x"), Var("y")))
     got = rename(t, "x", "y")
     assert got.var != "y"
@@ -287,18 +327,22 @@ def test_whnf_beta_spine_matches_one_binder_at_a_time(binders, args, head,
     assert fuel.limit - fuel.left == min(len(binders), len(args))
 
 
-def test_free_variable_sets_are_shared_not_copied():
-    # a stored set costs a node its own frozenset: closed nodes share one,
-    # variables of one name share one, and a node whose names all come
-    # from one child shares that child's
-    assert free_vars(Const("c")) is free_vars(App(Const("d"), Const("c")))
+def test_free_names_are_masks_and_leaves_are_shared():
+    # free names are an int with one bit per name: a closed node's is 0,
+    # a variable's is its name's bit, and a node whose names all come
+    # from one child has that child's; one node stands for each name
+    assert Const("c").mask == App(Const("d"), Const("c")).mask == 0
+    assert free_vars(Const("c")) == free_vars(App(Const("d"), Const("c")))
     x = Var("x")
-    assert free_vars(App(x, Const("c"))) is free_vars(x)
+    assert App(x, Const("c")).mask == x.mask == name_mask("x") != 0
+    assert free_vars(App(x, Const("c"))) == free_vars(x) == {"x"}
     assert free_vars(Lam("y", TYPE, App(x, Var("y")))) == {"x"}
     body = App(x, Const("c"))
-    assert free_vars(Lam("y", TYPE, body)) is free_vars(body)
-    assert free_vars(Var("x")) is free_vars(x)
-    assert free_vars(Lam("x", TYPE, x)) is free_vars(TYPE)
+    assert Lam("y", TYPE, body).mask == body.mask
+    assert free_vars(Lam("y", TYPE, body)) == free_vars(body)
+    assert Var("x") is x and Const("c") is Const("c")
+    assert Lam("x", TYPE, x).mask == TYPE.mask == 0
+    assert free_vars(Lam("x", TYPE, x)) == free_vars(TYPE) == frozenset()
 
 
 # Terms and kinds with holes, and a reference computation of what each
@@ -344,7 +388,9 @@ def reference_names_and_holes(e):
 @given(st.one_of(holey_terms, holey_kinds))
 def test_stored_names_and_hole_flag_match_a_reference(e):
     fv, metas = reference_names_and_holes(e)
-    assert e.fv == fv and free_vars(e) is e.fv
+    assert e.fv == fv and free_vars(e) == fv
+    assert e.mask == sum(name_mask(x) for x in fv)
+    assert (e.mask == 0) == (not fv)
     assert e.holes is bool(metas) and contains_meta(e) is e.holes
     assert metas_of(e) == metas
 
