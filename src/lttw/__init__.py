@@ -22,7 +22,7 @@ from .checker import Checker, CheckerConfig, replay
 from .corpus import check_corpus
 from .errors import LttwError
 from .kernel import (
-    DEFAULT_FUEL, EMPTY_CONTEXT, Context, check_term, convertible,
+    DEFAULT_FUEL, EMPTY_CONTEXT, Context, Fuel, check_term, convertible,
     infer_kind, normalize, whnf,
 )
 from .parser import parse_kind, parse_script, parse_term
@@ -41,11 +41,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "App", "Checker", "CheckerConfig", "Const", "Context", "DEFAULT_FUEL",
-    "ElKind", "EMPTY_CONTEXT", "Kind", "Lam", "LttwError", "Meta", "PROP",
-    "PiKind", "PrfKind", "PropKind", "Signature", "TYPE", "Term", "TypeKind",
-    "Var", "alpha_eq", "check_corpus", "check_term", "convertible",
-    "free_vars", "infer_kind", "load_core_signature", "load_derived_logic",
-    "load_impredicative_extension", "load_standard", "normalize",
-    "parse_kind", "parse_script", "parse_term", "print_kind", "print_term",
-    "replay", "subst", "whnf",
+    "ElKind", "EMPTY_CONTEXT", "Fuel", "Kind", "Lam", "LttwError", "Meta",
+    "PROP", "PiKind", "PrfKind", "PropKind", "Signature", "TYPE", "Term",
+    "TypeKind", "Var", "alpha_eq", "check_corpus", "check_term",
+    "convertible", "free_vars", "infer_kind", "load_core_signature",
+    "load_derived_logic", "load_impredicative_extension", "load_standard",
+    "normalize", "parse_kind", "parse_script", "parse_term", "print_kind",
+    "print_term", "replay", "subst", "whnf",
 ]

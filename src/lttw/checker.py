@@ -25,9 +25,10 @@ draw on the same `Fuel`. A `Load` runs each command of the loaded file on
 its own budget and is all-or-nothing: a file that fails leaves the
 signature, the log and the set of loaded files as they were before it.
 
-A command nested deeper than the interpreter's stack allows is rejected
-with NestingTooDeep, like any other rejection, and leaves the signature
-unchanged.
+Each command runs once. One nested deeper than the interpreter's stack
+allows is explained like any other rejection: a false obligation recorded
+before the stack ran out gives the error, and otherwise the command is
+rejected with NestingTooDeep. Either way the signature is left unchanged.
 
 Option `prop_placement` decides what kind the distinguished constant `prop`
 is declared at: "prop" keeps the script's `Prop`, "type" turns the
@@ -138,31 +139,17 @@ class Checker:
         raise TypeError(f"not a command: {cmd!r}")
 
     def _elaborate_and_commit(self, step, cmd: Command) -> None:
-        """Run `step`, a command that elaborates, with its kind equalities
-        without holes left to the kernel's check and a rejection explained
-        from them (see the module docstring). An attempt or explanation
-        nested too deeply is run again deciding them in place."""
+        """Run `step`, a command that elaborates, once, with its kind
+        equalities without holes left to the kernel's check and a rejection
+        explained from them (see the module docstring)."""
         el = self._el = self._elaborator()
         el.obligations = []
         try:
             step(cmd)
-            return
-        except RecursionError:
-            pass
         except Exception as e:
             # past a false obligation, elaboration and the kernel may fail
             # in any way; the explanation says which error stands
-            try:
-                error = el.explain(e)
-            except RecursionError:
-                pass
-            else:
-                raise error
-        self._run_in_place(step, cmd)
-
-    def _run_in_place(self, step, cmd: Command) -> None:
-        self._el = self._elaborator()
-        step(cmd)
+            raise el.explain(e)
 
     def _elaborator(self) -> Elaborator:
         # the command's one budget: elaboration, the commit and a Reduce's

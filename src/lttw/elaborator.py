@@ -76,8 +76,6 @@ def _kind_mismatch(span, rule: str, expected: Kind,
 
 @dataclass
 class MetaInfo:
-    ident: int
-    kind: Optional[Kind]
     scope: frozenset
     span: Optional[SourceSpan]
 
@@ -91,20 +89,19 @@ class MetaState:
         self.solutions: dict[int, Term] = {}
         self.queue: list[tuple] = []  # (ctx, a, b, at)
 
-    def fresh(self, kind: Optional[Kind], ctx: Context,
-              span: Optional[SourceSpan] = None) -> Meta:
+    def fresh(self, ctx: Context, span: Optional[SourceSpan] = None) -> Meta:
         ident = self.counter
         self.counter += 1
-        self.info[ident] = MetaInfo(ident, kind, frozenset(ctx.names()), span)
+        self.info[ident] = MetaInfo(frozenset(ctx.names()), span)
         return Meta(ident)
 
     def snapshot(self):
         return dict(self.solutions), list(self.queue), self.counter
 
     def restore(self, snap):
+        """Go back to `snap`, which is then spent: restore each at most
+        once."""
         self.solutions, self.queue, self.counter = snap
-        self.solutions = dict(self.solutions)
-        self.queue = list(self.queue)
 
     def zonk(self, e):
         """Apply current solutions throughout a term or kind. Subterms
@@ -133,9 +130,9 @@ class MetaState:
 
 
 class Elaborator:
-    def __init__(self, sig: Signature, fuel: Optional[Fuel] = None):
+    def __init__(self, sig: Signature, fuel: Fuel):
         self.sig = sig
-        self.fuel = fuel if fuel is not None else Fuel()
+        self.fuel = fuel
         self.state = MetaState()
         # surface name -> kernel name, for the binders `_bind` renamed;
         # None hides a fresh kernel name from surface lookup
@@ -156,8 +153,8 @@ class Elaborator:
             if expected is None:
                 raise UnsolvedMeta(
                     "hole in a position whose kind is not determined",
-                    span=s.span)
-            m = self.state.fresh(expected, ctx, s.span)
+                    span=s.span, diagnostic=Diagnostic("hole-kind"))
+            m = self.state.fresh(ctx, s.span)
             return m, expected
         if isinstance(s, SLam):
             return self._lambda(ctx, s, expected)
@@ -174,7 +171,9 @@ class Elaborator:
         entry = self.sig.get(s.name)
         if entry is not None:
             return Const(s.name), entry.kind
-        raise UnknownConstant(f"unknown name {s.name!r}", span=s.span)
+        raise UnknownConstant(
+            f"unknown name {s.name!r}", span=s.span,
+            diagnostic=Diagnostic("name-declared", subject=Const(s.name)))
 
     def _against(self, ctx: Context, t: Term, k: Kind,
                  expected: Optional[Kind], span) -> tuple[Term, Kind]:
@@ -246,7 +245,8 @@ class Elaborator:
             dom = expected.domain
         else:
             raise UnsolvedMeta(
-                f"binder {s.var!r} needs an annotation here", span=s.span)
+                f"binder {s.var!r} needs an annotation here", span=s.span,
+                diagnostic=Diagnostic("lam-annotation"))
         x, ctx2, outer = self._bind(ctx, s.var, dom)
         try:
             cod = None
@@ -443,8 +443,8 @@ class Elaborator:
         for rule in rules:
             snap = self.state.snapshot()
             try:
-                binding = {x: self.state.fresh(k, ctx, span)
-                           for x, k in rule.source.binders}
+                binding = {x: self.state.fresh(ctx, span)
+                           for x, _ in rule.source.binders}
                 self._unify(ctx, subst_parallel(rule.rhs, binding), rhs,
                             subst_parallel(rule.source.ascription, binding),
                             span, depth - 1)
@@ -519,12 +519,12 @@ class Elaborator:
         ident = min(left)
         info = self.state.info[ident]
         raise UnsolvedMeta("a hole was never determined",
-                           span=info.span or span)
+                           span=info.span or span,
+                           diagnostic=Diagnostic("hole-solved"))
 
 
 def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
-              expected: Optional[Kind] = None,
-              fuel: Optional[Fuel] = None) -> Term:
+              expected: Optional[Kind] = None, *, fuel: Fuel) -> Term:
     """Elaborate one surface term to a Meta-free kernel term."""
     el = Elaborator(sig, fuel)
     t, _ = el.term(ctx, s, expected)
@@ -532,15 +532,14 @@ def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
 
 
 def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
-                   fuel: Optional[Fuel] = None) -> Kind:
+                   fuel: Fuel) -> Kind:
     el = Elaborator(sig, fuel)
     k = el.kind(ctx, s)
     return el.finish_kind(k, getattr(s, "span", None))
 
 
 def unify(sig: Signature, ctx: Context, a: Term, b: Term,
-          at: Optional[Kind], state: MetaState,
-          fuel: Optional[Fuel] = None) -> None:
+          at: Optional[Kind], state: MetaState, fuel: Fuel) -> None:
     """Standalone entry point over an existing MetaState."""
     el = Elaborator(sig, fuel)
     el.state = state

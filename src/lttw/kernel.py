@@ -13,15 +13,16 @@ the final codomain once. Instantiating `Pi x1:A1. Pi x2:A2. B` with a1, a2
 one binder at a time equals `B[x1:=a1, x2:=a2]` done simultaneously, and a
 later binder of the same name simply overwrites the earlier entry.
 
-Every entry point takes a fuel bound: a `Fuel`, which the call shares with
-whatever else its caller spends from it, or a number of steps for a fresh
-budget. Running out raises FuelExhausted rather than looping. Rejections
-raise typed errors carrying a Diagnostic with the violated rule's name.
+Every function that reduces or checks takes the caller's `Fuel` as a
+required argument and spends from it: one budget covers everything one
+command does, and the kernel never starts a budget of its own. Running out
+raises FuelExhausted rather than looping. Rejections raise typed errors
+carrying a Diagnostic with the violated rule's name.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     Diagnostic, DomainMismatch, DuplicateVariable, FuelExhausted,
@@ -69,12 +70,6 @@ class Fuel:
         return FuelExhausted(
             f"no reduction head-normalised within {self.limit} steps",
             diagnostic=Diagnostic("fuel"))
-
-
-def _fuel(f: Union[int, Fuel, None]) -> Fuel:
-    if isinstance(f, Fuel):
-        return f
-    return Fuel(DEFAULT_FUEL if f is None else f)
 
 
 class Context:
@@ -130,7 +125,7 @@ EMPTY_CONTEXT = Context()
 
 # ------------------------------------------------------------- reduction
 
-def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
+def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     """Weak-head normal form: reduce until the head is a binder with no
     argument, a variable, a metavariable, or a constant no rule fires on.
     Arguments in constructor positions of candidate rules are reduced (the
@@ -139,7 +134,6 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
     A lambda chain applied to a spine, written or exposed by unfolding a
     definition, is contracted in one substitution for all the binders that
     have an argument; each binder still spends one step of fuel."""
-    f = _fuel(fuel)
     head, args = spine(t)
     changed = False
     while True:
@@ -148,7 +142,7 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
             mapping: dict[str, Term] = {}
             n = 0
             while isinstance(head, Lam) and n < len(args):
-                f.spend()
+                fuel.spend()
                 mapping[head.var] = args[n]
                 head = head.body
                 n += 1
@@ -161,7 +155,7 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
         if isinstance(head, Const):
             entry = sig.get(head.name)
             if isinstance(entry, Definition):
-                f.spend()
+                fuel.spend()
                 head, args2 = spine(entry.body)
                 args = args2 + args
                 changed = True
@@ -170,7 +164,7 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
             if rules and len(args) >= rules[0].arity:
                 arity = rules[0].arity
                 for i in rules[-1].con_positions:
-                    reduced = whnf(sig, args[i], f)
+                    reduced = whnf(sig, args[i], fuel)
                     if reduced is not args[i]:
                         args = args[:i] + [reduced] + args[i + 1:]
                         changed = True
@@ -178,7 +172,7 @@ def whnf(sig: Signature, t: Term, fuel: Union[int, Fuel, None] = None) -> Term:
                 for rule in rules:
                     binding = _match(rule, args)
                     if binding is not None:
-                        f.spend()
+                        fuel.spend()
                         contractum = subst_parallel(rule.rhs, binding)
                         head, args2 = spine(contractum)
                         args = args2 + args[arity:]
@@ -211,60 +205,52 @@ def _match(rule: CompiledRule, args: list) -> Optional[dict]:
     return binding
 
 
-def normalize(sig: Signature, t: Term,
-              fuel: Union[int, Fuel, None] = None) -> Term:
+def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
     """Full normal form: whnf at every subterm, annotations included."""
-    f = _fuel(fuel)
-    return _norm(sig, t, f)
-
-
-def _norm(sig: Signature, t: Term, f: Fuel) -> Term:
-    t = whnf(sig, t, f)
+    t = whnf(sig, t, fuel)
     if isinstance(t, Lam):
-        return Lam(t.var, normalize_kind(sig, t.ann, f), _norm(sig, t.body, f))
+        return Lam(t.var, normalize_kind(sig, t.ann, fuel),
+                   normalize(sig, t.body, fuel))
     head, args = spine(t)
     if not args:
         return t
-    return app(head, *[_norm(sig, a, f) for a in args])
+    return app(head, *[normalize(sig, a, fuel) for a in args])
 
 
-def normalize_kind(sig: Signature, k: Kind,
-                   fuel: Union[int, Fuel, None] = None) -> Kind:
-    f = _fuel(fuel)
+def normalize_kind(sig: Signature, k: Kind, fuel: Fuel) -> Kind:
     if isinstance(k, (TypeKind, PropKind)):
         return k
     if isinstance(k, ElKind):
-        return ElKind(_norm(sig, k.body, f))
+        return ElKind(normalize(sig, k.body, fuel))
     if isinstance(k, PrfKind):
-        return PrfKind(_norm(sig, k.body, f))
+        return PrfKind(normalize(sig, k.body, fuel))
     if isinstance(k, PiKind):
-        return PiKind(k.var, normalize_kind(sig, k.domain, f),
-                      normalize_kind(sig, k.codomain, f))
+        return PiKind(k.var, normalize_kind(sig, k.domain, fuel),
+                      normalize_kind(sig, k.codomain, fuel))
     raise TypeError(f"not a kind: {k!r}")
 
 
 # ---------------------------------------------------------- convertibility
 
 def convertible(sig: Signature, ctx: Context, a: Term, b: Term,
-                at: Optional[Kind], fuel: Union[int, Fuel, None] = None
-                ) -> bool:
+                at: Optional[Kind], fuel: Fuel) -> bool:
     """Definitional equality of a and b at `at`, the kind both sides have.
     Eta happens only when `at` is a product; None means no eta at this
     level, where a lambda is ill-typed and convertible with nothing."""
-    f = _fuel(fuel)
-    return _conv(sig, ctx, a, b, at, f)
+    # the kernel itself calls `_conv`, the name perfbench's tracer counts
+    return _conv(sig, ctx, a, b, at, fuel)
 
 
 def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
-          at: Optional[Kind], f: Fuel) -> bool:
+          at: Optional[Kind], fuel: Fuel) -> bool:
     if alpha_eq(a, b):
         return True
     if isinstance(at, PiKind):
         x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
         cod = rename(at.codomain, at.var, x)
-        return _conv(sig, ctx2, App(a, Var(x)), App(b, Var(x)), cod, f)
-    a = whnf(sig, a, f)
-    b = whnf(sig, b, f)
+        return _conv(sig, ctx2, App(a, Var(x)), App(b, Var(x)), cod, fuel)
+    a = whnf(sig, a, fuel)
+    b = whnf(sig, b, fuel)
     if alpha_eq(a, b):
         return True
     ha, sa = spine(a)
@@ -274,7 +260,7 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
     if not isinstance(ha, (Var, Const)) or ha.name != hb.name:
         return False
     for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, ha, sa)):
-        if not _conv(sig, ctx, u, v, arg_at, f):
+        if not _conv(sig, ctx, u, v, arg_at, fuel):
             return False
     return True
 
@@ -305,45 +291,34 @@ def spine_domains(sig: Signature, ctx: Context, head: Term,
 
 
 def equal_kinds(sig: Signature, ctx: Context, k1: Kind, k2: Kind,
-                fuel: Union[int, Fuel, None] = None) -> bool:
-    f = _fuel(fuel)
-    return _eqk(sig, ctx, k1, k2, f)
-
-
-def _eqk(sig: Signature, ctx: Context, k1: Kind, k2: Kind, f: Fuel) -> bool:
+                fuel: Fuel) -> bool:
     t1, t2 = type(k1), type(k2)
     if t1 is not t2:
         return False
     if t1 is TypeKind or t1 is PropKind:
         return True
     if t1 is ElKind:
-        return _conv(sig, ctx, k1.body, k2.body, TYPE, f)
+        return _conv(sig, ctx, k1.body, k2.body, TYPE, fuel)
     if t1 is PrfKind:
-        return _conv(sig, ctx, k1.body, k2.body, PROP, f)
+        return _conv(sig, ctx, k1.body, k2.body, PROP, fuel)
     if t1 is PiKind:
-        if not _eqk(sig, ctx, k1.domain, k2.domain, f):
+        if not equal_kinds(sig, ctx, k1.domain, k2.domain, fuel):
             return False
         x, ctx2 = ctx.bind(k1.var, k1.domain, k1, k2)
         c1 = rename(k1.codomain, k1.var, x)
         c2 = rename(k2.codomain, k2.var, x)
-        return _eqk(sig, ctx2, c1, c2, f)
+        return equal_kinds(sig, ctx2, c1, c2, fuel)
     raise TypeError(f"not a kind: {k1!r}")
 
 
 # ------------------------------------------------------------- inference
 
-def infer_kind(sig: Signature, ctx: Context, t: Term,
-               fuel: Union[int, Fuel, None] = None) -> Kind:
-    f = _fuel(fuel)
-    return _infer(sig, ctx, t, f)
-
-
-def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
+def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
     if isinstance(t, App):
         # the commonest node first. Walk the spine once; the head's kind
         # is instantiated lazily
         head, args = spine(t)
-        k = _infer(sig, ctx, head, f)
+        k = infer_kind(sig, ctx, head, fuel)
         mapping: dict[str, Term] = {}
         for i, arg in enumerate(args):
             if not isinstance(k, PiKind):
@@ -353,8 +328,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
                         "app-fn", subject=app(head, *args[:i]),
                         actual=subst_parallel(k, mapping)))
             domain = subst_parallel(k.domain, mapping)
-            arg_kind = _infer(sig, ctx, arg, f)
-            if not _eqk(sig, ctx, arg_kind, domain, f):
+            arg_kind = infer_kind(sig, ctx, arg, fuel)
+            if not equal_kinds(sig, ctx, arg_kind, domain, fuel):
                 raise DomainMismatch(
                     "argument kind does not match the function's domain",
                     diagnostic=Diagnostic("app-domain", subject=arg,
@@ -381,24 +356,19 @@ def _infer(sig: Signature, ctx: Context, t: Term, f: Fuel) -> Kind:
             "term still contains an unresolved metavariable",
             diagnostic=Diagnostic("meta", subject=t))
     if isinstance(t, Lam):
-        check_kind_valid(sig, ctx, t.ann, f)
+        check_kind_valid(sig, ctx, t.ann, fuel)
         x, ctx2 = ctx.bind(t.var, t.ann, t)
-        body_kind = _infer(sig, ctx2, rename(t.body, t.var, x), f)
+        body_kind = infer_kind(sig, ctx2, rename(t.body, t.var, x), fuel)
         return PiKind(x, t.ann, body_kind)
     raise TypeError(f"not a term: {t!r}")
 
 
 def check_kind_valid(sig: Signature, ctx: Context, k: Kind,
-                     fuel: Union[int, Fuel, None] = None) -> None:
-    f = _fuel(fuel)
-    _check_kind(sig, ctx, k, f)
-
-
-def _check_kind(sig: Signature, ctx: Context, k: Kind, f: Fuel) -> None:
+                     fuel: Fuel) -> None:
     if isinstance(k, (TypeKind, PropKind)):
         return
     if isinstance(k, ElKind):
-        body_kind = _infer(sig, ctx, k.body, f)
+        body_kind = infer_kind(sig, ctx, k.body, fuel)
         if not isinstance(body_kind, TypeKind):
             raise IllFormedKind(
                 "only a term of kind Type can be used as a type",
@@ -406,7 +376,7 @@ def _check_kind(sig: Signature, ctx: Context, k: Kind, f: Fuel) -> None:
                                       expected=TYPE, actual=body_kind))
         return
     if isinstance(k, PrfKind):
-        body_kind = _infer(sig, ctx, k.body, f)
+        body_kind = infer_kind(sig, ctx, k.body, fuel)
         if not isinstance(body_kind, PropKind):
             raise IllFormedKind(
                 "only a term of kind Prop can be used as a proposition",
@@ -414,31 +384,28 @@ def _check_kind(sig: Signature, ctx: Context, k: Kind, f: Fuel) -> None:
                                       expected=PROP, actual=body_kind))
         return
     if isinstance(k, PiKind):
-        _check_kind(sig, ctx, k.domain, f)
+        check_kind_valid(sig, ctx, k.domain, fuel)
         x, ctx2 = ctx.bind(k.var, k.domain, k)
-        _check_kind(sig, ctx2, rename(k.codomain, k.var, x), f)
+        check_kind_valid(sig, ctx2, rename(k.codomain, k.var, x), fuel)
         return
     raise TypeError(f"not a kind: {k!r}")
 
 
-def check_context(sig: Signature, entries,
-                  fuel: Union[int, Fuel, None] = None) -> Context:
+def check_context(sig: Signature, entries, fuel: Fuel) -> Context:
     """Validate a sequence of (name, kind) entries left to right and build
     the Context. Raises DuplicateVariable on repeated names."""
-    f = _fuel(fuel)
     ctx = EMPTY_CONTEXT
     for name, kind in entries:
-        _check_kind(sig, ctx, kind, f)
+        check_kind_valid(sig, ctx, kind, fuel)
         ctx = ctx.extend(name, kind)
     return ctx
 
 
 def check_term(sig: Signature, ctx: Context, t: Term, expected: Kind,
-               fuel: Union[int, Fuel, None] = None) -> Kind:
+               fuel: Fuel) -> Kind:
     """Infer t's kind and require it equal to expected."""
-    f = _fuel(fuel)
-    actual = _infer(sig, ctx, t, f)
-    if not _eqk(sig, ctx, actual, expected, f):
+    actual = infer_kind(sig, ctx, t, fuel)
+    if not equal_kinds(sig, ctx, actual, expected, fuel):
         raise KindMismatch(
             "term does not have the required kind",
             diagnostic=Diagnostic("check", subject=t, expected=expected,

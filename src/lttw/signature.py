@@ -6,15 +6,15 @@ declared head constant and fire on depth-1 constructor patterns.
 
 Every mutating operation validates its input with the kernel before storing
 anything, so a signature that exists is well-formed. It spends all of its
-kernel checks from one budget: the `Fuel` it is given, or a fresh one of
-the given number of steps. Declaration order is significant (later entries
-may mention earlier ones); nothing here attempts reordering.
+kernel checks from the caller's `Fuel`, a required argument. Declaration
+order is significant (later entries may mention earlier ones); nothing here
+attempts reordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import (
     Diagnostic, DuplicateName, HeadNotConstant, IllTyped, KindMismatch,
@@ -22,6 +22,9 @@ from .errors import (
     UnknownConstant,
 )
 from .syntax import Const, Kind, Term, Var, free_vars, spine
+
+if TYPE_CHECKING:  # the kernel imports this module
+    from .kernel import Fuel
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,9 @@ class Signature:
 def lookup(sig: Signature, name: str) -> Entry:
     entry = sig.get(name)
     if entry is None:
-        raise NotFound(f"no declaration named {name!r}")
+        raise NotFound(f"no declaration named {name!r}",
+                       diagnostic=Diagnostic("signature-declared",
+                                             subject=Const(name)))
     return entry
 
 
@@ -102,11 +107,10 @@ def _require_fresh(sig: Signature, name: str) -> None:
 
 
 def declare_constant(sig: Signature, name: str, kind: Kind,
-                     fuel=None) -> ConstDecl:
+                     fuel: Fuel) -> ConstDecl:
     from . import kernel
 
     _require_fresh(sig, name)
-    fuel = kernel._fuel(fuel)
     kernel.check_kind_valid(sig, kernel.EMPTY_CONTEXT, kind, fuel)
     decl = ConstDecl(name, kind)
     sig.entries[name] = decl
@@ -114,11 +118,10 @@ def declare_constant(sig: Signature, name: str, kind: Kind,
 
 
 def define(sig: Signature, name: str, body: Term,
-           ascription: Optional[Kind] = None, fuel=None) -> Definition:
+           ascription: Optional[Kind] = None, *, fuel: Fuel) -> Definition:
     from . import kernel
 
     _require_fresh(sig, name)
-    fuel = kernel._fuel(fuel)
     inferred = kernel.infer_kind(sig, kernel.EMPTY_CONTEXT, body, fuel)
     kind = inferred
     if ascription is not None:
@@ -137,9 +140,7 @@ def define(sig: Signature, name: str, body: Term,
 
 
 def declare_rewrite(sig: Signature, rule: RewriteRule,
-                    fuel=None) -> CompiledRule:
-    from . import kernel
-
+                    fuel: Fuel) -> CompiledRule:
     compiled = _compile_rule(sig, rule)
     for other in sig.rules_for(compiled.head):
         if other.arity != compiled.arity:
@@ -152,7 +153,7 @@ def declare_rewrite(sig: Signature, rule: RewriteRule,
                 f"rewrite rule overlaps an existing rule for "
                 f"{compiled.head!r}",
                 diagnostic=Diagnostic("rewrite-overlap", subject=rule.lhs))
-    _check_rule_kinds(sig, rule, kernel._fuel(fuel))
+    _check_rule_kinds(sig, rule, fuel)
     sig.rules.setdefault(compiled.head, []).append(compiled)
     return compiled
 
@@ -244,7 +245,7 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
     return ("con", head.name, subpats)
 
 
-def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel) -> None:
+def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel: Fuel) -> None:
     from . import kernel
 
     ctx = kernel.check_context(sig, rule.binders, fuel)

@@ -5,6 +5,7 @@ parser and the shipped library scripts, so kernel tests cannot be masked by
 bugs in those layers.
 """
 
+from lttw.kernel import Fuel
 from lttw.signature import RewriteRule, Signature, declare_constant, define, \
     declare_rewrite
 from lttw.syntax import (
@@ -21,9 +22,9 @@ def arrow(k1, k2):
 def nat_signature():
     """Nat with a Type-valued recursor and its two computation rules."""
     sig = Signature()
-    declare_constant(sig, "Nat", TYPE)
-    declare_constant(sig, "zero", NAT)
-    declare_constant(sig, "succ", arrow(NAT, NAT))
+    declare_constant(sig, "Nat", TYPE, Fuel())
+    declare_constant(sig, "zero", NAT, Fuel())
+    declare_constant(sig, "succ", arrow(NAT, NAT), Fuel())
 
     ck = arrow(NAT, TYPE)
     c_zero = ElKind(App(Var("C"), Const("zero")))
@@ -33,21 +34,21 @@ def nat_signature():
     declare_constant(
         sig, "E_Nat",
         PiKind("C", ck, arrow(c_zero, arrow(step,
-                                            PiKind("n", NAT, c_n)))))
+                                            PiKind("n", NAT, c_n)))), Fuel())
 
     binders = (("C", ck), ("a", c_zero), ("b", step))
     declare_rewrite(sig, RewriteRule(
         binders=binders,
         lhs=app(Const("E_Nat"), Var("C"), Var("a"), Var("b"), Const("zero")),
         rhs=Var("a"),
-        ascription=c_zero))
+        ascription=c_zero), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=binders + (("n", NAT),),
         lhs=app(Const("E_Nat"), Var("C"), Var("a"), Var("b"),
                 App(Const("succ"), Var("n"))),
         rhs=app(Var("b"), Var("n"),
                 app(Const("E_Nat"), Var("C"), Var("a"), Var("b"), Var("n"))),
-        ascription=c_sn))
+        ascription=c_sn), Fuel())
     return sig
 
 
@@ -56,67 +57,68 @@ def universe_signature():
     proposition layer, and a tiny equality family. Exercises the unifier's
     rule-driven inversion without depending on the shipped scripts."""
     sig = nat_signature()
-    declare_constant(sig, "Times", arrow(TYPE, arrow(TYPE, TYPE)))
-    declare_constant(sig, "U", TYPE)
+    declare_constant(sig, "Times", arrow(TYPE, arrow(TYPE, TYPE)), Fuel())
+    declare_constant(sig, "U", TYPE, Fuel())
     uk = ElKind(Const("U"))
-    declare_constant(sig, "T", arrow(uk, TYPE))
-    declare_constant(sig, "hatNat", uk)
-    declare_constant(sig, "hatTimes", arrow(uk, arrow(uk, uk)))
+    declare_constant(sig, "T", arrow(uk, TYPE), Fuel())
+    declare_constant(sig, "hatNat", uk, Fuel())
+    declare_constant(sig, "hatTimes", arrow(uk, arrow(uk, uk)), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(),
         lhs=App(Const("T"), Const("hatNat")),
         rhs=Const("Nat"),
-        ascription=TYPE))
+        ascription=TYPE), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(("a", uk), ("b", uk)),
         lhs=App(Const("T"), app(Const("hatTimes"), Var("a"), Var("b"))),
         rhs=app(Const("Times"), App(Const("T"), Var("a")),
                 App(Const("T"), Var("b"))),
-        ascription=TYPE))
+        ascription=TYPE), Fuel())
 
-    declare_constant(sig, "bot", PROP)
-    declare_constant(sig, "imp", arrow(PROP, arrow(PROP, PROP)))
-    declare_constant(sig, "prop", PROP)
+    declare_constant(sig, "bot", PROP, Fuel())
+    declare_constant(sig, "imp", arrow(PROP, arrow(PROP, PROP)), Fuel())
+    declare_constant(sig, "prop", PROP, Fuel())
     pp = PrfKind(Const("prop"))
-    declare_constant(sig, "V", arrow(pp, PROP))
-    declare_constant(sig, "hatbot", pp)
-    declare_constant(sig, "hatimp", arrow(pp, arrow(pp, pp)))
+    declare_constant(sig, "V", arrow(pp, PROP), Fuel())
+    declare_constant(sig, "hatbot", pp, Fuel())
+    declare_constant(sig, "hatimp", arrow(pp, arrow(pp, pp)), Fuel())
     declare_constant(sig, "forallc", PiKind(
-        "A", TYPE, arrow(arrow(ElKind(Var("A")), PROP), PROP)))
+        "A", TYPE, arrow(arrow(ElKind(Var("A")), PROP), PROP)), Fuel())
     t_of = lambda v: ElKind(App(Const("T"), Var(v)))
     declare_constant(sig, "hatforall",
-                     PiKind("u", uk, arrow(arrow(t_of("u"), pp), pp)))
+                     PiKind("u", uk, arrow(arrow(t_of("u"), pp), pp)), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(),
         lhs=App(Const("V"), Const("hatbot")),
         rhs=Const("bot"),
-        ascription=PROP))
+        ascription=PROP), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(("p", pp), ("q", pp)),
         lhs=App(Const("V"), app(Const("hatimp"), Var("p"), Var("q"))),
         rhs=app(Const("imp"), App(Const("V"), Var("p")),
                 App(Const("V"), Var("q"))),
-        ascription=PROP))
+        ascription=PROP), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(("u", uk), ("P", arrow(t_of("u"), pp))),
         lhs=App(Const("V"), app(Const("hatforall"), Var("u"), Var("P"))),
         rhs=app(Const("forallc"), App(Const("T"), Var("u")),
                 Lam("x", t_of("u"),
                     App(Const("V"), App(Var("P"), Var("x"))))),
-        ascription=PROP))
+        ascription=PROP), Fuel())
 
     declare_constant(sig, "Eq", PiKind(
-        "A", uk, arrow(t_of("A"), arrow(t_of("A"), PROP))))
+        "A", uk, arrow(t_of("A"), arrow(t_of("A"), PROP))), Fuel())
     declare_constant(sig, "EqI", PiKind(
         "A", uk, PiKind("a", t_of("A"),
                         PrfKind(app(Const("Eq"), Var("A"), Var("a"),
-                                    Var("a"))))))
+                                    Var("a"))))), Fuel())
     declare_constant(sig, "pp",
-                     ElKind(app(Const("Times"), Const("Nat"), Const("Nat"))))
-    declare_constant(sig, "q", arrow(NAT, pp))
+                     ElKind(app(Const("Times"), Const("Nat"), Const("Nat"))),
+                     Fuel())
+    declare_constant(sig, "q", arrow(NAT, pp), Fuel())
     declare_constant(sig, "lemma", PiKind(
         "p", pp, arrow(PrfKind(App(Const("V"), Var("p"))),
-                       PrfKind(App(Const("V"), Var("p"))))))
+                       PrfKind(App(Const("V"), Var("p"))))), Fuel())
     return sig
 
 
@@ -138,7 +140,7 @@ def define_plus(sig):
         Const("E_Nat"), const_nat_family(), Var("n"),
         Lam("_", NAT, Lam("r", NAT, App(Const("succ"), Var("r")))),
         Var("m"))))
-    return define(sig, "plus", body)
+    return define(sig, "plus", body, fuel=Fuel())
 
 
 def define_mult(sig):
@@ -147,4 +149,4 @@ def define_mult(sig):
         Const("E_Nat"), const_nat_family(), Const("zero"),
         Lam("_", NAT, Lam("r", NAT, app(Const("plus"), Var("n"), Var("r")))),
         Var("m"))))
-    return define(sig, "mult", body)
+    return define(sig, "mult", body, fuel=Fuel())

@@ -19,7 +19,7 @@ from lttw.corpus import (
     CORPUS_DIR, MANIFEST_IMPREDICATIVE, check_corpus,
 )
 from lttw.errors import UnknownConstant
-from lttw.kernel import EMPTY_CONTEXT
+from lttw.kernel import EMPTY_CONTEXT, Fuel
 from lttw.parser import parse_term
 from lttw.printer import print_kind, print_term
 from lttw.signature import ConstDecl, Signature
@@ -83,9 +83,9 @@ def test_02_every_rewrite_rule_reduces_its_pattern_at_the_head():
         for rules in sig.rules.values():
             for r in rules:
                 src = r.source
-                reduced = kernel.whnf(sig, src.lhs)
+                reduced = kernel.whnf(sig, src.lhs, Fuel())
                 assert not alpha_eq(reduced, src.lhs), print_term(src.lhs)
-                assert alpha_eq(reduced, kernel.whnf(sig, src.rhs)), \
+                assert alpha_eq(reduced, kernel.whnf(sig, src.rhs, Fuel())), \
                     print_term(src.lhs)
                 seen += 1
         assert seen == expect_count
@@ -97,11 +97,11 @@ def test_02_every_rewrite_rule_reduces_its_pattern_at_the_head():
     sig = load_core_signature().sig
     beta = App(Lam("x", ElKind(Const("Nat")), App(Const("succ"), Var("x"))),
                Const("zero"))
-    assert alpha_eq(kernel.whnf(sig, beta), numeral(1))
+    assert alpha_eq(kernel.whnf(sig, beta, Fuel()), numeral(1))
     fk = PiKind("_", ElKind(Const("Nat")), ElKind(Const("Nat")))
     ctx = EMPTY_CONTEXT.extend("g", fk)
     wrapped = Lam("x", ElKind(Const("Nat")), App(Var("g"), Var("x")))
-    assert kernel.convertible(sig, ctx, wrapped, Var("g"), fk)
+    assert kernel.convertible(sig, ctx, wrapped, Var("g"), fk, Fuel())
 
 
 def test_03_successor_discrimination_needs_the_universe_layer():
@@ -133,10 +133,12 @@ def test_04_addition_and_multiplication_agree_with_machine_integers():
     for m in range(13):
         for n in range(13):
             got = kernel.normalize(
-                ck.sig, App(App(Const("plus"), numeral(m)), numeral(n)))
+                ck.sig, App(App(Const("plus"), numeral(m)), numeral(n)),
+                Fuel())
             assert alpha_eq(got, numeral(m + n)), f"plus {m} {n}"
             got = kernel.normalize(
-                ck.sig, App(App(Const("mult"), numeral(m)), numeral(n)))
+                ck.sig, App(App(Const("mult"), numeral(m)), numeral(n)),
+                Fuel())
             assert alpha_eq(got, numeral(m * n)), f"mult {m} {n}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"338 normalisations took {elapsed:.2f}s"
@@ -293,12 +295,12 @@ def test_08_randomized_property_suites_hold_with_five_hundred_cases_each(
     sig, nat = ck.sig, ElKind(Const("Nat"))
 
     def conv(a, b):
-        return kernel.convertible(sig, EMPTY_CONTEXT, a, b, nat)
+        return kernel.convertible(sig, EMPTY_CONTEXT, a, b, nat, Fuel())
 
     for _ in range(500):
         a = gen_arith(rng, 2)
-        b = kernel.whnf(sig, a)
-        c = kernel.normalize(sig, a)
+        b = kernel.whnf(sig, a, Fuel())
+        c = kernel.normalize(sig, a, Fuel())
         other = gen_arith(rng, 2)
         assert conv(a, a)
         assert conv(a, b) and conv(b, a)
@@ -307,8 +309,8 @@ def test_08_randomized_property_suites_hold_with_five_hundred_cases_each(
 
     # weak head normalisation is idempotent
     for _ in range(500):
-        h = kernel.whnf(sig, gen_arith(rng, 2))
-        assert alpha_eq(kernel.whnf(sig, h), h)
+        h = kernel.whnf(sig, gen_arith(rng, 2), Fuel())
+        assert alpha_eq(kernel.whnf(sig, h, Fuel()), h)
 
     # printing then reparsing is the identity on core terms
     for _ in range(500):
@@ -336,8 +338,9 @@ def test_08_randomized_property_suites_hold_with_five_hundred_cases_each(
             collect(record[1])
     assert len(seen) >= 500
     for t in seen.values():
-        k = kernel.infer_kind(ck2.sig, EMPTY_CONTEXT, t)
-        kernel.check_term(ck2.sig, EMPTY_CONTEXT, kernel.whnf(ck2.sig, t), k)
+        k = kernel.infer_kind(ck2.sig, EMPTY_CONTEXT, t, Fuel())
+        kernel.check_term(ck2.sig, EMPTY_CONTEXT,
+                          kernel.whnf(ck2.sig, t, Fuel()), k, Fuel())
 
 
 def test_09_elaborated_corpus_replays_without_the_elaborator(predicative):

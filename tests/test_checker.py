@@ -434,6 +434,20 @@ def test_too_deep_a_command_is_a_typed_rejection():
                              "succ (succ (succ (succ zero)))")
 
 
+def test_too_deep_a_command_is_explained_like_any_rejection():
+    # elaborating the numeral runs out of stack after `bot` was recorded
+    # against `Nat`: that false obligation gives the error. With `zero`
+    # every obligation holds, and the depth is the rejection
+    numeral = "succ (" * 599 + "succ zero" + ")" * 599
+    ck = load_standard()
+    ck.run_text("> [K = [a : Nat] [b : Nat] b];\n")
+    with pytest.raises(KindMismatch) as info:
+        ck.run_text(f"> TypeOf K bot ({numeral});\n")
+    assert info.value.diagnostic.rule == "check"
+    with pytest.raises(NestingTooDeep):
+        ck.run_text(f"> TypeOf K zero ({numeral});\n")
+
+
 def test_a_300_deep_numeral_is_accepted():
     # perfbench's deep family checks this numeral (check_numeral_300); a
     # parser that spent more stack frames per parenthesis would reject it

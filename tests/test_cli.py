@@ -12,6 +12,7 @@ import pytest
 from lttw.cli import main
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import LttwError
+from lttw.kernel import Fuel
 from lttw.signature import RewriteRule, declare_constant, declare_rewrite
 from lttw.syntax import App, Const, Var
 
@@ -255,6 +256,7 @@ def test_repeated_pattern_variable_names_its_rule(capsys, tmp_path):
 # prints and the rule it names: a script for `lttw check` where the
 # elaborator lets the rule reach the signature layer, else a rule passed to
 # `declare_rewrite` over the miniature Nat signature with `f : Nat -> Nat`.
+# The last entries are the elaborator's own rejections of a name or a hole.
 RULE_REJECTIONS = [
     ("rewrite-arity",
      "> [f : Nat -> Nat -> Nat];\n"
@@ -286,6 +288,13 @@ RULE_REJECTIONS = [
     ("rewrite-constructor-opaque",
      "> [d = zero];\n> [f : Nat -> Nat];\n> rule f d = zero : Nat;\n",
      "'d' unfolds, so it cannot head a pattern"),
+    ("name-declared", "> Check ghost;\n", "unknown name 'ghost'"),
+    ("hole-kind", "> Check ?;\n",
+     "hole in a position whose kind is not determined"),
+    ("lam-annotation", "> Check [x] x;\n",
+     "binder 'x' needs an annotation here"),
+    ("hole-solved", "> [f : Nat -> Nat];\n> Check f ?;\n",
+     "a hole was never determined"),
 ]
 
 
@@ -299,9 +308,9 @@ def test_rewrite_rule_rejection_names_its_rule(capsys, tmp_path, rule,
         assert f": {message}\n  rule: {rule}\n" in err
         return
     sig = nat_signature()
-    declare_constant(sig, "f", arrow(NAT, NAT))
+    declare_constant(sig, "f", arrow(NAT, NAT), Fuel())
     with pytest.raises(LttwError) as info:
-        declare_rewrite(sig, probe)
+        declare_rewrite(sig, probe, Fuel())
     assert info.value.message == message
     assert info.value.diagnostic.rule == rule
 

@@ -19,7 +19,7 @@ from lttw.errors import (
     FuelExhausted, KindMismatch, LttwError, MismatchedOutcome,
     UnknownConstant,
 )
-from lttw.kernel import EMPTY_CONTEXT
+from lttw.kernel import EMPTY_CONTEXT, Fuel
 from lttw.parser import parse_term
 from lttw.printer import print_term
 from lttw.signature import Signature
@@ -161,7 +161,8 @@ def test_reduction_outputs(predicative):
 def test_normalisation_fuel_after_arith(arith_signature, source, spent):
     # beta over a whole spine spends one step per binder it consumes, as
     # contracting the binders one at a time did
-    t = elaborate(arith_signature, EMPTY_CONTEXT, parse_term(source))
+    t = elaborate(arith_signature, EMPTY_CONTEXT, parse_term(source),
+                  fuel=Fuel())
     fuel = kernel.Fuel()
     kernel.normalize(arith_signature, t, fuel)
     assert fuel.limit - fuel.left == spent
@@ -221,14 +222,14 @@ def test_subject_reduction_on_every_corpus_term(predicative):
     assert len(seen) >= 500
     normalized = 0
     for key, t in seen.items():
-        k = kernel.infer_kind(sig, EMPTY_CONTEXT, t)
-        head = kernel.whnf(sig, t)
-        kernel.check_term(sig, EMPTY_CONTEXT, head, k)
+        k = kernel.infer_kind(sig, EMPTY_CONTEXT, t, Fuel())
+        head = kernel.whnf(sig, t, Fuel())
+        kernel.check_term(sig, EMPTY_CONTEXT, head, k, Fuel())
         if len(key) <= 400:
             try:
-                full = kernel.normalize(sig, t)
+                full = kernel.normalize(sig, t, Fuel())
             except FuelExhausted:
                 continue
-            kernel.check_term(sig, EMPTY_CONTEXT, full, k)
+            kernel.check_term(sig, EMPTY_CONTEXT, full, k, Fuel())
             normalized += 1
     assert normalized >= 500

@@ -49,7 +49,8 @@ class InPlaceChecker(Checker):
     the elaborator, and the kernel then checks what it elaborated."""
 
     def _elaborate_and_commit(self, step, cmd):
-        self._run_in_place(step, cmd)
+        self._el = self._elaborator()
+        step(cmd)
 
 
 def _outcome(ck: Checker, cmd):

@@ -10,10 +10,12 @@ from lttw.errors import (
     IllFormedKind, KindMismatch, Mismatch, NotAProduct, OccursCheck,
     ScopeEscape, UnificationFailure, UnknownConstant, UnsolvedMeta,
 )
-from lttw.kernel import EMPTY_CONTEXT, convertible, equal_kinds, infer_kind
+from lttw.kernel import (
+    EMPTY_CONTEXT, Fuel, convertible, equal_kinds, infer_kind,
+)
 from lttw.parser import parse_kind, parse_term
 from lttw.syntax import (
-    PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq,
+    PROP, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq,
     app, contains_meta,
 )
 
@@ -26,7 +28,7 @@ def sig():
 
 
 def elab(sig, text, expected=None, ctx=EMPTY_CONTEXT):
-    return elaborate(sig, ctx, parse_term(text), expected)
+    return elaborate(sig, ctx, parse_term(text), expected, fuel=Fuel())
 
 
 # ----------------------------------------------------------- resolution
@@ -55,8 +57,8 @@ def test_shadowed_context_binder_is_renamed(sig):
     assert isinstance(t, Lam) and t.var != "n"
     assert alpha_eq(t, Lam("m", NAT, app(Const("plus"), Var("m"),
                                          Var("m"))))
-    assert equal_kinds(sig, ctx, infer_kind(sig, ctx, t),
-                       arrow(NAT, NAT))
+    assert equal_kinds(sig, ctx, infer_kind(sig, ctx, t, Fuel()),
+                       arrow(NAT, NAT), Fuel())
 
 
 # ------------------------------------------------------------- checking
@@ -105,9 +107,10 @@ def test_hole_solved_by_decoding_inversion(sig):
     t = elab(sig, "EqI ? zero")
     assert alpha_eq(t, app(Const("EqI"), Const("hatNat"), Const("zero")))
     assert not contains_meta(t)
-    k = infer_kind(sig, EMPTY_CONTEXT, t)
+    k = infer_kind(sig, EMPTY_CONTEXT, t, Fuel())
     assert equal_kinds(sig, EMPTY_CONTEXT, k, PrfKind(
-        app(Const("Eq"), Const("hatNat"), Const("zero"), Const("zero"))))
+        app(Const("Eq"), Const("hatNat"), Const("zero"), Const("zero"))),
+        Fuel())
 
 
 def test_hole_solved_by_nested_inversion(sig):
@@ -152,7 +155,7 @@ def test_hole_solved_by_reflected_quantifier(sig):
                app(Const("hatforall"), Const("hatNat"), Const("q")),
                Var("h"))
     # the solution eta-expands q; compare up to conversion
-    assert convertible(sig, ctx, t, want, None)
+    assert convertible(sig, ctx, t, want, None, Fuel())
     assert not contains_meta(t)
 
 
@@ -167,64 +170,64 @@ def test_elaborated_result_rechecks_pure(sig):
     ctx = EMPTY_CONTEXT.extend(
         "h", PrfKind(app(Const("imp"), Const("bot"), Const("bot"))))
     t = elab(sig, "lemma ? h", ctx=ctx)
-    k = infer_kind(sig, ctx, t)  # kernel alone, no holes involved
+    k = infer_kind(sig, ctx, t, Fuel())  # kernel alone, no holes involved
     assert equal_kinds(sig, ctx, k, PrfKind(App(Const("V"), app(
-        Const("hatimp"), Const("hatbot"), Const("hatbot")))))
+        Const("hatimp"), Const("hatbot"), Const("hatbot")))), Fuel())
 
 
 # ----------------------------------------------------------- unification
 
 def test_occurs_check(sig):
     st = MetaState()
-    m = st.fresh(NAT, EMPTY_CONTEXT)
+    m = st.fresh(EMPTY_CONTEXT)
     with pytest.raises(OccursCheck):
-        unify(sig, EMPTY_CONTEXT, m, App(Const("succ"), m), None, st)
+        unify(sig, EMPTY_CONTEXT, m, App(Const("succ"), m), None, st, Fuel())
 
 
 def test_scope_escape(sig):
     st = MetaState()
-    m = st.fresh(NAT, EMPTY_CONTEXT)  # scope: nothing
+    m = st.fresh(EMPTY_CONTEXT)  # scope: nothing
     ctx = EMPTY_CONTEXT.extend("x", NAT)
     with pytest.raises(ScopeEscape):
-        unify(sig, ctx, m, App(Const("succ"), Var("x")), None, st)
+        unify(sig, ctx, m, App(Const("succ"), Var("x")), None, st, Fuel())
 
 
 def test_rigid_mismatch(sig):
     st = MetaState()
     with pytest.raises(Mismatch):
         unify(sig, EMPTY_CONTEXT, Const("zero"),
-              App(Const("succ"), Const("zero")), None, st)
+              App(Const("succ"), Const("zero")), None, st, Fuel())
 
 
 def test_solution_is_final(sig):
     st = MetaState()
-    m = st.fresh(NAT, EMPTY_CONTEXT)
-    unify(sig, EMPTY_CONTEXT, m, Const("zero"), None, st)
+    m = st.fresh(EMPTY_CONTEXT)
+    unify(sig, EMPTY_CONTEXT, m, Const("zero"), None, st, Fuel())
     assert alpha_eq(st.solutions[m.ident], Const("zero"))
     with pytest.raises(Mismatch):
         unify(sig, EMPTY_CONTEXT, m, App(Const("succ"), Const("zero")),
-              None, st)
+              None, st, Fuel())
 
 
 def test_unification_eta_expands_only_at_a_product(sig):
     # a hole under a binder unifies at the product kind both sides have;
     # at no kind, two lambdas are not compared at all
     st = MetaState()
-    m = st.fresh(NAT, EMPTY_CONTEXT)
+    m = st.fresh(EMPTY_CONTEXT)
     unify(sig, EMPTY_CONTEXT, Lam("x", NAT, m), Lam("x", NAT, Const("zero")),
-          arrow(NAT, NAT), st)
+          arrow(NAT, NAT), st, Fuel())
     assert alpha_eq(st.solutions[m.ident], Const("zero"))
     st = MetaState()
-    m = st.fresh(NAT, EMPTY_CONTEXT)
+    m = st.fresh(EMPTY_CONTEXT)
     with pytest.raises(Mismatch):
         unify(sig, EMPTY_CONTEXT, Lam("x", NAT, m),
-              Lam("x", NAT, Const("zero")), None, st)
+              Lam("x", NAT, Const("zero")), None, st, Fuel())
 
 
 def test_flex_flex_postpones_then_reports(sig):
-    el = Elaborator(sig)
-    m1 = el.state.fresh(arrow(NAT, NAT), EMPTY_CONTEXT)
-    m2 = el.state.fresh(arrow(NAT, NAT), EMPTY_CONTEXT)
+    el = Elaborator(sig, Fuel())
+    m1 = el.state.fresh(EMPTY_CONTEXT)
+    m2 = el.state.fresh(EMPTY_CONTEXT)
     el._unify(EMPTY_CONTEXT, App(m1, Const("zero")),
               App(m2, Const("zero")), None, None, 8)
     assert el.state.queue
@@ -236,8 +239,8 @@ def test_same_hole_on_both_sides_is_postponed_until_solved(sig):
     # ?m zero ~ ?m (succ zero) is solvable by ?m := [_ : Nat] zero, so it
     # waits instead of demanding zero ~ succ zero; solving ?m later
     # discharges it
-    el = Elaborator(sig)
-    m = el.state.fresh(arrow(NAT, NAT), EMPTY_CONTEXT)
+    el = Elaborator(sig, Fuel())
+    m = el.state.fresh(EMPTY_CONTEXT)
     el.unify(EMPTY_CONTEXT, App(m, Const("zero")),
              App(m, App(Const("succ"), Const("zero"))), NAT)
     assert el.state.queue and m.ident not in el.state.solutions
@@ -253,14 +256,14 @@ def test_unify_kinds_at_a_product(sig):
     def eq_zero(a, b):
         return PrfKind(app(Const("Eq"), Const("hatNat"), a, b))
 
-    el = Elaborator(sig)
-    hole = el.state.fresh(TYPE, EMPTY_CONTEXT)
+    el = Elaborator(sig, Fuel())
+    hole = el.state.fresh(EMPTY_CONTEXT)
     el.unify_kinds(EMPTY_CONTEXT,
                    PiKind("x", ElKind(hole), eq_zero(Var("x"), Const("zero"))),
                    PiKind("y", NAT, eq_zero(Var("y"), Const("zero"))), None)
     assert alpha_eq(el.state.solutions[hole.ident], Const("Nat"))
-    el = Elaborator(sig)
-    hole = el.state.fresh(TYPE, EMPTY_CONTEXT)
+    el = Elaborator(sig, Fuel())
+    hole = el.state.fresh(EMPTY_CONTEXT)
     with pytest.raises(Mismatch):
         el.unify_kinds(
             EMPTY_CONTEXT,
@@ -271,39 +274,40 @@ def test_unify_kinds_at_a_product(sig):
 def test_unification_respects_reduction(sig):
     # plus 2 2 and 4 unify with a hole inside one side's argument
     st = MetaState()
-    m = st.fresh(NAT, EMPTY_CONTEXT)
+    m = st.fresh(EMPTY_CONTEXT)
     lhs = app(Const("plus"), numeral(2), m)
-    unify(sig, EMPTY_CONTEXT, lhs, numeral(4), None, st)
+    unify(sig, EMPTY_CONTEXT, lhs, numeral(4), None, st, Fuel())
     assert alpha_eq(st.zonk(m), numeral(2))
     from lttw.kernel import normalize
-    assert alpha_eq(normalize(sig, st.zonk(lhs)), numeral(4))
+    assert alpha_eq(normalize(sig, st.zonk(lhs), Fuel()), numeral(4))
 
 
 # -------------------------------------------------------- kind coercion
 
 def test_term_coerced_to_prf(sig):
-    k = elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("bot"))
+    k = elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("bot"), Fuel())
     assert alpha_eq(k, PrfKind(Const("bot")))
 
 
 def test_term_coerced_to_el_inside_arrow(sig):
-    k = elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("Nat -> Nat"))
+    k = elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("Nat -> Nat"), Fuel())
     assert alpha_eq(k, arrow(NAT, NAT))
 
 
 def test_lowercase_kind_keywords_still_work(sig):
-    k = elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("El Nat -> Prf bot"))
+    k = elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("El Nat -> Prf bot"),
+                       Fuel())
     assert alpha_eq(k, arrow(NAT, PrfKind(Const("bot"))))
 
 
 def test_non_type_term_rejected_as_kind(sig):
     with pytest.raises(IllFormedKind):
-        elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("zero"))
+        elaborate_kind(sig, EMPTY_CONTEXT, parse_kind("zero"), Fuel())
 
 
 def test_dependent_kind_elaboration(sig):
     k = elaborate_kind(sig, EMPTY_CONTEXT,
-                       parse_kind("(A : U) T A -> T A -> Prop"))
+                       parse_kind("(A : U) T A -> T A -> Prop"), Fuel())
     assert isinstance(k, PiKind) and k.var == "A"
     assert alpha_eq(k.domain, ElKind(Const("U")))
     inner = k.codomain

@@ -4,16 +4,20 @@ Expected values are machine arithmetic (for numeral tests) or single
 hand-derived reduction steps spelled out next to the assertion.
 """
 
+import ast
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import lttw
 from lttw.errors import (
     DomainMismatch, DuplicateVariable, FuelExhausted, IllFormedKind,
     NotAProduct, UnboundVariable, UnknownConstant,
 )
 from lttw.kernel import (
-    EMPTY_CONTEXT, check_context, check_kind_valid, convertible,
+    EMPTY_CONTEXT, Fuel, check_context, check_kind_valid, convertible,
     equal_kinds, infer_kind, normalize, whnf,
 )
 from lttw.signature import RewriteRule, declare_constant, declare_rewrite
@@ -39,14 +43,14 @@ def sig():
 
 def test_whnf_beta_step(sig):
     t = App(Lam("x", NAT, Var("x")), Const("zero"))
-    assert alpha_eq(whnf(sig, t), Const("zero"))
+    assert alpha_eq(whnf(sig, t, Fuel()), Const("zero"))
 
 
 def test_whnf_stops_at_constructor(sig):
     # whnf must not reduce under succ: plus zero zero stays unreduced inside
     inner = app(Const("plus"), Const("zero"), Const("zero"))
     t = App(Const("succ"), inner)
-    w = whnf(sig, t)
+    w = whnf(sig, t, Fuel())
     assert isinstance(w, App)
     assert alpha_eq(w, t)  # already weak-head normal
 
@@ -56,7 +60,7 @@ def test_whnf_fires_zero_rule(sig):
     t = app(Const("E_Nat"), const_nat_family(), numeral(3),
             Lam("_", NAT, Lam("r", NAT, App(Const("succ"), Var("r")))),
             Const("zero"))
-    assert alpha_eq(whnf(sig, t), numeral(3))
+    assert alpha_eq(whnf(sig, t, Fuel()), numeral(3))
 
 
 def test_whnf_fires_succ_rule_once(sig):
@@ -64,7 +68,7 @@ def test_whnf_fires_succ_rule_once(sig):
     # continues to the head constructor: succ (E_Nat C a b zero)
     b = Lam("_", NAT, Lam("r", NAT, App(Const("succ"), Var("r"))))
     t = app(Const("E_Nat"), const_nat_family(), Const("zero"), b, numeral(1))
-    w = whnf(sig, t)
+    w = whnf(sig, t, Fuel())
     assert isinstance(w, App)
     head, args = w.fn, w.arg
     assert alpha_eq(head, Const("succ"))
@@ -73,7 +77,7 @@ def test_whnf_fires_succ_rule_once(sig):
 def test_whnf_unfolds_definitions(sig):
     # plus is a definition; its unfolding exposes the E_Nat redex
     t = app(Const("plus"), numeral(0), numeral(2))
-    w = whnf(sig, t)
+    w = whnf(sig, t, Fuel())
     assert isinstance(w, App)
     assert alpha_eq(w, numeral(2))
 
@@ -83,7 +87,8 @@ def test_whnf_unfolds_definitions(sig):
 def test_plus_matches_machine(m, n):
     s = nat_signature()
     define_plus(s)
-    assert alpha_eq(normalize(s, app(Const("plus"), numeral(m), numeral(n))),
+    assert alpha_eq(normalize(s, app(Const("plus"), numeral(m), numeral(n)),
+                              Fuel()),
                     numeral(m + n))
 
 
@@ -93,27 +98,28 @@ def test_mult_matches_machine(m, n):
     s = nat_signature()
     define_plus(s)
     define_mult(s)
-    assert alpha_eq(normalize(s, app(Const("mult"), numeral(m), numeral(n))),
+    assert alpha_eq(normalize(s, app(Const("mult"), numeral(m), numeral(n)),
+                              Fuel()),
                     numeral(m * n))
 
 
 def test_fuel_exhausted_on_looping_rule():
     sig = nat_signature()
-    declare_constant(sig, "omega", arrow(NAT, NAT))
+    declare_constant(sig, "omega", arrow(NAT, NAT), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(("x", NAT),),
         lhs=app(Const("omega"), Var("x")),
         rhs=app(Const("omega"), Var("x")),
-        ascription=NAT))
+        ascription=NAT), Fuel())
     with pytest.raises(FuelExhausted):
-        whnf(sig, app(Const("omega"), Const("zero")), fuel=1000)
+        whnf(sig, app(Const("omega"), Const("zero")), fuel=Fuel(1000))
 
 
 def test_fuel_is_shared_across_nested_reduction(sig):
     big = app(Const("mult"), numeral(6), numeral(6))
     with pytest.raises(FuelExhausted):
-        normalize(sig, big, fuel=10)
-    assert alpha_eq(normalize(sig, big, fuel=100000), numeral(36))
+        normalize(sig, big, fuel=Fuel(10))
+    assert alpha_eq(normalize(sig, big, fuel=Fuel(100000)), numeral(36))
 
 
 # ------------------------------------------- well-kinded term generation
@@ -143,7 +149,7 @@ well_kinded = nat_terms(3)
 def test_generated_terms_are_well_kinded(t):
     s = nat_signature()
     define_plus(s)
-    assert isinstance(infer_kind(s, EMPTY_CONTEXT, t), ElKind)
+    assert isinstance(infer_kind(s, EMPTY_CONTEXT, t, Fuel()), ElKind)
 
 
 @CASES
@@ -151,8 +157,8 @@ def test_generated_terms_are_well_kinded(t):
 def test_whnf_idempotent(t):
     s = nat_signature()
     define_plus(s)
-    w = whnf(s, t)
-    assert alpha_eq(whnf(s, w), w)
+    w = whnf(s, t, Fuel())
+    assert alpha_eq(whnf(s, w, Fuel()), w)
 
 
 @CASES
@@ -160,9 +166,9 @@ def test_whnf_idempotent(t):
 def test_subject_reduction(t):
     s = nat_signature()
     define_plus(s)
-    before = infer_kind(s, EMPTY_CONTEXT, t)
-    after = infer_kind(s, EMPTY_CONTEXT, whnf(s, t))
-    assert equal_kinds(s, EMPTY_CONTEXT, before, after)
+    before = infer_kind(s, EMPTY_CONTEXT, t, Fuel())
+    after = infer_kind(s, EMPTY_CONTEXT, whnf(s, t, Fuel()), Fuel())
+    assert equal_kinds(s, EMPTY_CONTEXT, before, after, Fuel())
 
 
 @CASES
@@ -170,11 +176,11 @@ def test_subject_reduction(t):
 def test_convertibility_reflexive_and_stable_under_expansion(t):
     s = nat_signature()
     define_plus(s)
-    assert convertible(s, EMPTY_CONTEXT, t, t, NAT)
+    assert convertible(s, EMPTY_CONTEXT, t, t, NAT, Fuel())
     # beta-expansion preserves convertibility
     b = App(Lam("q", NAT, Var("q")), t)
-    assert convertible(s, EMPTY_CONTEXT, t, b, NAT)
-    assert convertible(s, EMPTY_CONTEXT, b, t, NAT)
+    assert convertible(s, EMPTY_CONTEXT, t, b, NAT, Fuel())
+    assert convertible(s, EMPTY_CONTEXT, b, t, NAT, Fuel())
 
 
 @CASES
@@ -182,8 +188,8 @@ def test_convertibility_reflexive_and_stable_under_expansion(t):
 def test_convertibility_symmetric(a, b):
     s = nat_signature()
     define_plus(s)
-    assert (convertible(s, EMPTY_CONTEXT, a, b, NAT)
-            == convertible(s, EMPTY_CONTEXT, b, a, NAT))
+    assert (convertible(s, EMPTY_CONTEXT, a, b, NAT, Fuel())
+            == convertible(s, EMPTY_CONTEXT, b, a, NAT, Fuel()))
 
 
 @CASES
@@ -191,81 +197,86 @@ def test_convertibility_symmetric(a, b):
 def test_convertibility_transitive(a, b, c):
     s = nat_signature()
     define_plus(s)
-    if (convertible(s, EMPTY_CONTEXT, a, b, NAT)
-            and convertible(s, EMPTY_CONTEXT, b, c, NAT)):
-        assert convertible(s, EMPTY_CONTEXT, a, c, NAT)
+    if (convertible(s, EMPTY_CONTEXT, a, b, NAT, Fuel())
+            and convertible(s, EMPTY_CONTEXT, b, c, NAT, Fuel())):
+        assert convertible(s, EMPTY_CONTEXT, a, c, NAT, Fuel())
 
 
 # ---------------------------------------------------------------- eta
 
 def test_eta_at_product_kind(sig):
-    declare_constant(sig, "g", arrow(NAT, NAT))
+    declare_constant(sig, "g", arrow(NAT, NAT), Fuel())
     expanded = Lam("x", NAT, App(Const("g"), Var("x")))
     assert convertible(sig, EMPTY_CONTEXT, expanded, Const("g"),
-                       PiKind("x", NAT, NAT))
+                       PiKind("x", NAT, NAT), Fuel())
     assert convertible(sig, EMPTY_CONTEXT, Const("g"), expanded,
-                       PiKind("x", NAT, NAT))
+                       PiKind("x", NAT, NAT), Fuel())
 
 
 def test_eta_nested(sig):
     two = PiKind("x", NAT, PiKind("y", NAT, NAT))
-    declare_constant(sig, "g2", two)
+    declare_constant(sig, "g2", two, Fuel())
     expanded = Lam("a", NAT, Lam("b", NAT,
                                  app(Const("g2"), Var("a"), Var("b"))))
-    assert convertible(sig, EMPTY_CONTEXT, expanded, Const("g2"), two)
+    assert convertible(sig, EMPTY_CONTEXT, expanded, Const("g2"), two, Fuel())
 
 
 def test_eta_only_at_the_product_kind_compared_at(sig):
     # the kind both sides have steers the comparison: at Nat -> Nat the
     # eta-expansion of f is f; at None there is no eta, and a lambda meets
     # a constant head, which no well-typed pair at a non-product kind does
-    declare_constant(sig, "f", arrow(NAT, NAT))
+    declare_constant(sig, "f", arrow(NAT, NAT), Fuel())
     expanded = Lam("x", NAT, App(Const("f"), Var("x")))
     assert convertible(sig, EMPTY_CONTEXT, expanded, Const("f"),
-                       arrow(NAT, NAT))
-    assert not convertible(sig, EMPTY_CONTEXT, expanded, Const("f"), None)
+                       arrow(NAT, NAT), Fuel())
+    assert not convertible(sig, EMPTY_CONTEXT, expanded, Const("f"), None,
+                           Fuel())
 
 
 def test_distinct_constructors_not_convertible(sig):
     assert not convertible(sig, EMPTY_CONTEXT, Const("zero"),
-                           App(Const("succ"), Const("zero")), NAT)
+                           App(Const("succ"), Const("zero")), NAT, Fuel())
 
 
 # ------------------------------------------------------------ inference
 
 def test_infer_numeral(sig):
-    k = infer_kind(sig, EMPTY_CONTEXT, numeral(4))
-    assert equal_kinds(sig, EMPTY_CONTEXT, k, NAT)
+    k = infer_kind(sig, EMPTY_CONTEXT, numeral(4), Fuel())
+    assert equal_kinds(sig, EMPTY_CONTEXT, k, NAT, Fuel())
 
 
 def test_infer_plus_kind(sig):
-    k = infer_kind(sig, EMPTY_CONTEXT, Const("plus"))
-    assert equal_kinds(sig, EMPTY_CONTEXT, k, arrow(NAT, arrow(NAT, NAT)))
+    k = infer_kind(sig, EMPTY_CONTEXT, Const("plus"), Fuel())
+    assert equal_kinds(sig, EMPTY_CONTEXT, k, arrow(NAT, arrow(NAT, NAT)),
+                       Fuel())
 
 
 def test_infer_unbound_variable(sig):
     with pytest.raises(UnboundVariable):
-        infer_kind(sig, EMPTY_CONTEXT, Var("nowhere"))
+        infer_kind(sig, EMPTY_CONTEXT, Var("nowhere"), Fuel())
 
 
 def test_infer_unknown_constant(sig):
     with pytest.raises(UnknownConstant):
-        infer_kind(sig, EMPTY_CONTEXT, Const("nowhere"))
+        infer_kind(sig, EMPTY_CONTEXT, Const("nowhere"), Fuel())
 
 
 def test_infer_not_a_product(sig):
     with pytest.raises(NotAProduct):
-        infer_kind(sig, EMPTY_CONTEXT, App(Const("zero"), Const("zero")))
+        infer_kind(sig, EMPTY_CONTEXT, App(Const("zero"), Const("zero")),
+                   Fuel())
 
 
 def test_infer_domain_mismatch(sig):
     with pytest.raises(DomainMismatch):
-        infer_kind(sig, EMPTY_CONTEXT, App(Const("succ"), Const("Nat")))
+        infer_kind(sig, EMPTY_CONTEXT, App(Const("succ"), Const("Nat")),
+                   Fuel())
 
 
 def test_domain_mismatch_diagnostic_names_rule(sig):
     try:
-        infer_kind(sig, EMPTY_CONTEXT, App(Const("succ"), Const("Nat")))
+        infer_kind(sig, EMPTY_CONTEXT, App(Const("succ"), Const("Nat")),
+                   Fuel())
     except DomainMismatch as e:
         assert e.diagnostic is not None
         assert e.diagnostic.rule == "app-domain"
@@ -278,7 +289,7 @@ def test_domain_mismatch_diagnostic_names_rule(sig):
 # instantiated with the arguments before: the diagnostics show that kind.
 def _diagnostic(sig, t, error):
     with pytest.raises(error) as info:
-        infer_kind(sig, EMPTY_CONTEXT, t)
+        infer_kind(sig, EMPTY_CONTEXT, t, Fuel())
     return info.value.diagnostic
 
 
@@ -302,7 +313,7 @@ def test_spine_diagnostics_at_the_third_argument():
     # pick : (C : Nat -> Type) (n : Nat) El (C n)
     pick_kind = ElKind(App(Var("C"), Var("n")))
     declare_constant(s, "pick", PiKind("C", arrow(NAT, TYPE),
-                                       PiKind("n", NAT, pick_kind)))
+                                       PiKind("n", NAT, pick_kind)), Fuel())
     family = const_nat_family()
     d = _diagnostic(s, app(Const("pick"), family, Const("zero"),
                            Const("zero")), NotAProduct)
@@ -321,23 +332,24 @@ def test_spine_diagnostics_at_the_third_argument():
 
 def test_infer_lambda_gives_product(sig):
     t = Lam("x", NAT, App(Const("succ"), Var("x")))
-    k = infer_kind(sig, EMPTY_CONTEXT, t)
+    k = infer_kind(sig, EMPTY_CONTEXT, t, Fuel())
     assert isinstance(k, PiKind)
-    assert equal_kinds(sig, EMPTY_CONTEXT, k, arrow(NAT, NAT))
+    assert equal_kinds(sig, EMPTY_CONTEXT, k, arrow(NAT, NAT), Fuel())
 
 
 def test_binder_shadowing_context_variable(sig):
     # [x : Nat][x : Nat] x is fine: inner binder is renamed internally
     t = Lam("x", NAT, Lam("x", NAT, Var("x")))
-    k = infer_kind(sig, EMPTY_CONTEXT, t)
-    assert equal_kinds(sig, EMPTY_CONTEXT, k, arrow(NAT, arrow(NAT, NAT)))
+    k = infer_kind(sig, EMPTY_CONTEXT, t, Fuel())
+    assert equal_kinds(sig, EMPTY_CONTEXT, k, arrow(NAT, arrow(NAT, NAT)),
+                       Fuel())
 
 
 def test_inferring_a_closed_lambda_caches_no_free_names_on_it(sig):
     # every node carries its free names as a mask, so a closed lambda's
     # is 0, the mask of every closed node
     t = Lam("x", NAT, Var("x"))
-    infer_kind(sig, EMPTY_CONTEXT, t)
+    infer_kind(sig, EMPTY_CONTEXT, t, Fuel())
     assert t.mask == 0 and t.mask == Const("c").mask
     assert free_vars(t) == free_vars(Const("c")) == frozenset()
 
@@ -347,30 +359,31 @@ def test_binder_in_the_context_does_not_capture_a_free_name(sig):
     # avoid x1, which is free (and unbound) in the body
     ctx = EMPTY_CONTEXT.extend("x", NAT)
     with pytest.raises(UnboundVariable):
-        infer_kind(sig, ctx, Lam("x", NAT, Var("x1")))
+        infer_kind(sig, ctx, Lam("x", NAT, Var("x1")), Fuel())
 
 
 def test_dependent_codomain_substitution(sig):
     # E_Nat at a dependent family: (C : Nat -> Type) ... (n : Nat) C n
     k = infer_kind(sig, EMPTY_CONTEXT,
-                   app(Const("E_Nat"), const_nat_family()))
+                   app(Const("E_Nat"), const_nat_family()), Fuel())
     # after applying the family, every C is gone
     assert isinstance(k, PiKind)
 
 
 def test_check_kind_valid_rejects_term_level_garbage(sig):
     with pytest.raises(IllFormedKind):
-        check_kind_valid(sig, EMPTY_CONTEXT, ElKind(Const("zero")))
+        check_kind_valid(sig, EMPTY_CONTEXT, ElKind(Const("zero")), Fuel())
 
 
 def test_check_context_duplicate(sig):
     with pytest.raises(DuplicateVariable):
-        check_context(sig, [("x", NAT), ("x", NAT)])
+        check_context(sig, [("x", NAT), ("x", NAT)], Fuel())
 
 
 def test_check_context_dependent_entries(sig):
     ctx = check_context(sig, [("C", arrow(NAT, TYPE)),
-                              ("a", ElKind(App(Var("C"), Const("zero"))))])
+                              ("a", ElKind(App(Var("C"), Const("zero"))))],
+                        Fuel())
     assert len(ctx) == 2
 
 
@@ -378,7 +391,56 @@ def test_equal_kinds_modulo_reduction(sig):
     # El(plus zero zero ...) vs El(zero...): kinds compare up to conversion
     k1 = ElKind(App(Var("C"), app(Const("plus"), numeral(1), numeral(1))))
     k2 = ElKind(App(Var("C"), numeral(2)))
-    ctx = check_context(sig, [("C", arrow(NAT, TYPE))])
-    assert equal_kinds(sig, ctx, k1, k2)
+    ctx = check_context(sig, [("C", arrow(NAT, TYPE))], Fuel())
+    assert equal_kinds(sig, ctx, k1, k2, Fuel())
     k3 = ElKind(App(Var("C"), numeral(3)))
-    assert not equal_kinds(sig, ctx, k1, k3)
+    assert not equal_kinds(sig, ctx, k1, k3, Fuel())
+
+
+def test_a_missing_budget_is_an_error(sig):
+    # no judgement starts a budget of its own
+    with pytest.raises(TypeError):
+        whnf(sig, Const("zero"))
+    with pytest.raises(TypeError):
+        infer_kind(sig, EMPTY_CONTEXT, Const("zero"))
+
+
+# ------------------------------------------------------- trusted base
+
+TRUSTED = ("syntax", "errors", "kernel", "signature")
+
+
+def _lttw_imports(node, where=""):
+    """(lttw module, enclosing class or function path) for each import of
+    an lttw module under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _lttw_imports(child, f"{where}{child.name}.")
+            continue
+        targets = []
+        if isinstance(child, ast.ImportFrom):
+            module = child.module or ""
+            if child.level == 0 and module.split(".")[0] == "lttw":
+                module = module[len("lttw."):]
+            if child.level or module != child.module:
+                targets = ([module.split(".")[0]] if module
+                           else [a.name for a in child.names])
+        elif isinstance(child, ast.Import):
+            targets = [a.name.partition(".")[2] or "lttw"
+                       for a in child.names
+                       if a.name.split(".")[0] == "lttw"]
+        for target in targets:
+            yield target, where.rstrip(".")
+        yield from _lttw_imports(child, where)
+
+
+def test_trusted_modules_import_only_each_other():
+    # syntax, errors, kernel and signature are what a reader must trust;
+    # rendering a Diagnostic is the one place that may use the printer
+    src = Path(lttw.__file__).parent
+    for name in TRUSTED:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for target, where in _lttw_imports(tree):
+            allowed = (target in TRUSTED or (name, target, where) == (
+                "errors", "printer", "Diagnostic.render"))
+            assert allowed, (name, target, where)

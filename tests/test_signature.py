@@ -6,7 +6,7 @@ from lttw.errors import (
     AscriptionMismatch, DuplicateName, HeadNotConstant, IllTyped,
     KindMismatch, NonLinearPattern, NotFound, SignatureError, UnknownConstant,
 )
-from lttw.kernel import whnf
+from lttw.kernel import Fuel, whnf
 from lttw.signature import (
     ConstDecl, Definition, RewriteRule, Signature, declare_constant,
     declare_rewrite, define, lookup,
@@ -21,28 +21,28 @@ from mini import NAT, arrow, nat_signature, numeral
 def test_duplicate_name_rejected():
     sig = nat_signature()
     with pytest.raises(DuplicateName):
-        declare_constant(sig, "Nat", TYPE)
+        declare_constant(sig, "Nat", TYPE, Fuel())
     with pytest.raises(DuplicateName):
-        define(sig, "zero", Const("zero"))
+        define(sig, "zero", Const("zero"), fuel=Fuel())
 
 
 def test_define_infers_kind():
     sig = nat_signature()
-    d = define(sig, "one", App(Const("succ"), Const("zero")))
+    d = define(sig, "one", App(Const("succ"), Const("zero")), fuel=Fuel())
     assert isinstance(d, Definition)
     assert alpha_eq(d.kind, NAT)
 
 
 def test_define_with_good_ascription():
     sig = nat_signature()
-    d = define(sig, "one", App(Const("succ"), Const("zero")), NAT)
+    d = define(sig, "one", App(Const("succ"), Const("zero")), NAT, fuel=Fuel())
     assert alpha_eq(d.kind, NAT)
 
 
 def test_define_with_bad_ascription():
     sig = nat_signature()
     with pytest.raises(AscriptionMismatch):
-        define(sig, "bad", Const("zero"), TYPE)
+        define(sig, "bad", Const("zero"), TYPE, fuel=Fuel())
 
 
 def test_ascription_mismatch_is_a_kind_mismatch():
@@ -52,14 +52,15 @@ def test_ascription_mismatch_is_a_kind_mismatch():
 def test_lookup_and_not_found():
     sig = nat_signature()
     assert isinstance(lookup(sig, "Nat"), ConstDecl)
-    with pytest.raises(NotFound):
+    with pytest.raises(NotFound) as info:
         lookup(sig, "missing")
+    assert info.value.diagnostic.rule == "signature-declared"
 
 
 def test_definitions_unfold_transparently():
     sig = nat_signature()
-    define(sig, "one", App(Const("succ"), Const("zero")))
-    assert alpha_eq(whnf(sig, Const("one")), numeral(1))
+    define(sig, "one", App(Const("succ"), Const("zero")), fuel=Fuel())
+    assert alpha_eq(whnf(sig, Const("one"), Fuel()), numeral(1))
 
 
 def test_rewrite_head_must_be_constant():
@@ -69,18 +70,18 @@ def test_rewrite_head_must_be_constant():
             binders=(("x", NAT),),
             lhs=App(Var("x"), Const("zero")),
             rhs=Var("x"),
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_rewrite_head_must_not_be_definition():
     sig = nat_signature()
-    define(sig, "one", App(Const("succ"), Const("zero")))
+    define(sig, "one", App(Const("succ"), Const("zero")), fuel=Fuel())
     with pytest.raises(HeadNotConstant):
         declare_rewrite(sig, RewriteRule(
             binders=(),
             lhs=Const("one"),
             rhs=numeral(1),
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_rewrite_unknown_head():
@@ -90,29 +91,29 @@ def test_rewrite_unknown_head():
             binders=(),
             lhs=Const("ghost"),
             rhs=Const("zero"),
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_plain_nonlinear_pattern_rejected():
     sig = nat_signature()
-    declare_constant(sig, "eat2", arrow(NAT, arrow(NAT, NAT)))
+    declare_constant(sig, "eat2", arrow(NAT, arrow(NAT, NAT)), Fuel())
     with pytest.raises(NonLinearPattern):
         declare_rewrite(sig, RewriteRule(
             binders=(("x", NAT),),
             lhs=app(Const("eat2"), Var("x"), Var("x")),
             rhs=Var("x"),
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_repeated_rule_binder_names_its_rule():
     sig = nat_signature()
-    declare_constant(sig, "eat2", arrow(NAT, arrow(NAT, NAT)))
+    declare_constant(sig, "eat2", arrow(NAT, arrow(NAT, NAT)), Fuel())
     with pytest.raises(NonLinearPattern) as info:
         declare_rewrite(sig, RewriteRule(
             binders=(("x", NAT), ("x", NAT)),
             lhs=app(Const("eat2"), Var("x"), Var("x")),
             rhs=Var("x"),
-            ascription=NAT))
+            ascription=NAT), Fuel())
     assert info.value.message == "rule binders must be distinct"
     assert info.value.diagnostic.render() == "rule: rewrite-linear\nsubject: x"
 
@@ -120,54 +121,54 @@ def test_repeated_rule_binder_names_its_rule():
 def test_forced_repeat_under_constructor_allowed():
     # proj (wrap A a) with A repeated: wrap's kind forces the repeat equal
     sig = Signature()
-    declare_constant(sig, "W", TYPE)
-    declare_constant(sig, "Box", arrow(TYPE, TYPE))
+    declare_constant(sig, "W", TYPE, Fuel())
+    declare_constant(sig, "Box", arrow(TYPE, TYPE), Fuel())
     w = ElKind(Const("W"))
     declare_constant(sig, "wrap", PiKind("A", TYPE, PiKind(
-        "_", ElKind(Var("A")), ElKind(App(Const("Box"), Var("A"))))))
+        "_", ElKind(Var("A")), ElKind(App(Const("Box"), Var("A"))))), Fuel())
     declare_constant(sig, "proj", PiKind("A", TYPE, PiKind(
-        "_", ElKind(App(Const("Box"), Var("A"))), ElKind(Var("A")))))
+        "_", ElKind(App(Const("Box"), Var("A"))), ElKind(Var("A")))), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(("A", TYPE), ("a", ElKind(Var("A")))),
         lhs=app(Const("proj"), Var("A"),
                 app(Const("wrap"), Var("A"), Var("a"))),
         rhs=Var("a"),
-        ascription=ElKind(Var("A"))))
-    declare_constant(sig, "w0", w)
+        ascription=ElKind(Var("A"))), Fuel())
+    declare_constant(sig, "w0", w, Fuel())
     got = whnf(sig, app(Const("proj"), Const("W"),
-                        app(Const("wrap"), Const("W"), Const("w0"))))
+                        app(Const("wrap"), Const("W"), Const("w0"))), Fuel())
     assert alpha_eq(got, Const("w0"))
 
 
 def test_repeat_across_two_constructors_rejected():
     sig = Signature()
-    declare_constant(sig, "W", TYPE)
+    declare_constant(sig, "W", TYPE, Fuel())
     w = ElKind(Const("W"))
-    declare_constant(sig, "k", arrow(w, w))
-    declare_constant(sig, "f", arrow(w, arrow(w, w)))
+    declare_constant(sig, "k", arrow(w, w), Fuel())
+    declare_constant(sig, "f", arrow(w, arrow(w, w)), Fuel())
     with pytest.raises(NonLinearPattern):
         declare_rewrite(sig, RewriteRule(
             binders=(("x", w),),
             lhs=app(Const("f"), App(Const("k"), Var("x")),
                     App(Const("k"), Var("x"))),
             rhs=Var("x"),
-            ascription=w))
+            ascription=w), Fuel())
 
 
 def test_overlapping_rules_rejected():
     sig = nat_signature()
-    declare_constant(sig, "pick", arrow(NAT, NAT))
+    declare_constant(sig, "pick", arrow(NAT, NAT), Fuel())
     declare_rewrite(sig, RewriteRule(
         binders=(("x", NAT),),
         lhs=App(Const("pick"), Var("x")),
         rhs=Var("x"),
-        ascription=NAT))
+        ascription=NAT), Fuel())
     with pytest.raises(DuplicateName):
         declare_rewrite(sig, RewriteRule(
             binders=(),
             lhs=App(Const("pick"), Const("zero")),
             rhs=Const("zero"),
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_disjoint_constructor_rules_accepted():
@@ -185,7 +186,7 @@ def test_disjoint_constructor_rules_accepted():
             lhs=app(Const("E_Nat"), Var("C"), Var("a"), Var("b"),
                     Const("zero")),
             rhs=Var("a"),
-            ascription=ElKind(App(Var("C"), Const("zero")))))
+            ascription=ElKind(App(Var("C"), Const("zero")))), Fuel())
 
 
 def test_rule_arity_must_be_uniform():
@@ -196,41 +197,41 @@ def test_rule_arity_must_be_uniform():
                      ("a", ElKind(App(Var("C"), Const("zero"))))),
             lhs=app(Const("E_Nat"), Var("C"), Var("a")),
             rhs=Var("a"),
-            ascription=ElKind(App(Var("C"), Const("zero")))))
+            ascription=ElKind(App(Var("C"), Const("zero")))), Fuel())
 
 
 def test_rule_kinds_are_checked():
     sig = nat_signature()
-    declare_constant(sig, "f1", arrow(NAT, NAT))
+    declare_constant(sig, "f1", arrow(NAT, NAT), Fuel())
     with pytest.raises(KindMismatch):
         declare_rewrite(sig, RewriteRule(
             binders=(("x", NAT),),
             lhs=App(Const("f1"), Var("x")),
             rhs=Const("Nat"),  # Type-level, not Nat-level
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_rhs_variable_must_be_bound_by_pattern():
     sig = nat_signature()
-    declare_constant(sig, "f2", arrow(NAT, NAT))
+    declare_constant(sig, "f2", arrow(NAT, NAT), Fuel())
     with pytest.raises(IllTyped):
         declare_rewrite(sig, RewriteRule(
             binders=(("x", NAT), ("y", NAT)),
             lhs=App(Const("f2"), Var("x")),
             rhs=Var("y"),
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_deep_patterns_rejected():
     sig = nat_signature()
-    declare_constant(sig, "f3", arrow(NAT, NAT))
+    declare_constant(sig, "f3", arrow(NAT, NAT), Fuel())
     with pytest.raises(IllTyped):
         declare_rewrite(sig, RewriteRule(
             binders=(("x", NAT),),
             lhs=App(Const("f3"), App(Const("succ"),
                                      App(Const("succ"), Var("x")))),
             rhs=Var("x"),
-            ascription=NAT))
+            ascription=NAT), Fuel())
 
 
 def test_counts():

@@ -7,7 +7,7 @@ import pytest
 
 from lttw import kernel
 from lttw.errors import UnknownConstant
-from lttw.kernel import EMPTY_CONTEXT
+from lttw.kernel import EMPTY_CONTEXT, Fuel
 from lttw.printer import print_kind
 from lttw.signature import ConstDecl
 from lttw.stdlib import (
@@ -108,9 +108,10 @@ def test_each_rule_holds_by_reduction(core):
         ctx = EMPTY_CONTEXT
         for x, k in src.binders:
             ctx = ctx.extend(x, k)
-        reduced = kernel.whnf(sig, src.lhs)
+        reduced = kernel.whnf(sig, src.lhs, Fuel())
         assert not alpha_eq(reduced, src.lhs), src
-        assert kernel.convertible(sig, ctx, reduced, src.rhs, src.ascription)
+        assert kernel.convertible(sig, ctx, reduced, src.rhs, src.ascription,
+                                  Fuel())
         seen += 1
     assert seen == 11
 
@@ -122,8 +123,8 @@ def test_overlay_rules_hold_by_reduction(impredicative):
         ctx = EMPTY_CONTEXT
         for x, k in src.binders:
             ctx = ctx.extend(x, k)
-        assert kernel.convertible(sig, ctx, kernel.whnf(sig, src.lhs),
-                                  src.rhs, src.ascription)
+        assert kernel.convertible(sig, ctx, kernel.whnf(sig, src.lhs, Fuel()),
+                                  src.rhs, src.ascription, Fuel())
         seen += 1
     assert seen == 13
 
@@ -132,7 +133,7 @@ def test_beta_holds(core):
     sig = core.sig
     redex = App(Lam("x", ElKind(Const("Nat")),
                     App(Const("succ"), Var("x"))), Const("zero"))
-    assert alpha_eq(kernel.whnf(sig, redex),
+    assert alpha_eq(kernel.whnf(sig, redex, Fuel()),
                     App(Const("succ"), Const("zero")))
 
 
@@ -141,7 +142,7 @@ def test_eta_holds(core):
     fk = PiKind("_", ElKind(Const("Nat")), ElKind(Const("Nat")))
     ctx = EMPTY_CONTEXT.extend("g", fk)
     expanded = Lam("x", ElKind(Const("Nat")), App(Var("g"), Var("x")))
-    assert kernel.convertible(sig, ctx, expanded, Var("g"), fk)
+    assert kernel.convertible(sig, ctx, expanded, Var("g"), fk, Fuel())
 
 
 # -------------------------------------------------------- derived decodings
@@ -157,7 +158,7 @@ def test_derived_kinds(standard):
 
 
 def prop_name_kind(sig):
-    return kernel.infer_kind(sig, EMPTY_CONTEXT, Const("hatBot"))
+    return kernel.infer_kind(sig, EMPTY_CONTEXT, Const("hatBot"), Fuel())
 
 
 def test_v_decodes_binary_connectives(standard):
@@ -168,7 +169,8 @@ def test_v_decodes_binary_connectives(standard):
         decoded = App(Const("V"), app(Const(name), Var("p"), Var("q")))
         target = app(Const(meaning), App(Const("V"), Var("p")),
                      App(Const("V"), Var("q")))
-        assert kernel.convertible(sig, ctx, decoded, target, PROP), name
+        assert kernel.convertible(sig, ctx, decoded, target, PROP,
+                                  Fuel()), name
 
 
 def test_v_decodes_not_and_top(standard):
@@ -176,10 +178,10 @@ def test_v_decodes_not_and_top(standard):
     ctx = EMPTY_CONTEXT.extend("p", prop_name_kind(sig))
     decoded = App(Const("V"), App(Const("not"), Var("p")))
     target = App(Const("Not"), App(Const("V"), Var("p")))
-    assert kernel.convertible(sig, ctx, decoded, target, PROP)
+    assert kernel.convertible(sig, ctx, decoded, target, PROP, Fuel())
     assert kernel.convertible(sig, EMPTY_CONTEXT,
                               App(Const("V"), Const("top")),
-                              Const("Top"), PROP)
+                              Const("Top"), PROP, Fuel())
 
 
 def test_v_decodes_existence(standard):
@@ -190,7 +192,7 @@ def test_v_decodes_existence(standard):
     decoded = App(Const("V"), app(Const("ex"), Var("a"), Var("P")))
     target = app(Const("Ex"), App(Const("T"), Var("a")),
                  Lam("x", ta, App(Const("V"), App(Var("P"), Var("x")))))
-    assert kernel.convertible(sig, ctx, decoded, target, PROP)
+    assert kernel.convertible(sig, ctx, decoded, target, PROP, Fuel())
 
 
 def test_membership_computes(standard):
@@ -198,7 +200,8 @@ def test_membership_computes(standard):
     pred = Lam("n", ElKind(Const("Nat")), Const("hatBot"))
     member = app(Const("In"), Const("Nat"), Const("zero"),
                  app(Const("set"), Const("Nat"), pred))
-    assert kernel.convertible(sig, EMPTY_CONTEXT, member, Const("bot"), PROP)
+    assert kernel.convertible(sig, EMPTY_CONTEXT, member, Const("bot"), PROP,
+                              Fuel())
 
 
 def test_overlay_decodes_over_a_set_type(impredicative):
@@ -209,7 +212,7 @@ def test_overlay_decodes_over_a_set_type(impredicative):
                                   App(Const("Set"), Const("Nat")), Var("Q")))
     target = app(Const("forall"), App(Const("Set"), Const("Nat")),
                  Lam("x", sn, App(Const("V"), App(Var("Q"), Var("x")))))
-    assert kernel.convertible(sig, ctx, decoded, target, PROP)
+    assert kernel.convertible(sig, ctx, decoded, target, PROP, Fuel())
 
 
 # -------------------------------------------------------- equality generator
@@ -251,14 +254,16 @@ def test_basic_categories_reuse_declared_equality(standard):
 @pytest.mark.parametrize("cat", enumerate_categories(2), ids=describe)
 def test_generated_equality_kind_checks(standard, cat):
     eq = generate_equality(standard.sig, cat)
-    kernel.check_term(standard.sig, EMPTY_CONTEXT, eq, equality_kind(cat))
+    kernel.check_term(standard.sig, EMPTY_CONTEXT, eq, equality_kind(cat),
+                      Fuel())
 
 
 def test_generated_equality_under_type_placement():
     ck = load_standard(prop_placement="type")
     for cat in enumerate_categories(2):
         eq = generate_equality(ck.sig, cat)
-        kernel.check_term(ck.sig, EMPTY_CONTEXT, eq, equality_kind(cat))
+        kernel.check_term(ck.sig, EMPTY_CONTEXT, eq, equality_kind(cat),
+                          Fuel())
 
 
 def test_generated_equality_is_reflexive_where_it_computes(standard):
@@ -273,4 +278,4 @@ def test_generated_equality_is_reflexive_where_it_computes(standard):
     target = app(Const("forall"), Const("Nat"),
                  Lam("v", ElKind(Const("Nat")),
                      app(Const("Iff"), Const("bot"), Const("bot"))))
-    assert kernel.convertible(sig, EMPTY_CONTEXT, stated, target, PROP)
+    assert kernel.convertible(sig, EMPTY_CONTEXT, stated, target, PROP, Fuel())
