@@ -11,23 +11,23 @@ The usual entry points:
     ck.run_text("> Check TopI : Prf (imp bot bot);")
 
 Everything else lives in the focused submodules: ``syntax`` (terms, kinds,
-substitution), ``signature`` (declarations, definitions, rewrite rules),
-``kernel`` (reduction and kind checking), ``elaborator`` (hole solving),
-``parser``/``printer``/``surface`` (the script language), ``checker``
-(script execution and replay), ``stdlib`` (the shipped signature),
+substitution), ``kernel`` (reduction, kind checking), ``signature``
+(declarations, definitions, rewrite rules, replay), ``elaborator`` (hole
+solving), ``parser``/``printer``/``surface`` (the script language),
+``checker`` (script execution), ``stdlib`` (the shipped signature),
 ``corpus`` (the checked example suite), and ``cli``.
 """
 
-from .checker import Checker, CheckerConfig, replay
+from .checker import Checker, CheckerConfig
 from .corpus import check_corpus
 from .errors import LttwError
 from .kernel import (
-    DEFAULT_FUEL, EMPTY_CONTEXT, Context, Fuel, check_term, convertible,
-    infer_kind, normalize, whnf,
+    DEFAULT_FUEL, EMPTY_CONTEXT, Context, Fuel, Signature, check_term,
+    convertible, infer_kind, normalize, whnf,
 )
 from .parser import parse_kind, parse_script, parse_term
 from .printer import print_kind, print_term
-from .signature import Signature
+from .signature import replay
 from .stdlib import (
     load_core_signature, load_derived_logic, load_impredicative_extension,
     load_standard,

@@ -2,13 +2,13 @@
 
 The elaborator fills holes and coerces terms written in kind position; every
 accepted command is then turned into a replay record (kernel objects, no
-surface syntax) and committed: `commit` checks the record with the signature
-layer and the kernel, which see only hole-free syntax, and the record is
-appended to the log. `replay` commits a log the same way, so a whole session
-can be re-checked later with the elaborator out of the loop entirely. A
-`TypeOf` or `Reduce` declares nothing and leaves no record, but the kernel
-checks the term it elaborated all the same before it is printed or
-normalised.
+surface syntax) and committed: `lttw.signature.commit` checks the record
+with the signature layer and the kernel, which see only hole-free syntax,
+and the record is appended to the log. `lttw.signature.replay` commits a
+log the same way, so a whole session can be re-checked later with the
+elaborator out of the loop entirely. A `TypeOf` or `Reduce` declares nothing
+and leaves no record, but the kernel checks the term it elaborated all the
+same before it is printed or normalised.
 
 The kernel decides every kind equality without holes, once. The elaborator
 decides only the equalities that involve a hole; it records the others as
@@ -21,9 +21,11 @@ checks the term against it, so a `Check`'s own kind is no exception.
 
 One command spends from one step budget of `fuel` steps: hole solving, the
 kernel check of what was elaborated and the normalisation of a `Reduce`
-draw on the same `Fuel`. A `Load` runs each command of the loaded file on
-its own budget and is all-or-nothing: a file that fails leaves the
-signature, the log and the set of loaded files as they were before it.
+draw on the same `Fuel`. A budget other than the default is logged as a
+`("fuel", n)` record where it changes, so `replay` gives each record the
+budget its command ran under. A `Load` runs each command of the loaded
+file on its own budget and is all-or-nothing: a file that fails leaves the
+signature, the log, the budget and the loaded files as they were.
 
 Each command runs once. One nested deeper than the interpreter's stack
 allows is explained like any other rejection: a false obligation recorded
@@ -39,19 +41,20 @@ under both placements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from .elaborator import Elaborator
 from .errors import Diagnostic, LttwError, NestingTooDeep, ScriptSyntaxError
 from . import kernel
-from .kernel import Context, DEFAULT_FUEL, EMPTY_CONTEXT, Fuel
+from .kernel import (
+    DEFAULT_FUEL, EMPTY_CONTEXT, Context, Fuel, RewriteRule, Signature,
+)
 from .parser import parse_script
 from .printer import print_kind, print_term
-from .signature import (
-    RewriteRule, Signature, declare_constant, declare_rewrite, define,
-)
+# `replay` is not used here: perfbench/tracer.py reads it from this module
+from .signature import commit, replay  # noqa: F401
 from .surface import (
     Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
 )
@@ -60,6 +63,18 @@ from .syntax import TYPE, Lam, PiKind, PropKind
 
 # directives that elaborate nothing
 _UNELABORATED = (DirectiveOp.LOAD, DirectiveOp.SETOPTION)
+
+
+def parse_fuel(text: str) -> int:
+    """A step budget as written on the command line or in `SetOption fuel`:
+    a positive whole number. Raises ValueError saying what is wrong."""
+    try:
+        fuel = int(text)
+    except ValueError:
+        raise ValueError(f"fuel must be a number, got {text!r}") from None
+    if fuel <= 0:
+        raise ValueError(f"fuel must be positive, got {fuel}")
+    return fuel
 
 
 @dataclass
@@ -72,8 +87,10 @@ class Checker:
     def __init__(self, sig: Optional[Signature] = None,
                  config: Optional[CheckerConfig] = None):
         self.sig = sig if sig is not None else Signature()
-        self.config = config if config is not None else CheckerConfig()
+        self.config = replace(config or CheckerConfig())  # not shared
         self.log: list[tuple] = []
+        if self.config.fuel != DEFAULT_FUEL:
+            self.log.append(("fuel", self.config.fuel))
         self.output: list[str] = []
         self.loaded: set[str] = set()
         self._loading: list[str] = []
@@ -87,19 +104,19 @@ class Checker:
         if resolved in self.loaded:
             return
         if resolved in self._loading:
-            raise ScriptSyntaxError(
-                f"Load cycle through {path!s}")
+            raise ScriptSyntaxError(f"Load cycle through {path!s}")
         text = Path(resolved).read_text(encoding="utf-8")
         entries = dict(self.sig.entries)
         rules = {head: list(rs) for head, rs in self.sig.rules.items()}
-        logged, loaded = len(self.log), set(self.loaded)
+        logged, fuel = len(self.log), self.config.fuel
+        loaded = set(self.loaded)
         self._loading.append(resolved)
         try:
             self.run_text(text, file=str(path))
         except Exception:
             self.sig.entries, self.sig.rules = entries, rules
             del self.log[logged:]
-            self.loaded = loaded
+            self.loaded, self.config.fuel = loaded, fuel
             raise
         finally:
             self._loading.pop()
@@ -235,9 +252,12 @@ class Checker:
                 raise ScriptSyntaxError(f"unknown option {name!r}",
                                         span=cmd.span)
             try:
-                self.config.fuel = kernel.parse_fuel(value)
+                fuel = parse_fuel(value)
             except ValueError as e:
                 raise ScriptSyntaxError(str(e), span=cmd.span) from None
+            if fuel != self.config.fuel:
+                self.log.append(("fuel", fuel))
+                self.config.fuel = fuel
             return
         el = self._el
         expected = None
@@ -263,44 +283,3 @@ class Checker:
         else:
             self.output.append(
                 f"{op.value} {print_term(t)} : {print_kind(k)}")
-
-
-def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
-    """Check one replay record with the signature layer and the kernel,
-    spending from `fuel`, and store what it declares. A `check` record
-    stores nothing; its kind must be well formed and its term of that
-    kind. Raises on rejection, leaving `sig` unchanged."""
-    tag = record[0]
-    if tag == "declare":
-        _, name, kind = record
-        declare_constant(sig, name, kind, fuel=fuel)
-    elif tag == "define":
-        _, name, body, ascription = record
-        define(sig, name, body, ascription, fuel=fuel)
-    elif tag == "rule":
-        _, rule = record
-        declare_rewrite(sig, rule, fuel=fuel)
-    elif tag == "check":
-        _, t, k = record
-        kernel.check_kind_valid(sig, EMPTY_CONTEXT, k, fuel)
-        kernel.check_term(sig, EMPTY_CONTEXT, t, k, fuel)
-    else:
-        raise ValueError(f"unknown replay record {tag!r}")
-
-
-def replay(log: list[tuple],
-           sig: Optional[Signature] = None,
-           fuel: int = DEFAULT_FUEL) -> Signature:
-    """Re-check a session from its replay records: signature and kernel
-    only, no parsing, no elaboration. Each record is committed on its own
-    budget of `fuel` steps, as its command was. Raises on the first
-    rejection."""
-    sig = sig if sig is not None else Signature()
-    for i, record in enumerate(log):
-        try:
-            commit(sig, record, Fuel(fuel))
-        except RecursionError:
-            raise NestingTooDeep(
-                f"replay record {i} nests too deeply to check",
-                diagnostic=Diagnostic("depth")) from None
-    return sig

@@ -18,11 +18,12 @@ import textwrap
 import time
 from pathlib import Path
 
-from .checker import Checker, CheckerConfig
+from .checker import Checker, CheckerConfig, parse_fuel
 from .corpus import MANIFEST, MANIFEST_IMPREDICATIVE, check_corpus
 from .errors import LttwError
-from .kernel import DEFAULT_FUEL, parse_fuel
+from .kernel import DEFAULT_FUEL
 from .parser import parse_term
+from .printer import render
 from .stdlib import load_core_signature, load_standard
 from .surface import Directive, DirectiveOp
 
@@ -33,13 +34,6 @@ SIGNATURES = ("standard", "core", "none")
 
 class UsageError(Exception):
     pass
-
-
-def _fuel(text: str) -> int:
-    try:
-        return parse_fuel(text)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
 
 
 def _add_options(p: argparse.ArgumentParser, preload: bool) -> None:
@@ -166,7 +160,10 @@ def main(argv=None) -> int:
         # argparse has printed its usage error (2) or the help (0)
         return e.code
     try:
-        args.fuel = _fuel(args.fuel)
+        try:
+            args.fuel = parse_fuel(args.fuel)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "typeof":
@@ -177,7 +174,7 @@ def main(argv=None) -> int:
     except LttwError as e:
         print(e, file=sys.stderr)
         if e.diagnostic is not None:
-            print(textwrap.indent(e.diagnostic.render(), "  "),
+            print(textwrap.indent(render(e.diagnostic), "  "),
                   file=sys.stderr)
         return 1
     except UsageError as e:

@@ -17,9 +17,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..checker import Checker
-from ..errors import (
-    CorpusError, LttwError, MismatchedOutcome, matches_error_name,
-)
+from ..errors import LttwError, ScriptSyntaxError
 from ..kernel import DEFAULT_FUEL
 from ..parser import parse_script
 from ..stdlib import load_standard
@@ -30,6 +28,23 @@ MANIFEST_IMPREDICATIVE = CORPUS_DIR / "manifest_impredicative.txt"
 
 ACCEPT = "accept"
 REJECT_PREFIX = "reject:"
+
+
+class CorpusError(LttwError):
+    pass
+
+
+class MismatchedOutcome(CorpusError):
+    pass
+
+
+def matches_error_name(exc: BaseException, name: str) -> bool:
+    """True when exc's class, or any ancestor, is called name, so
+    reject:KindMismatch matches DomainMismatch too. Manifests spell
+    ScriptSyntaxError as SyntaxError, the builtin's name."""
+    if name == "SyntaxError":
+        return isinstance(exc, ScriptSyntaxError)
+    return any(c.__name__ == name for c in type(exc).__mro__)
 
 
 @dataclass

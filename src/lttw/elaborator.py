@@ -51,8 +51,7 @@ from .errors import (
     UnknownConstant, UnsolvedMeta,
 )
 from . import kernel
-from .kernel import Context, Fuel
-from .signature import Signature
+from .kernel import Context, Fuel, Signature
 from .surface import (
     SApp, SEl, SHole, SLam, SName, SPi, SProp, SPrf, SType, STermKind,
     SurfaceKind, SurfaceTerm,

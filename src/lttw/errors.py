@@ -3,7 +3,8 @@
 Every error raised on purpose by this package is an LttwError. Rejections
 coming out of the kernel carry a Diagnostic naming the violated rule and the
 judgement pieces involved, so callers can print *why* without re-running
-anything.
+anything. This module imports nothing from lttw; printing a Diagnostic is
+the printer's job, and the corpus runner's errors live with it.
 """
 
 from __future__ import annotations
@@ -31,26 +32,14 @@ class Diagnostic:
     """What went wrong, in terms of the judgement that failed.
 
     rule names the checking rule that rejected (e.g. "app-domain",
-    "rewrite-head"). subject/expected/actual hold terms or kinds; they are
-    rendered lazily so this module stays import-light.
+    "rewrite-head"). subject/expected/actual hold terms or kinds;
+    `lttw.printer.render` turns the whole into text.
     """
 
     rule: str
     subject: Any = None
     expected: Any = None
     actual: Any = None
-
-    def render(self) -> str:
-        from .printer import show  # deferred: printer needs syntax
-
-        parts = [f"rule: {self.rule}"]
-        if self.subject is not None:
-            parts.append(f"subject: {show(self.subject)}")
-        if self.expected is not None:
-            parts.append(f"expected: {show(self.expected)}")
-        if self.actual is not None:
-            parts.append(f"actual: {show(self.actual)}")
-        return "\n".join(parts)
 
 
 class LttwError(Exception):
@@ -176,25 +165,3 @@ class ScopeEscape(UnificationFailure):
 
 class Mismatch(UnificationFailure):
     pass
-
-
-# corpus running
-
-class CorpusError(LttwError):
-    pass
-
-
-class MismatchedOutcome(CorpusError):
-    pass
-
-
-def matches_error_name(exc: BaseException, name: str) -> bool:
-    """True when exc's class, or any ancestor, is called name.
-
-    Manifest expectations like reject:KindMismatch match subclasses too
-    (DomainMismatch, AscriptionMismatch). Manifests spell ScriptSyntaxError
-    as SyntaxError, the builtin's name.
-    """
-    if name == "SyntaxError":
-        return isinstance(exc, ScriptSyntaxError)
-    return any(c.__name__ == name for c in type(exc).__mro__)

@@ -1,5 +1,8 @@
 """Kernel: reduction, convertibility, kind inference and validity.
 
+It defines the `Signature` it reads, which `lttw.signature` validates and
+fills, and it imports only `syntax` and `errors` from lttw.
+
 Definitional equality (beta, eta, rewrite rules, unfolding of definitions)
 is decided at the kind both sides have: eta only at a product kind, else
 weak-head spines with one variable or constant head, argument by argument.
@@ -22,14 +25,14 @@ carrying a Diagnostic with the violated rule's name.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     Diagnostic, DomainMismatch, DuplicateVariable, FuelExhausted,
     IllFormedKind, IllTyped, KindMismatch, NotAProduct, UnboundVariable,
     UnknownConstant,
 )
-from .signature import CompiledRule, Definition, Signature
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Expr, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, app, fresh_name, name_mask,
@@ -37,18 +40,6 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 100000
-
-
-def parse_fuel(text: str) -> int:
-    """A step budget as written on the command line or in `SetOption fuel`:
-    a positive whole number. Raises ValueError saying what is wrong."""
-    try:
-        fuel = int(text)
-    except ValueError:
-        raise ValueError(f"fuel must be a number, got {text!r}") from None
-    if fuel <= 0:
-        raise ValueError(f"fuel must be positive, got {fuel}")
-    return fuel
 
 
 class Fuel:
@@ -121,6 +112,71 @@ class Context:
 
 
 EMPTY_CONTEXT = Context()
+
+
+# --------------------------------------------------------- signature data
+
+@dataclass(frozen=True)
+class ConstDecl:
+    name: str
+    kind: Kind
+
+
+@dataclass(frozen=True)
+class Definition:
+    name: str
+    kind: Kind
+    body: Term
+
+
+Entry = Union[ConstDecl, Definition]
+
+
+@dataclass(frozen=True)
+class RewriteRule:
+    """User-facing rule: binders scope over both sides; ascription is the
+    common kind of lhs and rhs under the binders."""
+
+    binders: tuple[tuple[str, Kind], ...]
+    lhs: Term
+    rhs: Term
+    ascription: Kind
+
+
+@dataclass(frozen=True)
+class CompiledRule:
+    """Match-ready form. Each pattern is ("var", name) or ("con", constant,
+    subpatterns); a subpattern is ("var", name) for a first binding or
+    ("forced", name) for a repeat the kind system already forces equal.
+    `con_positions` are the sorted argument positions where this rule or an
+    earlier rule for the same head has a constructor pattern: the ones
+    reduction must bring to weak-head form before the head's rules match."""
+
+    head: str
+    arity: int
+    patterns: tuple
+    rhs: Term
+    source: RewriteRule
+    con_positions: tuple[int, ...]
+
+
+class Signature:
+    def __init__(self):
+        self.entries: dict[str, Entry] = {}
+        self.rules: dict[str, list[CompiledRule]] = {}
+
+    def get(self, name: str) -> Optional[Entry]:
+        return self.entries.get(name)
+
+    def rules_for(self, name: str) -> list[CompiledRule]:
+        return self.rules.get(name, [])
+
+    def constant_count(self) -> int:
+        return sum(1 for e in self.entries.values()
+                   if isinstance(e, ConstDecl))
+
+    def rule_count(self) -> int:
+        return sum(len(rs) for rs in self.rules.values())
 
 
 # ------------------------------------------------------------- reduction

@@ -1,4 +1,5 @@
-"""Printing kernel terms and kinds back to script syntax.
+"""Printing kernel terms and kinds back to script syntax, and rendering a
+rejection's Diagnostic (`render`).
 
 Conventions (these fix the golden-file format):
   - application is left-associative juxtaposition; compound arguments are
@@ -22,6 +23,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable
 
+from .errors import Diagnostic
 from .syntax import (
     App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind, PropKind, Term,
     TypeKind, Var, free_vars, fresh_name, name_mask, rename, spine,
@@ -43,6 +45,14 @@ def show(obj) -> str:
     if isinstance(obj, Term):
         return print_term(obj)
     return str(obj)
+
+
+def render(d: Diagnostic) -> str:
+    """A Diagnostic as the lines the CLI prints under a rejection."""
+    return "\n".join([f"rule: {d.rule}"] + [
+        f"{field}: {show(getattr(d, field))}"
+        for field in ("subject", "expected", "actual")
+        if getattr(d, field) is not None])
 
 
 # `taken()` gives the constant names of the whole printed object; it

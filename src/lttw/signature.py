@@ -1,93 +1,33 @@
 """Signatures: declared constants, transparent definitions, rewrite rules.
 
-A signature is the mutable store a checking session builds up. Constants are
-opaque; definitions unfold during reduction; rewrite rules attach to a
-declared head constant and fire on depth-1 constructor patterns.
+A signature (its data is defined in the kernel) is the mutable store a
+checking session builds up. Constants are opaque; definitions unfold during
+reduction; rewrite rules attach to a declared head constant and fire on
+depth-1 constructor patterns.
 
 Every mutating operation validates its input with the kernel before storing
 anything, so a signature that exists is well-formed. It spends all of its
 kernel checks from the caller's `Fuel`, a required argument. Declaration
 order is significant (later entries may mention earlier ones); nothing here
-attempts reordering.
+attempts reordering. `commit` checks and stores one replay record, `replay`
+a whole log: with syntax, errors and kernel, the trusted base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional
 
 from .errors import (
     Diagnostic, DuplicateName, HeadNotConstant, IllTyped, KindMismatch,
-    AscriptionMismatch, NonLinearPattern, NotFound, SignatureError,
-    UnknownConstant,
+    AscriptionMismatch, NestingTooDeep, NonLinearPattern, NotFound,
+    SignatureError, UnknownConstant,
+)
+from .kernel import (
+    DEFAULT_FUEL, EMPTY_CONTEXT, CompiledRule, ConstDecl, Definition, Entry,
+    Fuel, RewriteRule, Signature, check_context, check_kind_valid,
+    check_term, equal_kinds, infer_kind,
 )
 from .syntax import Const, Kind, Term, Var, free_vars, spine
-
-if TYPE_CHECKING:  # the kernel imports this module
-    from .kernel import Fuel
-
-
-@dataclass(frozen=True)
-class ConstDecl:
-    name: str
-    kind: Kind
-
-
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    kind: Kind
-    body: Term
-
-
-Entry = Union[ConstDecl, Definition]
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """User-facing rule: binders scope over both sides; ascription is the
-    common kind of lhs and rhs under the binders."""
-
-    binders: tuple[tuple[str, Kind], ...]
-    lhs: Term
-    rhs: Term
-    ascription: Kind
-
-
-@dataclass(frozen=True)
-class CompiledRule:
-    """Match-ready form. Each pattern is ("var", name) or ("con", constant,
-    subpatterns); a subpattern is ("var", name) for a first binding or
-    ("forced", name) for a repeat the kind system already forces equal.
-    `con_positions` are the sorted argument positions where this rule or an
-    earlier rule for the same head has a constructor pattern: the ones
-    reduction must bring to weak-head form before the head's rules match."""
-
-    head: str
-    arity: int
-    patterns: tuple
-    rhs: Term
-    source: RewriteRule
-    con_positions: tuple[int, ...]
-
-
-class Signature:
-    def __init__(self):
-        self.entries: dict[str, Entry] = {}
-        self.rules: dict[str, list[CompiledRule]] = {}
-
-    def get(self, name: str) -> Optional[Entry]:
-        return self.entries.get(name)
-
-    def rules_for(self, name: str) -> list[CompiledRule]:
-        return self.rules.get(name, [])
-
-    def constant_count(self) -> int:
-        return sum(1 for e in self.entries.values()
-                   if isinstance(e, ConstDecl))
-
-    def rule_count(self) -> int:
-        return sum(len(rs) for rs in self.rules.values())
 
 
 def lookup(sig: Signature, name: str) -> Entry:
@@ -108,10 +48,8 @@ def _require_fresh(sig: Signature, name: str) -> None:
 
 def declare_constant(sig: Signature, name: str, kind: Kind,
                      fuel: Fuel) -> ConstDecl:
-    from . import kernel
-
     _require_fresh(sig, name)
-    kernel.check_kind_valid(sig, kernel.EMPTY_CONTEXT, kind, fuel)
+    check_kind_valid(sig, EMPTY_CONTEXT, kind, fuel)
     decl = ConstDecl(name, kind)
     sig.entries[name] = decl
     return decl
@@ -119,16 +57,12 @@ def declare_constant(sig: Signature, name: str, kind: Kind,
 
 def define(sig: Signature, name: str, body: Term,
            ascription: Optional[Kind] = None, *, fuel: Fuel) -> Definition:
-    from . import kernel
-
     _require_fresh(sig, name)
-    inferred = kernel.infer_kind(sig, kernel.EMPTY_CONTEXT, body, fuel)
+    inferred = infer_kind(sig, EMPTY_CONTEXT, body, fuel)
     kind = inferred
     if ascription is not None:
-        kernel.check_kind_valid(sig, kernel.EMPTY_CONTEXT, ascription,
-                                fuel)
-        if not kernel.equal_kinds(sig, kernel.EMPTY_CONTEXT, inferred,
-                                  ascription, fuel):
+        check_kind_valid(sig, EMPTY_CONTEXT, ascription, fuel)
+        if not equal_kinds(sig, EMPTY_CONTEXT, inferred, ascription, fuel):
             raise AscriptionMismatch(
                 f"definition of {name!r} does not have its ascribed kind",
                 diagnostic=Diagnostic("define-ascription", subject=body,
@@ -246,20 +180,16 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
 
 
 def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel: Fuel) -> None:
-    from . import kernel
-
-    ctx = kernel.check_context(sig, rule.binders, fuel)
-    kernel.check_kind_valid(sig, ctx, rule.ascription, fuel)
-    lhs_kind = kernel.infer_kind(sig, ctx, rule.lhs, fuel)
-    if not kernel.equal_kinds(sig, ctx, lhs_kind, rule.ascription,
-                              fuel):
+    ctx = check_context(sig, rule.binders, fuel)
+    check_kind_valid(sig, ctx, rule.ascription, fuel)
+    lhs_kind = infer_kind(sig, ctx, rule.lhs, fuel)
+    if not equal_kinds(sig, ctx, lhs_kind, rule.ascription, fuel):
         raise KindMismatch(
             "rule left-hand side does not have the ascribed kind",
             diagnostic=Diagnostic("rewrite-lhs-kind", subject=rule.lhs,
                                   expected=rule.ascription, actual=lhs_kind))
-    rhs_kind = kernel.infer_kind(sig, ctx, rule.rhs, fuel)
-    if not kernel.equal_kinds(sig, ctx, rhs_kind, rule.ascription,
-                              fuel):
+    rhs_kind = infer_kind(sig, ctx, rule.rhs, fuel)
+    if not equal_kinds(sig, ctx, rhs_kind, rule.ascription, fuel):
         raise KindMismatch(
             "rule right-hand side does not have the ascribed kind",
             diagnostic=Diagnostic("rewrite-rhs-kind", subject=rule.rhs,
@@ -273,3 +203,49 @@ def _distinguishable(a: CompiledRule, b: CompiledRule) -> bool:
         if pa[0] == "con" and pb[0] == "con" and pa[1] != pb[1]:
             return True
     return False
+
+
+# ----------------------------------------------------------------- replay
+
+def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
+    """Check one replay record with this layer and the kernel, spending
+    from `fuel`, and store what it declares. A `check` record stores
+    nothing; its kind must be well formed and its term of that kind.
+    Raises on rejection, leaving `sig` unchanged."""
+    tag = record[0]
+    if tag == "declare":
+        _, name, kind = record
+        declare_constant(sig, name, kind, fuel)
+    elif tag == "define":
+        _, name, body, ascription = record
+        define(sig, name, body, ascription, fuel=fuel)
+    elif tag == "rule":
+        _, rule = record
+        declare_rewrite(sig, rule, fuel)
+    elif tag == "check":
+        _, t, k = record
+        check_kind_valid(sig, EMPTY_CONTEXT, k, fuel)
+        check_term(sig, EMPTY_CONTEXT, t, k, fuel)
+    else:
+        raise ValueError(f"unknown replay record {tag!r}")
+
+
+def replay(log: list[tuple], sig: Optional[Signature] = None,
+           fuel: int = DEFAULT_FUEL) -> Signature:
+    """Re-check a session from its replay records: signature and kernel
+    only, no parsing, no elaboration. Each record is committed on its own
+    budget of `fuel` steps, as its command was; a `("fuel", n)` record,
+    which a session logs where its budget changes, sets the budget of the
+    records after it. Raises on the first rejection."""
+    sig = sig if sig is not None else Signature()
+    for i, record in enumerate(log):
+        if record[0] == "fuel":
+            _, fuel = record
+            continue
+        try:
+            commit(sig, record, Fuel(fuel))
+        except RecursionError:
+            raise NestingTooDeep(
+                f"replay record {i} nests too deeply to check",
+                diagnostic=Diagnostic("depth")) from None
+    return sig

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from lttw import kernel
-from lttw.checker import Checker, replay
+from lttw.checker import Checker
 from lttw.cli import main
 from lttw.corpus import (
     CORPUS_DIR, MANIFEST_IMPREDICATIVE, check_corpus,
@@ -22,7 +22,7 @@ from lttw.errors import UnknownConstant
 from lttw.kernel import EMPTY_CONTEXT, Fuel
 from lttw.parser import parse_term
 from lttw.printer import print_kind, print_term
-from lttw.signature import ConstDecl, Signature
+from lttw.signature import ConstDecl, Signature, replay
 from lttw.stdlib import (
     CORE_FILES, STDLIB_DIR, load_core_signature, load_standard,
 )

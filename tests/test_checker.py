@@ -7,14 +7,14 @@ import pytest
 
 import lttw.elaborator
 import lttw.kernel
-from lttw.checker import Checker, CheckerConfig, replay
+from lttw.checker import Checker, CheckerConfig
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
     DomainMismatch, DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
     ScriptSyntaxError, UnknownConstant,
 )
 from lttw.kernel import DEFAULT_FUEL, Fuel
-from lttw.signature import Definition, declare_rewrite
+from lttw.signature import Definition, declare_rewrite, replay
 from lttw.stdlib import load_standard
 from lttw.syntax import (
     TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, PropKind, TypeKind, Var,
@@ -271,6 +271,39 @@ def test_replay_gives_each_record_one_budget():
     replay([record], replay(before), fuel=2)
 
 
+def test_replay_gives_each_record_the_budget_its_command_ran_under():
+    # the kernel's check that `minus M M` is zero for M = 32 * 32 takes
+    # 109,974 steps, more than the default budget
+    n = "succ (" * 31 + "succ zero" + ")" * 31
+    m = f"mult ({n}) ({n})"
+    ck = load_standard()
+    ck.run_path(CORPUS_DIR / "arith.lf")
+    ck.run_text("> SetOption fuel 200000;\n> Check EqI hatNat zero : "
+                f"Prf (Eq hatNat (minus ({m}) ({m})) zero);\n")
+    assert ck.log[-2] == ("fuel", 200000)
+    sig = replay(ck.log)
+    with pytest.raises(FuelExhausted):
+        replay(ck.log[-1:], sig)
+
+
+def test_the_log_records_a_budget_only_where_it_changes():
+    assert [r for r in load_standard().log if r[0] == "fuel"] == []
+    ck = Checker(config=CheckerConfig(fuel=50))
+    ck.run_text(NAT_PRELUDE + "> SetOption fuel 50;\n> SetOption fuel 60;\n"
+                f"> SetOption fuel {DEFAULT_FUEL};\n")
+    assert [r if r[0] == "fuel" else r[0] for r in ck.log] == [
+        ("fuel", 50), "declare", "declare", "declare", ("fuel", 60),
+        ("fuel", DEFAULT_FUEL)]
+
+
+def test_setoption_fuel_changes_only_its_own_checker():
+    config = CheckerConfig()
+    a, b = Checker(config=config), Checker(config=config)
+    a.run_text("> SetOption fuel 5;\n")
+    assert a.config.fuel == 5
+    assert b.config.fuel == config.fuel == DEFAULT_FUEL
+
+
 def test_declare_rewrite_spends_every_kernel_check_from_one_fuel():
     ck = _run_with_fuel(4, "> rule c1 = p1 : P one;\n")
     (_, rule), sig = ck.log[-1], replay(ck.log[:-1])
@@ -472,6 +505,18 @@ def test_failed_load_leaves_the_checker_as_it_was(tmp_path):
     script.write_text("> [A : Type];\n> [a : A];\n> [b : A];\n")
     ck.run_path(script)
     assert {"A", "a", "b"} <= set(ck.sig.entries)
+
+
+def test_failed_load_restores_the_budget_with_the_log(tmp_path):
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE)
+    log = list(ck.log)
+    script = tmp_path / "budget.lf"
+    script.write_text("> SetOption fuel 7;\n> [a : Nat];\n> [a : Nat];\n")
+    with pytest.raises(DuplicateName):
+        ck.run_path(script)
+    assert ck.config.fuel == DEFAULT_FUEL
+    assert ck.log == log
 
 
 def test_failed_load_forgets_the_files_it_loaded(tmp_path):

@@ -9,20 +9,18 @@ logs replay, kinds survive reduction).
 import pytest
 
 from lttw import kernel
-from lttw.checker import replay
 from lttw.corpus import (
-    CORPUS_DIR, MANIFEST, MANIFEST_IMPREDICATIVE, check_corpus,
-    parse_manifest,
+    CORPUS_DIR, MANIFEST, MANIFEST_IMPREDICATIVE, MismatchedOutcome,
+    check_corpus, parse_manifest,
 )
 from lttw.elaborator import elaborate
 from lttw.errors import (
-    FuelExhausted, KindMismatch, LttwError, MismatchedOutcome,
-    UnknownConstant,
+    FuelExhausted, KindMismatch, LttwError, UnknownConstant,
 )
 from lttw.kernel import EMPTY_CONTEXT, Fuel
 from lttw.parser import parse_term
 from lttw.printer import print_term
-from lttw.signature import Signature
+from lttw.signature import Signature, replay
 from lttw.stdlib import load_standard
 from lttw.syntax import App, Lam, free_vars
 

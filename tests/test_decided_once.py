@@ -26,6 +26,7 @@ from lttw import Checker, CheckerConfig
 from lttw.corpus import parse_manifest
 from lttw.errors import FuelExhausted, KindMismatch, LttwError
 from lttw.parser import parse_script
+from lttw.printer import render
 from lttw.stdlib import (
     CORE_FILES, DERIVED_FILE, IMPREDICATIVE_FILE, STDLIB_DIR,
 )
@@ -278,7 +279,7 @@ def test_an_ill_kinded_check_kind_is_rejected_as_deciding_in_place_would():
     assert pair.rejections == 1
     with pytest.raises(KindMismatch) as info:
         pair.once.run_text("> Check zero : K bot Nat;\n")
-    assert info.value.diagnostic.render() == \
+    assert render(info.value.diagnostic) == \
         "rule: check\nexpected: Nat\nactual: Prop"
 
 

@@ -435,12 +435,30 @@ def _lttw_imports(node, where=""):
 
 
 def test_trusted_modules_import_only_each_other():
-    # syntax, errors, kernel and signature are what a reader must trust;
-    # rendering a Diagnostic is the one place that may use the printer
+    # syntax, errors, kernel and signature are what a reader must trust:
+    # each imports nothing else from lttw, and only at module level
     src = Path(lttw.__file__).parent
     for name in TRUSTED:
         tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
         for target, where in _lttw_imports(tree):
-            allowed = (target in TRUSTED or (name, target, where) == (
-                "errors", "printer", "Diagnostic.render"))
-            assert allowed, (name, target, where)
+            assert target in TRUSTED and not where, (name, target, where)
+
+
+def test_lttw_imports_form_a_dag():
+    # every lttw import sits at module level, and no module imports one
+    # that imports it back, directly or through others
+    src = Path(lttw.__file__).parent
+    graph = {}
+    for path in sorted(src.rglob("*.py")):
+        name = path.parent.name if path.name == "__init__.py" else path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[name] = set()
+        for target, where in _lttw_imports(tree):
+            assert not where, (name, target, where)
+            graph[name].add(target)
+    # drop the modules that import no remaining module until none is left
+    while graph:
+        leaves = [m for m, deps in graph.items() if not deps & graph.keys()]
+        assert leaves, sorted(graph)
+        for m in leaves:
+            del graph[m]

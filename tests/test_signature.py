@@ -7,6 +7,7 @@ from lttw.errors import (
     KindMismatch, NonLinearPattern, NotFound, SignatureError, UnknownConstant,
 )
 from lttw.kernel import Fuel, whnf
+from lttw.printer import render
 from lttw.signature import (
     ConstDecl, Definition, RewriteRule, Signature, declare_constant,
     declare_rewrite, define, lookup,
@@ -115,7 +116,7 @@ def test_repeated_rule_binder_names_its_rule():
             rhs=Var("x"),
             ascription=NAT), Fuel())
     assert info.value.message == "rule binders must be distinct"
-    assert info.value.diagnostic.render() == "rule: rewrite-linear\nsubject: x"
+    assert render(info.value.diagnostic) == "rule: rewrite-linear\nsubject: x"
 
 
 def test_forced_repeat_under_constructor_allowed():
