@@ -27,10 +27,12 @@ budget its command ran under. A `Load` runs each command of the loaded
 file on its own budget and is all-or-nothing: a file that fails leaves the
 signature, the log, the budget and the loaded files as they were.
 
-Each command runs once. One nested deeper than the interpreter's stack
-allows is explained like any other rejection: a false obligation recorded
-before the stack ran out gives the error, and otherwise the command is
-rejected with NestingTooDeep. Either way the signature is left unchanged.
+Each command runs once, and once more on a large stack if it ran out of
+stack. Running out is explained like any other rejection: a false
+obligation recorded before the stack ran out gives the error. Otherwise
+the command runs again from the start through `on_large_stack`, and only
+one that runs out of that stack too is rejected with NestingTooDeep.
+Either way a rejected command leaves the signature unchanged.
 
 Option `prop_placement` decides what kind the distinguished constant `prop`
 is declared at: "prop" keeps the script's `Prop`, "type" turns the
@@ -46,7 +48,9 @@ from pathlib import Path
 from typing import Optional
 
 from .elaborator import Elaborator
-from .errors import Diagnostic, LttwError, NestingTooDeep, ScriptSyntaxError
+from .errors import (
+    Diagnostic, LttwError, NestingTooDeep, ScriptSyntaxError, on_large_stack,
+)
 from . import kernel
 from .kernel import (
     DEFAULT_FUEL, EMPTY_CONTEXT, Context, Fuel, RewriteRule, Signature,
@@ -88,6 +92,9 @@ class Checker:
                  config: Optional[CheckerConfig] = None):
         self.sig = sig if sig is not None else Signature()
         self.config = replace(config or CheckerConfig())  # not shared
+        if self.config.prop_placement not in ("prop", "type"):
+            raise ValueError(
+                f"unknown prop placement {self.config.prop_placement!r}")
         self.log: list[tuple] = []
         if self.config.fuel != DEFAULT_FUEL:
             self.log.append(("fuel", self.config.fuel))
@@ -129,11 +136,16 @@ class Checker:
     # --------------------------------------------------------- commands
 
     def run_command(self, cmd: Command) -> None:
+        logged, printed = len(self.log), len(self.output)
         try:
-            if isinstance(cmd, Directive) and cmd.op in _UNELABORATED:
-                self._directive(cmd)
-            else:
-                self._elaborate_and_commit(self._step(cmd), cmd)
+            try:
+                return self._run(cmd)
+            except RecursionError:
+                pass  # retried once the frames it holds are freed
+            # a rejected command leaves the signature as it was; drop what
+            # it added to the log and output, and run it again
+            del self.log[logged:], self.output[printed:]
+            on_large_stack(lambda: self._run(cmd))
         except LttwError as e:
             # the innermost command that raised it is the one to blame
             if e.span is None:
@@ -143,6 +155,12 @@ class Checker:
             raise NestingTooDeep("command nests too deeply to check",
                                  span=cmd.span,
                                  diagnostic=Diagnostic("depth")) from None
+
+    def _run(self, cmd: Command) -> None:
+        if isinstance(cmd, Directive) and cmd.op in _UNELABORATED:
+            self._directive(cmd)
+        else:
+            self._elaborate_and_commit(self._step(cmd), cmd)
 
     def _step(self, cmd: Command):
         if isinstance(cmd, Declare):
@@ -167,6 +185,8 @@ class Checker:
             # past a false obligation, elaboration and the kernel may fail
             # in any way; the explanation says which error stands
             raise el.explain(e)
+        finally:
+            self._el = None  # its obligations hold the command's terms
 
     def _elaborator(self) -> Elaborator:
         # the command's one budget: elaboration, the commit and a Reduce's

@@ -262,15 +262,24 @@ def _match(rule: CompiledRule, args: list) -> Optional[dict]:
 
 
 def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
-    """Full normal form: whnf at every subterm, annotations included."""
-    t = whnf(sig, t, fuel)
-    if isinstance(t, Lam):
-        return Lam(t.var, normalize_kind(sig, t.ann, fuel),
-                   normalize(sig, t.body, fuel))
-    head, args = spine(t)
-    if not args:
-        return t
-    return app(head, *[normalize(sig, a, fuel) for a in args])
+    """Full normal form: whnf at every subterm, annotations included. The
+    leading arguments of a spine are normalised by recursion and the last
+    one in the loop, so a numeral costs no stack."""
+    outer = []  # each enclosing spine: its head, normal leading arguments
+    while True:
+        t = whnf(sig, t, fuel)
+        if isinstance(t, Lam):
+            t = Lam(t.var, normalize_kind(sig, t.ann, fuel),
+                    normalize(sig, t.body, fuel))
+            break
+        head, args = spine(t)
+        if not args:
+            break
+        t = args.pop()
+        outer.append((head, *[normalize(sig, a, fuel) for a in args]))
+    while outer:
+        t = app(*outer.pop(), t)
+    return t
 
 
 def normalize_kind(sig: Signature, k: Kind, fuel: Fuel) -> Kind:

@@ -32,8 +32,11 @@ as it lives, and a script holds tens of thousands of tokens. Spans are
 SourceSpan tuples, built on the hot paths with tuple.__new__. _application
 reads a whole application, its parenthesised arguments and its trailing
 lambda in one loop, so each level of parentheses costs one stack frame.
-Input nested deeper than the interpreter's stack allows is rejected with
-NestingTooDeep at the token where the command, term or kind began.
+A script command that runs out of stack is parsed once more from its
+first token on a large stack (`on_large_stack`); input nested deeper than
+that allows, or than the interpreter's stack allows in a standalone term
+or kind, is rejected with NestingTooDeep at the token where the command,
+term or kind began.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Optional
 
 from .errors import (
     Diagnostic, NestingTooDeep, ScriptSyntaxError, SourceSpan,
-    UnterminatedCommand,
+    UnterminatedCommand, on_large_stack,
 )
 from .surface import (
     Binder, Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
@@ -168,8 +171,15 @@ class _Parser:
     def parse_script(self) -> list[Command]:
         commands = []
         while (start := self.peek())[0] != "eof":
+            at = self.pos
             try:
-                commands.append(self.parse_command())
+                try:
+                    commands.append(self.parse_command())
+                    continue
+                except RecursionError:
+                    pass  # retried once the frames it holds are freed
+                self.pos = at
+                commands.append(on_large_stack(self.parse_command))
             except RecursionError:
                 raise self.too_deep(start) from None
         return commands

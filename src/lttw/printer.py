@@ -93,12 +93,19 @@ def _term(t: Term, taken: Taken, top: bool) -> str:
         s = f"[{x} : {_kind(ann, taken, left_of_arrow=False)}] {inner}"
         return s if top else f"({s})"
     if isinstance(t, App):
-        head, args = spine(t)
-        parts = [_term(head, taken, top=False)]
-        for a in args:
-            parts.append(_term(a, taken, top=False) if _atomic(a)
-                         else "(" + _term(a, taken, top=True) + ")")
-        return " ".join(parts)
+        # a last argument that is an application is not printed by
+        # recursion: the loop continues with it, one parenthesis further in
+        levels = []
+        while True:
+            head, args = spine(t)
+            t = args.pop() if isinstance(args[-1], App) else None
+            words = [_term(head, taken, top=False)]
+            for a in args:
+                words.append(_term(a, taken, top=False) if _atomic(a)
+                             else "(" + _term(a, taken, top=True) + ")")
+            levels.append(" ".join(words))
+            if t is None:
+                return " (".join(levels) + ")" * (len(levels) - 1)
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -59,8 +59,6 @@ def load_standard(mode: str = "predicative",
     """Core plus derived logic; mode "impredicative" adds the overlay."""
     if mode not in ("predicative", "impredicative"):
         raise ValueError(f"unknown mode {mode!r}")
-    if prop_placement not in ("prop", "type"):
-        raise ValueError(f"unknown prop placement {prop_placement!r}")
     checker = load_core_signature(prop_placement, fuel)
     load_derived_logic(checker)
     if mode == "impredicative":

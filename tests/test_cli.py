@@ -11,7 +11,7 @@ import pytest
 
 from lttw.cli import main
 from lttw.corpus import CORPUS_DIR
-from lttw.errors import LttwError
+from lttw.errors import DEEP_RECURSION_LIMIT, LttwError
 from lttw.kernel import Fuel
 from lttw.signature import RewriteRule, declare_constant, declare_rewrite
 from lttw.syntax import App, Const, Var
@@ -288,6 +288,14 @@ RULE_REJECTIONS = [
     ("rewrite-constructor-opaque",
      "> [d = zero];\n> [f : Nat -> Nat];\n> rule f d = zero : Nat;\n",
      "'d' unfolds, so it cannot head a pattern"),
+    ("rewrite-lhs-kind",
+     RewriteRule((("x", NAT),), App(Const("f"), Var("x")), Var("x"),
+                 arrow(NAT, NAT)),
+     "rule left-hand side does not have the ascribed kind"),
+    ("rewrite-rhs-kind",
+     RewriteRule((("x", NAT),), App(Const("f"), Var("x")), Const("succ"),
+                 NAT),
+     "rule right-hand side does not have the ascribed kind"),
     ("name-declared", "> Check ghost;\n", "unknown name 'ghost'"),
     ("hole-kind", "> Check ?;\n",
      "hole in a position whose kind is not determined"),
@@ -316,9 +324,12 @@ def test_rewrite_rule_rejection_names_its_rule(capsys, tmp_path, rule,
 
 
 def test_too_deep_a_script_exits_1_without_a_traceback(capsys, tmp_path):
+    # a parenthesis costs the parser at least one frame, so this runs out
+    # of the large stack of the parser's retry as well
+    depth = 2 * DEEP_RECURSION_LIMIT
     script = tmp_path / "deep.lf"
     script.write_text("> [N : Type];\n> [z : N];\n> [s : N -> N];\n"
-                      "> Check " + "s (" * 2000 + "z" + ")" * 2000
+                      "> Check " + "s (" * depth + "z" + ")" * depth
                       + " : N;\n")
     code, out, err = run(capsys, "check", "--stdlib", "none", str(script))
     assert code == 1
