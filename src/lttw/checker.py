@@ -27,12 +27,13 @@ budget its command ran under. A `Load` runs each command of the loaded
 file on its own budget and is all-or-nothing: a file that fails leaves the
 signature, the log, the budget and the loaded files as they were.
 
-Each command runs once, and once more on a large stack if it ran out of
-stack. Running out is explained like any other rejection: a false
-obligation recorded before the stack ran out gives the error. Otherwise
-the command runs again from the start through `on_large_stack`, and only
-one that runs out of that stack too is rejected with NestingTooDeep.
-Either way a rejected command leaves the signature unchanged.
+Each command runs once. The parser, the elaborator, the kernel and the
+printer each loop on an application's last argument, so a numeral costs
+them no stack, however long. A command nested deeper than the
+interpreter's stack allows elsewhere is explained like any other
+rejection: a false obligation recorded before the stack ran out gives the
+error, and otherwise the command is rejected with NestingTooDeep. Either
+way a rejected command leaves the signature unchanged.
 
 Option `prop_placement` decides what kind the distinguished constant `prop`
 is declared at: "prop" keeps the script's `Prop`, "type" turns the
@@ -48,9 +49,7 @@ from pathlib import Path
 from typing import Optional
 
 from .elaborator import Elaborator
-from .errors import (
-    Diagnostic, LttwError, NestingTooDeep, ScriptSyntaxError, on_large_stack,
-)
+from .errors import Diagnostic, LttwError, NestingTooDeep, ScriptSyntaxError
 from . import kernel
 from .kernel import (
     DEFAULT_FUEL, EMPTY_CONTEXT, Context, Fuel, RewriteRule, Signature,
@@ -138,29 +137,22 @@ class Checker:
     def run_command(self, cmd: Command) -> None:
         logged, printed = len(self.log), len(self.output)
         try:
-            try:
-                return self._run(cmd)
-            except RecursionError:
-                pass  # retried once the frames it holds are freed
-            # a rejected command leaves the signature as it was; drop what
-            # it added to the log and output, and run it again
-            del self.log[logged:], self.output[printed:]
-            on_large_stack(lambda: self._run(cmd))
+            if isinstance(cmd, Directive) and cmd.op in _UNELABORATED:
+                self._directive(cmd)
+            else:
+                self._elaborate_and_commit(self._step(cmd), cmd)
         except LttwError as e:
             # the innermost command that raised it is the one to blame
             if e.span is None:
                 e.span = cmd.span
             raise
         except RecursionError:
+            # a Check runs out of stack printing a term it has logged; as
+            # a rejected command, it leaves no record and no line
+            del self.log[logged:], self.output[printed:]
             raise NestingTooDeep("command nests too deeply to check",
                                  span=cmd.span,
                                  diagnostic=Diagnostic("depth")) from None
-
-    def _run(self, cmd: Command) -> None:
-        if isinstance(cmd, Directive) and cmd.op in _UNELABORATED:
-            self._directive(cmd)
-        else:
-            self._elaborate_and_commit(self._step(cmd), cmd)
 
     def _step(self, cmd: Command):
         if isinstance(cmd, Declare):

@@ -158,8 +158,7 @@ class Elaborator:
         if isinstance(s, SLam):
             return self._lambda(ctx, s, expected)
         if isinstance(s, SApp):
-            t, k = self._application(ctx, s)
-            return self._against(ctx, t, k, expected, s.span)
+            return self._application(ctx, s, expected)
         raise TypeError(f"not a surface term: {s!r}")
 
     def _name(self, ctx: Context, s: SName) -> tuple[Term, Kind]:
@@ -258,30 +257,55 @@ class Elaborator:
             else PiKind(x, dom, body_kind)
         return Lam(x, dom, body), result_kind
 
-    def _application(self, ctx: Context, s: SApp) -> tuple[Term, Kind]:
-        chain = []
-        fn = s
-        while isinstance(fn, SApp):
-            chain.append(fn.arg)
-            fn = fn.fn
-        chain.reverse()
-        t, k = self.term(ctx, fn, None)
-        # the head's kind is instantiated lazily, as in the kernel
-        mapping: dict[str, Term] = {}
-        for arg_s in chain:
+    def _application(self, ctx: Context, s: SApp,
+                     expected: Optional[Kind]) -> tuple[Term, Kind]:
+        """`term` of an application. The leading arguments are elaborated
+        by recursion and a last argument that is an application in the
+        loop, so a numeral costs no stack."""
+        outer = []  # each enclosing application: its span and expected
+        # kind, its head and leading arguments, the product its last
+        # argument is the domain of, and its map so far
+        while True:
+            chain = []
+            fn = s
+            while isinstance(fn, SApp):
+                chain.append(fn.arg)
+                fn = fn.fn
+            chain.reverse()
+            inner = chain.pop() if isinstance(chain[-1], SApp) else None
+            t, k = self.term(ctx, fn, None)
+            # the head's kind is instantiated lazily, as in the kernel
+            mapping: dict[str, Term] = {}
+            for arg_s in chain:
+                if not isinstance(k, PiKind):
+                    raise self._too_many_arguments(arg_s, k, mapping)
+                domain = subst_parallel(k.domain, mapping)
+                arg, _ = self.term(ctx, arg_s, domain)
+                t = App(t, arg)
+                mapping[k.var] = arg
+                k = k.codomain
+            if inner is None:
+                break
             if not isinstance(k, PiKind):
-                raise NotAProduct(
-                    "too many arguments: the head's kind is not a product "
-                    "here", span=getattr(arg_s, "span", None),
-                    diagnostic=Diagnostic(
-                        "app-fn",
-                        actual=self.state.zonk(subst_parallel(k, mapping))))
-            domain = subst_parallel(k.domain, mapping)
-            arg, _ = self.term(ctx, arg_s, domain)
-            t = App(t, arg)
-            mapping[k.var] = arg
-            k = k.codomain
-        return t, subst_parallel(k, mapping)
+                raise self._too_many_arguments(inner, k, mapping)
+            outer.append((s.span, expected, t, k, mapping))
+            s, expected = inner, subst_parallel(k.domain, mapping)
+        t, k = self._against(ctx, t, subst_parallel(k, mapping), expected,
+                             s.span)
+        while outer:
+            span, expected, fn, product, mapping = outer.pop()
+            mapping[product.var] = t
+            t, k = self._against(ctx, App(fn, t), subst_parallel(
+                product.codomain, mapping), expected, span)
+        return t, k
+
+    def _too_many_arguments(self, arg_s, k: Kind,
+                            mapping: dict) -> NotAProduct:
+        return NotAProduct(
+            "too many arguments: the head's kind is not a product here",
+            span=getattr(arg_s, "span", None),
+            diagnostic=Diagnostic("app-fn", actual=self.state.zonk(
+                subst_parallel(k, mapping))))
 
     def _bind(self, ctx: Context, name: str, kind: Kind):
         """Enter the surface binder `name`: its kernel name, the extended

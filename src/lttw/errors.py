@@ -5,20 +5,13 @@ coming out of the kernel carry a Diagnostic naming the violated rule and the
 judgement pieces involved, so callers can print *why* without re-running
 anything. This module imports nothing from lttw; printing a Diagnostic is
 the printer's job, and the corpus runner's errors live with it.
-
-It also holds the one retry for input that runs out of stack,
-`on_large_stack`: the parser, the checker and `replay` each run a command
-that raised RecursionError once more through it, and only a command that
-runs out of the large stack too is NestingTooDeep.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Optional
 
 
 class SourceSpan(namedtuple("SourceSpan", "file line col end_line end_col")):
@@ -66,63 +59,9 @@ class LttwError(Exception):
 
 
 class NestingTooDeep(LttwError):
-    """The input nests deeper than DEEP_RECURSION_LIMIT frames allow, the
-    bound of the large-stack retry. Its diagnostic's rule is "depth"."""
-
-
-# The recursion limit of a retry. Elaborating a depth-n numeral takes about
-# 2n frames (3000 deep takes 6,000), so this decides numerals up to about
-# 16,000 deep, 10**4 among them. The stack gives each frame six times the
-# C stack a frame that recurses through C takes (about 1 KB on CPython
-# 3.11), so the limit, not the stack, stops any input; a retry uses as
-# memory only the pages it touches.
-DEEP_RECURSION_LIMIT = 40_000
-DEEP_STACK_BYTES = 256 * 1024 * 1024
-_DEEP_WORKER = "lttw-large-stack"
-# The stack size of new threads and the recursion limit are the process's:
-# one retry at a time sets and restores them. Other threads run under the
-# raised limit meanwhile, and one that recursed past the default limit by
-# the time it is restored is stopped (CPython 3.11 aborts), so a program
-# that checks in several threads must keep deep inputs to one of them.
-_RETRYING = threading.Lock()
-
-_T = TypeVar("_T")
-
-
-def on_large_stack(run: Callable[[], _T]) -> _T:
-    """Run `run()`, a retry of work that raised RecursionError, on a worker
-    thread with a stack of DEEP_STACK_BYTES and the recursion limit raised
-    to DEEP_RECURSION_LIMIT, and return its result or raise its error. On
-    that worker it raises RecursionError at once, so retries never nest."""
-    if threading.current_thread().name == _DEEP_WORKER:
-        raise RecursionError("no retry within a retry")
-    outcome: list = []  # (result, None) or (None, error)
-
-    def work() -> None:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(DEEP_RECURSION_LIMIT)
-        try:
-            outcome.append((run(), None))
-        except BaseException as e:  # raised again in the calling thread
-            if isinstance(e, RecursionError):
-                e.__traceback__ = None  # its frames would outlive the retry
-            outcome.append((None, e))
-        finally:
-            sys.setrecursionlimit(limit)
-
-    with _RETRYING:
-        stack = threading.stack_size(DEEP_STACK_BYTES)
-        try:
-            worker = threading.Thread(target=work, name=_DEEP_WORKER,
-                                      daemon=True)
-            worker.start()
-        finally:
-            threading.stack_size(stack)
-        worker.join()
-    ((result, error),) = outcome
-    if error is not None:
-        raise error
-    return result
+    """The input nests deeper than the interpreter's stack allows, other
+    than through an application's last argument, which costs no stack. Its
+    diagnostic's rule is "depth"."""
 
 
 # lexing / parsing

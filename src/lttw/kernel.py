@@ -379,29 +379,40 @@ def equal_kinds(sig: Signature, ctx: Context, k1: Kind, k2: Kind,
 # ------------------------------------------------------------- inference
 
 def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
+    """The kind of t. The leading arguments of a spine are inferred by
+    recursion and the last one in the loop, so a numeral costs no stack."""
     if isinstance(t, App):
-        # the commonest node first. Walk the spine once; the head's kind
-        # is instantiated lazily
-        head, args = spine(t)
-        k = infer_kind(sig, ctx, head, fuel)
-        mapping: dict[str, Term] = {}
-        for i, arg in enumerate(args):
+        # the commonest node first
+        outer = []  # each enclosing spine: its last argument, that
+        # argument's domain, the product it is the domain of, its map
+        while True:
+            # walk the spine once; the head's kind is instantiated lazily
+            head, args = spine(t)
+            t = args.pop() if isinstance(args[-1], App) else None
+            k = infer_kind(sig, ctx, head, fuel)
+            mapping: dict[str, Term] = {}
+            for i, arg in enumerate(args):
+                if not isinstance(k, PiKind):
+                    raise _not_a_product(head, args[:i], k, mapping)
+                domain = subst_parallel(k.domain, mapping)
+                arg_kind = infer_kind(sig, ctx, arg, fuel)
+                if not equal_kinds(sig, ctx, arg_kind, domain, fuel):
+                    raise _domain_mismatch(arg, domain, arg_kind)
+                mapping[k.var] = arg
+                k = k.codomain
+            if t is None:
+                break
             if not isinstance(k, PiKind):
-                raise NotAProduct(
-                    "application of a term whose kind is not a product",
-                    diagnostic=Diagnostic(
-                        "app-fn", subject=app(head, *args[:i]),
-                        actual=subst_parallel(k, mapping)))
-            domain = subst_parallel(k.domain, mapping)
-            arg_kind = infer_kind(sig, ctx, arg, fuel)
-            if not equal_kinds(sig, ctx, arg_kind, domain, fuel):
-                raise DomainMismatch(
-                    "argument kind does not match the function's domain",
-                    diagnostic=Diagnostic("app-domain", subject=arg,
-                                          expected=domain, actual=arg_kind))
-            mapping[k.var] = arg
-            k = k.codomain
-        return subst_parallel(k, mapping)
+                raise _not_a_product(head, args, k, mapping)
+            outer.append((t, subst_parallel(k.domain, mapping), k, mapping))
+        k = subst_parallel(k, mapping)
+        while outer:
+            arg, domain, product, mapping = outer.pop()
+            if not equal_kinds(sig, ctx, k, domain, fuel):
+                raise _domain_mismatch(arg, domain, k)
+            mapping[product.var] = arg
+            k = subst_parallel(product.codomain, mapping)
+        return k
     if isinstance(t, Var):
         k = ctx.lookup(t.name)
         if k is None:
@@ -426,6 +437,22 @@ def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
         body_kind = infer_kind(sig, ctx2, rename(t.body, t.var, x), fuel)
         return PiKind(x, t.ann, body_kind)
     raise TypeError(f"not a term: {t!r}")
+
+
+def _not_a_product(head: Term, args: list, k: Kind,
+                   mapping: dict) -> NotAProduct:
+    return NotAProduct(
+        "application of a term whose kind is not a product",
+        diagnostic=Diagnostic("app-fn", subject=app(head, *args),
+                              actual=subst_parallel(k, mapping)))
+
+
+def _domain_mismatch(arg: Term, domain: Kind,
+                     arg_kind: Kind) -> DomainMismatch:
+    return DomainMismatch(
+        "argument kind does not match the function's domain",
+        diagnostic=Diagnostic("app-domain", subject=arg, expected=domain,
+                              actual=arg_kind))
 
 
 def check_kind_valid(sig: Signature, ctx: Context, k: Kind,

@@ -30,13 +30,11 @@ of untracked values such as strings and ints the first time a collection
 sees it, while it rescans a tuple subclass at every collection for as long
 as it lives, and a script holds tens of thousands of tokens. Spans are
 SourceSpan tuples, built on the hot paths with tuple.__new__. _application
-reads a whole application, its parenthesised arguments and its trailing
-lambda in one loop, so each level of parentheses costs one stack frame.
-A script command that runs out of stack is parsed once more from its
-first token on a large stack (`on_large_stack`); input nested deeper than
-that allows, or than the interpreter's stack allows in a standalone term
-or kind, is rejected with NestingTooDeep at the token where the command,
-term or kind began.
+reads a whole application, its parenthesised arguments and its lambdas in
+one loop, keeping the applications it is inside on a list of its own, so
+no nesting of terms costs stack. Input that nests deeper than the
+interpreter's stack allows, which only kinds can, is rejected with
+NestingTooDeep at the token where the command, term or kind began.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Optional
 
 from .errors import (
     Diagnostic, NestingTooDeep, ScriptSyntaxError, SourceSpan,
-    UnterminatedCommand, on_large_stack,
+    UnterminatedCommand,
 )
 from .surface import (
     Binder, Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
@@ -171,15 +169,8 @@ class _Parser:
     def parse_script(self) -> list[Command]:
         commands = []
         while (start := self.peek())[0] != "eof":
-            at = self.pos
             try:
-                try:
-                    commands.append(self.parse_command())
-                    continue
-                except RecursionError:
-                    pass  # retried once the frames it holds are freed
-                self.pos = at
-                commands.append(on_large_stack(self.parse_command))
+                commands.append(self.parse_command())
             except RecursionError:
                 raise self.too_deep(start) from None
         return commands
@@ -287,9 +278,16 @@ class _Parser:
         spanning from start; with fn None, the first argument is the head,
         and at least one is required. An argument is a name, a hole, a
         parenthesised term or a lambda; a lambda is the last argument, and
-        a term that starts with one is that lambda."""
+        a term that starts with one is that lambda.
+
+        A parenthesised term and a lambda's body are read in the same loop
+        as the application around them, which waits on `outer`, so nesting
+        costs no stack."""
         tokens, file = self.tokens, self.file
         _, _, line, col = start
+        outer = []  # (fn, start, line, col, binder): an enclosing
+        # application, and the lambda's binder if it waits on a body, or
+        # None if on a parenthesised argument
         while True:
             t = tokens[self.pos]
             type_, value, at_line, at_col = t
@@ -301,32 +299,42 @@ class _Parser:
                 self.pos += 1
                 arg = SHole(_new(SourceSpan, (
                     file, at_line, at_col, at_line, at_col + 1)))
-            elif type_ == "(":
-                self.pos += 1
-                arg = self._application(None, tokens[self.pos])
-                self.expect(")")
-            elif type_ == "[":
-                arg = self._lambda()
-                if fn is None:
-                    return arg
-                return SApp(fn, arg, self._span_from(start))
+            elif type_ == "(" or type_ == "[":
+                binder = None
+                if type_ == "(":
+                    self.pos += 1
+                else:
+                    binder = (t, *self._binder()[:2])
+                outer.append((fn, start, line, col, binder))
+                fn, start = None, tokens[self.pos]
+                _, _, line, col = start
+                continue
             elif fn is None:
                 raise self.error(t, "where a term was expected",
                                  f"expected a term, found {_shown(t)}")
             else:
-                return fn
+                # this application ends here, and so does each enclosing
+                # one whose last argument is a lambda around it
+                while True:
+                    if not outer:
+                        return fn
+                    arg = fn
+                    fn, start, line, col, binder = outer.pop()
+                    if binder is None:
+                        self.expect(")")
+                        break
+                    at, name, ann = binder
+                    arg = SLam(name, ann, arg, self._span_from(at))
+                    if fn is not None:
+                        fn = SApp(fn, arg, self._span_from(start))
+                    else:
+                        fn = arg
             if fn is None:
                 fn = arg
             else:
                 _, end, end_line, end_col = tokens[self.pos - 1]
                 fn = SApp(fn, arg, _new(SourceSpan, (
                     file, line, col, end_line, end_col + len(end))))
-
-    def _lambda(self) -> SurfaceTerm:
-        start = self.peek()
-        name, ann, _ = self._binder()
-        body = self.parse_term()
-        return SLam(name, ann, body, self._span_from(start))
 
     # ---------------------------------------------------------- kinds
 

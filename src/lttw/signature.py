@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import (
     Diagnostic, DuplicateName, HeadNotConstant, IllTyped, KindMismatch,
     AscriptionMismatch, NestingTooDeep, NonLinearPattern, NotFound,
-    SignatureError, UnknownConstant, on_large_stack,
+    SignatureError, UnknownConstant,
 )
 from .kernel import (
     DEFAULT_FUEL, EMPTY_CONTEXT, CompiledRule, ConstDecl, Definition, Entry,
@@ -236,9 +236,8 @@ def replay(log: list[tuple], sig: Optional[Signature] = None,
     only, no parsing, no elaboration. Each record is committed on its own
     budget of `fuel` steps, as its command was; a `("fuel", n)` record,
     which a session logs where its budget changes, sets the budget of the
-    records after it; its `n` must be a positive int. A record that runs
-    out of stack is committed once more on a large stack. Raises on the
-    first rejection."""
+    records after it; its `n` must be a positive int. Raises on the first
+    rejection."""
     sig = sig if sig is not None else Signature()
     for i, record in enumerate(log):
         if record[0] == "fuel":
@@ -250,12 +249,7 @@ def replay(log: list[tuple], sig: Optional[Signature] = None,
                     diagnostic=Diagnostic("replay-fuel"))
             continue
         try:
-            try:
-                commit(sig, record, Fuel(fuel))
-                continue
-            except RecursionError:
-                pass  # retried once the frames it holds are freed
-            on_large_stack(lambda: commit(sig, record, Fuel(fuel)))
+            commit(sig, record, Fuel(fuel))
         except RecursionError:
             raise NestingTooDeep(
                 f"replay record {i} nests too deeply to check",

@@ -3,7 +3,6 @@ options, and kernel-only replay of an accepted session."""
 
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -11,16 +10,11 @@ import pytest
 import lttw.checker
 import lttw.elaborator
 import lttw.kernel
-import lttw.parser
-import lttw.signature
 from lttw.checker import Checker, CheckerConfig
-from lttw.corpus import (
-    CORPUS_DIR, MANIFEST, MANIFEST_IMPREDICATIVE, check_corpus,
-)
+from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
-    DEEP_RECURSION_LIMIT, DomainMismatch, DuplicateName, FuelExhausted,
-    KindMismatch, NestingTooDeep, ScriptSyntaxError, SignatureError,
-    UnknownConstant, on_large_stack,
+    DomainMismatch, DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
+    ScriptSyntaxError, SignatureError, UnknownConstant,
 )
 from lttw.kernel import DEFAULT_FUEL, Fuel
 from lttw.signature import Definition, declare_rewrite, replay
@@ -31,8 +25,6 @@ from lttw.syntax import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-# the interpreter's recursion limit, which a retry must leave as it was
-LIMIT = sys.getrecursionlimit()
 
 NAT_PRELUDE = """
 > [Nat : Type];
@@ -462,14 +454,19 @@ def test_fresh_name_of_a_shadowing_binder_is_hidden():
 
 # ------------------------------------------------- robustness of commands
 
-# Past the large-stack retry's bound: the parser's retry needs about one
-# frame per parenthesis, so it reads this numeral, and the checker's about
-# two per `succ` to elaborate it, so it runs out
-BEYOND = DEEP_RECURSION_LIMIT * 3 // 4
+# Nesting through an application's last argument, as in a numeral, costs
+# no stack. Through a leading argument it costs the elaborator and the
+# kernel a frame or more a level, so this runs out of the interpreter's
+BEYOND = 2000
 
 
 def numeral(n):
     return "succ (" * (n - 1) + "succ zero" + ")" * (n - 1)
+
+
+def leading(n):
+    # zero nested n deep through the first argument of a binary `plus`
+    return "plus (" * n + "zero" + ") zero" * n
 
 
 def test_too_deep_a_command_is_a_typed_rejection():
@@ -477,31 +474,31 @@ def test_too_deep_a_command_is_a_typed_rejection():
     ck.run_path(CORPUS_DIR / "arith.lf")
     entries, log = dict(ck.sig.entries), list(ck.log)
     with pytest.raises(NestingTooDeep) as info:
-        ck.run_text(f"> [deep = {numeral(BEYOND)}];\n", file="deep.lf")
+        ck.run_text(f"> [deep = {leading(BEYOND)}];\n", file="deep.lf")
     span = info.value.span
     assert (span.file, span.line, span.col) == ("deep.lf", 1, 3)
     assert info.value.diagnostic.rule == "depth"
     assert info.value.diagnostic.subject is None
     assert ck.sig.entries == entries and ck.log == log
-    assert sys.getrecursionlimit() == LIMIT
     ck.run_text("> Reduce plus two two;\n")
     assert ck.output[-1] == ("Reduce plus two two = "
                              "succ (succ (succ (succ zero)))")
 
 
 def test_too_deep_a_command_is_explained_like_any_rejection():
-    # elaborating the numeral runs out of stack after `bot` was recorded
-    # against `Nat`: that false obligation gives the error, with no retry.
-    # With `zero` every obligation holds, and the depth is the rejection
+    # elaborating the last argument runs out of stack after `bot` was
+    # recorded against `Nat`: that false obligation gives the error. With
+    # `zero` every obligation holds, and the depth is the rejection
     ck = load_standard()
+    ck.run_path(CORPUS_DIR / "arith.lf")
     ck.run_text("> [K = [a : Nat] [b : Nat] b];\n")
     with pytest.raises(KindMismatch) as info:
-        ck.run_text(f"> TypeOf K bot ({numeral(BEYOND)});\n")
+        ck.run_text(f"> TypeOf K bot ({leading(BEYOND)});\n")
     assert info.value.diagnostic.rule == "check"
     with pytest.raises(NestingTooDeep):
-        ck.run_text(f"> TypeOf K zero ({numeral(BEYOND)});\n")
-    ck.run_text(f"> TypeOf K zero ({numeral(600)});\n")
-    assert ck.output[-1] == f"TypeOf K zero ({numeral(600)}) : Nat"
+        ck.run_text(f"> TypeOf K zero ({leading(BEYOND)});\n")
+    ck.run_text(f"> TypeOf K zero ({numeral(10**4)});\n")
+    assert ck.output[-1] == f"TypeOf K zero ({numeral(10**4)}) : Nat"
 
 
 def test_a_300_deep_numeral_is_accepted():
@@ -514,8 +511,8 @@ def test_a_300_deep_numeral_is_accepted():
 
 
 def test_the_3000_deep_members_of_the_deep_family_are_accepted():
-    # perfbench's reduce_plus_3000 and check_numeral_3000: each runs out of
-    # the interpreter's stack and is decided on the large one
+    # perfbench's reduce_plus_3000 and check_numeral_3000, far past the
+    # interpreter's stack if each level of a numeral took a frame
     ck = load_standard()
     ck.run_path(CORPUS_DIR / "arith.lf")
     logged = len(ck.log)
@@ -525,96 +522,55 @@ def test_the_3000_deep_members_of_the_deep_family_are_accepted():
         f"Reduce plus ({numeral(3000)}) ({numeral(3000)}) = {numeral(6000)}",
         f"Check {numeral(3000)} : Nat"]
     assert [r[0] for r in ck.log[logged:]] == ["check"]
-    assert sys.getrecursionlimit() == LIMIT
+    replay(ck.log)
 
 
-def test_concurrent_retries_restore_the_process_settings():
-    # the recursion limit and the stack size of new threads belong to the
-    # process: retries from several threads at once must each run under
-    # the raised limit, and a lost restore would leave them raised
-    seen, threads = [], []
+def test_deep_commands_in_two_threads_at_once():
+    # each thread decides its numerals and has its too-deep commands
+    # rejected with a typed error, whatever the other one is doing
+    outcomes, threads = {}, []
 
-    def retry():
-        time.sleep(0.001)
-        seen.append(sys.getrecursionlimit())
-
-    def caller():
-        for _ in range(20):
-            on_large_stack(retry)
-
-    interval, stack = sys.getswitchinterval(), threading.stack_size()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(4):
-            threads.append(threading.Thread(target=caller))
-            threads[-1].start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert seen == [DEEP_RECURSION_LIMIT] * 80
-    assert sys.getrecursionlimit() == LIMIT
-    assert threading.stack_size() == stack
-
-
-def test_a_retry_does_not_retry_again():
-    with pytest.raises(RecursionError):
-        on_large_stack(lambda: on_large_stack(lambda: None))
-
-
-def test_a_retry_leaves_checkers_on_other_threads_alone():
-    # one thread decides deep numerals on the large stack while others
-    # check shallow commands
-    outputs, threads = {}, []
-
-    def check(name, text, times):
+    def check(name):
         ck = Checker()
-        ck.run_text(NAT_PRELUDE)
-        for _ in range(times):
-            ck.run_text(text)
-        outputs[name] = ck.output
+        ck.run_text(NAT_PRELUDE + "> [plus : Nat -> Nat -> Nat];\n")
+        rules = []
+        for _ in range(3):
+            ck.run_text(f"> Check {numeral(3000)} : Nat;\n")
+            try:
+                ck.run_text(f"> Check {leading(BEYOND)} : Nat;\n")
+            except NestingTooDeep as e:
+                rules.append(e.diagnostic.rule)
+        outcomes[name] = ck.output, rules
 
-    deep = f"> Check {numeral(3000)} : Nat;\n"
-    shallow = "> Check succ (succ zero) : Nat;\n"
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for name, text, times in (("deep", deep, 3),
-                                  ("a", shallow, 300), ("b", shallow, 300)):
-            threads.append(threading.Thread(target=check,
-                                            args=(name, text, times)))
+        for name in ("a", "b"):
+            threads.append(threading.Thread(target=check, args=(name,)))
             threads[-1].start()
         for thread in threads:
             thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert outputs == {"deep": [f"Check {numeral(3000)} : Nat"] * 3,
-                       "a": ["Check succ (succ zero) : Nat"] * 300,
-                       "b": ["Check succ (succ zero) : Nat"] * 300}
-    assert sys.getrecursionlimit() == LIMIT
+    want = [f"Check {numeral(3000)} : Nat"] * 3, ["depth"] * 3
+    assert outcomes == {"a": want, "b": want}
 
 
-def test_a_retried_command_leaves_one_record_and_one_line(monkeypatch):
-    # printing the Check's kind runs out of stack after its record was
-    # logged: the retry starts from the log and output as they were
-    original, printed = lttw.checker.print_kind, []
-
+def test_a_command_that_runs_out_of_stack_printing_leaves_no_trace(
+        monkeypatch):
+    # a Check's record is logged before its kind is printed: rejected, the
+    # command takes its record back and prints nothing
     def print_kind(k):
-        printed.append(k)
-        if len(printed) == 1:
-            raise RecursionError
-        return original(k)
+        raise RecursionError
 
-    monkeypatch.setattr(lttw.checker, "print_kind", print_kind)
     ck = Checker()
     ck.run_text(NAT_PRELUDE)
-    logged = len(ck.log)
-    ck.run_text("> Check succ zero : Nat;\n")
-    assert len(printed) == 2
-    assert [r[0] for r in ck.log[logged:]] == ["check"]
-    assert ck.output == ["Check succ zero : Nat"]
+    log = list(ck.log)
+    monkeypatch.setattr(lttw.checker, "print_kind", print_kind)
+    with pytest.raises(NestingTooDeep):
+        ck.run_text("> Check succ zero : Nat;\n")
+    assert ck.log == log and ck.output == []
 
 
 def test_failed_load_leaves_the_checker_as_it_was(tmp_path):
@@ -664,24 +620,25 @@ def test_failed_load_forgets_the_files_it_loaded(tmp_path):
 def test_replay_of_too_deep_a_record_is_a_typed_rejection():
     nat = ElKind(Const("N"))
     signature = [("declare", "N", TYPE), ("declare", "z", nat),
-                 ("declare", "s", PiKind("_", nat, nat))]
+                 ("declare", "s", PiKind("_", nat, nat)),
+                 ("declare", "f", PiKind("_", nat, PiKind("_", nat, nat)))]
 
-    def tower(n):
+    def tower(n, level):
         deep = Const("z")
         for _ in range(n):
-            deep = App(Const("s"), deep)
+            deep = level(deep)
         return deep
 
-    # inference takes at least one frame per `s`
+    # inference takes a frame for each `f` a term is the first argument of
+    leading = tower(BEYOND, lambda t: App(App(Const("f"), t), Const("z")))
     with pytest.raises(NestingTooDeep) as info:
-        replay(signature + [("check", tower(DEEP_RECURSION_LIMIT), nat)])
-    assert "record 3" in str(info.value)
+        replay(signature + [("check", leading, nat)])
+    assert "record 4" in str(info.value)
     assert info.value.diagnostic.rule == "depth"
-    assert sys.getrecursionlimit() == LIMIT
-    # a record that only runs out of the interpreter's stack is committed
-    three = tower(3000)
-    sig = replay(signature + [("define", "three", three, nat)])
-    assert sig.entries["three"].body is three
+    # and none for each `s`, whose argument is its last
+    numeral = tower(10**4, lambda t: App(Const("s"), t))
+    sig = replay(signature + [("define", "big", numeral, nat)])
+    assert sig.entries["big"].body is numeral
 
 
 @pytest.mark.parametrize("n", [0, -1, "many", 2.5, True])
@@ -701,18 +658,3 @@ def test_checker_rejects_an_unknown_prop_placement():
         Checker(config=CheckerConfig(prop_placement="tpye"))
     with pytest.raises(ValueError, match="unknown prop placement 'tpye'"):
         load_standard(prop_placement="tpye")
-
-
-def test_no_shipped_command_reaches_the_large_stack(monkeypatch):
-    def fail(run):
-        raise AssertionError("a command ran out of the interpreter's stack")
-
-    for module in (lttw.parser, lttw.checker, lttw.signature):
-        monkeypatch.setattr(module, "on_large_stack", fail)
-    for manifest, mode, prop_at in (
-            (MANIFEST, "predicative", "prop"),
-            (MANIFEST, "predicative", "type"),
-            (MANIFEST_IMPREDICATIVE, "impredicative", "prop")):
-        checker, _ = check_corpus(manifest, mode=mode,
-                                  prop_placement=prop_at)
-        replay(checker.log)

@@ -11,7 +11,7 @@ import pytest
 
 from lttw.cli import main
 from lttw.corpus import CORPUS_DIR
-from lttw.errors import DEEP_RECURSION_LIMIT, LttwError
+from lttw.errors import LttwError
 from lttw.kernel import Fuel
 from lttw.signature import RewriteRule, declare_constant, declare_rewrite
 from lttw.syntax import App, Const, Var
@@ -324,14 +324,18 @@ def test_rewrite_rule_rejection_names_its_rule(capsys, tmp_path, rule,
 
 
 def test_too_deep_a_script_exits_1_without_a_traceback(capsys, tmp_path):
-    # a parenthesis costs the parser at least one frame, so this runs out
-    # of the large stack of the parser's retry as well
-    depth = 2 * DEEP_RECURSION_LIMIT
+    # parentheses around a kind cost the parser a frame or more each;
+    # around a term, where they nest as deep, they cost it none
     script = tmp_path / "deep.lf"
     script.write_text("> [N : Type];\n> [z : N];\n> [s : N -> N];\n"
-                      "> Check " + "s (" * depth + "z" + ")" * depth
-                      + " : N;\n")
+                      "> Check z : " + "(" * 2000 + "N" + ")" * 2000
+                      + ";\n")
     code, out, err = run(capsys, "check", "--stdlib", "none", str(script))
     assert code == 1
     assert "Traceback" not in err
     assert "deep.lf:4:3: input nests too deeply to parse" in err
+    script.write_text("> [N : Type];\n> [z : N];\n> [s : N -> N];\n"
+                      "> Check " + "s (" * 2000 + "z" + ")" * 2000
+                      + " : N;\n")
+    assert run(capsys, "check", "--stdlib", "none", "--quiet",
+               str(script))[0] == 0
