@@ -14,7 +14,16 @@ their elaborator counterparts carry a map from the head kind's binders to
 the arguments seen so far and substitute a domain only when it is needed,
 the final codomain once. Instantiating `Pi x1:A1. Pi x2:A2. B` with a1, a2
 one binder at a time equals `B[x1:=a1, x2:=a2]` done simultaneously, and a
-later binder of the same name simply overwrites the earlier entry.
+later binder of the same name simply overwrites the earlier entry. `whnf`
+runs on a split spine, so conversion never rebuilds a term to split it.
+
+A lambda is checked against a product known to be valid (`check_against`;
+Coquand, SCP 1996): an annotation alpha-equivalent to the product's domain
+is not validated again. That is sound in LF (Harper, Honsell & Plotkin,
+JACM 1993): the domain is a validated kind, or a valid kind instantiated
+with arguments checked at their domains, and validity is alpha-invariant.
+An annotation only convertible to the domain, like `([y : Nat] Nat) bot`
+for `Nat`, is validated, and a rejection keeps its Diagnostic.
 
 Every function that reduces or checks takes the caller's `Fuel` as a
 required argument and spends from it: one budget covers everything one
@@ -36,7 +45,7 @@ from .errors import (
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Expr, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, app, fresh_name, name_mask,
-    rename, spine, subst_parallel,
+    rename, spine, subst_masked, subst_parallel,
 )
 
 DEFAULT_FUEL = 100000
@@ -191,73 +200,73 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     definition, is contracted in one substitution for all the binders that
     have an argument; each binder still spends one step of fuel."""
     head, args = spine(t)
-    changed = False
+    head2, args2 = _whnf(sig, head, args, fuel)
+    return t if args2 is args else app(head2, *args2)
+
+
+def _whnf(sig: Signature, head: Term, args: list,
+          fuel: Fuel) -> tuple[Term, list]:
+    """whnf of the spine `head args`, split. `args` is never changed, and
+    comes back itself exactly when nothing reduced."""
+    entries, rules = sig.entries, sig.rules
     while True:
-        if isinstance(head, Lam) and args:
+        cls = type(head)
+        if cls is Lam and args:
             # contract every binder that has an argument in one pass
             mapping: dict[str, Term] = {}
-            n = 0
-            while isinstance(head, Lam) and n < len(args):
+            keys = n = 0
+            while type(head) is Lam and n < len(args):
                 fuel.spend()
                 mapping[head.var] = args[n]
+                keys |= name_mask(head.var)
                 head = head.body
                 n += 1
-            head = subst_parallel(head, mapping)
-            args = args[n:]
-            changed = True
-            head, args2 = spine(head)
-            args = args2 + args
+            head, inner = spine(subst_masked(head, mapping, keys))
+            args = inner + args[n:]
             continue
-        if isinstance(head, Const):
-            entry = sig.get(head.name)
-            if isinstance(entry, Definition):
-                fuel.spend()
-                head, args2 = spine(entry.body)
-                args = args2 + args
-                changed = True
-                continue
-            rules = sig.rules_for(head.name)
-            if rules and len(args) >= rules[0].arity:
-                arity = rules[0].arity
-                for i in rules[-1].con_positions:
-                    reduced = whnf(sig, args[i], fuel)
-                    if reduced is not args[i]:
-                        args = args[:i] + [reduced] + args[i + 1:]
-                        changed = True
-                fired = False
-                for rule in rules:
-                    binding = _match(rule, args)
-                    if binding is not None:
-                        fuel.spend()
-                        contractum = subst_parallel(rule.rhs, binding)
-                        head, args2 = spine(contractum)
-                        args = args2 + args[arity:]
-                        changed = True
-                        fired = True
-                        break
-                if fired:
-                    continue
+        if cls is not Const:
             break
-        break
-    if not changed:
-        return t
-    return app(head, *args)
+        entry = entries.get(head.name)
+        if type(entry) is Definition:
+            fuel.spend()
+            head, inner = spine(entry.body)
+            args = inner + args
+            continue
+        candidates = rules.get(head.name)
+        if not candidates or len(args) < candidates[0].arity:
+            break
+        split = {}  # constructor position -> its argument's normal spine
+        for i in candidates[-1].con_positions:
+            h, sub = spine(args[i])
+            h2, sub2 = split[i] = _whnf(sig, h, sub, fuel)
+            if sub2 is not sub:
+                args = args[:i] + [app(h2, *sub2)] + args[i + 1:]
+        for rule in candidates:
+            binding = _match(rule, args, split)
+            if binding is not None:
+                break
+        else:
+            break  # no rule fires
+        fuel.spend()
+        # the match binds every free name of the right-hand side
+        head, inner = spine(subst_masked(rule.rhs, binding, rule.rhs.mask))
+        args = inner + args[rule.arity:]
+    return head, args
 
 
-def _match(rule: CompiledRule, args: list) -> Optional[dict]:
+def _match(rule: CompiledRule, args: list, split: dict) -> Optional[dict]:
     binding: dict[str, Term] = {}
-    for pat, arg in zip(rule.patterns, args):
-        tag = pat[0]
-        if tag == "var":
-            binding[pat[1]] = arg
-        else:  # constructor: arg is already in whnf
-            head, sub = spine(arg)
-            if not (isinstance(head, Const) and head.name == pat[1]
-                    and len(sub) == len(pat[2])):
-                return None
-            for sp, sa in zip(pat[2], sub):
-                if sp[0] == "var":
-                    binding[sp[1]] = sa
+    for i, pat in enumerate(rule.patterns):
+        if pat[0] == "var":
+            binding[pat[1]] = args[i]
+            continue
+        head, sub = split[i]  # a constructor position, in weak-head form
+        if not (type(head) is Const and head.name == pat[1]
+                and len(sub) == len(pat[2])):
+            return None
+        for sp, sa in zip(pat[2], sub):
+            if sp[0] == "var":
+                binding[sp[1]] = sa
     return binding
 
 
@@ -267,15 +276,14 @@ def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
     one in the loop, so a numeral costs no stack."""
     outer = []  # each enclosing spine: its head, normal leading arguments
     while True:
-        t = whnf(sig, t, fuel)
-        if isinstance(t, Lam):
-            t = Lam(t.var, normalize_kind(sig, t.ann, fuel),
-                    normalize(sig, t.body, fuel))
-            break
-        head, args = spine(t)
+        head, args = _whnf(sig, *spine(t), fuel)
         if not args:
+            t = head
+            if isinstance(t, Lam):
+                t = Lam(t.var, normalize_kind(sig, t.ann, fuel),
+                        normalize(sig, t.body, fuel))
             break
-        t = args.pop()
+        t = args.pop()  # a list of this call's own
         outer.append((head, *[normalize(sig, a, fuel) for a in args]))
     while outer:
         t = app(*outer.pop(), t)
@@ -285,10 +293,8 @@ def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
 def normalize_kind(sig: Signature, k: Kind, fuel: Fuel) -> Kind:
     if isinstance(k, (TypeKind, PropKind)):
         return k
-    if isinstance(k, ElKind):
-        return ElKind(normalize(sig, k.body, fuel))
-    if isinstance(k, PrfKind):
-        return PrfKind(normalize(sig, k.body, fuel))
+    if isinstance(k, (ElKind, PrfKind)):
+        return type(k)(normalize(sig, k.body, fuel))
     if isinstance(k, PiKind):
         return PiKind(k.var, normalize_kind(sig, k.domain, fuel),
                       normalize_kind(sig, k.codomain, fuel))
@@ -314,15 +320,14 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
         x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
         cod = rename(at.codomain, at.var, x)
         return _conv(sig, ctx2, App(a, Var(x)), App(b, Var(x)), cod, fuel)
-    a = whnf(sig, a, fuel)
-    b = whnf(sig, b, fuel)
-    if alpha_eq(a, b):
-        return True
-    ha, sa = spine(a)
-    hb, sb = spine(b)
+    ha, sa = _whnf(sig, *spine(a), fuel)
+    hb, sb = _whnf(sig, *spine(b), fuel)
     if type(ha) is not type(hb) or len(sa) != len(sb):
         return False
-    if not isinstance(ha, (Var, Const)) or ha.name != hb.name:
+    if type(ha) is not Var and type(ha) is not Const:
+        # a lambda where no eta applies, or a hole: alpha-equality only
+        return alpha_eq(app(ha, *sa), app(hb, *sb))
+    if ha.name != hb.name:
         return False
     for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, ha, sa)):
         if not _conv(sig, ctx, u, v, arg_at, fuel):
@@ -380,7 +385,9 @@ def equal_kinds(sig: Signature, ctx: Context, k1: Kind, k2: Kind,
 
 def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
     """The kind of t. The leading arguments of a spine are inferred by
-    recursion and the last one in the loop, so a numeral costs no stack."""
+    recursion and the last one in the loop, so a numeral costs no stack.
+    An argument is checked against its domain (`check_against`), so a
+    lambda argument's annotation is not validated again."""
     if isinstance(t, App):
         # the commonest node first
         outer = []  # each enclosing spine: its last argument, that
@@ -391,27 +398,31 @@ def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
             t = args.pop() if isinstance(args[-1], App) else None
             k = infer_kind(sig, ctx, head, fuel)
             mapping: dict[str, Term] = {}
+            keys = 0  # the mask of mapping's names
             for i, arg in enumerate(args):
                 if not isinstance(k, PiKind):
                     raise _not_a_product(head, args[:i], k, mapping)
-                domain = subst_parallel(k.domain, mapping)
-                arg_kind = infer_kind(sig, ctx, arg, fuel)
-                if not equal_kinds(sig, ctx, arg_kind, domain, fuel):
+                domain = subst_masked(k.domain, mapping, keys)
+                arg_kind = check_against(sig, ctx, arg, domain, fuel)
+                if arg_kind is not None:
                     raise _domain_mismatch(arg, domain, arg_kind)
                 mapping[k.var] = arg
+                keys |= name_mask(k.var)
                 k = k.codomain
             if t is None:
                 break
             if not isinstance(k, PiKind):
                 raise _not_a_product(head, args, k, mapping)
-            outer.append((t, subst_parallel(k.domain, mapping), k, mapping))
-        k = subst_parallel(k, mapping)
+            outer.append((t, subst_masked(k.domain, mapping, keys), k,
+                          mapping, keys))
+        k = subst_masked(k, mapping, keys)
         while outer:
-            arg, domain, product, mapping = outer.pop()
+            arg, domain, product, mapping, keys = outer.pop()
             if not equal_kinds(sig, ctx, k, domain, fuel):
                 raise _domain_mismatch(arg, domain, k)
             mapping[product.var] = arg
-            k = subst_parallel(product.codomain, mapping)
+            k = subst_masked(product.codomain, mapping,
+                             keys | name_mask(product.var))
         return k
     if isinstance(t, Var):
         k = ctx.lookup(t.name)
@@ -437,6 +448,28 @@ def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
         body_kind = infer_kind(sig, ctx2, rename(t.body, t.var, x), fuel)
         return PiKind(x, t.ann, body_kind)
     raise TypeError(f"not a term: {t!r}")
+
+
+def check_against(sig: Signature, ctx: Context, t: Term, expected: Kind,
+                  fuel: Fuel, valid: bool = True) -> Optional[Kind]:
+    """None when t has kind `expected`, else the kind `infer_kind` gives t.
+    With `valid`, `expected` is valid in ctx, and a lambda is checked
+    against it by the rule in the module docstring. A binder opens under
+    the name inference gives it: one not in ctx, so not free in `expected`,
+    and so the name `equal_kinds` would pick as well."""
+    opened = []
+    while (valid and type(t) is Lam and type(expected) is PiKind
+           and alpha_eq(t.ann, expected.domain)):
+        x, ctx = ctx.bind(t.var, t.ann, t)
+        opened.append((x, t.ann))
+        t = rename(t.body, t.var, x)
+        expected = rename(expected.codomain, expected.var, x)
+    actual = infer_kind(sig, ctx, t, fuel)
+    if equal_kinds(sig, ctx, actual, expected, fuel):
+        return None
+    for x, ann in reversed(opened):
+        actual = PiKind(x, ann, actual)
+    return actual
 
 
 def _not_a_product(head: Term, args: list, k: Kind,
@@ -494,12 +527,12 @@ def check_context(sig: Signature, entries, fuel: Fuel) -> Context:
 
 
 def check_term(sig: Signature, ctx: Context, t: Term, expected: Kind,
-               fuel: Fuel) -> Kind:
-    """Infer t's kind and require it equal to expected."""
-    actual = infer_kind(sig, ctx, t, fuel)
-    if not equal_kinds(sig, ctx, actual, expected, fuel):
+               fuel: Fuel, *, valid: bool = False) -> None:
+    """Require t to have kind `expected`; `valid` is `check_against`'s,
+    for a caller that has validated `expected` in ctx."""
+    actual = check_against(sig, ctx, t, expected, fuel, valid)
+    if actual is not None:
         raise KindMismatch(
             "term does not have the required kind",
             diagnostic=Diagnostic("check", subject=t, expected=expected,
                                   actual=actual))
-    return actual

@@ -19,13 +19,13 @@ from typing import Optional
 
 from .errors import (
     Diagnostic, DuplicateName, HeadNotConstant, IllTyped, KindMismatch,
-    AscriptionMismatch, NestingTooDeep, NonLinearPattern, NotFound,
-    SignatureError, UnknownConstant,
+    AscriptionMismatch, LttwError, NestingTooDeep, NonLinearPattern,
+    NotFound, SignatureError, UnknownConstant,
 )
 from .kernel import (
     DEFAULT_FUEL, EMPTY_CONTEXT, CompiledRule, ConstDecl, Definition, Entry,
-    Fuel, RewriteRule, Signature, check_context, check_kind_valid,
-    check_term, equal_kinds, infer_kind,
+    Fuel, RewriteRule, Signature, check_against, check_context,
+    check_kind_valid, check_term, equal_kinds, infer_kind,
 )
 from .syntax import Const, Kind, Term, Var, free_vars, spine
 
@@ -58,11 +58,16 @@ def declare_constant(sig: Signature, name: str, kind: Kind,
 def define(sig: Signature, name: str, body: Term,
            ascription: Optional[Kind] = None, *, fuel: Fuel) -> Definition:
     _require_fresh(sig, name)
-    inferred = infer_kind(sig, EMPTY_CONTEXT, body, fuel)
-    kind = inferred
-    if ascription is not None:
-        check_kind_valid(sig, EMPTY_CONTEXT, ascription, fuel)
-        if not equal_kinds(sig, EMPTY_CONTEXT, inferred, ascription, fuel):
+    if ascription is None:
+        kind = infer_kind(sig, EMPTY_CONTEXT, body, fuel)
+    else:
+        try:
+            check_kind_valid(sig, EMPTY_CONTEXT, ascription, fuel)
+        except LttwError:
+            infer_kind(sig, EMPTY_CONTEXT, body, fuel)  # a body error first
+            raise
+        inferred = check_against(sig, EMPTY_CONTEXT, body, ascription, fuel)
+        if inferred is not None:
             raise AscriptionMismatch(
                 f"definition of {name!r} does not have its ascribed kind",
                 diagnostic=Diagnostic("define-ascription", subject=body,
@@ -225,9 +230,13 @@ def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
     elif tag == "check":
         _, t, k = record
         check_kind_valid(sig, EMPTY_CONTEXT, k, fuel)
-        check_term(sig, EMPTY_CONTEXT, t, k, fuel)
+        check_term(sig, EMPTY_CONTEXT, t, k, fuel, valid=True)
     else:
-        raise ValueError(f"unknown replay record {tag!r}")
+        raise SignatureError(f"unknown replay record {tag!r}",
+                             diagnostic=Diagnostic("replay-record"))
+
+
+_FIELDS = {"declare": 3, "define": 4, "rule": 2, "check": 3, "fuel": 2}
 
 
 def replay(log: list[tuple], sig: Optional[Signature] = None,
@@ -237,10 +246,15 @@ def replay(log: list[tuple], sig: Optional[Signature] = None,
     budget of `fuel` steps, as its command was; a `("fuel", n)` record,
     which a session logs where its budget changes, sets the budget of the
     records after it; its `n` must be a positive int. Raises on the first
-    rejection."""
+    rejection, or on a record whose tag or length is none of `_FIELDS`."""
     sig = sig if sig is not None else Signature()
     for i, record in enumerate(log):
-        if record[0] == "fuel":
+        tag = record[0] if type(record) is tuple and record else None
+        if type(tag) is not str or _FIELDS.get(tag) != len(record):
+            raise SignatureError(
+                f"replay record {i} ({tag!r}) has no known tag, or the wrong "
+                "number of fields", diagnostic=Diagnostic("replay-record"))
+        if tag == "fuel":
             _, fuel = record
             if type(fuel) is not int or fuel <= 0:
                 raise SignatureError(

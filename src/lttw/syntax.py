@@ -27,9 +27,9 @@ live one at every full collection. An int is never tracked, and a leaf
 shared per name is one tracked object, not one per occurrence.
 
 Substitution has one engine, subst_parallel: a single simultaneous,
-capture-avoiding pass. subst (one name) and rename (binder opening: one name
-to a fresh variable) are calls into it, and a binder that would capture is
-renamed inside the same pass rather than by a walk of its own.
+capture-avoiding pass. subst (one name), rename (one name to a fresh
+variable) and subst_masked (the mask of the names in hand) call into it,
+and a binder that would capture is renamed inside the same pass.
 """
 
 from __future__ import annotations
@@ -268,31 +268,34 @@ def subst_parallel(target: Expr, mapping: dict[str, Term]) -> Expr:
     keys = 0
     for v in mapping:
         keys |= Var(v).mask
-    return _subst(target, mapping, keys)
+    return subst_masked(target, mapping, keys)
+
+
+def subst_masked(target: Expr, mapping: dict[str, Term], keys: int) -> Expr:
+    """subst_parallel for a caller that keeps `keys`, the mask of mapping's
+    names, as it fills the mapping, rather than rebuilding it per call."""
+    return _subst(target, mapping, keys) if target.mask & keys else target
 
 
 def _subst(target: Expr, mapping: dict[str, Term], keys: int) -> Expr:
-    """subst_parallel's recursion; `keys` is the mask of mapping's names."""
-    if not target.mask & keys:
-        return target
+    """subst_parallel's recursion; `keys` is the mask of mapping's names,
+    and `target` has one of them free. A child is entered only when it has
+    one too."""
     cls = type(target)
     if cls is Var:
         return mapping[target.name]
     if cls is App:
-        return App(_subst(target.fn, mapping, keys),
-                   _subst(target.arg, mapping, keys))
-    if cls is ElKind:
-        return ElKind(_subst(target.body, mapping, keys))
-    if cls is PrfKind:
-        return PrfKind(_subst(target.body, mapping, keys))
-    if cls is Lam:
-        ann = _subst(target.ann, mapping, keys)
-        x, body = _under_binder(target.var, target.body, mapping, keys)
-        return Lam(x, ann, body)
-    if cls is PiKind:
-        dom = _subst(target.domain, mapping, keys)
-        x, cod = _under_binder(target.var, target.codomain, mapping, keys)
-        return PiKind(x, dom, cod)
+        fn, arg = target.fn, target.arg
+        return App(_subst(fn, mapping, keys) if fn.mask & keys else fn,
+                   _subst(arg, mapping, keys) if arg.mask & keys else arg)
+    if cls is ElKind or cls is PrfKind:  # the body has the kind's names
+        return cls(_subst(target.body, mapping, keys))
+    if cls is Lam or cls is PiKind:  # a binder: name, domain, body
+        x, dom, body, _, _ = target
+        if dom.mask & keys:
+            dom = _subst(dom, mapping, keys)
+        x, body = _under_binder(x, body, mapping, keys)
+        return cls(x, dom, body)
     raise TypeError(f"not a term or kind: {target!r}")
 
 
@@ -302,7 +305,7 @@ def _under_binder(x: str, body: Expr, mapping: dict[str, Term], keys: int):
     live = body.mask & keys & ~bound
     if not live:
         return x, body
-    sub = {v: t for v, t in mapping.items() if _VARS[v].mask & live}
+    sub = {v: mapping[v] for v in _names(live)}
     incoming = 0
     for t in sub.values():
         incoming |= t.mask
@@ -338,26 +341,18 @@ def _aeq(a: Expr, b: Expr, ea: dict, eb: dict, depth: int) -> bool:
     if ta is App:
         return (_aeq(a.fn, b.fn, ea, eb, depth)
                 and _aeq(a.arg, b.arg, ea, eb, depth))
-    if ta is Lam:
-        if not _aeq(a.ann, b.ann, ea, eb, depth):
+    if ta is Lam or ta is PiKind:  # a binder: name, domain, body
+        if not _aeq(a[1], b[1], ea, eb, depth):
             return False
         ea2 = dict(ea)
         eb2 = dict(eb)
-        ea2[a.var] = depth
-        eb2[b.var] = depth
-        return _aeq(a.body, b.body, ea2, eb2, depth + 1)
+        ea2[a[0]] = depth
+        eb2[b[0]] = depth
+        return _aeq(a[2], b[2], ea2, eb2, depth + 1)
     if ta is TypeKind or ta is PropKind:
         return True
     if ta is ElKind or ta is PrfKind:
         return _aeq(a.body, b.body, ea, eb, depth)
-    if ta is PiKind:
-        if not _aeq(a.domain, b.domain, ea, eb, depth):
-            return False
-        ea2 = dict(ea)
-        eb2 = dict(eb)
-        ea2[a.var] = depth
-        eb2[b.var] = depth
-        return _aeq(a.codomain, b.codomain, ea2, eb2, depth + 1)
     raise TypeError(f"not a term or kind: {a!r}")
 
 
@@ -379,11 +374,8 @@ def _collect_metas(e: Expr, out: set[int]) -> None:
     elif isinstance(e, App):
         _collect_metas(e.fn, out)
         _collect_metas(e.arg, out)
-    elif isinstance(e, Lam):
-        _collect_metas(e.ann, out)
-        _collect_metas(e.body, out)
+    elif isinstance(e, (Lam, PiKind)):  # a binder: name, domain, body
+        _collect_metas(e[1], out)
+        _collect_metas(e[2], out)
     elif isinstance(e, (ElKind, PrfKind)):
         _collect_metas(e.body, out)
-    elif isinstance(e, PiKind):
-        _collect_metas(e.domain, out)
-        _collect_metas(e.codomain, out)

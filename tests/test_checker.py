@@ -377,8 +377,22 @@ def test_replay_rejects_tampered_log():
     bad = ck.log[:-1] + [(tag, t, TYPE)]
     with pytest.raises(KindMismatch):
         replay(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(SignatureError):
         replay([("mystery",)])
+
+
+@pytest.mark.parametrize("record, tag", [
+    (("mystery",), "'mystery'"), ((), "None"), ("check", "None"),
+    (("check", Const("zero")), "'check'"), (("fuel", 10, 20), "'fuel'"),
+], ids=["unknown-tag", "empty", "not-a-tuple", "short", "long"])
+def test_replay_rejects_a_malformed_record(record, tag):
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE)
+    with pytest.raises(SignatureError) as info:
+        replay(ck.log + [record])
+    assert str(info.value) == (f"replay record 3 ({tag}) has no known tag, "
+                               "or the wrong number of fields")
+    assert info.value.diagnostic.rule == "replay-record"
 
 
 def test_replay_rejects_a_check_record_whose_kind_is_ill_kinded():

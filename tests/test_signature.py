@@ -3,17 +3,18 @@
 import pytest
 
 from lttw.errors import (
-    AscriptionMismatch, DuplicateName, HeadNotConstant, IllTyped,
-    KindMismatch, NonLinearPattern, NotFound, SignatureError, UnknownConstant,
+    AscriptionMismatch, DomainMismatch, DuplicateName, HeadNotConstant,
+    IllFormedKind, IllTyped, KindMismatch, NonLinearPattern, NotFound,
+    SignatureError, UnboundVariable, UnknownConstant,
 )
 from lttw.kernel import Fuel, whnf
 from lttw.printer import render
 from lttw.signature import (
-    ConstDecl, Definition, RewriteRule, Signature, declare_constant,
-    declare_rewrite, define, lookup,
+    ConstDecl, Definition, RewriteRule, Signature, commit, declare_constant,
+    declare_rewrite, define, lookup, replay,
 )
 from lttw.syntax import (
-    TYPE, App, Const, ElKind, PiKind, Var, alpha_eq, app,
+    PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq, app,
 )
 
 from mini import NAT, arrow, nat_signature, numeral
@@ -239,3 +240,118 @@ def test_counts():
     sig = nat_signature()
     assert sig.constant_count() == 4
     assert sig.rule_count() == 2
+
+
+# ---------------------------------------------- replay of hand-built records
+#
+# Kernel-only: each log is built as syntax, so neither the parser nor the
+# elaborator can mask what the signature layer and the kernel decide.
+
+BOT = Const("bot")
+BASE = [("declare", "Nat", TYPE), ("declare", "zero", NAT),
+        ("declare", "bot", PROP)]
+NAT_ID = Lam("x", NAT, Var("x"))
+# convertible to `Nat` by one beta step, but the redex applies a function
+# on `Nat` to a proposition, so the kind is ill-formed
+ILL_NAT = ElKind(App(Lam("y", NAT, Const("Nat")), BOT))
+TAKES_FN = ("declare", "f", arrow(arrow(NAT, NAT), NAT))
+
+
+def _replay_rejection(log, error):
+    with pytest.raises(error) as info:
+        replay(log)
+    assert type(info.value) is error
+    return info.value
+
+
+def _same(a, b):
+    return a is b or (a is not None and b is not None and alpha_eq(a, b))
+
+
+@pytest.mark.parametrize("record, error, message, rule, subject, expected, "
+                         "actual", [
+    (("check", Var("q"), NAT), UnboundVariable,
+     "variable 'q' is not in the context", "var", Var("q"), None, None),
+    (("declare", "c", ElKind(Const("zero"))), IllFormedKind,
+     "only a term of kind Type can be used as a type", "el-body",
+     Const("zero"), TYPE, NAT),
+    (("declare", "d", PrfKind(Const("Nat"))), IllFormedKind,
+     "only a term of kind Prop can be used as a proposition", "prf-body",
+     Const("Nat"), PROP, TYPE),
+    (("define", "e", Const("zero"), PrfKind(BOT)), AscriptionMismatch,
+     "definition of 'e' does not have its ascribed kind",
+     "define-ascription", Const("zero"), PrfKind(BOT), NAT),
+    (("define", "e", NAT_ID, arrow(NAT, PrfKind(BOT))), AscriptionMismatch,
+     "definition of 'e' does not have its ascribed kind",
+     "define-ascription", NAT_ID, arrow(NAT, PrfKind(BOT)),
+     PiKind("x", NAT, NAT)),
+    (("define", "e", Const("zero"), PrfKind(Const("Nat"))), IllFormedKind,
+     "only a term of kind Prop can be used as a proposition", "prf-body",
+     Const("Nat"), PROP, TYPE),
+    # the body's error stands before the ascription's
+    (("define", "e", Var("q"), PrfKind(Const("Nat"))), UnboundVariable,
+     "variable 'q' is not in the context", "var", Var("q"), None, None),
+], ids=["var", "el-body", "prf-body", "ascription", "ascription-lambda",
+        "ill-formed-ascription", "body-first"])
+def test_replay_rejection_names_its_rule(record, error, message, rule,
+                                         subject, expected, actual):
+    e = _replay_rejection(BASE + [record], error)
+    assert str(e) == message
+    d = e.diagnostic
+    assert d.rule == rule
+    assert _same(d.subject, subject)
+    assert _same(d.expected, expected)
+    assert _same(d.actual, actual)
+
+
+def test_lambda_argument_with_an_ill_kinded_body_is_rejected():
+    # the annotation is the domain itself, the body's kind is not
+    bad = Lam("x", NAT, BOT)
+    e = _replay_rejection(BASE + [TAKES_FN, ("check", App(Const("f"), bad),
+                                             NAT)], DomainMismatch)
+    d = e.diagnostic
+    assert d.rule == "app-domain" and d.subject is bad
+    assert alpha_eq(d.expected, arrow(NAT, NAT))
+    assert alpha_eq(d.actual, PiKind("x", NAT, PROP))
+
+
+@pytest.mark.parametrize("record", [
+    ("check", App(Const("f"), Lam("x", ILL_NAT, Var("x"))), NAT),
+    ("define", "g", Lam("x", ILL_NAT, Var("x")), arrow(NAT, NAT)),
+], ids=["argument", "definition"])
+def test_annotation_convertible_to_the_domain_is_still_validated(record):
+    e = _replay_rejection(BASE + [TAKES_FN, record], DomainMismatch)
+    d = e.diagnostic
+    assert d.rule == "app-domain" and d.subject is BOT
+    assert alpha_eq(d.expected, NAT) and alpha_eq(d.actual, PROP)
+
+
+def test_alpha_variant_annotation_is_accepted_without_revalidation():
+    # validating `(m : Nat) Prf (P m)` costs one unfolding of `T`, since
+    # P takes a `T`; the lambda's annotation is the domain up to renaming
+    # (k for h, m for n), so it is not validated again
+    def pf(v):
+        return PiKind(v, NAT, PrfKind(App(Const("P"), Var(v))))
+
+    sig = replay(BASE + [
+        ("define", "T", Const("Nat"), TYPE),
+        ("declare", "P", arrow(ElKind(Const("T")), PROP)),
+        ("declare", "h2n", arrow(PiKind("h", pf("n"), NAT), NAT))])
+    lam = Lam("k", pf("m"), Const("zero"))
+    spent = []
+    for record in [("check", App(Const("h2n"), lam), NAT),
+                   ("define", "g", lam, PiKind("h", pf("n"), NAT))]:
+        fuel = Fuel()
+        commit(sig, record, fuel)
+        spent.append(fuel.limit - fuel.left)
+    # inferring the lambda's kind instead spends one more step on each
+    # (1 and 2)
+    assert spent == [0, 1]
+    assert "g" in sig.entries
+
+
+def test_commit_rejects_an_unknown_record():
+    with pytest.raises(SignatureError) as info:
+        commit(Signature(), ("mystery",), Fuel())
+    assert str(info.value) == "unknown replay record 'mystery'"
+    assert info.value.diagnostic.rule == "replay-record"
