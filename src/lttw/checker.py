@@ -11,13 +11,12 @@ and leaves no record, but the kernel checks the term it elaborated all the
 same before it is printed or normalised.
 
 The kernel decides every kind equality without holes, once. The elaborator
-decides only the equalities that involve a hole; it records the others as
-obligations and leaves them to the kernel's check. When a command is
-rejected, the elaborator explains the rejection: it decides the
-obligations in order, and the first that fails gives the error, so the
-error is the one deciding them during elaboration would have raised. The
-kernel checks that the kind of a `check` record is well formed before it
-checks the term against it, so a `Check`'s own kind is no exception.
+decides only the equalities that involve a hole and records the others as
+obligations for the kernel's check. A rejected command is explained from
+them (`Elaborator.explain`): decided in order, the first that fails gives
+the error that deciding them during elaboration would have raised.
+`kernel.check_term` validates the kind of a `Check`, `TypeOf` or `Reduce`
+before it checks the term against it.
 
 One command spends from one step budget of `fuel` steps: hole solving, the
 kernel check of what was elaborated and the normalisation of a `Reduce`
@@ -170,7 +169,6 @@ class Checker:
         equalities without holes left to the kernel's check and a rejection
         explained from them (see the module docstring)."""
         el = self._el = self._elaborator()
-        el.obligations = []
         try:
             step(cmd)
         except Exception as e:

@@ -29,15 +29,12 @@ constants:
 
 A hole's solution may only mention variables that were in scope where the
 hole was written; solutions are final once recorded; every hole of a command
-must be solved by the end of it. Elaborated output is Meta-free and is
-re-checked by the caller with the kernel alone.
-
-A kind equality that involves no hole is decided with the kernel's
-equality. `elaborate` and `elaborate_kind` decide it in place. The checker
-has it recorded as an obligation instead, because its kernel check of the
-elaborated command decides every such equality: the elaborator then only
+must be solved by the end of it. Elaborated output is Meta-free, and the
+kernel alone checks it: in the checker's commit, or at the end of
+`elaborate` and `elaborate_kind`. A kind equality that involves no hole is
+recorded as an obligation, which that check decides. The elaborator only
 explains a rejection (`Elaborator.explain`), deciding the obligations in
-order with the steps deciding in place would have had left.
+order with the steps deciding them in place would have had left.
 """
 
 from __future__ import annotations
@@ -136,10 +133,9 @@ class Elaborator:
         # surface name -> kernel name, for the binders `_bind` renamed;
         # None hides a fresh kernel name from surface lookup
         self.scope: dict[str, Optional[str]] = {}
-        # None: each kind equality without holes is decided in place. A
-        # list: it is recorded there instead, as (ctx, actual, expected,
+        # each kind equality without holes, as (ctx, actual, expected,
         # span, rule, steps spent so far), for `explain`
-        self.obligations: Optional[list] = None
+        self.obligations: list = []
 
     # ----------------------------------------------------------- terms
 
@@ -182,19 +178,14 @@ class Elaborator:
 
     def _require_kinds_equal(self, ctx: Context, actual: Kind,
                              expected: Kind, span, rule: str) -> None:
-        """Kernel equality when no holes are involved (so rejections carry
-        kernel error classes), decided in place or recorded as an
-        obligation; unification otherwise. A command that has made no hole
-        yet needs no scan for one."""
+        """An obligation for the kernel when no holes are involved, else
+        unification. A command that has made no hole needs no scan."""
         a = self.state.zonk(actual)
         e = self.state.zonk(expected)
         if self.state.counter == 0 or not (
                 contains_meta(a) or contains_meta(e)):
-            if self.obligations is not None:
-                self.obligations.append(
-                    (ctx, a, e, span, rule, self.fuel.limit - self.fuel.left))
-            elif not kernel.equal_kinds(self.sig, ctx, a, e, self.fuel):
-                raise _kind_mismatch(span, rule, e, a)
+            self.obligations.append(
+                (ctx, a, e, span, rule, self.fuel.limit - self.fuel.left))
             return
         self.unify_kinds(ctx, a, e, span)
 
@@ -548,17 +539,28 @@ class Elaborator:
 
 def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
               expected: Optional[Kind] = None, *, fuel: Fuel) -> Term:
-    """Elaborate one surface term to a Meta-free kernel term."""
+    """Elaborate one surface term; the kernel then checks it at its kind."""
     el = Elaborator(sig, fuel)
-    t, _ = el.term(ctx, s, expected)
-    return el.finish_term(t, getattr(s, "span", None))
+    span = getattr(s, "span", None)
+    try:
+        t, k = el.term(ctx, s, expected)
+        t = el.finish_term(t, span)
+        kernel.check_term(sig, ctx, t, el.finish_kind(k, span), fuel)
+        return t
+    except Exception as e:
+        raise el.explain(e)
 
 
 def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
                    fuel: Fuel) -> Kind:
+    """Elaborate one surface kind; the kernel then validates it."""
     el = Elaborator(sig, fuel)
-    k = el.kind(ctx, s)
-    return el.finish_kind(k, getattr(s, "span", None))
+    try:
+        k = el.finish_kind(el.kind(ctx, s), getattr(s, "span", None))
+        kernel.check_kind_valid(sig, ctx, k, fuel)
+        return k
+    except Exception as e:
+        raise el.explain(e)
 
 
 def unify(sig: Signature, ctx: Context, a: Term, b: Term,

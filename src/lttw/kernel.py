@@ -451,14 +451,14 @@ def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
 
 
 def check_against(sig: Signature, ctx: Context, t: Term, expected: Kind,
-                  fuel: Fuel, valid: bool = True) -> Optional[Kind]:
+                  fuel: Fuel) -> Optional[Kind]:
     """None when t has kind `expected`, else the kind `infer_kind` gives t.
-    With `valid`, `expected` is valid in ctx, and a lambda is checked
-    against it by the rule in the module docstring. A binder opens under
-    the name inference gives it: one not in ctx, so not free in `expected`,
-    and so the name `equal_kinds` would pick as well."""
+    The caller guarantees that `expected` is valid in ctx, so a lambda is
+    checked against it by the rule in the module docstring. A binder opens
+    under the name inference gives it: one not in ctx, so not free in
+    `expected`, and so the name `equal_kinds` would pick as well."""
     opened = []
-    while (valid and type(t) is Lam and type(expected) is PiKind
+    while (type(t) is Lam and type(expected) is PiKind
            and alpha_eq(t.ann, expected.domain)):
         x, ctx = ctx.bind(t.var, t.ann, t)
         opened.append((x, t.ann))
@@ -527,10 +527,10 @@ def check_context(sig: Signature, entries, fuel: Fuel) -> Context:
 
 
 def check_term(sig: Signature, ctx: Context, t: Term, expected: Kind,
-               fuel: Fuel, *, valid: bool = False) -> None:
-    """Require t to have kind `expected`; `valid` is `check_against`'s,
-    for a caller that has validated `expected` in ctx."""
-    actual = check_against(sig, ctx, t, expected, fuel, valid)
+               fuel: Fuel) -> None:
+    """Require `expected` to be a valid kind in ctx, and t to have it."""
+    check_kind_valid(sig, ctx, expected, fuel)
+    actual = check_against(sig, ctx, t, expected, fuel)
     if actual is not None:
         raise KindMismatch(
             "term does not have the required kind",

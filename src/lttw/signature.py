@@ -25,7 +25,7 @@ from .errors import (
 from .kernel import (
     DEFAULT_FUEL, EMPTY_CONTEXT, CompiledRule, ConstDecl, Definition, Entry,
     Fuel, RewriteRule, Signature, check_against, check_context,
-    check_kind_valid, check_term, equal_kinds, infer_kind,
+    check_kind_valid, check_term, infer_kind,
 )
 from .syntax import Const, Kind, Term, Var, free_vars, spine
 
@@ -187,14 +187,14 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
 def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel: Fuel) -> None:
     ctx = check_context(sig, rule.binders, fuel)
     check_kind_valid(sig, ctx, rule.ascription, fuel)
-    lhs_kind = infer_kind(sig, ctx, rule.lhs, fuel)
-    if not equal_kinds(sig, ctx, lhs_kind, rule.ascription, fuel):
+    lhs_kind = check_against(sig, ctx, rule.lhs, rule.ascription, fuel)
+    if lhs_kind is not None:
         raise KindMismatch(
             "rule left-hand side does not have the ascribed kind",
             diagnostic=Diagnostic("rewrite-lhs-kind", subject=rule.lhs,
                                   expected=rule.ascription, actual=lhs_kind))
-    rhs_kind = infer_kind(sig, ctx, rule.rhs, fuel)
-    if not equal_kinds(sig, ctx, rhs_kind, rule.ascription, fuel):
+    rhs_kind = check_against(sig, ctx, rule.rhs, rule.ascription, fuel)
+    if rhs_kind is not None:
         raise KindMismatch(
             "rule right-hand side does not have the ascribed kind",
             diagnostic=Diagnostic("rewrite-rhs-kind", subject=rule.rhs,
@@ -229,8 +229,7 @@ def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
         declare_rewrite(sig, rule, fuel)
     elif tag == "check":
         _, t, k = record
-        check_kind_valid(sig, EMPTY_CONTEXT, k, fuel)
-        check_term(sig, EMPTY_CONTEXT, t, k, fuel, valid=True)
+        check_term(sig, EMPTY_CONTEXT, t, k, fuel)
     else:
         raise SignatureError(f"unknown replay record {tag!r}",
                              diagnostic=Diagnostic("replay-record"))

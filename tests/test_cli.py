@@ -5,10 +5,13 @@ All invocations go through main() in-process; expected outputs repeat
 strings already pinned by the corpus tests.
 """
 
+import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+import lttw
 from lttw.cli import main
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import LttwError
@@ -303,6 +306,53 @@ RULE_REJECTIONS = [
      "binder 'x' needs an annotation here"),
     ("hole-solved", "> [f : Nat -> Nat];\n> Check f ?;\n",
      "a hole was never determined"),
+    ("rewrite-head", "> rule [x : Nat] x = zero : Nat;\n",
+     "rewrite left-hand side must be a constant applied to patterns"),
+    ("rewrite-overlap",
+     "> [f : Nat -> Nat];\n"
+     "> rule [x : Nat] f x = x : Nat;\n"
+     "> rule [y : Nat] f y = zero : Nat;\n",
+     "rewrite rule overlaps an existing rule for 'f'"),
+    ("rewrite-pattern",
+     "> [f : (Nat -> Nat) -> Nat];\n> rule f ([y : Nat] y) = zero : Nat;\n",
+     "pattern arguments must be variables or constructor patterns"),
+    ("kind-coercion", "> Check zero : zero;\n",
+     "a term used as a kind must be a type or a proposition"),
+    ("lam-kind", "> Check [x : Nat] x : Nat;\n",
+     "an abstraction only has product kinds"),
+    ("lam-domain", "> Check [x : bot] zero : Nat -> Nat;\n",
+     "kind does not match what this position requires"),
+    # the argument's kind is a product, the hole's domain `El ?0` is not
+    ("kind-unify", "> [g : (A : Type) A -> Nat];\n> Check g ? succ;\n",
+     "kinds with different shapes cannot be made equal"),
+    # ?1 := ?0 from the first arguments of Q, then ?0 ~ succ ?0
+    ("occurs",
+     "> [Q : Nat -> Nat -> Prop];\n"
+     "> [q : (n : Nat) Prf (Q n (succ n))];\n"
+     "> [r : (m : Nat) Prf (Q m m) -> Nat];\n"
+     "> Check r ? (q ?);\n",
+     "a hole's solution mentions the hole itself"),
+    # the hole outside the binder cannot be the bound `x`
+    ("scope",
+     "> [P : Nat -> Prop];\n"
+     "> [g : (n : Nat) (Nat -> Prf (P n)) -> Nat];\n"
+     "> [p : (m : Nat) Prf (P m)];\n"
+     "> Check g ? ([x : Nat] p x);\n",
+     "solution mentions variables not in scope at the hole: x"),
+    # ?0 := zero from the first arguments of Q, then succ zero ~ zero
+    ("unify-rigid",
+     "> [Q : Nat -> Nat -> Prop];\n"
+     "> [g : (n : Nat) Prf (Q n n) -> Nat];\n"
+     "> [q : Prf (Q zero (succ zero))];\n"
+     "> Check g ? q;\n",
+     "terms with different rigid heads cannot be made equal"),
+    # `?0 zero ~ zero` is no pattern, and nothing else solves ?0
+    ("postponed",
+     "> [P : Nat -> Prop];\n"
+     "> [g : (h : Nat -> Nat) Prf (P (h zero)) -> Nat];\n"
+     "> [p : Prf (P zero)];\n"
+     "> Check g ? p;\n",
+     "constraints remain that first-order unification cannot decide"),
 ]
 
 
@@ -321,6 +371,41 @@ def test_rewrite_rule_rejection_names_its_rule(capsys, tmp_path, rule,
         declare_rewrite(sig, probe, Fuel())
     assert info.value.message == message
     assert info.value.diagnostic.rule == rule
+
+
+def _rule_names(tree):
+    """The rule names written as literals: the first argument of a
+    `Diagnostic(...)`, and the last of an elaborator `_require_kinds_equal`
+    call, which names the rule of the obligation it records."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        arg = {"Diagnostic": node.args[0],
+               "_require_kinds_equal": node.args[-1]}.get(name)
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            yield arg.value
+
+
+def test_every_diagnostic_rule_name_is_tested():
+    # each rule name written as a literal in src/lttw appears in tests/,
+    # quoted or as a rendered `rule:` line, so a new name cannot land
+    # untested
+    src = Path(lttw.__file__).parent
+    names = set()
+    for path in src.rglob("*.py"):
+        names.update(_rule_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert {"check", "lam-domain", "name-declared"} <= names
+    assert len(names) >= 40
+    tests = "".join(path.read_text(encoding="utf-8")
+                    for path in Path(__file__).parent.rglob("*.py"))
+    # the names this test itself writes do not count
+    tests = tests.replace(inspect.getsource(
+        test_every_diagnostic_rule_name_is_tested), "")
+    untested = sorted(n for n in names if f'"{n}"' not in tests
+                      and f"'{n}'" not in tests and f"rule: {n}" not in tests)
+    assert untested == []
 
 
 def test_too_deep_a_script_exits_1_without_a_traceback(capsys, tmp_path):

@@ -1,9 +1,10 @@
 """Each kind equality without holes is decided once, by the kernel.
 
-The checker's elaborator records such an equality as an obligation instead
-of deciding it, and a rejected command is explained from the obligations.
-These tests run the same commands through the checker and through one
-whose elaborator decides every equality in place before the commit, and
+The elaborator records such an equality as an obligation instead of
+deciding it, and a rejected command is explained from the obligations.
+These tests run the same commands through the checker and through a
+reference whose elaborator, `InPlaceElaborator` (defined here, not in the
+package), decides every such equality in place before the commit. They
 require the same verdict, the same error (class, message, span and
 diagnostic) for every rejection and the same output and log for every
 acceptance. The one difference allowed is a command that runs out of fuel
@@ -24,7 +25,9 @@ import pytest
 import lttw.corpus
 from lttw import Checker, CheckerConfig
 from lttw.corpus import parse_manifest
+from lttw.elaborator import Elaborator, _kind_mismatch
 from lttw.errors import FuelExhausted, KindMismatch, LttwError
+from lttw.kernel import Fuel, equal_kinds
 from lttw.parser import parse_script
 from lttw.printer import render
 from lttw.stdlib import (
@@ -45,13 +48,25 @@ CONFIGS = (
 )
 
 
+class InPlaceElaborator(Elaborator):
+    """Decides each equality without holes where it arises, with the
+    command's fuel, instead of leaving it to the kernel."""
+
+    def _require_kinds_equal(self, ctx, actual, expected, span, rule):
+        super()._require_kinds_equal(ctx, actual, expected, span, rule)
+        if self.obligations:
+            ctx, actual, expected, span, rule, _ = self.obligations.pop()
+            if not equal_kinds(self.sig, ctx, actual, expected, self.fuel):
+                raise _kind_mismatch(span, rule, expected, actual)
+
+
 class InPlaceChecker(Checker):
     """The reference: every equality without holes is decided in place by
-    the elaborator, and the kernel then checks what it elaborated."""
+    the elaborator, and the kernel then checks what it elaborated. With no
+    obligation left, `explain` returns each error unchanged."""
 
-    def _elaborate_and_commit(self, step, cmd):
-        self._el = self._elaborator()
-        step(cmd)
+    def _elaborator(self):
+        return InPlaceElaborator(self.sig, Fuel(self.config.fuel))
 
 
 def _outcome(ck: Checker, cmd):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import lttw
 from lttw.errors import (
     DomainMismatch, DuplicateVariable, FuelExhausted, IllFormedKind,
-    NotAProduct, UnboundVariable, UnknownConstant,
+    IllTyped, NotAProduct, UnboundVariable, UnknownConstant,
 )
 from lttw.kernel import (
     EMPTY_CONTEXT, Fuel, check_context, check_kind_valid, convertible,
@@ -22,7 +22,8 @@ from lttw.kernel import (
 )
 from lttw.signature import RewriteRule, declare_constant, declare_rewrite
 from lttw.syntax import (
-    TYPE, App, Const, ElKind, Lam, PiKind, Var, alpha_eq, app, free_vars,
+    TYPE, App, Const, ElKind, Lam, Meta, PiKind, Var, alpha_eq, app,
+    free_vars,
 )
 
 from mini import NAT, arrow, const_nat_family, define_mult, define_plus, \
@@ -328,6 +329,13 @@ def test_spine_diagnostics_at_the_third_argument():
     c_sn = ElKind(App(family, App(Const("succ"), Var("n"))))
     assert alpha_eq(d.expected, PiKind("n", NAT, arrow(c_n, c_sn)))
     assert alpha_eq(d.actual, NAT)
+
+
+def test_unresolved_metavariable_is_rejected_with_its_rule(sig):
+    # the checker never passes the kernel a hole; a log can
+    with pytest.raises(IllTyped) as info:
+        infer_kind(sig, EMPTY_CONTEXT, App(Const("succ"), Meta(0)), Fuel())
+    assert info.value.diagnostic.rule == "meta"
 
 
 def test_infer_lambda_gives_product(sig):

@@ -7,7 +7,7 @@ from lttw.errors import (
     IllFormedKind, IllTyped, KindMismatch, NonLinearPattern, NotFound,
     SignatureError, UnboundVariable, UnknownConstant,
 )
-from lttw.kernel import Fuel, whnf
+from lttw.kernel import EMPTY_CONTEXT, Fuel, check_term, whnf
 from lttw.printer import render
 from lttw.signature import (
     ConstDecl, Definition, RewriteRule, Signature, commit, declare_constant,
@@ -324,6 +324,16 @@ def test_annotation_convertible_to_the_domain_is_still_validated(record):
     d = e.diagnostic
     assert d.rule == "app-domain" and d.subject is BOT
     assert alpha_eq(d.expected, NAT) and alpha_eq(d.actual, PROP)
+
+
+def test_check_term_validates_the_kind_it_is_given():
+    # the annotation is the kind's domain itself, so checking against the
+    # kind without validating it would open the lambda and accept it
+    ill_id = Lam("x", ILL_NAT, Var("x"))
+    with pytest.raises(DomainMismatch) as info:
+        check_term(replay(BASE), EMPTY_CONTEXT, ill_id, arrow(ILL_NAT, NAT),
+                   Fuel())
+    assert info.value.diagnostic.rule == "app-domain"
 
 
 def test_alpha_variant_annotation_is_accepted_without_revalidation():
