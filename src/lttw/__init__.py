@@ -10,6 +10,9 @@ The usual entry points:
     ck = load_standard()
     ck.run_text("> Check TopI : Prf (imp bot bot);")
 
+``load_standard(mode, prop_placement, fuel)`` loads the shipped signature;
+``Checker(prop_placement, fuel)`` starts a session over an empty one.
+
 Everything else lives in the focused submodules: ``syntax`` (terms, kinds,
 substitution), ``kernel`` (reduction, kind checking), ``signature``
 (declarations, definitions, rewrite rules, replay), ``elaborator`` (hole
@@ -18,7 +21,7 @@ solving), ``parser``/``printer``/``surface`` (the script language),
 ``corpus`` (the checked example suite), and ``cli``.
 """
 
-from .checker import Checker, CheckerConfig
+from .checker import Checker
 from .corpus import check_corpus
 from .errors import LttwError
 from .kernel import (
@@ -28,10 +31,7 @@ from .kernel import (
 from .parser import parse_kind, parse_script, parse_term
 from .printer import print_kind, print_term
 from .signature import replay
-from .stdlib import (
-    load_core_signature, load_derived_logic, load_impredicative_extension,
-    load_standard,
-)
+from .stdlib import load_core_signature, load_standard
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, free_vars, subst,
@@ -40,12 +40,11 @@ from .syntax import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "App", "Checker", "CheckerConfig", "Const", "Context", "DEFAULT_FUEL",
-    "ElKind", "EMPTY_CONTEXT", "Fuel", "Kind", "Lam", "LttwError", "Meta",
-    "PROP", "PiKind", "PrfKind", "PropKind", "Signature", "TYPE", "Term",
-    "TypeKind", "Var", "alpha_eq", "check_corpus", "check_term",
-    "convertible", "free_vars", "infer_kind", "load_core_signature",
-    "load_derived_logic", "load_impredicative_extension", "load_standard",
+    "App", "Checker", "Const", "Context", "DEFAULT_FUEL", "ElKind",
+    "EMPTY_CONTEXT", "Fuel", "Kind", "Lam", "LttwError", "Meta", "PROP",
+    "PiKind", "PrfKind", "PropKind", "Signature", "TYPE", "Term", "TypeKind",
+    "Var", "alpha_eq", "check_corpus", "check_term", "convertible",
+    "free_vars", "infer_kind", "load_core_signature", "load_standard",
     "normalize", "parse_kind", "parse_script", "parse_term", "print_kind",
     "print_term", "replay", "subst", "whnf",
 ]

@@ -24,7 +24,8 @@ draw on the same `Fuel`. A budget other than the default is logged as a
 `("fuel", n)` record where it changes, so `replay` gives each record the
 budget its command ran under. A `Load` runs each command of the loaded
 file on its own budget and is all-or-nothing: a file that fails leaves the
-signature, the log, the budget and the loaded files as they were.
+signature, the log, the budget, the output and the loaded files as they
+were.
 
 Each command runs once. The parser, the elaborator, the kernel and the
 printer each loop on an application's last argument, so a numeral costs
@@ -34,16 +35,17 @@ rejection: a false obligation recorded before the stack ran out gives the
 error, and otherwise the command is rejected with NestingTooDeep. Either
 way a rejected command leaves the signature unchanged.
 
-Option `prop_placement` decides what kind the distinguished constant `prop`
-is declared at: "prop" keeps the script's `Prop`, "type" turns the
-declaration into `Type`. Scripts that consistently write bare `prop` in
-binder positions (letting coercion insert El or Prf) check the same way
-under both placements.
+A `Checker` session has two settings, both given to the constructor.
+`fuel` is each command's budget until a `SetOption fuel` changes it.
+`prop_placement` decides what kind the distinguished constant `prop` is
+declared at: "prop" keeps the script's `Prop`, "type" turns the declaration
+into `Type`. Scripts that consistently write bare `prop` in binder
+positions (letting coercion insert El or Prf) check the same way under both
+placements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -79,23 +81,17 @@ def parse_fuel(text: str) -> int:
     return fuel
 
 
-@dataclass
-class CheckerConfig:
-    prop_placement: str = "prop"  # "prop" | "type"
-    fuel: int = DEFAULT_FUEL
-
-
 class Checker:
-    def __init__(self, sig: Optional[Signature] = None,
-                 config: Optional[CheckerConfig] = None):
-        self.sig = sig if sig is not None else Signature()
-        self.config = replace(config or CheckerConfig())  # not shared
-        if self.config.prop_placement not in ("prop", "type"):
-            raise ValueError(
-                f"unknown prop placement {self.config.prop_placement!r}")
+    def __init__(self, prop_placement: str = "prop",
+                 fuel: int = DEFAULT_FUEL):
+        if prop_placement not in ("prop", "type"):
+            raise ValueError(f"unknown prop placement {prop_placement!r}")
+        self.prop_placement = prop_placement
+        self.fuel = fuel
+        self.sig = Signature()
         self.log: list[tuple] = []
-        if self.config.fuel != DEFAULT_FUEL:
-            self.log.append(("fuel", self.config.fuel))
+        if fuel != DEFAULT_FUEL:
+            self.log.append(("fuel", fuel))
         self.output: list[str] = []
         self.loaded: set[str] = set()
         self._loading: list[str] = []
@@ -113,15 +109,15 @@ class Checker:
         text = Path(resolved).read_text(encoding="utf-8")
         entries = dict(self.sig.entries)
         rules = {head: list(rs) for head, rs in self.sig.rules.items()}
-        logged, fuel = len(self.log), self.config.fuel
-        loaded = set(self.loaded)
+        logged, printed = len(self.log), len(self.output)
+        fuel, loaded = self.fuel, set(self.loaded)
         self._loading.append(resolved)
         try:
             self.run_text(text, file=str(path))
         except Exception:
             self.sig.entries, self.sig.rules = entries, rules
-            del self.log[logged:]
-            self.loaded, self.config.fuel = loaded, fuel
+            del self.log[logged:], self.output[printed:]
+            self.fuel, self.loaded = fuel, loaded
             raise
         finally:
             self._loading.pop()
@@ -181,7 +177,7 @@ class Checker:
     def _elaborator(self) -> Elaborator:
         # the command's one budget: elaboration, the commit and a Reduce's
         # normalisation all spend from it
-        return Elaborator(self.sig, Fuel(self.config.fuel))
+        return Elaborator(self.sig, Fuel(self.fuel))
 
     def _commit(self, record: tuple, fuel: Fuel) -> None:
         commit(self.sig, record, fuel)
@@ -208,7 +204,7 @@ class Checker:
         for name, k in reversed(pairs):
             kind = PiKind(name, k, kind)
         kind = el.finish_kind(kind, cmd.span)
-        if (self.config.prop_placement == "type" and cmd.name == "prop"
+        if (self.prop_placement == "type" and cmd.name == "prop"
                 and isinstance(kind, PropKind)):
             kind = TYPE
         self._commit(("declare", cmd.name, kind), el.fuel)
@@ -265,9 +261,9 @@ class Checker:
                 fuel = parse_fuel(value)
             except ValueError as e:
                 raise ScriptSyntaxError(str(e), span=cmd.span) from None
-            if fuel != self.config.fuel:
+            if fuel != self.fuel:
                 self.log.append(("fuel", fuel))
-                self.config.fuel = fuel
+                self.fuel = fuel
             return
         el = self._el
         expected = None

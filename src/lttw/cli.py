@@ -18,7 +18,7 @@ import textwrap
 import time
 from pathlib import Path
 
-from .checker import Checker, CheckerConfig, parse_fuel
+from .checker import Checker, parse_fuel
 from .corpus import MANIFEST, MANIFEST_IMPREDICATIVE, check_corpus
 from .errors import LttwError
 from .kernel import DEFAULT_FUEL
@@ -86,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_checker(args) -> Checker:
     if args.stdlib == "none":
-        return Checker(config=CheckerConfig(prop_placement=args.prop_at,
-                                            fuel=args.fuel))
+        return Checker(args.prop_at, args.fuel)
     if args.stdlib == "core":
         if args.mode == "impredicative":
             raise UsageError(

@@ -301,11 +301,12 @@ class Elaborator:
     def _bind(self, ctx: Context, name: str, kind: Kind):
         """Enter the surface binder `name`: its kernel name, the extended
         context and the scope to restore on leaving it. A name already in
-        the context gets a fresh kernel name, which also avoids the
-        constants so that printed terms keep variables and constants
-        apart; the surface name resolves to it, and surface lookup of the
-        fresh name itself finds no binder."""
-        x, ctx2 = ctx.bind(name, kind, avoid=self.sig.entries)
+        the context gets a fresh kernel name; the surface name resolves to
+        it, and surface lookup of the fresh name itself finds no binder, so
+        a constant of that name stays a constant. The fresh name may be a
+        constant's: the kernel tells `Var` from `Const`, and the printer
+        renames a binder that would capture a constant it prints."""
+        x, ctx2 = ctx.bind(name, kind)
         outer = self.scope
         if x != name:
             self.scope = {**outer, name: x, x: None}

@@ -35,7 +35,7 @@ carrying a Diagnostic with the violated rule's name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import (
     Diagnostic, DomainMismatch, DuplicateVariable, FuelExhausted,
@@ -90,12 +90,12 @@ class Context:
         m[name] = kind
         return Context(m)
 
-    def bind(self, hint: str, kind: Kind, *terms: Expr,
-             avoid: Iterable[str] = ()) -> tuple[str, "Context"]:
+    def bind(self, hint: str, kind: Kind,
+             *terms: Expr) -> tuple[str, "Context"]:
         """Open a binder of `kind` over `terms`: its name and the context
         extended with it. The name is `hint` when that is neither in the
         context nor free in `terms`, else a fresh name avoiding the
-        context, the free names of `terms` and `avoid`."""
+        context and the free names of `terms`."""
         if hint not in self._map:
             bit = name_mask(hint)
             for e in terms:
@@ -103,8 +103,7 @@ class Context:
                     break
             else:
                 return hint, self.extend(hint, kind)
-        x = fresh_name(hint, set(self._map).union(avoid,
-                                                  *(e.fv for e in terms)))
+        x = fresh_name(hint, set(self._map).union(*(e.fv for e in terms)))
         return x, self.extend(x, kind)
 
     def lookup(self, name: str) -> Optional[Kind]:

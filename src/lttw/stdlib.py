@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .checker import Checker, CheckerConfig
+from .checker import Checker
 from .kernel import DEFAULT_FUEL
 
 STDLIB_DIR = Path(__file__).parent / "stdlib"
@@ -34,33 +34,21 @@ IMPREDICATIVE_FILE = "10_impredicative.lf"
 def load_core_signature(prop_placement: str = "prop",
                         fuel: int = DEFAULT_FUEL) -> Checker:
     """Checker holding just the base constants and rules."""
-    checker = Checker(config=CheckerConfig(prop_placement=prop_placement,
-                                           fuel=fuel))
+    checker = Checker(prop_placement, fuel)
     for name in CORE_FILES:
         checker.run_path(STDLIB_DIR / name)
-    return checker
-
-
-def load_derived_logic(checker: Checker) -> Checker:
-    checker.run_path(STDLIB_DIR / DERIVED_FILE)
-    return checker
-
-
-def load_impredicative_extension(checker: Checker) -> Checker:
-    """Overlay: quantifier names over arbitrary types. Needs the derived
-    layer for Ex."""
-    checker.run_path(STDLIB_DIR / IMPREDICATIVE_FILE)
     return checker
 
 
 def load_standard(mode: str = "predicative",
                   prop_placement: str = "prop",
                   fuel: int = DEFAULT_FUEL) -> Checker:
-    """Core plus derived logic; mode "impredicative" adds the overlay."""
+    """Core plus derived logic; mode "impredicative" adds the overlay,
+    which needs the derived layer for Ex."""
     if mode not in ("predicative", "impredicative"):
         raise ValueError(f"unknown mode {mode!r}")
     checker = load_core_signature(prop_placement, fuel)
-    load_derived_logic(checker)
+    checker.run_path(STDLIB_DIR / DERIVED_FILE)
     if mode == "impredicative":
-        load_impredicative_extension(checker)
+        checker.run_path(STDLIB_DIR / IMPREDICATIVE_FILE)
     return checker

@@ -10,13 +10,14 @@ import pytest
 import lttw.checker
 import lttw.elaborator
 import lttw.kernel
-from lttw.checker import Checker, CheckerConfig
+from lttw.checker import Checker
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
     DomainMismatch, DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
-    ScriptSyntaxError, SignatureError, UnknownConstant,
+    NotAProduct, ScriptSyntaxError, SignatureError, UnknownConstant,
 )
 from lttw.kernel import DEFAULT_FUEL, Fuel
+from lttw.printer import render
 from lttw.signature import Definition, declare_rewrite, replay
 from lttw.stdlib import load_standard
 from lttw.syntax import (
@@ -200,7 +201,7 @@ LOOP_PRELUDE = """
 
 
 def test_fuel_running_out_in_elaboration_carries_the_command_span():
-    ck = Checker(config=CheckerConfig(fuel=50))
+    ck = Checker(fuel=50)
     with pytest.raises(FuelExhausted) as info:
         ck.run_text(LOOP_PRELUDE + "> [P : N -> Prop];\n> [p : Prf (P z)];\n"
                     "> Check p : Prf (P (f z));\n")
@@ -214,7 +215,7 @@ def test_setoption_fuel_bounds_reduction():
 > rule f zero = f zero : Nat;
 > SetOption fuel 50;
 """)
-    assert ck.config.fuel == 50
+    assert ck.fuel == 50
     with pytest.raises(FuelExhausted):
         ck.run_text("> Reduce f zero;\n")
 
@@ -233,7 +234,7 @@ def _run_with_fuel(fuel, text):
     ck = Checker()
     ck.run_text(ONE_PRELUDE)
     # set directly, as `SetOption fuel` takes no budget below one step
-    ck.config.fuel = fuel
+    ck.fuel = fuel
     ck.run_text(text)
     return ck
 
@@ -291,7 +292,7 @@ def test_replay_gives_each_record_the_budget_its_command_ran_under():
 
 def test_the_log_records_a_budget_only_where_it_changes():
     assert [r for r in load_standard().log if r[0] == "fuel"] == []
-    ck = Checker(config=CheckerConfig(fuel=50))
+    ck = Checker(fuel=50)
     ck.run_text(NAT_PRELUDE + "> SetOption fuel 50;\n> SetOption fuel 60;\n"
                 f"> SetOption fuel {DEFAULT_FUEL};\n")
     assert [r if r[0] == "fuel" else r[0] for r in ck.log] == [
@@ -300,11 +301,10 @@ def test_the_log_records_a_budget_only_where_it_changes():
 
 
 def test_setoption_fuel_changes_only_its_own_checker():
-    config = CheckerConfig()
-    a, b = Checker(config=config), Checker(config=config)
+    a, b = Checker(), Checker()
     a.run_text("> SetOption fuel 5;\n")
-    assert a.config.fuel == 5
-    assert b.config.fuel == config.fuel == DEFAULT_FUEL
+    assert a.fuel == 5
+    assert b.fuel == DEFAULT_FUEL
 
 
 def test_declare_rewrite_spends_every_kernel_check_from_one_fuel():
@@ -337,7 +337,7 @@ def test_setoption_rejects_non_positive_fuel():
     with pytest.raises(ScriptSyntaxError) as info:
         ck.run_text("> SetOption fuel 0;\n")
     assert "positive" in str(info.value)
-    assert ck.config.fuel == DEFAULT_FUEL
+    assert ck.fuel == DEFAULT_FUEL
 
 
 def test_setoption_rejects_junk():
@@ -349,7 +349,7 @@ def test_setoption_rejects_junk():
 
 
 def test_prop_placement_moves_only_prop():
-    ck = Checker(config=CheckerConfig(prop_placement="type"))
+    ck = Checker(prop_placement="type")
     ck.run_text("> [prop : Prop];\n> [other : Prop];\n")
     assert isinstance(ck.sig.entries["prop"].kind, TypeKind)
     assert isinstance(ck.sig.entries["other"].kind, PropKind)
@@ -414,8 +414,38 @@ def test_duplicate_declaration_carries_span():
     assert info.value.span.line == 2
 
 
-# A binder that shadows one in scope is renamed apart; the new name must not
-# be a declared constant's, which the body would then resolve to the binder.
+# A spine with one argument too many is rejected alike whether its last
+# argument is an application (elaborated and inferred in the loop on the
+# last argument) or not, by the elaborator and by replay.
+APP_FN_PRELUDE = NAT_PRELUDE + "> [f : Nat -> Nat];\n"
+
+
+@pytest.mark.parametrize("last, col", [("zero", 16), ("(succ zero)", 17)],
+                         ids=["leading", "last-argument"])
+def test_one_argument_too_many_is_rejected_at_that_argument(last, col):
+    ck = Checker()
+    ck.run_text(APP_FN_PRELUDE)
+    with pytest.raises(NotAProduct) as info:
+        ck.run_text(f"> Check f zero {last};\n")
+    assert (info.value.span.line, info.value.span.col) == (1, col)
+    assert render(info.value.diagnostic) == "rule: app-fn\nactual: Nat"
+
+
+@pytest.mark.parametrize("last", [Const("zero"),
+                                  App(Const("succ"), Const("zero"))],
+                         ids=["leading", "last-argument"])
+def test_replay_of_one_argument_too_many_is_rejected(last):
+    ck = Checker()
+    ck.run_text(APP_FN_PRELUDE)
+    t = App(App(Const("f"), Const("zero")), last)
+    with pytest.raises(NotAProduct) as info:
+        replay(ck.log + [("check", t, ElKind(Const("Nat")))])
+    assert render(info.value.diagnostic) == (
+        "rule: app-fn\nsubject: f zero\nactual: Nat")
+
+
+# A binder that shadows one in scope is renamed apart, perhaps to a declared
+# constant's name; the body's occurrences of that constant stay constants.
 CAPTURE_PRELUDE = "> [Nat : Type];\n> [x1 : Prop];\n"
 
 
@@ -612,8 +642,23 @@ def test_failed_load_restores_the_budget_with_the_log(tmp_path):
     script.write_text("> SetOption fuel 7;\n> [a : Nat];\n> [a : Nat];\n")
     with pytest.raises(DuplicateName):
         ck.run_path(script)
-    assert ck.config.fuel == DEFAULT_FUEL
+    assert ck.fuel == DEFAULT_FUEL
     assert ck.log == log
+
+
+def test_failed_load_drops_the_output_with_the_log(tmp_path):
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE + "> Check zero : Nat;\n")
+    log, output = list(ck.log), list(ck.output)
+    (tmp_path / "inner.lf").write_text(
+        "> [N : Type];\n> [z : N];\n> Check z : N;\n> Check ghost;\n")
+    outer = tmp_path / "outer.lf"
+    outer.write_text('> Load "inner.lf";\n')
+    with pytest.raises(UnknownConstant):
+        ck.run_path(outer)
+    assert "z" not in ck.sig.entries
+    assert ck.log == log
+    assert ck.output == output == ["Check zero : Nat"]
 
 
 def test_failed_load_forgets_the_files_it_loaded(tmp_path):
@@ -669,6 +714,6 @@ def test_replay_rejects_a_budget_record_that_is_not_a_positive_int(n):
 
 def test_checker_rejects_an_unknown_prop_placement():
     with pytest.raises(ValueError, match="unknown prop placement 'tpye'"):
-        Checker(config=CheckerConfig(prop_placement="tpye"))
+        Checker(prop_placement="tpye")
     with pytest.raises(ValueError, match="unknown prop placement 'tpye'"):
         load_standard(prop_placement="tpye")

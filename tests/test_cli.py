@@ -110,6 +110,22 @@ def test_missing_script_is_a_usage_error(capsys, tmp_path):
     assert "no such script" in err
 
 
+def test_missing_load_file_of_a_query_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "nope.lf"
+    code, out, err = run(capsys, "typeof", "--load", str(missing), "zero")
+    assert code == 2
+    assert out == ""
+    assert err == f"lttw: no such script: {missing}\n"
+
+
+def test_missing_manifest_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "nope.txt"
+    code, out, err = run(capsys, "corpus", "--manifest", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err == f"lttw: no such manifest: {missing}\n"
+
+
 def test_load_of_a_missing_file_is_a_rejection_at_the_load(capsys,
                                                          tmp_path):
     script = tmp_path / "loads.lf"

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import lttw.corpus
-from lttw import Checker, CheckerConfig
+from lttw import Checker
 from lttw.corpus import parse_manifest
 from lttw.elaborator import Elaborator, _kind_mismatch
 from lttw.errors import FuelExhausted, KindMismatch, LttwError
@@ -66,7 +66,7 @@ class InPlaceChecker(Checker):
     obligation left, `explain` returns each error unchanged."""
 
     def _elaborator(self):
-        return InPlaceElaborator(self.sig, Fuel(self.config.fuel))
+        return InPlaceElaborator(self.sig, Fuel(self.fuel))
 
 
 def _outcome(ck: Checker, cmd):
@@ -83,9 +83,8 @@ class Pair:
     """The checker and the reference, fed the same commands."""
 
     def __init__(self, mode="predicative", prop_at="prop"):
-        self.once = Checker(config=CheckerConfig(prop_placement=prop_at))
-        self.in_place = InPlaceChecker(
-            config=CheckerConfig(prop_placement=prop_at))
+        self.once = Checker(prop_placement=prop_at)
+        self.in_place = InPlaceChecker(prop_placement=prop_at)
         self.rejections = 0
         self.fuel_to_accept = []
         files = [STDLIB_DIR / name for name in CORE_FILES + (DERIVED_FILE,)]

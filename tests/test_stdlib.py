@@ -12,7 +12,7 @@ from lttw.printer import print_kind
 from lttw.signature import ConstDecl
 from lttw.stdlib import (
     CORE_FILES, DERIVED_FILE, IMPREDICATIVE_FILE, STDLIB_DIR,
-    load_core_signature, load_impredicative_extension, load_standard,
+    load_core_signature, load_standard,
 )
 from lttw.syntax import (
     PROP, App, Const, ElKind, Lam, PiKind, TypeKind, Var,
@@ -83,7 +83,7 @@ def test_impredicative_overlay_counts(impredicative):
 def test_impredicative_overlay_needs_derived_layer():
     ck = load_core_signature()
     with pytest.raises(UnknownConstant):
-        load_impredicative_extension(ck)
+        ck.run_path(STDLIB_DIR / IMPREDICATIVE_FILE)
 
 
 def test_unknown_mode_rejected():
