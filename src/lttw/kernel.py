@@ -6,6 +6,9 @@ fills, and it imports only `syntax` and `errors` from lttw.
 Definitional equality (beta, eta, rewrite rules, unfolding of definitions)
 is decided at the kind both sides have: eta only at a product kind, else
 weak-head spines with one variable or constant head, argument by argument.
+After alpha-equality and eta, a definition heading both sides with as many
+arguments is compared by its arguments before it unfolds: sound by
+congruence, and complete, as a failure unfolds and compares as before.
 
 An application spine is instantiated once, not once per argument. Beta
 contracts every lambda binder that has an argument in one simultaneous
@@ -203,10 +206,10 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     return t if args2 is args else app(head2, *args2)
 
 
-def _whnf(sig: Signature, head: Term, args: list,
-          fuel: Fuel) -> tuple[Term, list]:
-    """whnf of the spine `head args`, split. `args` is never changed, and
-    comes back itself exactly when nothing reduced."""
+def _whnf(sig: Signature, head: Term, args: list, fuel: Fuel,
+          delta: bool = True) -> tuple[Term, list]:
+    """whnf of the spine `head args`, split; without `delta`, short of a
+    defined head. `args` is never changed, and is returned iff unreduced."""
     entries, rules = sig.entries, sig.rules
     while True:
         cls = type(head)
@@ -227,6 +230,8 @@ def _whnf(sig: Signature, head: Term, args: list,
             break
         entry = entries.get(head.name)
         if type(entry) is Definition:
+            if not delta:
+                break
             fuel.spend()
             head, inner = spine(entry.body)
             args = inner + args
@@ -319,8 +324,18 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
         x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
         cod = rename(at.codomain, at.var, x)
         return _conv(sig, ctx2, App(a, Var(x)), App(b, Var(x)), cod, fuel)
-    ha, sa = _whnf(sig, *spine(a), fuel)
-    hb, sb = _whnf(sig, *spine(b), fuel)
+    ha, sa = _whnf(sig, *spine(a), fuel, False)
+    hb, sb = _whnf(sig, *spine(b), fuel, False)
+    if type(ha) is Const and type(sig.entries.get(ha.name)) is Definition:
+        if type(hb) is Const and hb.name == ha.name and len(sa) == len(sb):
+            for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, ha, sa)):
+                if not _conv(sig, ctx, u, v, arg_at, fuel):
+                    break
+            else:
+                return True
+        ha, sa = _whnf(sig, ha, sa, fuel)
+    if type(hb) is Const and type(sig.entries.get(hb.name)) is Definition:
+        hb, sb = _whnf(sig, hb, sb, fuel)
     if type(ha) is not type(hb) or len(sa) != len(sb):
         return False
     if type(ha) is not Var and type(ha) is not Const:

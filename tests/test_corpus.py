@@ -15,12 +15,12 @@ from lttw.corpus import (
 )
 from lttw.elaborator import elaborate
 from lttw.errors import (
-    FuelExhausted, KindMismatch, LttwError, UnknownConstant,
+    FuelExhausted, KindMismatch, LttwError, NestingTooDeep, UnknownConstant,
 )
 from lttw.kernel import EMPTY_CONTEXT, Fuel
 from lttw.parser import parse_term
 from lttw.printer import print_term
-from lttw.signature import Signature, replay
+from lttw.signature import Signature, commit, replay
 from lttw.stdlib import load_standard
 from lttw.syntax import App, Lam, free_vars
 
@@ -186,6 +186,46 @@ def test_full_corpus_log_replays_kernel_only(predicative):
     sig = replay(ck.log, Signature())
     assert sig.get("card_three_exact") is not None
     assert sig.get("qeq_refl") is not None
+
+
+CONFIGS = [(MANIFEST, "predicative", "prop"),
+           (MANIFEST, "predicative", "type"),
+           (MANIFEST_IMPREDICATIVE, "impredicative", "prop")]
+
+
+@pytest.mark.parametrize("manifest, mode, prop_at", CONFIGS)
+def test_replay_spends_the_pinned_kernel_work(manifest, mode, prop_at):
+    # the kernel's steps over a whole log, each record on its own budget;
+    # a kernel change that moves this count must say so
+    ck, _ = check_corpus(manifest, mode=mode, prop_placement=prop_at)
+    sig, spent = Signature(), 0
+    for record in ck.log:
+        fuel = Fuel()
+        commit(sig, record, fuel)
+        spent += fuel.limit - fuel.left
+    assert spent == 7585
+
+
+def _tower(n, innermost):
+    # `innermost` nested n deep through the first argument of `plus`
+    return "plus (" * (n - 1) + f"plus {innermost} zero" + ") zero" * (n - 1)
+
+
+@pytest.mark.parametrize("n, accepted", [(400, True), (2000, False)])
+def test_a_deep_equation_under_one_definition(n, accepted):
+    # both sides unfold to zero; compared argument by argument first, they
+    # differ only at the innermost `plus`
+    p, q = _tower(n, "zero"), _tower(n, "(pred one)")
+    command = f"Check EqI hatNat ({p}) : Prf (Eq hatNat ({p}) ({q}))"
+    ck = load_standard()
+    ck.run_path(CORPUS_DIR / "arith.lf")
+    if accepted:
+        ck.run_text(f"> {command};\n")
+        assert ck.output[-1] == command
+        return
+    with pytest.raises(NestingTooDeep) as info:
+        ck.run_text(f"> {command};\n")
+    assert info.value.diagnostic.rule == "depth"
 
 
 # ---------------------------------------------- subject reduction, bulk

@@ -12,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 
 import lttw
+from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
     DomainMismatch, DuplicateVariable, FuelExhausted, IllFormedKind,
-    IllTyped, NotAProduct, UnboundVariable, UnknownConstant,
+    IllTyped, KindMismatch, NotAProduct, UnboundVariable, UnknownConstant,
 )
 from lttw.kernel import (
     EMPTY_CONTEXT, Fuel, check_context, check_kind_valid, convertible,
     equal_kinds, infer_kind, normalize, whnf,
 )
+from lttw.printer import render
 from lttw.signature import RewriteRule, declare_constant, declare_rewrite
+from lttw.stdlib import load_standard
 from lttw.syntax import (
     TYPE, App, Const, ElKind, Lam, Meta, PiKind, Var, alpha_eq, app,
     free_vars,
@@ -403,6 +406,66 @@ def test_equal_kinds_modulo_reduction(sig):
     assert equal_kinds(sig, ctx, k1, k2, Fuel())
     k3 = ElKind(App(Var("C"), numeral(3)))
     assert not equal_kinds(sig, ctx, k1, k3, Fuel())
+
+
+# ------------------------------------------------------------ lazy delta
+
+# The same definition on both sides is compared by its arguments before
+# either side is unfolded; when they differ, both unfold as before.
+@pytest.fixture
+def arith():
+    ck = load_standard()
+    ck.run_path(CORPUS_DIR / "arith.lf")
+    return ck
+
+
+def _conversion_steps(ck, a, b):
+    fuel = Fuel()
+    assert convertible(ck.sig, EMPTY_CONTEXT, a, b, NAT, fuel)
+    return fuel.limit - fuel.left
+
+
+def test_the_same_definition_compares_its_arguments_first(arith):
+    # `two` against `succ one` unfolds `two` once; `plus` never unfolds,
+    # where unfolding both sides to weak-head form spent 31 steps
+    plus = Const("plus")
+    assert _conversion_steps(
+        arith, app(plus, Const("two"), Const("three")),
+        app(plus, App(Const("succ"), Const("one")), Const("three"))) == 1
+    # `mult` stays folded; `four` against `plus two two` unfolds both
+    # (237 steps when every definition unfolded first)
+    four = Const("four")
+    assert _conversion_steps(
+        arith, app(Const("mult"), four, four),
+        app(Const("mult"), App(Const("succ"), Const("three")),
+            app(Const("plus"), Const("two"), Const("two")))) == 14
+
+
+K_EQUATION = "Prf (Eq hatNat (K zero one) (K zero two))"
+
+
+def _with_k(ck):
+    # K ignores its second argument
+    ck.run_text("> [K [x : Nat] [y : Nat] = x : Nat];\n")
+    return ck
+
+
+def test_different_arguments_still_unfold_the_definition(arith):
+    # `one` is not `two`, yet after unfolding both sides are `zero`
+    _with_k(arith).run_text(
+        f"> Check EqI hatNat (K zero one) : {K_EQUATION};\n")
+    assert arith.output[-1] == f"Check EqI hatNat (K zero one) : {K_EQUATION}"
+
+
+def test_a_false_equation_under_a_definition_keeps_its_diagnostic(arith):
+    with pytest.raises(KindMismatch) as info:
+        _with_k(arith).run_text(
+            f"> Check EqI hatNat (K one one) : {K_EQUATION};\n")
+    assert str(info.value) == ("<script>:1:9: kind does not match what "
+                               "this position requires")
+    assert render(info.value.diagnostic) == (
+        f"rule: check\nexpected: {K_EQUATION}\n"
+        "actual: Prf (Eq hatNat (K one one) (K one one))")
 
 
 def test_a_missing_budget_is_an_error(sig):
