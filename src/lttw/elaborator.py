@@ -56,7 +56,7 @@ from .surface import (
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, contains_meta, free_vars,
-    metas_of, name_mask, rename, spine, subst_masked, subst_parallel,
+    metas_of, rename, spine, subst_parallel,
 )
 
 _INVERSION_DEPTH = 8
@@ -255,7 +255,7 @@ class Elaborator:
         loop, so a numeral costs no stack."""
         outer = []  # each enclosing application: its span and expected
         # kind, its head and leading arguments, the product its last
-        # argument is the domain of, its map so far and that map's mask
+        # argument is the domain of, and its map so far
         while True:
             chain = []
             fn = s
@@ -267,30 +267,27 @@ class Elaborator:
             t, k = self.term(ctx, fn, None)
             # the head's kind is instantiated lazily, as in the kernel
             mapping: dict[str, Term] = {}
-            keys = 0  # the mask of mapping's names
             for arg_s in chain:
                 if not isinstance(k, PiKind):
                     raise self._too_many_arguments(arg_s, k, mapping)
-                domain = subst_masked(k.domain, mapping, keys)
+                domain = subst_parallel(k.domain, mapping)
                 arg, _ = self.term(ctx, arg_s, domain)
                 t = App(t, arg)
                 mapping[k.var] = arg
-                keys |= name_mask(k.var)
                 k = k.codomain
             if inner is None:
                 break
             if not isinstance(k, PiKind):
                 raise self._too_many_arguments(inner, k, mapping)
-            outer.append((s.span, expected, t, k, mapping, keys))
-            s, expected = inner, subst_masked(k.domain, mapping, keys)
-        t, k = self._against(ctx, t, subst_masked(k, mapping, keys), expected,
+            outer.append((s.span, expected, t, k, mapping))
+            s, expected = inner, subst_parallel(k.domain, mapping)
+        t, k = self._against(ctx, t, subst_parallel(k, mapping), expected,
                              s.span)
         while outer:
-            span, expected, fn, product, mapping, keys = outer.pop()
+            span, expected, fn, product, mapping = outer.pop()
             mapping[product.var] = t
-            t, k = self._against(ctx, App(fn, t), subst_masked(
-                product.codomain, mapping, keys | name_mask(product.var)),
-                expected, span)
+            t, k = self._against(ctx, App(fn, t), subst_parallel(
+                product.codomain, mapping), expected, span)
         return t, k
 
     def _too_many_arguments(self, arg_s, k: Kind,

@@ -6,9 +6,9 @@ fills, and it imports only `syntax` and `errors` from lttw.
 Definitional equality (beta, eta, rewrite rules, unfolding of definitions)
 is decided at the kind both sides have: eta only at a product kind, else
 weak-head spines with one variable or constant head, argument by argument.
-After alpha-equality and eta, a definition heading both sides with as many
-arguments is compared by its arguments before it unfolds: sound by
-congruence, and complete, as a failure unfolds and compares as before.
+After eta, the same definition on both sides is compared by its arguments
+before it unfolds: sound by congruence, and complete, as a failure unfolds
+and compares as before, skipping the argument pairs already found unequal.
 
 An application spine is instantiated once, not once per argument. Beta
 contracts every lambda binder that has an argument in one simultaneous
@@ -229,9 +229,7 @@ def _whnf(sig: Signature, head: Term, args: list, fuel: Fuel,
         if cls is not Const:
             break
         entry = entries.get(head.name)
-        if type(entry) is Definition:
-            if not delta:
-                break
+        if type(entry) is Definition and delta:
             fuel.spend()
             head, inner = spine(entry.body)
             args = inner + args
@@ -313,26 +311,23 @@ def convertible(sig: Signature, ctx: Context, a: Term, b: Term,
     Eta happens only when `at` is a product; None means no eta at this
     level, where a lambda is ill-typed and convertible with nothing."""
     # the kernel itself calls `_conv`, the name perfbench's tracer counts
-    return _conv(sig, ctx, a, b, at, fuel)
+    return _conv(sig, ctx, a, b, at, fuel, {})
 
 
 def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
-          at: Optional[Kind], fuel: Fuel) -> bool:
+          at: Optional[Kind], fuel: Fuel, unequal: dict) -> bool:
     if alpha_eq(a, b):
         return True
-    if isinstance(at, PiKind):
-        x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
-        cod = rename(at.codomain, at.var, x)
-        return _conv(sig, ctx2, App(a, Var(x)), App(b, Var(x)), cod, fuel)
+    while isinstance(at, PiKind):
+        x, ctx = ctx.bind(at.var, at.domain, a, b, at)
+        a, b = App(a, Var(x)), App(b, Var(x))
+        at = rename(at.codomain, at.var, x)
     ha, sa = _whnf(sig, *spine(a), fuel, False)
     hb, sb = _whnf(sig, *spine(b), fuel, False)
     if type(ha) is Const and type(sig.entries.get(ha.name)) is Definition:
-        if type(hb) is Const and hb.name == ha.name and len(sa) == len(sb):
-            for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, ha, sa)):
-                if not _conv(sig, ctx, u, v, arg_at, fuel):
-                    break
-            else:
-                return True
+        if (type(hb) is Const and hb.name == ha.name and len(sa) == len(sb)
+                and _argwise(sig, ctx, ha, sa, sb, fuel, unequal)):
+            return True
         ha, sa = _whnf(sig, ha, sa, fuel)
     if type(hb) is Const and type(sig.entries.get(hb.name)) is Definition:
         hb, sb = _whnf(sig, hb, sb, fuel)
@@ -341,10 +336,17 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
     if type(ha) is not Var and type(ha) is not Const:
         # a lambda where no eta applies, or a hole: alpha-equality only
         return alpha_eq(app(ha, *sa), app(hb, *sb))
-    if ha.name != hb.name:
-        return False
-    for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, ha, sa)):
-        if not _conv(sig, ctx, u, v, arg_at, fuel):
+    return ha.name == hb.name and _argwise(sig, ctx, ha, sa, sb, fuel, unequal)
+
+
+def _argwise(sig: Signature, ctx: Context, head: Term, sa: list, sb: list,
+             fuel: Fuel, unequal: dict) -> bool:
+    """`head sa` against `head sb`. A pair found unequal is recorded, as
+    the sides of an unfolded definition hold the same argument objects."""
+    for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, head, sa)):
+        if ((id(u), id(v)) in unequal
+                or not _conv(sig, ctx, u, v, arg_at, fuel, unequal)):
+            unequal[id(u), id(v)] = u, v  # held, so no id is reused
             return False
     return True
 
@@ -381,10 +383,8 @@ def equal_kinds(sig: Signature, ctx: Context, k1: Kind, k2: Kind,
         return False
     if t1 is TypeKind or t1 is PropKind:
         return True
-    if t1 is ElKind:
-        return _conv(sig, ctx, k1.body, k2.body, TYPE, fuel)
-    if t1 is PrfKind:
-        return _conv(sig, ctx, k1.body, k2.body, PROP, fuel)
+    if t1 is ElKind or t1 is PrfKind:  # at Type or Prop: no eta
+        return _conv(sig, ctx, k1.body, k2.body, None, fuel, {})
     if t1 is PiKind:
         if not equal_kinds(sig, ctx, k1.domain, k2.domain, fuel):
             return False

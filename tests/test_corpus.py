@@ -203,7 +203,7 @@ def test_replay_spends_the_pinned_kernel_work(manifest, mode, prop_at):
         fuel = Fuel()
         commit(sig, record, fuel)
         spent += fuel.limit - fuel.left
-    assert spent == 7585
+    assert spent == 7574
 
 
 def _tower(n, innermost):

@@ -468,6 +468,31 @@ def test_a_false_equation_under_a_definition_keeps_its_diagnostic(arith):
         "actual: Prf (Eq hatNat (K one one) (K one one))")
 
 
+def _tower(connective, n, x):
+    for _ in range(n):
+        x = (f"Not ({x})" if connective == "Not"
+             else f"{connective} ({x}) ({x})")
+    return x
+
+
+@pytest.mark.parametrize("connective, n, fuel",
+                         [("Not", 20, 80), ("Iff", 8, 128)])
+def test_a_false_equation_between_towers_is_decided_in_few_steps(
+        connective, n, fuel):
+    # each level compares its arguments first, and they differ; unfolding
+    # it (`Not p` is `imp p bot`) meets the very same pair, which is not
+    # compared again. `fuel` is the least budget that reaches the verdict
+    # when every definition unfolds first; comparing a pair anew at each
+    # unfolding took 2^n (`Not`) and 4^n (`Iff`) times as many steps
+    ck = load_standard()
+    ck.run_text(f"> [p : Prop];\n> [q : Prop];\n"
+                f"> [h : Prf ({_tower(connective, n, 'p')})];\n"
+                f"> SetOption fuel {fuel};\n")
+    with pytest.raises(KindMismatch) as info:
+        ck.run_text(f"> Check h : Prf ({_tower(connective, n, 'q')});\n")
+    assert info.value.diagnostic.rule == "check"
+
+
 def test_a_missing_budget_is_an_error(sig):
     # no judgement starts a budget of its own
     with pytest.raises(TypeError):
