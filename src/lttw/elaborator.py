@@ -9,23 +9,15 @@ lookup, so `x1` written under `[x : Nat] [x : Nat]` never reaches the
 renamed binder. Surface syntax is never rewritten.
 
 Unification is the kernel's conversion plus holes, first-order and eager:
-both sides are reduced to weak-head form (metavariable heads block) and
-compared at their kind, with eta only when it is a product (None: no eta);
-spines with one variable or constant head are compared argument by
-argument at their domains. Flex-headed constraints get postponed and
-retried after every solution. Two bounded extras handle the universe-style
-constants:
-
-  - rule inversion: a constraint `c args ~ rhs` whose heads differ, where c
-    has rewrite rules and the args still contain holes, is attempted against
-    each rule (binders become fresh holes, the rule's right-hand side is
-    unified with rhs at the rule's kind, then the instantiated left-hand
-    side's arguments with the constraint's own at their domains); nesting
-    is depth-bounded and failed attempts roll back. This is what solves
-    `T ?m ~ Nat` or `V ?m ~ bot` without the elaborator knowing any
-    constant by name.
-  - pattern solutions: `?m x1 ... xn ~ t` with distinct context variables
-    x1..xn is solved by abstracting them from t.
+both sides are reduced to weak-head form (metavariable heads block). A
+side that is a bare hole is solved to the other side, before eta; else the
+two are compared at their kind, with eta only when it is a product (None:
+no eta), and spines with one variable or constant head are compared
+argument by argument at their domains. A constraint with a hole applied to
+arguments is postponed: the queue is retried when a top-level unification
+ends and when the command finishes, and what is left then is reported.
+Nothing is inverted: in `T ?m ~ Nat`, a hole behind a rewrite-rule head,
+the heads mismatch unless another constraint has solved ?m first.
 
 A hole's solution may only mention variables that were in scope where the
 hole was written; solutions are final once recorded; every hole of a command
@@ -59,8 +51,6 @@ from .syntax import (
     metas_of, rename, spine, subst_parallel,
 )
 
-_INVERSION_DEPTH = 8
-
 
 def _kind_mismatch(span, rule: str, expected: Kind,
                    actual: Kind) -> KindMismatch:
@@ -90,14 +80,6 @@ class MetaState:
         self.counter += 1
         self.info[ident] = MetaInfo(frozenset(ctx.names()), span)
         return Meta(ident)
-
-    def snapshot(self):
-        return dict(self.solutions), list(self.queue), self.counter
-
-    def restore(self, snap):
-        """Go back to `snap`, which is then spent: restore each at most
-        once."""
-        self.solutions, self.queue, self.counter = snap
 
     def zonk(self, e):
         """Apply current solutions throughout a term or kind. Subterms
@@ -377,100 +359,44 @@ class Elaborator:
               span=None) -> None:
         """Make a and b equal at `at`, the kind both have, solving holes.
         Eta only when `at` is a product; None means no eta at this level."""
-        self._unify(ctx, a, b, at, span, _INVERSION_DEPTH)
+        self._unify(ctx, a, b, at, span)
         self._drain(span)
 
     def _unify(self, ctx: Context, a: Term, b: Term, at: Optional[Kind],
-               span, depth: int) -> None:
+               span) -> None:
         a = kernel.whnf(self.sig, self.state.zonk(a), self.fuel)
         b = kernel.whnf(self.sig, self.state.zonk(b), self.fuel)
         if alpha_eq(a, b):
             return
-        at = self.state.zonk(at) if at is not None else None
-        if isinstance(at, PiKind):
-            x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
-            cod = rename(at.codomain, at.var, x)
-            self._unify(ctx2, App(a, Var(x)), App(b, Var(x)), cod, span,
-                        depth)
-            return
+        # a bare hole is solved before eta, which would only hide it under
+        # an application no first-order step can solve
         if isinstance(a, Meta):
             self._solve(ctx, a.ident, b, span)
             return
         if isinstance(b, Meta):
             self._solve(ctx, b.ident, a, span)
             return
+        at = self.state.zonk(at) if at is not None else None
+        if isinstance(at, PiKind):
+            x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
+            cod = rename(at.codomain, at.var, x)
+            self._unify(ctx2, App(a, Var(x)), App(b, Var(x)), cod, span)
+            return
         ha, sa = spine(a)
         hb, sb = spine(b)
         if isinstance(ha, Meta) or isinstance(hb, Meta):
-            if isinstance(ha, Meta) and self._try_pattern(ctx, ha, sa, b,
-                                                          span):
-                return
-            if isinstance(hb, Meta) and self._try_pattern(ctx, hb, sb, a,
-                                                          span):
-                return
             self.state.queue.append((ctx, a, b, at, span))
             return
         if (isinstance(ha, (Var, Const)) and type(ha) is type(hb)
                 and ha.name == hb.name and len(sa) == len(sb)):
             for u, v, arg_at in zip(sa, sb, kernel.spine_domains(
                     self.sig, ctx, ha, sa)):
-                self._unify(ctx, u, v, arg_at, span, depth)
+                self._unify(ctx, u, v, arg_at, span)
             return
-        if depth > 0:
-            if (isinstance(ha, Const) and self.sig.rules_for(ha.name)
-                    and any(contains_meta(x) for x in sa)
-                    and self._try_inversion(ctx, ha, sa, b, span, depth)):
-                return
-            if (isinstance(hb, Const) and self.sig.rules_for(hb.name)
-                    and any(contains_meta(x) for x in sb)
-                    and self._try_inversion(ctx, hb, sb, a, span, depth)):
-                return
         raise Mismatch(
             "terms with different rigid heads cannot be made equal",
             span=span,
             diagnostic=Diagnostic("unify-rigid", subject=a, expected=b))
-
-    def _try_pattern(self, ctx: Context, head: Meta, args: list, rhs: Term,
-                     span) -> bool:
-        """?m x1 ... xn ~ rhs with distinct context variables: abstract."""
-        names = []
-        for x in args:
-            if not isinstance(x, Var) or x.name in names:
-                return False
-            if ctx.lookup(x.name) is None:
-                return False
-            names.append(x.name)
-        if metas_of(rhs):
-            return False
-        body = rhs
-        for name in reversed(names):
-            body = Lam(name, ctx.lookup(name), body)
-        if free_vars(body) - self.state.info[head.ident].scope:
-            return False
-        self._solve(ctx, head.ident, body, span)
-        return True
-
-    def _try_inversion(self, ctx: Context, head: Const, args: list,
-                       rhs: Term, span, depth: int) -> bool:
-        rules = self.sig.rules_for(head.name)
-        if len(args) != rules[0].arity:
-            return False
-        for rule in rules:
-            snap = self.state.snapshot()
-            try:
-                binding = {x: self.state.fresh(ctx, span)
-                           for x, _ in rule.source.binders}
-                self._unify(ctx, subst_parallel(rule.rhs, binding), rhs,
-                            subst_parallel(rule.source.ascription, binding),
-                            span, depth - 1)
-                _, lhs_args = spine(subst_parallel(rule.source.lhs, binding))
-                for u, v, arg_at in zip(args, lhs_args, kernel.spine_domains(
-                        self.sig, ctx, head, args)):
-                    self._unify(ctx, u, v, arg_at, span, depth - 1)
-                return True
-            except UnificationFailure:
-                self.state.restore(snap)
-        return False
 
     def _solve(self, ctx: Context, ident: int, value: Term, span) -> None:
         value = self.state.zonk(value)
@@ -499,7 +425,7 @@ class Elaborator:
             for (ctx, a, b, at, sp) in pending:
                 q_before = len(self.state.queue)
                 s_before = len(self.state.solutions)
-                self._unify(ctx, a, b, at, sp, _INVERSION_DEPTH)
+                self._unify(ctx, a, b, at, sp)
                 if (len(self.state.solutions) > s_before
                         or len(self.state.queue) == q_before):
                     progress = True

@@ -54,8 +54,9 @@ def nat_signature():
 
 def universe_signature():
     """nat_signature plus a code universe with decoding rules, a reflected
-    proposition layer, and a tiny equality family. Exercises the unifier's
-    rule-driven inversion without depending on the shipped scripts."""
+    proposition layer, and a tiny equality family. Holes behind the
+    decoding heads test the unifier's limits without depending on the
+    shipped scripts."""
     sig = nat_signature()
     declare_constant(sig, "Times", arrow(TYPE, arrow(TYPE, TYPE)), Fuel())
     declare_constant(sig, "U", TYPE, Fuel())
