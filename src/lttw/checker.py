@@ -46,6 +46,7 @@ placements.
 
 from __future__ import annotations
 
+import errno
 from pathlib import Path
 from typing import Optional
 
@@ -81,6 +82,16 @@ def parse_fuel(text: str) -> int:
     return fuel
 
 
+def read_text(path) -> str:
+    """The text of a script or manifest. A file that is not UTF-8 raises
+    OSError, as one that cannot be read does."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text at byte {e.start}",
+                      str(path)) from None
+
+
 class Checker:
     def __init__(self, prop_placement: str = "prop",
                  fuel: int = DEFAULT_FUEL):
@@ -106,7 +117,7 @@ class Checker:
             return
         if resolved in self._loading:
             raise ScriptSyntaxError(f"Load cycle through {path!s}")
-        text = Path(resolved).read_text(encoding="utf-8")
+        text = read_text(path)
         entries = dict(self.sig.entries)
         rules = {head: list(rs) for head, rs in self.sig.rules.items()}
         logged, printed = len(self.log), len(self.output)

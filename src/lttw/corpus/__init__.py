@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from ..checker import Checker
+from ..checker import Checker, read_text
 from ..errors import LttwError, ScriptSyntaxError
 from ..kernel import DEFAULT_FUEL
 from ..parser import parse_script
@@ -87,8 +87,7 @@ def parse_manifest(path: Union[str, Path]) -> list[CorpusEntry]:
     path = Path(path)
     base = path.parent
     entries = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8")
-                                 .splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -107,7 +106,7 @@ def parse_manifest(path: Union[str, Path]) -> list[CorpusEntry]:
 
 
 def _run_one(checker: Checker, entry: CorpusEntry) -> CorpusResult:
-    text = entry.path.read_text(encoding="utf-8")
+    text = read_text(entry.path)
     commands = 0
     start = time.perf_counter()
     try:

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    Diagnostic, FuelExhausted, IllFormedKind, KindMismatch, Mismatch,
-    NotAProduct, OccursCheck, ScopeEscape, SourceSpan, UnificationFailure,
-    UnknownConstant, UnsolvedMeta,
+    Diagnostic, FuelExhausted, IllFormedKind, KindMismatch, LttwError,
+    NotAProduct, SourceSpan, UnknownConstant,
 )
 from . import kernel
 from .kernel import Context, Fuel, Signature
@@ -46,10 +45,34 @@ from .surface import (
     SurfaceKind, SurfaceTerm,
 )
 from .syntax import (
-    PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind, PrfKind,
-    PropKind, Term, TypeKind, Var, alpha_eq, contains_meta, free_vars,
-    metas_of, rename, spine, subst_parallel,
+    HOLES, PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind,
+    PrfKind, PropKind, Term, TypeKind, Var, alpha_eq, contains_meta,
+    free_vars, metas_of, rename, spine, subst_parallel,
 )
+
+
+class ElabError(LttwError):
+    pass
+
+
+class UnsolvedMeta(ElabError):
+    pass
+
+
+class UnificationFailure(ElabError):
+    pass
+
+
+class OccursCheck(UnificationFailure):
+    pass
+
+
+class ScopeEscape(UnificationFailure):
+    pass
+
+
+class Mismatch(UnificationFailure):
+    pass
 
 
 def _kind_mismatch(span, rule: str, expected: Kind,
@@ -85,7 +108,7 @@ class MetaState:
         """Apply current solutions throughout a term or kind. Subterms
         without a solved hole are shared, not copied, and a subterm without
         a hole is not walked."""
-        if not self.solutions or not e.holes:
+        if not self.solutions or not e.mask & HOLES:
             return e
         cls = type(e)
         if cls is Meta:
@@ -340,11 +363,8 @@ class Elaborator:
                 diagnostic=Diagnostic("kind-unify", expected=k2, actual=k1))
         if t1 in (TypeKind, PropKind):
             return
-        if t1 is ElKind:
-            self.unify(ctx, k1.body, k2.body, TYPE, span)
-            return
-        if t1 is PrfKind:
-            self.unify(ctx, k1.body, k2.body, PROP, span)
+        if t1 is ElKind or t1 is PrfKind:  # at Type or Prop: no eta
+            self.unify(ctx, k1.body, k2.body, None, span)
             return
         if t1 is PiKind:
             self.unify_kinds(ctx, k1.domain, k2.domain, span)

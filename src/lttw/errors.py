@@ -1,10 +1,12 @@
-"""Error taxonomy shared by every layer of the checker.
+"""Error taxonomy shared by the layers of the checker.
 
 Every error raised on purpose by this package is an LttwError. Rejections
 coming out of the kernel carry a Diagnostic naming the violated rule and the
 judgement pieces involved, so callers can print *why* without re-running
-anything. This module imports nothing from lttw; printing a Diagnostic is
-the printer's job, and the corpus runner's errors live with it.
+anything. This module imports nothing from lttw. It holds the errors of the
+trusted core and those several layers share; printing a Diagnostic is the
+printer's job, and an error only one other layer raises lives with it (the
+elaborator's, the parser's UnterminatedCommand, the corpus runner's).
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ class NestingTooDeep(LttwError):
 # lexing / parsing
 
 class ScriptSyntaxError(LttwError):
-    pass
-
-
-class UnterminatedCommand(ScriptSyntaxError):
     pass
 
 
@@ -139,30 +137,4 @@ class DomainMismatch(KindMismatch):
 
 
 class AscriptionMismatch(KindMismatch):
-    pass
-
-
-# elaboration
-
-class ElabError(LttwError):
-    pass
-
-
-class UnsolvedMeta(ElabError):
-    pass
-
-
-class UnificationFailure(ElabError):
-    pass
-
-
-class OccursCheck(UnificationFailure):
-    pass
-
-
-class ScopeEscape(UnificationFailure):
-    pass
-
-
-class Mismatch(UnificationFailure):
     pass

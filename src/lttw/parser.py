@@ -42,15 +42,17 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .errors import (
-    Diagnostic, NestingTooDeep, ScriptSyntaxError, SourceSpan,
-    UnterminatedCommand,
-)
+from .errors import Diagnostic, NestingTooDeep, ScriptSyntaxError, SourceSpan
 from .surface import (
     Binder, Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
     SApp, SEl, SHole, SLam, SName, SPi, SProp, SPrf, SType, STermKind,
     SurfaceKind, SurfaceTerm,
 )
+
+
+class UnterminatedCommand(ScriptSyntaxError):
+    pass
+
 
 _TOKEN = re.compile(r"""
     \s*(?:

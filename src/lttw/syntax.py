@@ -7,18 +7,19 @@ abstraction and product carries its domain kind.
 
 Alpha-equivalent terms are interchangeable everywhere; structural identity of
 Python objects is never significant. Nodes compare by identity (use alpha_eq).
-Each node is an immutable tuple of its fields followed by `mask`, its free
-names, and `holes`, a flag telling whether a Meta occurs in it; both are
-computed when the node is built, so testing a free name and contains_meta
-are field reads.
+Each node is an immutable tuple of its fields followed by `mask`, computed
+when the node is built: its free names, and in bit 0 (`HOLES`) whether a
+Meta occurs in it. So testing a free name and contains_meta are field reads.
 
 A set of free names is an int with one bit per variable name. The bits come
 from one registry for the whole process: the first `Var(name)` takes the
 next bit, and every later `Var(name)` returns that same node, as
 `Const(name)` returns one node per name. A union is `|`, leaving a binder
-is `& ~bit`, and whether any of a set of names occurs free is one `&`.
-free_vars and `node.fv` decode a mask into a frozenset for the few callers
-that need the names themselves. The three benchmark workloads together see
+is `& ~bit`, and whether any of a set of names occurs free is one `&`. No
+name has bit 0, so `HOLES` passes up through every `|` and binder, and
+substitution, whose keys are names, never meets it. free_vars and `node.fv`
+decode a mask, less that bit, into a frozenset for the few callers that
+need the names themselves. The three benchmark workloads together see
 89 distinct variable names, so their masks fit in 3 int digits.
 
 The garbage collector is why: nodes are acyclic and immutable, but CPython's
@@ -41,11 +42,14 @@ from typing import Iterable, Union
 _new = tuple.__new__
 
 # The registry of variable names: the one Var of each name, and the names
-# by bit position (a name's bit is 1 << its index). A name enters under the
-# lock so that no two names share a bit; lookups take no lock.
+# by bit position (a name's bit is 1 << its index; index 0 is `HOLES`, no
+# name's). A name enters under the lock so that no two names share a bit;
+# lookups take no lock.
 _VARS: dict[str, "Var"] = {}
-_NAMES: list[str] = []
+_NAMES: list[str] = ["?"]
 _REGISTERING = Lock()
+# the bit of a mask that says a Meta occurs in the node
+HOLES = 1
 # the one Const of each name
 _CONSTS: dict[str, "Const"] = {}
 
@@ -53,6 +57,7 @@ _CONSTS: dict[str, "Const"] = {}
 def _names(mask: int) -> frozenset[str]:
     """The names whose bits are set in mask."""
     names = []
+    mask &= ~HOLES
     while mask:
         low = mask & -mask
         names.append(_NAMES[low.bit_length() - 1])
@@ -69,11 +74,10 @@ def name_mask(name: str) -> int:
 
 class _Node:
     """Shared behaviour of the tuple-backed nodes. Each node class is a
-    namedtuple of its fields followed by `mask`, its free names, and
-    `holes`, whether a Meta occurs in it; its `__new__` computes both from
-    the children. Equality and hashing are by identity, as for any object,
-    and nodes do not order: the tuple's structural comparisons never
-    apply."""
+    namedtuple of its fields followed by `mask`, its free names and
+    `HOLES`, which its `__new__` computes from the children. Equality and
+    hashing are by identity, as for any object, and nodes do not order:
+    the tuple's structural comparisons never apply."""
 
     __slots__ = ()
     __eq__ = object.__eq__
@@ -87,11 +91,11 @@ class _Node:
         return _names(self.mask)
 
     def __getnewargs__(self):
-        # copy and pickle rebuild a node from its fields, not mask and holes
-        return self[:-2]
+        # copy and pickle rebuild a node from its fields, not its mask
+        return self[:-1]
 
     def __repr__(self):
-        fields = ", ".join(map(repr, self[:-2]))
+        fields = ", ".join(map(repr, self[:-1]))
         return f"{type(self).__name__}({fields})"
 
 
@@ -106,7 +110,7 @@ class Kind(_Node):
 Expr = Union[Term, Kind]
 
 
-class Var(Term, namedtuple("Var", "name mask holes")):
+class Var(Term, namedtuple("Var", "name mask")):
     """The one variable node of its name; its mask is the name's bit."""
 
     __slots__ = ()
@@ -119,11 +123,11 @@ class Var(Term, namedtuple("Var", "name mask holes")):
                 if v is None:
                     bit = 1 << len(_NAMES)
                     _NAMES.append(name)
-                    v = _VARS[name] = _new(cls, (name, bit, False))
+                    v = _VARS[name] = _new(cls, (name, bit))
         return v
 
 
-class Const(Term, namedtuple("Const", "name mask holes")):
+class Const(Term, namedtuple("Const", "name mask")):
     """The one constant node of its name."""
 
     __slots__ = ()
@@ -131,71 +135,68 @@ class Const(Term, namedtuple("Const", "name mask holes")):
     def __new__(cls, name: str):
         c = _CONSTS.get(name)
         if c is None:
-            c = _CONSTS.setdefault(name, _new(cls, (name, 0, False)))
+            c = _CONSTS.setdefault(name, _new(cls, (name, 0)))
         return c
 
 
-class Lam(Term, namedtuple("Lam", "var ann body mask holes")):
+class Lam(Term, namedtuple("Lam", "var ann body mask")):
     __slots__ = ()
 
     def __new__(cls, var: str, ann: Kind, body: Term):
         return _new(cls, (var, ann, body,
-                          ann.mask | (body.mask & ~name_mask(var)),
-                          ann.holes or body.holes))
+                          ann.mask | (body.mask & ~name_mask(var))))
 
 
-class App(Term, namedtuple("App", "fn arg mask holes")):
+class App(Term, namedtuple("App", "fn arg mask")):
     __slots__ = ()
 
     def __new__(cls, fn: Term, arg: Term):
-        return _new(cls, (fn, arg, fn.mask | arg.mask,
-                          fn.holes or arg.holes))
+        return _new(cls, (fn, arg, fn.mask | arg.mask))
 
 
-class Meta(Term, namedtuple("Meta", "ident mask holes")):
+class Meta(Term, namedtuple("Meta", "ident mask")):
     """Elaboration-time unknown. Never survives into kernel checking."""
 
     __slots__ = ()
 
     def __new__(cls, ident: int):
-        return _new(cls, (ident, 0, True))
+        return _new(cls, (ident, HOLES))
 
 
-class TypeKind(Kind, namedtuple("TypeKind", "mask holes")):
+class TypeKind(Kind, namedtuple("TypeKind", "mask")):
     __slots__ = ()
 
     def __new__(cls):
-        return _new(cls, (0, False))
+        return _new(cls, (0,))
 
 
-class PropKind(Kind, namedtuple("PropKind", "mask holes")):
+class PropKind(Kind, namedtuple("PropKind", "mask")):
     __slots__ = ()
 
     def __new__(cls):
-        return _new(cls, (0, False))
+        return _new(cls, (0,))
 
 
-class ElKind(Kind, namedtuple("ElKind", "body mask holes")):
+class ElKind(Kind, namedtuple("ElKind", "body mask")):
     __slots__ = ()
 
     def __new__(cls, body: Term):
-        return _new(cls, (body, body.mask, body.holes))
+        return _new(cls, (body, body.mask))
 
 
-class PrfKind(Kind, namedtuple("PrfKind", "body mask holes")):
+class PrfKind(Kind, namedtuple("PrfKind", "body mask")):
     __slots__ = ()
 
     def __new__(cls, body: Term):
-        return _new(cls, (body, body.mask, body.holes))
+        return _new(cls, (body, body.mask))
 
 
-class PiKind(Kind, namedtuple("PiKind", "var domain codomain mask holes")):
+class PiKind(Kind, namedtuple("PiKind", "var domain codomain mask")):
     __slots__ = ()
 
     def __new__(cls, var: str, domain: Kind, codomain: Kind):
         return _new(cls, (var, domain, codomain,
-                          domain.mask | (codomain.mask & ~name_mask(var)),
-                          domain.holes or codomain.holes))
+                          domain.mask | (codomain.mask & ~name_mask(var))))
 
 
 TYPE = TypeKind()
@@ -291,7 +292,7 @@ def _subst(target: Expr, mapping: dict[str, Term], keys: int) -> Expr:
     if cls is ElKind or cls is PrfKind:  # the body has the kind's names
         return cls(_subst(target.body, mapping, keys))
     if cls is Lam or cls is PiKind:  # a binder: name, domain, body
-        x, dom, body, _, _ = target
+        x, dom, body, _ = target
         if dom.mask & keys:
             dom = _subst(dom, mapping, keys)
         x, body = _under_binder(x, body, mapping, keys)
@@ -363,11 +364,11 @@ def metas_of(e: Expr) -> set[int]:
 
 
 def contains_meta(e: Expr) -> bool:
-    return e.holes
+    return bool(e.mask & HOLES)
 
 
 def _collect_metas(e: Expr, out: set[int]) -> None:
-    if not e.holes:
+    if not e.mask & HOLES:
         return
     if isinstance(e, Meta):
         out.add(e.ident)

@@ -634,6 +634,22 @@ def test_failed_load_leaves_the_checker_as_it_was(tmp_path):
     assert {"A", "a", "b"} <= set(ck.sig.entries)
 
 
+def test_load_of_a_file_that_is_not_utf8_leaves_the_checker_as_it_was(
+        tmp_path):
+    ck = Checker()
+    ck.run_text("> [B : Type];\n")
+    entries, log = dict(ck.sig.entries), list(ck.log)
+    (tmp_path / "bad.lf").write_bytes(b"> [A : Type];\n> [a : \xff];\n")
+    outer = tmp_path / "outer.lf"
+    outer.write_text('> [C : Type];\n> Load "bad.lf";\n')
+    with pytest.raises(ScriptSyntaxError) as info:
+        ck.run_path(outer)
+    assert str(info.value) == (f"{outer}:2:3: cannot Load 'bad.lf': "
+                               "not UTF-8 text at byte 21")
+    assert ck.sig.entries == entries and ck.log == log
+    assert ck.loaded == set()
+
+
 def test_failed_load_restores_the_budget_with_the_log(tmp_path):
     ck = Checker()
     ck.run_text(NAT_PRELUDE)

@@ -6,6 +6,7 @@ strings already pinned by the corpus tests.
 """
 
 import ast
+import errno
 import inspect
 from pathlib import Path
 
@@ -134,6 +135,40 @@ def test_load_of_a_missing_file_is_a_rejection_at_the_load(capsys,
     assert code == 1
     assert "loads.lf:2:" in err
     assert "lttw:" not in err
+
+
+# the byte 0xff, at offset 21, occurs in no UTF-8 text
+NOT_UTF8 = b"> [A : Type];\n> [a : \xff];\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "bad.lf"],
+    ["typeof", "--load", "bad.lf", "zero"],
+    ["corpus", "--manifest", "bad.lf"],
+    ["corpus", "--manifest", "lists_bad.txt"],
+], ids=["check", "typeof-load", "corpus-manifest", "corpus-entry"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.lf"
+    bad.write_bytes(NOT_UTF8)
+    (tmp_path / "lists_bad.txt").write_text("bad.lf accept\n")
+    argv = [str(tmp_path / a) if a.endswith((".lf", ".txt")) else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"lttw: [Errno {errno.EILSEQ}] not UTF-8 text at byte 21: "
+                   f"'{bad}'\n")
+
+
+def test_load_of_a_file_that_is_not_utf8_is_a_rejection_at_the_load(
+        capsys, tmp_path):
+    (tmp_path / "bad.lf").write_bytes(NOT_UTF8)
+    script = tmp_path / "loads.lf"
+    script.write_text('> [B : Type];\n> Load "bad.lf";\n')
+    code, out, err = run(capsys, "check", "--stdlib", "none", str(script))
+    assert code == 1
+    assert err == (f"{script}:2:3: cannot Load 'bad.lf': not UTF-8 text at "
+                   "byte 21\n")
 
 
 def test_load_cycle_is_rejected_at_the_load_that_closes_it(capsys):

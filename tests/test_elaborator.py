@@ -4,11 +4,11 @@ import pytest
 
 from mini import NAT, arrow, define_plus, numeral, universe_signature
 from lttw.elaborator import (
-    Elaborator, MetaState, elaborate, elaborate_kind, unify,
+    Elaborator, MetaState, Mismatch, OccursCheck, ScopeEscape,
+    UnificationFailure, UnsolvedMeta, elaborate, elaborate_kind, unify,
 )
 from lttw.errors import (
-    IllFormedKind, KindMismatch, Mismatch, NotAProduct, OccursCheck,
-    ScopeEscape, UnificationFailure, UnknownConstant, UnsolvedMeta,
+    IllFormedKind, KindMismatch, NotAProduct, UnknownConstant,
 )
 from lttw.kernel import EMPTY_CONTEXT, Fuel, equal_kinds, infer_kind
 from lttw.parser import parse_kind, parse_term

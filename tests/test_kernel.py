@@ -558,3 +558,28 @@ def test_lttw_imports_form_a_dag():
         assert leaves, sorted(graph)
         for m in leaves:
             del graph[m]
+
+
+def test_errors_holds_only_what_the_core_or_several_layers_use():
+    # errors.py is trusted: a class that one untrusted module alone names
+    # lives in that module. A class is kept when a trusted module or two
+    # modules name it, and so are its bases.
+    src = Path(lttw.__file__).parent
+    tree = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    bases = {c.name: {b.id for b in c.bases if isinstance(b, ast.Name)}
+             for c in tree.body if isinstance(c, ast.ClassDef)}
+    users = {name: set() for name in bases}
+    for path in src.rglob("*.py"):
+        module = path.parent.name if path.name == "__init__.py" else path.stem
+        if module == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id in users:
+                users[node.id].add(module)
+    kept = {name for name, used in users.items()
+            if used & set(TRUSTED) or len(used) > 1}
+    more = kept
+    while more:
+        more = {b for name in more for b in bases[name] & bases.keys()} - kept
+        kept |= more
+    assert set(bases) - kept == set()

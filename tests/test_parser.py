@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lttw.corpus import CORPUS_DIR
-from lttw.errors import ScriptSyntaxError, UnterminatedCommand
-from lttw.parser import parse_kind, parse_script, parse_term, tokenize
+from lttw.errors import ScriptSyntaxError
+from lttw.parser import (
+    UnterminatedCommand, parse_kind, parse_script, parse_term, tokenize,
+)
 from lttw.printer import print_kind, print_term
 from lttw.surface import (
     Declare, DeclareRule, Define, Directive, DirectiveOp, SApp, SEl, SHole,

@@ -14,7 +14,8 @@ from lttw.signature import (
     declare_rewrite, define, lookup, replay,
 )
 from lttw.syntax import (
-    PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq, app,
+    PROP, TYPE, App, Const, ElKind, Lam, Meta, PiKind, PrfKind, Var, alpha_eq,
+    app,
 )
 
 from mini import NAT, arrow, nat_signature, numeral
@@ -302,6 +303,26 @@ def test_replay_rejection_names_its_rule(record, error, message, rule,
     assert _same(d.subject, subject)
     assert _same(d.expected, expected)
     assert _same(d.actual, actual)
+
+
+@pytest.mark.parametrize("lhs, rhs, rule", [
+    (App(Const("f"), Var("x")), Meta(0), "meta"),
+    (App(Const("f"), Meta(0)), Const("zero"), "rewrite-pattern"),
+    (App(Const("f"), App(Const("succ"), Meta(0))), Const("zero"),
+     "rewrite-pattern-depth"),
+], ids=["rhs", "argument", "under-constructor"])
+def test_replay_rejects_a_rule_with_a_hole(lhs, rhs, rule):
+    # `_whnf` substitutes into a stored right-hand side with its own mask
+    # as the keys, so no stored rule may hold a hole
+    sig = nat_signature()
+    declare_constant(sig, "f", arrow(NAT, NAT), Fuel())
+    rules = sig.rule_count()
+    record = ("rule", RewriteRule(binders=(("x", NAT),), lhs=lhs, rhs=rhs,
+                                  ascription=NAT))
+    with pytest.raises(IllTyped) as info:
+        replay([record], sig)
+    assert info.value.diagnostic.rule == rule
+    assert sig.rule_count() == rules
 
 
 def test_lambda_argument_with_an_ill_kinded_body_is_rejected():

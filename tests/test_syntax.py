@@ -17,9 +17,9 @@ from hypothesis import example, given, settings
 from lttw.kernel import Fuel, whnf
 from lttw.signature import Signature
 from lttw.syntax import (
-    PROP, TYPE, App, Const, ElKind, Lam, Meta, PiKind, PrfKind, TypeKind,
-    PropKind, Var, alpha_eq, contains_meta, free_vars, fresh_name, metas_of,
-    name_mask, spine, app, subst, subst_parallel,
+    HOLES, PROP, TYPE, App, Const, ElKind, Lam, Meta, PiKind, PrfKind,
+    TypeKind, PropKind, Var, alpha_eq, contains_meta, free_vars, fresh_name,
+    metas_of, name_mask, spine, app, subst, subst_parallel,
 )
 import lttw.syntax
 from lttw.syntax import rename
@@ -35,6 +35,8 @@ def nameless(e, env=()):
         return ("free", e.name)
     if isinstance(e, Const):
         return ("const", e.name)
+    if isinstance(e, Meta):
+        return ("meta", e.ident)
     if isinstance(e, App):
         return ("app", nameless(e.fn, env), nameless(e.arg, env))
     if isinstance(e, Lam):
@@ -53,13 +55,17 @@ def nameless(e, env=()):
     raise TypeError(e)
 
 
+# the tags of the nameless leaves other than a free name
+LEAVES = ("bound", "const", "meta", "Type", "Prop")
+
+
 def nameless_subst(ne, name, nr):
     """Replace every free occurrence of name in ne by nr. No shifting:
     nr's bound indices are all internal to nr."""
     tag = ne[0]
     if tag == "free":
         return nr if ne[1] == name else ne
-    if tag in ("bound", "const", "Type", "Prop"):
+    if tag in LEAVES:
         return ne
     return (tag,) + tuple(nameless_subst(c, name, nr) for c in ne[1:])
 
@@ -70,7 +76,7 @@ def nameless_free(ne, acc=None):
     tag = ne[0]
     if tag == "free":
         acc.add(ne[1])
-    elif tag not in ("bound", "const", "Type", "Prop"):
+    elif tag not in LEAVES:
         for c in ne[1:]:
             nameless_free(c, acc)
     return acc
@@ -86,6 +92,8 @@ def unname(ne, supply, env=()):
         return Var(env[-1 - ne[1]])
     if tag == "const":
         return Const(ne[1])
+    if tag == "meta":
+        return Meta(ne[1])
     if tag == "app":
         return App(unname(ne[1], supply, env), unname(ne[2], supply, env))
     if tag == "lam":
@@ -132,6 +140,25 @@ kinds = st.deferred(lambda: st.one_of(
 
 exprs = st.one_of(terms, kinds)
 
+# Terms and kinds with holes
+holey_terms = st.deferred(lambda: st.one_of(
+    names.map(Var),
+    consts.map(Const),
+    st.integers(0, 3).map(Meta),
+    st.builds(App, holey_terms, holey_terms),
+    st.builds(Lam, names, holey_kinds, holey_terms),
+))
+
+holey_kinds = st.deferred(lambda: st.one_of(
+    st.just(TYPE),
+    st.just(PROP),
+    holey_terms.map(ElKind),
+    holey_terms.map(PrfKind),
+    st.builds(PiKind, names, holey_kinds, holey_kinds),
+))
+
+holey_exprs = st.one_of(holey_terms, holey_kinds)
+
 closed_terms = st.one_of(
     consts.map(Const),
     st.builds(lambda x, k, c: Lam(x, k, Var(x)), names, st.just(TYPE), names),
@@ -161,13 +188,14 @@ def nameless_subst_parallel(ne, mapping):
     tag = ne[0]
     if tag == "free":
         return mapping.get(ne[1], ne)
-    if tag in ("bound", "const", "Type", "Prop"):
+    if tag in LEAVES:
         return ne
     return (tag,) + tuple(nameless_subst_parallel(c, mapping) for c in ne[1:])
 
 
 @CASES
-@given(exprs, st.dictionaries(names, terms, max_size=3))
+@given(st.one_of(exprs, holey_exprs),
+       st.dictionaries(names, st.one_of(terms, holey_terms), max_size=3))
 def test_subst_parallel_matches_oracle(t, mapping):
     got = nameless(subst_parallel(t, mapping))
     want = nameless_subst_parallel(
@@ -200,7 +228,7 @@ def test_alpha_eq_accepts_renamed_variant(t):
 
 
 @CASES
-@given(exprs, exprs)
+@given(st.one_of(exprs, holey_exprs), st.one_of(exprs, holey_exprs))
 def test_alpha_eq_agrees_with_oracle(a, b):
     assert alpha_eq(a, b) == (nameless(a) == nameless(b))
 
@@ -347,25 +375,8 @@ def test_free_names_are_masks_and_leaves_are_shared():
     assert free_vars(Lam("x", TYPE, x)) == free_vars(TYPE) == frozenset()
 
 
-# Terms and kinds with holes, and a reference computation of what each
-# node stores about its subtree: its free names and whether a Meta occurs.
-holey_terms = st.deferred(lambda: st.one_of(
-    names.map(Var),
-    consts.map(Const),
-    st.integers(0, 3).map(Meta),
-    st.builds(App, holey_terms, holey_terms),
-    st.builds(Lam, names, holey_kinds, holey_terms),
-))
-
-holey_kinds = st.deferred(lambda: st.one_of(
-    st.just(TYPE),
-    st.just(PROP),
-    holey_terms.map(ElKind),
-    holey_terms.map(PrfKind),
-    st.builds(PiKind, names, holey_kinds, holey_kinds),
-))
-
-
+# A reference computation of what each node stores about its subtree: its
+# free names and whether a Meta occurs.
 def reference_names_and_holes(e):
     """(free names, idents of the Metas) of e, by recursion over it."""
     if isinstance(e, Var):
@@ -391,16 +402,16 @@ def reference_names_and_holes(e):
 def test_stored_names_and_hole_flag_match_a_reference(e):
     fv, metas = reference_names_and_holes(e)
     assert e.fv == fv and free_vars(e) == fv
-    assert e.mask == sum(name_mask(x) for x in fv)
-    assert (e.mask == 0) == (not fv)
-    assert e.holes is bool(metas) and contains_meta(e) is e.holes
+    assert e.mask & ~HOLES == sum(name_mask(x) for x in fv)
+    assert (e.mask & ~HOLES == 0) == (not fv)
+    assert contains_meta(e) is bool(metas)
     assert metas_of(e) == metas
 
 
 def test_node_fields_cannot_be_assigned():
     for node, field in [(Var("x"), "name"), (App(Var("f"), Meta(0)), "fn"),
                         (Lam("x", TYPE, Var("x")), "fv"),
-                        (PiKind("x", TYPE, PROP), "holes")]:
+                        (PiKind("x", TYPE, PROP), "mask")]:
         with pytest.raises(AttributeError):
             setattr(node, field, None)
         with pytest.raises(AttributeError):
@@ -424,7 +435,7 @@ def test_a_copied_node_is_rebuilt_from_its_fields():
     t = Lam("y", ElKind(Var("A")), App(Meta(3), Var("y")))
     for got in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert got is not t and alpha_eq(got, t)
-        assert got.fv == {"A"} and got.holes
+        assert got.fv == {"A"} and contains_meta(got)
 
 
 def test_fresh_name_basic():
