@@ -214,7 +214,7 @@ class Checker:
         kind = el.kind(ctx, cmd.kind)
         for name, k in reversed(pairs):
             kind = PiKind(name, k, kind)
-        kind = el.finish_kind(kind, cmd.span)
+        kind = el.finish_kind(kind, cmd)
         if (self.prop_placement == "type" and cmd.name == "prop"
                 and isinstance(kind, PropKind)):
             kind = TYPE
@@ -227,10 +227,10 @@ class Checker:
         body, _ = el.term(ctx, cmd.body, expected)
         for name, k in reversed(pairs):
             body = Lam(name, k, body)
-        body = el.finish_term(body, cmd.span)
+        body = el.finish_term(body, cmd)
         ascription = None
         if expected is not None:
-            k = el.finish_kind(expected, cmd.span)
+            k = el.finish_kind(expected, cmd)
             for name, bk in reversed(pairs):
                 k = PiKind(name, bk, k)
             ascription = k
@@ -243,9 +243,9 @@ class Checker:
         lhs, _ = el.term(ctx, cmd.lhs, ascription)
         rhs, _ = el.term(ctx, cmd.rhs, ascription)
         rule = RewriteRule(binders=tuple(pairs),
-                           lhs=el.finish_term(lhs, cmd.span),
-                           rhs=el.finish_term(rhs, cmd.span),
-                           ascription=el.finish_kind(ascription, cmd.span))
+                           lhs=el.finish_term(lhs, cmd),
+                           rhs=el.finish_term(rhs, cmd),
+                           ascription=el.finish_kind(ascription, cmd))
         self._commit(("rule", rule), el.fuel)
 
     # ------------------------------------------------------- directives
@@ -285,8 +285,8 @@ class Checker:
         else:
             (term_s,) = cmd.payload
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)
-        t = el.finish_term(t, cmd.span)
-        k = el.finish_kind(k, cmd.span)
+        t = el.finish_term(t, cmd)
+        k = el.finish_kind(k, cmd)
         # the kernel alone confirms what elaboration produced; only a Check
         # is also a replay record
         if op is DirectiveOp.CHECK:

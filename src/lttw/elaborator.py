@@ -27,12 +27,16 @@ kernel alone checks it: in the checker's commit, or at the end of
 recorded as an obligation, which that check decides. The elaborator only
 explains a rejection (`Elaborator.explain`), deciding the obligations in
 order with the steps deciding them in place would have had left.
+
+A position travels as the surface node or command to blame (`blame`), not
+as a span: a node builds its span on demand, and only an error or
+`explain` asks for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from .errors import (
     Diagnostic, FuelExhausted, IllFormedKind, KindMismatch, LttwError,
@@ -75,10 +79,15 @@ class Mismatch(UnificationFailure):
     pass
 
 
-def _kind_mismatch(span, rule: str, expected: Kind,
+def _span(blame) -> Optional[SourceSpan]:
+    """The span of the node or command to blame, if there is one."""
+    return None if blame is None else blame.span
+
+
+def _kind_mismatch(blame, rule: str, expected: Kind,
                    actual: Kind) -> KindMismatch:
     return KindMismatch("kind does not match what this position requires",
-                        span=span,
+                        span=_span(blame),
                         diagnostic=Diagnostic(rule, expected=expected,
                                               actual=actual))
 
@@ -86,7 +95,7 @@ def _kind_mismatch(span, rule: str, expected: Kind,
 @dataclass
 class MetaInfo:
     scope: frozenset
-    span: Optional[SourceSpan]
+    blame: Any  # the hole's surface node, or None
 
 
 class MetaState:
@@ -96,12 +105,12 @@ class MetaState:
         self.counter = 0
         self.info: dict[int, MetaInfo] = {}
         self.solutions: dict[int, Term] = {}
-        self.queue: list[tuple] = []  # (ctx, a, b, at)
+        self.queue: list[tuple] = []  # (ctx, a, b, at, blame)
 
-    def fresh(self, ctx: Context, span: Optional[SourceSpan] = None) -> Meta:
+    def fresh(self, ctx: Context, blame=None) -> Meta:
         ident = self.counter
         self.counter += 1
-        self.info[ident] = MetaInfo(frozenset(ctx.names()), span)
+        self.info[ident] = MetaInfo(frozenset(ctx.names()), blame)
         return Meta(ident)
 
     def zonk(self, e):
@@ -139,7 +148,8 @@ class Elaborator:
         # None hides a fresh kernel name from surface lookup
         self.scope: dict[str, Optional[str]] = {}
         # each kind equality without holes, as (ctx, actual, expected,
-        # span, rule, steps spent so far), for `explain`
+        # blame, rule, steps spent so far), for `explain`: the node or
+        # command to blame builds its span only for a rejection
         self.obligations: list = []
 
     # ----------------------------------------------------------- terms
@@ -148,13 +158,13 @@ class Elaborator:
              expected: Optional[Kind]) -> tuple[Term, Kind]:
         if isinstance(s, SName):
             t, k = self._name(ctx, s)
-            return self._against(ctx, t, k, expected, s.span)
+            return self._against(ctx, t, k, expected, s)
         if isinstance(s, SHole):
             if expected is None:
                 raise UnsolvedMeta(
                     "hole in a position whose kind is not determined",
                     span=s.span, diagnostic=Diagnostic("hole-kind"))
-            m = self.state.fresh(ctx, s.span)
+            m = self.state.fresh(ctx, s)
             return m, expected
         if isinstance(s, SLam):
             return self._lambda(ctx, s, expected)
@@ -175,14 +185,14 @@ class Elaborator:
             diagnostic=Diagnostic("name-declared", subject=Const(s.name)))
 
     def _against(self, ctx: Context, t: Term, k: Kind,
-                 expected: Optional[Kind], span) -> tuple[Term, Kind]:
+                 expected: Optional[Kind], blame) -> tuple[Term, Kind]:
         if expected is not None:
-            self._require_kinds_equal(ctx, k, expected, span, "check")
+            self._require_kinds_equal(ctx, k, expected, blame, "check")
             return t, expected
         return t, k
 
     def _require_kinds_equal(self, ctx: Context, actual: Kind,
-                             expected: Kind, span, rule: str) -> None:
+                             expected: Kind, blame, rule: str) -> None:
         """An obligation for the kernel when no holes are involved, else
         unification. A command that has made no hole needs no scan."""
         a = self.state.zonk(actual)
@@ -190,9 +200,9 @@ class Elaborator:
         if self.state.counter == 0 or not (
                 contains_meta(a) or contains_meta(e)):
             self.obligations.append(
-                (ctx, a, e, span, rule, self.fuel.limit - self.fuel.left))
+                (ctx, a, e, blame, rule, self.fuel.limit - self.fuel.left))
             return
-        self.unify_kinds(ctx, a, e, span)
+        self.unify_kinds(ctx, a, e, blame)
 
     def explain(self, error: Exception) -> Exception:
         """The error this command would have raised had every obligation
@@ -205,7 +215,7 @@ class Elaborator:
         stands, unless its steps and theirs together overrun the budget."""
         budget = self.fuel.limit
         used = 0  # steps the obligations decided so far took
-        for ctx, actual, expected, span, rule, spent in self.obligations:
+        for ctx, actual, expected, blame, rule, spent in self.obligations:
             left = budget - spent - used
             if left < 0:
                 # elaboration would have run out before this obligation
@@ -215,7 +225,7 @@ class Elaborator:
             try:
                 if not kernel.equal_kinds(self.sig, ctx, actual, expected,
                                           fuel):
-                    return _kind_mismatch(span, rule, expected, actual)
+                    return _kind_mismatch(blame, rule, expected, actual)
             except FuelExhausted as e:
                 return e
             used += left - fuel.left
@@ -233,7 +243,7 @@ class Elaborator:
         if s.ann is not None:
             dom = self.kind(ctx, s.ann)
             if isinstance(expected, PiKind):
-                self._require_kinds_equal(ctx, dom, expected.domain, s.span,
+                self._require_kinds_equal(ctx, dom, expected.domain, s,
                                           "lam-domain")
         elif isinstance(expected, PiKind):
             dom = expected.domain
@@ -258,9 +268,9 @@ class Elaborator:
         """`term` of an application. The leading arguments are elaborated
         by recursion and a last argument that is an application in the
         loop, so a numeral costs no stack."""
-        outer = []  # each enclosing application: its span and expected
-        # kind, its head and leading arguments, the product its last
-        # argument is the domain of, and its map so far
+        outer = []  # each enclosing application and its expected kind,
+        # its head and leading arguments, the product its last argument is
+        # the domain of, and its map so far
         while True:
             chain = []
             fn = s
@@ -284,22 +294,22 @@ class Elaborator:
                 break
             if not isinstance(k, PiKind):
                 raise self._too_many_arguments(inner, k, mapping)
-            outer.append((s.span, expected, t, k, mapping))
+            outer.append((s, expected, t, k, mapping))
             s, expected = inner, subst_parallel(k.domain, mapping)
         t, k = self._against(ctx, t, subst_parallel(k, mapping), expected,
-                             s.span)
+                             s)
         while outer:
-            span, expected, fn, product, mapping = outer.pop()
+            s, expected, fn, product, mapping = outer.pop()
             mapping[product.var] = t
             t, k = self._against(ctx, App(fn, t), subst_parallel(
-                product.codomain, mapping), expected, span)
+                product.codomain, mapping), expected, s)
         return t, k
 
     def _too_many_arguments(self, arg_s, k: Kind,
                             mapping: dict) -> NotAProduct:
         return NotAProduct(
             "too many arguments: the head's kind is not a product here",
-            span=getattr(arg_s, "span", None),
+            span=arg_s.span,
             diagnostic=Diagnostic("app-fn", actual=self.state.zonk(
                 subst_parallel(k, mapping))))
 
@@ -352,38 +362,38 @@ class Elaborator:
 
     # ----------------------------------------------------- unification
 
-    def unify_kinds(self, ctx: Context, k1: Kind, k2: Kind, span) -> None:
+    def unify_kinds(self, ctx: Context, k1: Kind, k2: Kind, blame) -> None:
         k1 = self.state.zonk(k1)
         k2 = self.state.zonk(k2)
         t1, t2 = type(k1), type(k2)
         if t1 is not t2:
             raise Mismatch(
                 "kinds with different shapes cannot be made equal",
-                span=span,
+                span=_span(blame),
                 diagnostic=Diagnostic("kind-unify", expected=k2, actual=k1))
         if t1 in (TypeKind, PropKind):
             return
         if t1 is ElKind or t1 is PrfKind:  # at Type or Prop: no eta
-            self.unify(ctx, k1.body, k2.body, None, span)
+            self.unify(ctx, k1.body, k2.body, None, blame)
             return
         if t1 is PiKind:
-            self.unify_kinds(ctx, k1.domain, k2.domain, span)
+            self.unify_kinds(ctx, k1.domain, k2.domain, blame)
             x, ctx2 = ctx.bind(k1.var, k1.domain, k1, k2)
             c1 = rename(k1.codomain, k1.var, x)
             c2 = rename(k2.codomain, k2.var, x)
-            self.unify_kinds(ctx2, c1, c2, span)
+            self.unify_kinds(ctx2, c1, c2, blame)
             return
         raise TypeError(f"not a kind: {k1!r}")
 
     def unify(self, ctx: Context, a: Term, b: Term, at: Optional[Kind],
-              span=None) -> None:
+              blame=None) -> None:
         """Make a and b equal at `at`, the kind both have, solving holes.
         Eta only when `at` is a product; None means no eta at this level."""
-        self._unify(ctx, a, b, at, span)
-        self._drain(span)
+        self._unify(ctx, a, b, at, blame)
+        self._drain(blame)
 
     def _unify(self, ctx: Context, a: Term, b: Term, at: Optional[Kind],
-               span) -> None:
+               blame) -> None:
         a = kernel.whnf(self.sig, self.state.zonk(a), self.fuel)
         b = kernel.whnf(self.sig, self.state.zonk(b), self.fuel)
         if alpha_eq(a, b):
@@ -391,40 +401,41 @@ class Elaborator:
         # a bare hole is solved before eta, which would only hide it under
         # an application no first-order step can solve
         if isinstance(a, Meta):
-            self._solve(ctx, a.ident, b, span)
+            self._solve(ctx, a.ident, b, blame)
             return
         if isinstance(b, Meta):
-            self._solve(ctx, b.ident, a, span)
+            self._solve(ctx, b.ident, a, blame)
             return
         at = self.state.zonk(at) if at is not None else None
         if isinstance(at, PiKind):
             x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
             cod = rename(at.codomain, at.var, x)
-            self._unify(ctx2, App(a, Var(x)), App(b, Var(x)), cod, span)
+            self._unify(ctx2, App(a, Var(x)), App(b, Var(x)), cod, blame)
             return
         ha, sa = spine(a)
         hb, sb = spine(b)
         if isinstance(ha, Meta) or isinstance(hb, Meta):
-            self.state.queue.append((ctx, a, b, at, span))
+            self.state.queue.append((ctx, a, b, at, blame))
             return
         if (isinstance(ha, (Var, Const)) and type(ha) is type(hb)
                 and ha.name == hb.name and len(sa) == len(sb)):
             for u, v, arg_at in zip(sa, sb, kernel.spine_domains(
                     self.sig, ctx, ha, sa)):
-                self._unify(ctx, u, v, arg_at, span)
+                self._unify(ctx, u, v, arg_at, blame)
             return
         raise Mismatch(
             "terms with different rigid heads cannot be made equal",
-            span=span,
+            span=_span(blame),
             diagnostic=Diagnostic("unify-rigid", subject=a, expected=b))
 
-    def _solve(self, ctx: Context, ident: int, value: Term, span) -> None:
+    def _solve(self, ctx: Context, ident: int, value: Term, blame) -> None:
         value = self.state.zonk(value)
         if isinstance(value, Meta) and value.ident == ident:
             return
         if ident in metas_of(value):
             raise OccursCheck(
-                "a hole's solution mentions the hole itself", span=span,
+                "a hole's solution mentions the hole itself",
+                span=_span(blame),
                 diagnostic=Diagnostic("occurs", subject=value))
         info = self.state.info[ident]
         escaped = free_vars(value) - info.scope
@@ -432,20 +443,20 @@ class Elaborator:
             raise ScopeEscape(
                 "solution mentions variables not in scope at the hole: "
                 + ", ".join(sorted(escaped)),
-                span=span or info.span,
+                span=_span(blame or info.blame),
                 diagnostic=Diagnostic("scope", subject=value))
         self.state.solutions[ident] = value
 
-    def _drain(self, span) -> None:
+    def _drain(self, blame) -> None:
         progress = True
         while progress and self.state.queue:
             progress = False
             pending = self.state.queue
             self.state.queue = []
-            for (ctx, a, b, at, sp) in pending:
+            for (ctx, a, b, at, queued) in pending:
                 q_before = len(self.state.queue)
                 s_before = len(self.state.solutions)
-                self._unify(ctx, a, b, at, sp)
+                self._unify(ctx, a, b, at, queued)
                 if (len(self.state.solutions) > s_before
                         or len(self.state.queue) == q_before):
                     progress = True
@@ -454,33 +465,33 @@ class Elaborator:
 
     # ---------------------------------------------------------- finish
 
-    def finish_term(self, e, span=None):
+    def finish_term(self, e, blame=None):
         """Drain the pending constraints and return the term or kind `e`
         with every hole filled; raises if a hole or constraint is left.
         A command that made no hole has nothing to drain or fill."""
         if self.state.counter == 0:
             return e
-        self._drain(span)
+        self._drain(blame)
         e = self.state.zonk(e)
         left = metas_of(e)
         if left or self.state.queue:
-            self._report_unsolved(left, span)
+            self._report_unsolved(left, blame)
         return e
 
     finish_kind = finish_term
 
-    def _report_unsolved(self, left: set, span) -> None:
+    def _report_unsolved(self, left: set, blame) -> None:
         if self.state.queue:
-            ctx, a, b, at, sp = self.state.queue[0]
+            ctx, a, b, at, queued = self.state.queue[0]
             raise UnificationFailure(
                 "constraints remain that first-order unification cannot "
-                "decide", span=sp or span,
+                "decide", span=_span(queued or blame),
                 diagnostic=Diagnostic("postponed", subject=self.state.zonk(a),
                                       expected=self.state.zonk(b)))
         ident = min(left)
         info = self.state.info[ident]
         raise UnsolvedMeta("a hole was never determined",
-                           span=info.span or span,
+                           span=_span(info.blame or blame),
                            diagnostic=Diagnostic("hole-solved"))
 
 
@@ -488,11 +499,10 @@ def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
               expected: Optional[Kind] = None, *, fuel: Fuel) -> Term:
     """Elaborate one surface term; the kernel then checks it at its kind."""
     el = Elaborator(sig, fuel)
-    span = getattr(s, "span", None)
     try:
         t, k = el.term(ctx, s, expected)
-        t = el.finish_term(t, span)
-        kernel.check_term(sig, ctx, t, el.finish_kind(k, span), fuel)
+        t = el.finish_term(t, s)
+        kernel.check_term(sig, ctx, t, el.finish_kind(k, s), fuel)
         return t
     except Exception as e:
         raise el.explain(e)
@@ -503,7 +513,7 @@ def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
     """Elaborate one surface kind; the kernel then validates it."""
     el = Elaborator(sig, fuel)
     try:
-        k = el.finish_kind(el.kind(ctx, s), getattr(s, "span", None))
+        k = el.finish_kind(el.kind(ctx, s), s)
         kernel.check_kind_valid(sig, ctx, k, fuel)
         return k
     except Exception as e:

@@ -19,9 +19,10 @@ from typing import Any, Optional
 class SourceSpan(namedtuple("SourceSpan", "file line col end_line end_col")):
     """Half-open source range: line/col are 1-based, end is exclusive.
 
-    An immutable tuple of its five fields. The parser builds one for every
-    node, so its hot paths skip the class's Python-level __new__ and call
-    tuple.__new__ directly."""
+    An immutable tuple of its five fields. The parser builds one for each
+    command and each of a command's binders; a term or kind node builds
+    its own from its first and last tokens only when asked, which in
+    practice only an error does."""
 
     __slots__ = ()
 

@@ -28,8 +28,11 @@ A token is a plain tuple (type, value, line, col), not an instance of a
 tuple subclass: CPython's garbage collector stops tracking an exact tuple
 of untracked values such as strings and ints the first time a collection
 sees it, while it rescans a tuple subclass at every collection for as long
-as it lives, and a script holds tens of thousands of tokens. Spans are
-SourceSpan tuples, built on the hot paths with tuple.__new__. _application
+as it lives, and a script holds tens of thousands of tokens. Identifier
+values are interned, so every occurrence of a name shares one string. A
+term or kind node holds the tokens it starts and ends with and the file
+name, and builds its SourceSpan only when asked, which only an error does;
+a command and a command's binder carry their span. _application
 reads a whole application, its parenthesised arguments and its lambdas in
 one loop, keeping the applications it is inside on a list of its own, so
 no nesting of terms costs stack. Input that nests deeper than the
@@ -40,13 +43,14 @@ NestingTooDeep at the token where the command, term or kind began.
 from __future__ import annotations
 
 import re
+from sys import intern
 from typing import Optional
 
 from .errors import Diagnostic, NestingTooDeep, ScriptSyntaxError, SourceSpan
 from .surface import (
     Binder, Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
     SApp, SEl, SHole, SLam, SName, SPi, SProp, SPrf, SType, STermKind,
-    SurfaceKind, SurfaceTerm,
+    SurfaceKind, SurfaceTerm, Token, token_span,
 )
 
 
@@ -68,21 +72,6 @@ _BAD = 5
 KEYWORDS_KIND = {"Type", "Prop", "El", "Prf"}
 DIRECTIVES = {d.value: d for d in DirectiveOp}
 _RESERVED = KEYWORDS_KIND | DIRECTIVES.keys()  # names that start no term
-
-
-_new = tuple.__new__
-
-
-# (type, value, line, col): type is "ident", "string", "number", "eof" or
-# the punctuation itself; value is as written, so a string literal keeps
-# its quotes
-Token = tuple[str, str, int, int]
-
-
-def _span(t: Token, file: str) -> SourceSpan:
-    """The source range a token covers."""
-    _, value, line, col = t
-    return _new(SourceSpan, (file, line, col, line, col + len(value)))
 
 
 def _shown(t: Token) -> str:
@@ -107,7 +96,7 @@ def _scan(line: str, pos: int, lineno: int, file: str,
     append = tokens.append
     for m in _TOKEN.finditer(line, pos):
         group = m.lastindex
-        value = m[group]
+        value = intern(m[group])
         col = m.start(group) + 1
         if group == _BAD:
             raise ScriptSyntaxError(
@@ -151,19 +140,22 @@ class _Parser:
         the end of input, `message` otherwise."""
         if t[0] == "eof":
             return UnterminatedCommand(f"input ended {where}",
-                                       span=_span(t, self.file))
-        return ScriptSyntaxError(message, span=_span(t, self.file))
+                                       span=token_span(t, t, self.file))
+        return ScriptSyntaxError(message, span=token_span(t, t, self.file))
+
+    def _last(self) -> Token:
+        """The last token consumed."""
+        return self.tokens[self.pos - 1]
 
     def _span_from(self, start: Token) -> SourceSpan:
-        _, _, line, col = start
-        _, value, end_line, end_col = (self.tokens[self.pos - 1] if self.pos
-                                       else start)
-        return _new(SourceSpan, (self.file, line, col, end_line,
-                                 end_col + len(value)))
+        """A command's or binder's span: from start to the last token
+        consumed."""
+        return token_span(start, self._last(), self.file)
 
     def too_deep(self, start: Token) -> NestingTooDeep:
         return NestingTooDeep(
-            "input nests too deeply to parse", span=_span(start, self.file),
+            "input nests too deeply to parse",
+            span=token_span(start, start, self.file),
             diagnostic=Diagnostic("depth"))
 
     # ------------------------------------------------------- commands
@@ -188,7 +180,7 @@ class _Parser:
             return self._declaration()
         raise ScriptSyntaxError(
             f"a command starts with '[', 'rule', or a directive; "
-            f"found {_shown(t)}", span=_span(t, self.file))
+            f"found {_shown(t)}", span=token_span(t, t, self.file))
 
     def _declaration(self) -> Command:
         start = self.expect("[")
@@ -256,18 +248,18 @@ class _Parser:
         not look like a binder (never happens in command position, where the
         next token after binders is ':' or '=' or a term)."""
         binders: list[Binder] = []
-        while (self.peek()[0] == "[" and self.peek(1)[0] == "ident"
+        while ((start := self.peek())[0] == "[" and self.peek(1)[0] == "ident"
                and self.peek(2)[0] in (":", "]")):
-            binders.append(self._binder())
+            binders.append((*self._binder(), self._span_from(start)))
         return tuple(binders)
 
-    def _binder(self) -> Binder:
-        """One [x : K] or [x]."""
-        start = self.expect("[")
+    def _binder(self) -> tuple[str, Optional[SurfaceKind]]:
+        """One [x : K] or [x]: its name and annotation."""
+        self.expect("[")
         name = self.expect("ident")[1]
         ann = self.parse_kind() if self.accept(":") else None
         self.expect("]")
-        return name, ann, self._span_from(start)
+        return name, ann
 
     # ---------------------------------------------------------- terms
 
@@ -286,30 +278,26 @@ class _Parser:
         as the application around them, which waits on `outer`, so nesting
         costs no stack."""
         tokens, file = self.tokens, self.file
-        _, _, line, col = start
-        outer = []  # (fn, start, line, col, binder): an enclosing
-        # application, and the lambda's binder if it waits on a body, or
-        # None if on a parenthesised argument
+        outer = []  # (fn, start, binder): an enclosing application, and
+        # the lambda's binder if it waits on a body, or None if on a
+        # parenthesised argument
         while True:
             t = tokens[self.pos]
-            type_, value, at_line, at_col = t
+            type_, value, _, _ = t
             if type_ == "ident" and value not in _RESERVED:
                 self.pos += 1
-                arg = SName(value, _new(SourceSpan, (
-                    file, at_line, at_col, at_line, at_col + len(value))))
+                arg = SName(value, t, t, file)
             elif type_ == "?":
                 self.pos += 1
-                arg = SHole(_new(SourceSpan, (
-                    file, at_line, at_col, at_line, at_col + 1)))
+                arg = SHole(t, t, file)
             elif type_ == "(" or type_ == "[":
                 binder = None
                 if type_ == "(":
                     self.pos += 1
                 else:
-                    binder = (t, *self._binder()[:2])
-                outer.append((fn, start, line, col, binder))
+                    binder = (t, *self._binder())
+                outer.append((fn, start, binder))
                 fn, start = None, tokens[self.pos]
-                _, _, line, col = start
                 continue
             elif fn is None:
                 raise self.error(t, "where a term was expected",
@@ -321,22 +309,21 @@ class _Parser:
                     if not outer:
                         return fn
                     arg = fn
-                    fn, start, line, col, binder = outer.pop()
+                    fn, start, binder = outer.pop()
                     if binder is None:
                         self.expect(")")
                         break
                     at, name, ann = binder
-                    arg = SLam(name, ann, arg, self._span_from(at))
+                    last = tokens[self.pos - 1]
+                    arg = SLam(name, ann, arg, at, last, file)
                     if fn is not None:
-                        fn = SApp(fn, arg, self._span_from(start))
+                        fn = SApp(fn, arg, start, last, file)
                     else:
                         fn = arg
             if fn is None:
                 fn = arg
             else:
-                _, end, end_line, end_col = tokens[self.pos - 1]
-                fn = SApp(fn, arg, _new(SourceSpan, (
-                    file, line, col, end_line, end_col + len(end))))
+                fn = SApp(fn, arg, start, tokens[self.pos - 1], file)
 
     # ---------------------------------------------------------- kinds
 
@@ -344,7 +331,7 @@ class _Parser:
         start = self.peek()
         if start[0] == "eof":
             raise UnterminatedCommand("input ended where a kind was expected",
-                                      span=_span(start, self.file))
+                                      span=token_span(start, start, self.file))
         if (start[0] == "(" and self.peek(1)[0] == "ident"
                 and self.peek(2)[0] == ":"):
             # named product (x : K) K'
@@ -354,11 +341,11 @@ class _Parser:
             dom = self.parse_kind()
             self.expect(")")
             cod = self.parse_kind()
-            return SPi(name, dom, cod, self._span_from(start))
+            return SPi(name, dom, cod, start, self._last(), self.file)
         left = self._kind_arrow_operand(start)
         if self.accept("->"):
             right = self.parse_kind()
-            return SPi("_", left, right, self._span_from(start))
+            return SPi("_", left, right, start, self._last(), self.file)
         return left
 
     def _kind_arrow_operand(self, start: Token) -> SurfaceKind:
@@ -366,18 +353,18 @@ class _Parser:
         type_, value, _, _ = t
         if type_ == "ident" and value == "Type":
             self.pos += 1
-            return SType(_span(t, self.file))
+            return SType(t, t, self.file)
         if type_ == "ident" and value == "Prop":
             self.pos += 1
-            return SProp(_span(t, self.file))
+            return SProp(t, t, self.file)
         if type_ == "ident" and value == "El":
             self.pos += 1
             body = self.parse_term()
-            return SEl(body, self._span_from(start))
+            return SEl(body, start, self._last(), self.file)
         if type_ == "ident" and value == "Prf":
             self.pos += 1
             body = self.parse_term()
-            return SPrf(body, self._span_from(start))
+            return SPrf(body, start, self._last(), self.file)
         if self.accept("("):
             # parenthesised kind; may continue as a term application
             inner = self.parse_kind()
@@ -385,11 +372,11 @@ class _Parser:
             if isinstance(inner, STermKind):
                 term = self._application(inner.term, start)
                 if term is not inner.term:
-                    return STermKind(term, self._span_from(start))
+                    return STermKind(term, start, self._last(), self.file)
             return inner
         # bare term in kind position
         term = self.parse_term()
-        return STermKind(term, self._span_from(start))
+        return STermKind(term, start, self._last(), self.file)
 
 
 def parse_script(text: str, file: str = "<script>") -> list[Command]:
@@ -418,5 +405,5 @@ def _parse_standalone(text: str, file: str, parse, what: str):
     t = p.peek()
     if t[0] != "eof":
         raise ScriptSyntaxError(f"unexpected {_shown(t)} after the {what}",
-                                span=_span(t, file))
+                                span=token_span(t, t, file))
     return result

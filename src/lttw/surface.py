@@ -2,14 +2,19 @@
 
 Names are unresolved (binder or constant is decided during elaboration),
 holes stand for arguments to be inferred, and binder annotations may be
-missing. Every node carries its source span.
+missing. Every term and kind node holds the first and the last token it
+covers and its file; its source span is built from them only when
+something asks for it, which in practice is an error. Commands carry their
+span.
 
 Term and kind nodes are plain classes with __slots__. The parser builds one
 for nearly every token, and a slotted object is built several times faster
 than a frozen dataclass; the elaborator reads their fields on every command,
 and a slot reads as fast as a dataclass attribute, where a named tuple field
-reads slower. Like term nodes they compare by identity. Commands stay
-frozen dataclasses.
+reads slower. Like term nodes they compare by identity. A node holds no
+SourceSpan of its own: a tuple subclass stays tracked by the garbage
+collector for as long as it lives, while the lexer's exact token tuples do
+not. Commands stay frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -20,12 +25,33 @@ from typing import Optional, Union
 
 from .errors import SourceSpan
 
+# (type, value, line, col): type is "ident", "string", "number", "eof" or
+# the punctuation itself; value is as written, so a string literal keeps
+# its quotes
+Token = tuple[str, str, int, int]
+
+
+def token_span(first: Token, last: Token, file: str) -> SourceSpan:
+    """The source range from the start of `first` to the end of `last`."""
+    _, _, line, col = first
+    _, value, end_line, end_col = last
+    return SourceSpan(file, line, col, end_line, end_col + len(value))
+
 
 class _Node:
-    __slots__ = ()
+    # the first and last tokens the node covers, and its file
+    __slots__ = ("first", "last", "file")
+
+    def __init__(self, first: Token, last: Token, file: str):
+        self.first, self.last, self.file = first, last, file
+
+    @property
+    def span(self) -> SourceSpan:
+        return token_span(self.first, self.last, self.file)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in (*self.__slots__, "span"))
         return f"{type(self).__name__}({fields})"
 
 
@@ -38,90 +64,85 @@ class SurfaceKind(_Node):
 
 
 class SName(SurfaceTerm):
-    __slots__ = ("name", "span")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, span: SourceSpan):
+    def __init__(self, name: str, first: Token, last: Token, file: str):
         self.name = name
-        self.span = span
+        self.first, self.last, self.file = first, last, file
 
 
 class SHole(SurfaceTerm):
-    __slots__ = ("span",)
-
-    def __init__(self, span: SourceSpan):
-        self.span = span
+    __slots__ = ()
 
 
 class SLam(SurfaceTerm):
-    __slots__ = ("var", "ann", "body", "span")
+    __slots__ = ("var", "ann", "body")
 
     def __init__(self, var: str, ann: Optional[SurfaceKind],
-                 body: SurfaceTerm, span: SourceSpan):
+                 body: SurfaceTerm, first: Token, last: Token, file: str):
         self.var = var
         self.ann = ann
         self.body = body
-        self.span = span
+        self.first, self.last, self.file = first, last, file
 
 
 class SApp(SurfaceTerm):
-    __slots__ = ("fn", "arg", "span")
+    __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: SurfaceTerm, arg: SurfaceTerm, span: SourceSpan):
+    def __init__(self, fn: SurfaceTerm, arg: SurfaceTerm, first: Token,
+                 last: Token, file: str):
         self.fn = fn
         self.arg = arg
-        self.span = span
+        self.first, self.last, self.file = first, last, file
 
 
 class SType(SurfaceKind):
-    __slots__ = ("span",)
-
-    def __init__(self, span: SourceSpan):
-        self.span = span
+    __slots__ = ()
 
 
 class SProp(SurfaceKind):
-    __slots__ = ("span",)
-
-    def __init__(self, span: SourceSpan):
-        self.span = span
+    __slots__ = ()
 
 
 class SEl(SurfaceKind):
-    __slots__ = ("body", "span")
+    __slots__ = ("body",)
 
-    def __init__(self, body: SurfaceTerm, span: SourceSpan):
+    def __init__(self, body: SurfaceTerm, first: Token, last: Token,
+                 file: str):
         self.body = body
-        self.span = span
+        self.first, self.last, self.file = first, last, file
 
 
 class SPrf(SurfaceKind):
-    __slots__ = ("body", "span")
+    __slots__ = ("body",)
 
-    def __init__(self, body: SurfaceTerm, span: SourceSpan):
+    def __init__(self, body: SurfaceTerm, first: Token, last: Token,
+                 file: str):
         self.body = body
-        self.span = span
+        self.first, self.last, self.file = first, last, file
 
 
 class SPi(SurfaceKind):
-    __slots__ = ("var", "domain", "codomain", "span")
+    __slots__ = ("var", "domain", "codomain")
 
     def __init__(self, var: str, domain: SurfaceKind, codomain: SurfaceKind,
-                 span: SourceSpan):
+                 first: Token, last: Token, file: str):
         self.var = var
         self.domain = domain
         self.codomain = codomain
-        self.span = span
+        self.first, self.last, self.file = first, last, file
 
 
 class STermKind(SurfaceKind):
     """A term written where a kind belongs; elaboration coerces it to El or
     Prf according to its inferred kind."""
 
-    __slots__ = ("term", "span")
+    __slots__ = ("term",)
 
-    def __init__(self, term: SurfaceTerm, span: SourceSpan):
+    def __init__(self, term: SurfaceTerm, first: Token, last: Token,
+                 file: str):
         self.term = term
-        self.span = span
+        self.first, self.last, self.file = first, last, file
 
 
 Binder = tuple[str, Optional[SurfaceKind], SourceSpan]

@@ -281,6 +281,31 @@ def _check_script(capsys, tmp_path, text):
     return run(capsys, "check", str(script))
 
 
+MISMATCH = ("kind does not match what this position requires\n"
+            "  rule: check\n  expected: Nat\n  actual: Prop\n")
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["typeof", "succ bot"], "<argument>:1:6: " + MISMATCH),
+    (["typeof", "zero zero"],
+     "<argument>:1:6: too many arguments: the head's kind is not a product "
+     "here\n  rule: app-fn\n  actual: Nat\n"),
+    (["typeof", "succ ?"],
+     "<argument>:1:6: a hole was never determined\n  rule: hole-solved\n"),
+    (["typeof", "[x] x"],
+     "<argument>:1:1: binder 'x' needs an annotation here\n"
+     "  rule: lam-annotation\n"),
+    (["check", "{script}"], "{script}:3:5: " + MISMATCH),
+], ids=["arg-kind", "too-many-arguments", "hole", "lambda", "script-line-3"])
+def test_rejection_points_at_the_node_to_blame(capsys, tmp_path, argv,
+                                                stderr):
+    # the span of the node an error blames is built only for the error
+    script = tmp_path / "probe.lf"
+    script.write_text("> [a : Nat];\n> Check\n>   bot : Nat;\n")
+    code, out, err = run(capsys, *(a.format(script=script) for a in argv))
+    assert (code, out, err) == (1, "", stderr.format(script=script))
+
+
 def test_duplicate_declaration_names_its_rule(capsys, tmp_path):
     code, out, err = _check_script(capsys, tmp_path, "> [zero : Nat];\n")
     assert code == 1

@@ -164,18 +164,23 @@ def _spine(s):
     return s, args
 
 
+def _at(s):
+    """The first and last tokens and the file of the surface node `s`."""
+    return s.first, s.last, s.file
+
+
 def _rebuild(app: SApp, head, args):
     """The spine `head args`, each application keeping the span of the
     one it replaces in `app`."""
     spans = []
     s = app
     while isinstance(s, SApp):
-        spans.append(s.span)
+        spans.append(_at(s))
         s = s.fn
     spans.reverse()
     t = head
     for arg, span in zip(args, spans):
-        t = SApp(t, arg, span)
+        t = SApp(t, arg, *span)
     return t
 
 
@@ -185,9 +190,9 @@ def _term_mutants(s):
     if isinstance(s, SLam):
         if s.ann is not None:
             for ann in _kind_mutants(s.ann):
-                yield SLam(s.var, ann, s.body, s.span)
+                yield SLam(s.var, ann, s.body, *_at(s))
         for body in _term_mutants(s.body):
-            yield SLam(s.var, s.ann, body, s.span)
+            yield SLam(s.var, s.ann, body, *_at(s))
     elif isinstance(s, SApp):
         head, args = _spine(s)
         for i in range(len(args)):
@@ -198,7 +203,7 @@ def _term_mutants(s):
             for name in REPLACEMENTS:
                 if getattr(args[i], "name", None) != name:
                     replaced = list(args)
-                    replaced[i] = SName(name, args[i].span)
+                    replaced[i] = SName(name, *_at(args[i]))
                     yield _rebuild(s, head, replaced)
             for arg in _term_mutants(args[i]):
                 yield _rebuild(s, head, args[:i] + [arg] + args[i + 1:])
@@ -209,15 +214,15 @@ def _term_mutants(s):
 def _kind_mutants(k):
     if isinstance(k, (SEl, SPrf)):
         for body in _term_mutants(k.body):
-            yield type(k)(body, k.span)
+            yield type(k)(body, *_at(k))
     elif isinstance(k, STermKind):
         for t in _term_mutants(k.term):
-            yield STermKind(t, k.span)
+            yield STermKind(t, *_at(k))
     elif isinstance(k, SPi):
         for d in _kind_mutants(k.domain):
-            yield SPi(k.var, d, k.codomain, k.span)
+            yield SPi(k.var, d, k.codomain, *_at(k))
         for c in _kind_mutants(k.codomain):
-            yield SPi(k.var, k.domain, c, k.span)
+            yield SPi(k.var, k.domain, c, *_at(k))
 
 
 def _binder_mutants(binders):

@@ -1,10 +1,12 @@
 """Script parsing, printing, and the round-trip between them."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lttw.corpus import CORPUS_DIR
-from lttw.errors import ScriptSyntaxError
+from lttw.errors import ScriptSyntaxError, SourceSpan
 from lttw.parser import (
     UnterminatedCommand, parse_kind, parse_script, parse_term, tokenize,
 )
@@ -63,6 +65,13 @@ def test_tokens_are_exact_tuples():
                     "> SetOption fuel 7;", "f.lf")
     assert len(toks) == 15
     assert all(type(t) is tuple and len(t) == 4 for t in toks)
+
+
+def test_identifiers_share_one_string():
+    toks = tokenize("> Check succ (succ zero);\n> Check succ zero;", "f.lf")
+    succs = [t[1] for t in toks if t[1] == "succ"]
+    assert len(succs) == 3
+    assert all(s is succs[0] for s in succs)
 
 
 def test_bad_character_rejected():
@@ -294,6 +303,26 @@ def test_spans_nest_and_slice_their_tokens(path):
                 assert (lines[span.line - 1][span.col - 1:span.end_col - 1]
                         == written)
             todo.extend((u, span) for u in under)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_nodes_hold_no_span(path):
+    # a term or kind node builds its span when asked: it holds its first
+    # and last tokens, which the collector stops tracking, not a SourceSpan,
+    # which it would rescan for as long as the node lives
+    nodes = 0
+    for cmd in parse_script(path.read_text(encoding="utf-8"),
+                            file=path.name):
+        todo = _parts(cmd)[1]
+        while todo:
+            x = todo.pop()
+            todo.extend(_parts(x)[1])
+            if isinstance(x, tuple):  # a command's binder keeps its span
+                continue
+            nodes += 1
+            assert not any(isinstance(r, SourceSpan)
+                           for r in gc.get_referents(x)), x
+    assert nodes > 0
 
 
 # ---------------------------------------------------------------- terms
