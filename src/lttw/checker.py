@@ -6,17 +6,19 @@ surface syntax) and committed: `lttw.signature.commit` checks the record
 with the signature layer and the kernel, which see only hole-free syntax,
 and the record is appended to the log. `lttw.signature.replay` commits a
 log the same way, so a whole session can be re-checked later with the
-elaborator out of the loop entirely. A `TypeOf` or `Reduce` declares nothing
-and leaves no record, but the kernel checks the term it elaborated all the
-same before it is printed or normalised.
+elaborator out of the loop entirely. The three queries, `Check`, `TypeOf`
+and `Reduce`, share `commit`'s check of a `("check", t, k)` record, which is
+`kernel.check_term` at the empty context: it validates the kind and then
+checks the term against it, before the term is printed or normalised. Only
+a `Check` logs that record.
 
 The kernel decides every kind equality without holes, once. The elaborator
 decides only the equalities that involve a hole and records the others as
 obligations for the kernel's check. A rejected command is explained from
 them (`Elaborator.explain`): decided in order, the first that fails gives
 the error that deciding them during elaboration would have raised.
-`kernel.check_term` validates the kind of a `Check`, `TypeOf` or `Reduce`
-before it checks the term against it.
+Every command runs through `run_command` with an elaborator of its own; a
+`Load` or `SetOption` records no obligation, so its error stands unchanged.
 
 One command spends from one step budget of `fuel` steps: hole solving, the
 kernel check of what was elaborated and the normalisation of a `Reduce`
@@ -33,7 +35,9 @@ them no stack, however long. A command nested deeper than the
 interpreter's stack allows elsewhere is explained like any other
 rejection: a false obligation recorded before the stack ran out gives the
 error, and otherwise the command is rejected with NestingTooDeep. Either
-way a rejected command leaves the signature unchanged.
+way a rejected command leaves the signature unchanged, and its log and
+output too: a command appends to `log` and `output` only as its last step,
+after it has printed.
 
 A `Checker` session has two settings, both given to the constructor.
 `fuel` is each command's budget until a `SetOption fuel` changes it.
@@ -66,8 +70,9 @@ from .surface import (
 from .syntax import TYPE, Lam, PiKind, PropKind
 
 
-# directives that elaborate nothing
-_UNELABORATED = (DirectiveOp.LOAD, DirectiveOp.SETOPTION)
+# the method that runs each command, by the command's type
+_METHODS = {Declare: "_declare", Define: "_define", DeclareRule: "_rule",
+            Directive: "_directive"}
 
 
 def parse_fuel(text: str) -> int:
@@ -141,47 +146,27 @@ class Checker:
     # --------------------------------------------------------- commands
 
     def run_command(self, cmd: Command) -> None:
-        logged, printed = len(self.log), len(self.output)
-        try:
-            if isinstance(cmd, Directive) and cmd.op in _UNELABORATED:
-                self._directive(cmd)
-            else:
-                self._elaborate_and_commit(self._step(cmd), cmd)
-        except LttwError as e:
-            # the innermost command that raised it is the one to blame
-            if e.span is None:
-                e.span = cmd.span
-            raise
-        except RecursionError:
-            # a Check runs out of stack printing a term it has logged; as
-            # a rejected command, it leaves no record and no line
-            del self.log[logged:], self.output[printed:]
-            raise NestingTooDeep("command nests too deeply to check",
-                                 span=cmd.span,
-                                 diagnostic=Diagnostic("depth")) from None
-
-    def _step(self, cmd: Command):
-        if isinstance(cmd, Declare):
-            return self._declare
-        if isinstance(cmd, Define):
-            return self._define
-        if isinstance(cmd, DeclareRule):
-            return self._rule
-        if isinstance(cmd, Directive):
-            return self._directive
-        raise TypeError(f"not a command: {cmd!r}")
-
-    def _elaborate_and_commit(self, step, cmd: Command) -> None:
-        """Run `step`, a command that elaborates, once, with its kind
-        equalities without holes left to the kernel's check and a rejection
-        explained from them (see the module docstring)."""
+        """Run `cmd` once, on an elaborator of its own, and raise a rejection
+        as explained from its obligations (see the module docstring)."""
+        # looked up on the instance, so a method replaced on the class runs
+        name = _METHODS.get(type(cmd))
+        if name is None:
+            raise TypeError(f"not a command: {cmd!r}")
         el = self._el = self._elaborator()
         try:
-            step(cmd)
+            getattr(self, name)(cmd)
         except Exception as e:
             # past a false obligation, elaboration and the kernel may fail
             # in any way; the explanation says which error stands
-            raise el.explain(e)
+            error = el.explain(e)
+            if isinstance(error, RecursionError):
+                raise NestingTooDeep("command nests too deeply to check",
+                                     span=cmd.span,
+                                     diagnostic=Diagnostic("depth")) from None
+            # the innermost command that raised it is the one to blame
+            if isinstance(error, LttwError) and error.span is None:
+                error.span = cmd.span
+            raise error
         finally:
             self._el = None  # its obligations hold the command's terms
 
@@ -277,26 +262,20 @@ class Checker:
                 self.fuel = fuel
             return
         el = self._el
-        expected = None
-        if op is DirectiveOp.CHECK:
-            term_s, kind_s = cmd.payload
-            if kind_s is not None:
-                expected = el.kind(EMPTY_CONTEXT, kind_s)
-        else:
-            (term_s,) = cmd.payload
+        term_s, kind_s = cmd.payload
+        expected = None if kind_s is None else el.kind(EMPTY_CONTEXT, kind_s)
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)
         t = el.finish_term(t, cmd)
         k = el.finish_kind(k, cmd)
-        # the kernel alone confirms what elaboration produced; only a Check
-        # is also a replay record
-        if op is DirectiveOp.CHECK:
-            self._commit(("check", t, k), el.fuel)
-        else:
-            kernel.check_term(self.sig, EMPTY_CONTEXT, t, k, el.fuel)
+        # the kernel alone confirms what elaboration produced
+        record = ("check", t, k)
+        commit(self.sig, record, el.fuel)
         if op is DirectiveOp.REDUCE:
             reduced = kernel.normalize(self.sig, t, el.fuel)
-            self.output.append(
-                f"Reduce {print_term(t)} = {print_term(reduced)}")
+            line = f"Reduce {print_term(t)} = {print_term(reduced)}"
         else:
-            self.output.append(
-                f"{op.value} {print_term(t)} : {print_kind(k)}")
+            line = f"{op.value} {print_term(t)} : {print_kind(k)}"
+        # only a Check is also a replay record
+        if op is DirectiveOp.CHECK:
+            self.log.append(record)
+        self.output.append(line)

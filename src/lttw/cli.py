@@ -127,7 +127,7 @@ def _cmd_terms(args, op: DirectiveOp) -> int:
     for text in args.terms:
         # each argument is one term, never a script
         term = parse_term(text, file="<argument>")
-        checker.run_command(Directive(op, (term,), term.span))
+        checker.run_command(Directive(op, (term, None), term.span))
         seen = _emit(checker, seen, args.quiet)
     return 0
 

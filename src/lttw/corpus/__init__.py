@@ -5,8 +5,10 @@ outcome is the one the script must produce: "accept", or
 "reject:<ErrorName>" naming an error class (subclasses match). Scripts run
 through one cumulative checker so later scripts can use names declared by
 earlier ones; a script expected to be rejected must fail on its first
-command, which keeps the shared signature clean for whatever follows. To
-run a subset, write a manifest that lists it.
+command, which keeps the shared signature clean for whatever follows. A
+rejection by any later command is a mismatch, and its outcome names that
+command: "reject:<ErrorName> at command <n>". To run a subset, write a
+manifest that lists it.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ class CorpusResult:
         expected = self.entry.outcome
         if expected == ACCEPT:
             return self.outcome == ACCEPT
-        if not expected.startswith(REJECT_PREFIX):
+        if not expected.startswith(REJECT_PREFIX) or self.error is None:
             return False
-        return (self.error is not None
+        # the outcome names no later command: the first one failed
+        return (self.outcome == REJECT_PREFIX + type(self.error).__name__
                 and matches_error_name(self.error,
                                        expected[len(REJECT_PREFIX):]))
 
@@ -107,16 +110,19 @@ def parse_manifest(path: Union[str, Path]) -> list[CorpusEntry]:
 
 def _run_one(checker: Checker, entry: CorpusEntry) -> CorpusResult:
     text = read_text(entry.path)
-    commands = 0
+    commands = at = 0  # at: the index of the command being run
     start = time.perf_counter()
     try:
         parsed = parse_script(text, file=str(entry.path))
         commands = len(parsed)
-        for cmd in parsed:
+        for at, cmd in enumerate(parsed):
             checker.run_command(cmd)
     except LttwError as e:
-        return CorpusResult(entry, f"{REJECT_PREFIX}{type(e).__name__}",
-                            time.perf_counter() - start, commands, e)
+        outcome = f"{REJECT_PREFIX}{type(e).__name__}"
+        if at:
+            outcome += f" at command {at + 1}"
+        return CorpusResult(entry, outcome, time.perf_counter() - start,
+                            commands, e)
     return CorpusResult(entry, ACCEPT, time.perf_counter() - start,
                         commands)
 

@@ -94,7 +94,7 @@ def _kind_mismatch(blame, rule: str, expected: Kind,
 
 @dataclass
 class MetaInfo:
-    scope: frozenset
+    ctx: Context  # the context the hole was made in
     blame: Any  # the hole's surface node, or None
 
 
@@ -110,7 +110,7 @@ class MetaState:
     def fresh(self, ctx: Context, blame=None) -> Meta:
         ident = self.counter
         self.counter += 1
-        self.info[ident] = MetaInfo(frozenset(ctx.names()), blame)
+        self.info[ident] = MetaInfo(ctx, blame)
         return Meta(ident)
 
     def zonk(self, e):
@@ -177,7 +177,7 @@ class Elaborator:
         k = ctx.lookup(x)
         if k is not None:
             return Var(x), k
-        entry = self.sig.get(s.name)
+        entry = self.sig.entries.get(s.name)
         if entry is not None:
             return Const(s.name), entry.kind
         raise UnknownConstant(
@@ -438,7 +438,7 @@ class Elaborator:
                 span=_span(blame),
                 diagnostic=Diagnostic("occurs", subject=value))
         info = self.state.info[ident]
-        escaped = free_vars(value) - info.scope
+        escaped = [x for x in free_vars(value) if info.ctx.lookup(x) is None]
         if escaped:
             raise ScopeEscape(
                 "solution mentions variables not in scope at the hole: "

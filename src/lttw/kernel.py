@@ -47,8 +47,8 @@ from .errors import (
 )
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Expr, Kind, Lam, Meta, PiKind, PrfKind,
-    PropKind, Term, TypeKind, Var, alpha_eq, app, fresh_name, name_mask,
-    rename, spine, subst_masked, subst_parallel,
+    PropKind, Term, TypeKind, Var, alpha_eq, app, free_vars, fresh_name,
+    name_mask, rename, spine, subst_masked, subst_parallel,
 )
 
 DEFAULT_FUEL = 100000
@@ -106,17 +106,11 @@ class Context:
                     break
             else:
                 return hint, self.extend(hint, kind)
-        x = fresh_name(hint, set(self._map).union(*(e.fv for e in terms)))
+        x = fresh_name(hint, set(self._map).union(*map(free_vars, terms)))
         return x, self.extend(x, kind)
 
     def lookup(self, name: str) -> Optional[Kind]:
         return self._map.get(name)
-
-    def names(self) -> set[str]:
-        return set(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
 
     def __repr__(self) -> str:
         return "Context(" + ", ".join(self._map) + ")"
@@ -175,12 +169,6 @@ class Signature:
     def __init__(self):
         self.entries: dict[str, Entry] = {}
         self.rules: dict[str, list[CompiledRule]] = {}
-
-    def get(self, name: str) -> Optional[Entry]:
-        return self.entries.get(name)
-
-    def rules_for(self, name: str) -> list[CompiledRule]:
-        return self.rules.get(name, [])
 
     def constant_count(self) -> int:
         return sum(1 for e in self.entries.values()
@@ -363,7 +351,7 @@ def spine_domains(sig: Signature, ctx: Context, head: Term,
     if isinstance(head, Var):
         k = ctx.lookup(head.name)
     elif isinstance(head, Const):
-        entry = sig.get(head.name)
+        entry = sig.entries.get(head.name)
         k = entry.kind if entry is not None else None
     mapping: dict[str, Term] = {}
     for u in args:
@@ -446,7 +434,7 @@ def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
                 diagnostic=Diagnostic("var", subject=t))
         return k
     if isinstance(t, Const):
-        entry = sig.get(t.name)
+        entry = sig.entries.get(t.name)
         if entry is None:
             raise UnknownConstant(
                 f"constant {t.name!r} is not declared",

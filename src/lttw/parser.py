@@ -239,9 +239,7 @@ class _Parser:
         if op is DirectiveOp.CHECK and self.accept(":"):
             kind = self.parse_kind()
         self.expect(";")
-        if op is DirectiveOp.CHECK:
-            return Directive(op, (term, kind), self._span_from(start))
-        return Directive(op, (term,), self._span_from(start))
+        return Directive(op, (term, kind), self._span_from(start))
 
     def _binders(self) -> tuple[Binder, ...]:
         """Zero or more [x : K] / [x] groups. Stops before a '[' that does

@@ -31,7 +31,7 @@ from .syntax import Const, Kind, Term, Var, free_vars, spine
 
 
 def lookup(sig: Signature, name: str) -> Entry:
-    entry = sig.get(name)
+    entry = sig.entries.get(name)
     if entry is None:
         raise NotFound(f"no declaration named {name!r}",
                        diagnostic=Diagnostic("signature-declared",
@@ -81,7 +81,7 @@ def define(sig: Signature, name: str, body: Term,
 def declare_rewrite(sig: Signature, rule: RewriteRule,
                     fuel: Fuel) -> CompiledRule:
     compiled = _compile_rule(sig, rule)
-    for other in sig.rules_for(compiled.head):
+    for other in sig.rules.get(compiled.head, ()):
         if other.arity != compiled.arity:
             raise SignatureError(
                 f"rules for {compiled.head!r} must all take "
@@ -111,7 +111,7 @@ def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
         raise HeadNotConstant(
             "rewrite left-hand side must be a constant applied to patterns",
             diagnostic=Diagnostic("rewrite-head", subject=rule.lhs))
-    head_entry = sig.get(head.name)
+    head_entry = sig.entries.get(head.name)
     if head_entry is None:
         raise UnknownConstant(
             f"unknown rewrite head {head.name!r}",
@@ -133,7 +133,7 @@ def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
             + ", ".join(sorted(extra)),
             diagnostic=Diagnostic("rewrite-rhs-bound", subject=rule.rhs))
 
-    earlier = sig.rules_for(head.name)
+    earlier = sig.rules.get(head.name)
     positions = {i for i, p in enumerate(patterns) if p[0] == "con"}
     positions.update(earlier[-1].con_positions if earlier else ())
     return CompiledRule(head.name, len(patterns), tuple(patterns), rule.rhs,
@@ -168,7 +168,7 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
         raise IllTyped(
             "pattern arguments must be variables or constructor patterns",
             diagnostic=Diagnostic("rewrite-pattern", subject=arg))
-    entry = sig.get(head.name)
+    entry = sig.entries.get(head.name)
     if entry is None:
         raise UnknownConstant(
             f"unknown constructor {head.name!r} in pattern",

@@ -17,9 +17,9 @@ next bit, and every later `Var(name)` returns that same node, as
 `Const(name)` returns one node per name. A union is `|`, leaving a binder
 is `& ~bit`, and whether any of a set of names occurs free is one `&`. No
 name has bit 0, so `HOLES` passes up through every `|` and binder, and
-substitution, whose keys are names, never meets it. free_vars and `node.fv`
-decode a mask, less that bit, into a frozenset for the few callers that
-need the names themselves. The three benchmark workloads together see
+substitution, whose keys are names, never meets it. free_vars decodes a
+mask, less that bit, into a frozenset for the few callers that need the
+names themselves. The three benchmark workloads together see
 89 distinct variable names, so their masks fit in 3 int digits.
 
 The garbage collector is why: nodes are acyclic and immutable, but CPython's
@@ -84,11 +84,6 @@ class _Node:
     __ne__ = object.__ne__
     __hash__ = object.__hash__
     __lt__ = __le__ = __gt__ = __ge__ = object.__lt__
-
-    @property
-    def fv(self) -> frozenset[str]:
-        """The free names, decoded from `mask`."""
-        return _names(self.mask)
 
     def __getnewargs__(self):
         # copy and pickle rebuild a node from its fields, not its mask

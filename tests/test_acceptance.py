@@ -123,7 +123,7 @@ def test_03_successor_discrimination_needs_the_universe_layer():
         for f in ("arith.lf", "sets.lf", "peano4.lf"):
             stripped.run_path(CORPUS_DIR / f)
     assert "hatEq" in str(exc.value)
-    assert stripped.sig.get("peano4") is None
+    assert stripped.sig.entries.get("peano4") is None
 
 
 def test_04_addition_and_multiplication_agree_with_machine_integers():

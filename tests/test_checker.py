@@ -603,8 +603,8 @@ def test_deep_commands_in_two_threads_at_once():
 
 def test_a_command_that_runs_out_of_stack_printing_leaves_no_trace(
         monkeypatch):
-    # a Check's record is logged before its kind is printed: rejected, the
-    # command takes its record back and prints nothing
+    # a Check runs out of stack printing its kind: rejected, it leaves no
+    # record and no line
     def print_kind(k):
         raise RecursionError
 
@@ -615,6 +615,13 @@ def test_a_command_that_runs_out_of_stack_printing_leaves_no_trace(
     with pytest.raises(NestingTooDeep):
         ck.run_text("> Check succ zero : Nat;\n")
     assert ck.log == log and ck.output == []
+
+
+def test_an_object_that_is_not_a_command_is_refused():
+    ck = Checker()
+    with pytest.raises(TypeError, match="not a command"):
+        ck.run_command("> [Nat : Type];")
+    assert ck.log == [] and ck.output == [] and ck.sig.entries == {}
 
 
 def test_failed_load_leaves_the_checker_as_it_was(tmp_path):

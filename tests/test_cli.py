@@ -1,13 +1,16 @@
 """Command line: subcommands, flags, exit codes, and the stdout/stderr
 split.
 
-All invocations go through main() in-process; expected outputs repeat
-strings already pinned by the corpus tests.
+All invocations but `python -m lttw` go through main() in-process;
+expected outputs repeat strings already pinned by the corpus tests.
 """
 
 import ast
 import errno
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,16 @@ def test_typeof_prints_kind(capsys):
     assert code == 0
     assert out == "TypeOf TopI : Prf (imp bot bot)\n"
     assert err == ""
+
+
+def test_python_m_lttw_runs_the_cli(tmp_path):
+    src = Path(lttw.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "lttw", "typeof", "TopI"], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "TypeOf TopI : Prf (imp bot bot)\n"
 
 
 def test_reduce_after_loading_script(capsys):

@@ -116,14 +116,27 @@ def test_manifest_name_syntax_error_matches_script_syntax_error(tmp_path):
     assert result.ok and result.outcome == "reject:ScriptSyntaxError"
 
 
+def test_a_script_to_be_rejected_must_fail_on_its_first_command(tmp_path):
+    (tmp_path / "late.lf").write_text("> [A : Type];\n> Check ghost : A;\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("late.lf reject:UnknownConstant\n")
+    _, (result,) = check_corpus(manifest, strict=False)
+    assert isinstance(result.error, UnknownConstant)
+    assert not result.ok
+    assert result.outcome == "reject:UnknownConstant at command 2"
+    assert "MISMATCH" in result.line()
+    with pytest.raises(MismatchedOutcome, match="at command 2"):
+        check_corpus(manifest)
+
+
 def test_rejected_scripts_leave_no_trace():
     ck = load_standard()
     with pytest.raises(KindMismatch):
         ck.run_path(CORPUS_DIR / "impredicative_neg.lf")
-    assert ck.sig.get("member_of_all_sets") is None
+    assert ck.sig.entries.get("member_of_all_sets") is None
     with pytest.raises(UnknownConstant):
         ck.run_path(CORPUS_DIR / "impredicative_only.lf")
-    assert ck.sig.get("member_of_all_sets") is None
+    assert ck.sig.entries.get("member_of_all_sets") is None
 
 
 def test_prop_placement_type_is_outcome_identical(predicative):
@@ -184,8 +197,8 @@ def test_full_corpus_log_replays_kernel_only(predicative):
     ck, _ = predicative
     assert len(ck.log) > 200
     sig = replay(ck.log, Signature())
-    assert sig.get("card_three_exact") is not None
-    assert sig.get("qeq_refl") is not None
+    assert sig.entries.get("card_three_exact") is not None
+    assert sig.entries.get("qeq_refl") is not None
 
 
 CONFIGS = [(MANIFEST, "predicative", "prop"),

@@ -161,6 +161,9 @@ def test_directives():
                    DirectiveOp.SETOPTION, DirectiveOp.SETOPTION]
     assert cmds[0].payload[1] is None
     assert cmds[1].payload[1] is not None
+    # TypeOf and Reduce carry a Check's payload, with no kind
+    assert [len(c.payload) for c in cmds[2:4]] == [2, 2]
+    assert cmds[2].payload[1] is None and cmds[3].payload[1] is None
     assert cmds[4].payload == ("stdlib/01_logic.lf",)
     assert cmds[5].payload == ("fuel", "5000")
     assert cmds[6].payload == ("fuel", "5000")

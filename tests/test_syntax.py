@@ -401,7 +401,7 @@ def reference_names_and_holes(e):
 @given(st.one_of(holey_terms, holey_kinds))
 def test_stored_names_and_hole_flag_match_a_reference(e):
     fv, metas = reference_names_and_holes(e)
-    assert e.fv == fv and free_vars(e) == fv
+    assert free_vars(e) == fv
     assert e.mask & ~HOLES == sum(name_mask(x) for x in fv)
     assert (e.mask & ~HOLES == 0) == (not fv)
     assert contains_meta(e) is bool(metas)
@@ -435,7 +435,7 @@ def test_a_copied_node_is_rebuilt_from_its_fields():
     t = Lam("y", ElKind(Var("A")), App(Meta(3), Var("y")))
     for got in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert got is not t and alpha_eq(got, t)
-        assert got.fv == {"A"} and contains_meta(got)
+        assert free_vars(got) == {"A"} and contains_meta(got)
 
 
 def test_fresh_name_basic():
