@@ -25,9 +25,9 @@ kernel check of what was elaborated and the normalisation of a `Reduce`
 draw on the same `Fuel`. A budget other than the default is logged as a
 `("fuel", n)` record where it changes, so `replay` gives each record the
 budget its command ran under. A `Load` runs each command of the loaded
-file on its own budget and is all-or-nothing: a file that fails leaves the
-signature, the log, the budget, the output and the loaded files as they
-were.
+file on its own budget and is all-or-nothing (`all_or_nothing`): a file
+that fails leaves the signature, the log, the budget, the output and the
+loaded files as they were.
 
 Each command runs once. The parser, the elaborator, the kernel and the
 printer each loop on an application's last argument, so a numeral costs
@@ -51,6 +51,7 @@ placements.
 from __future__ import annotations
 
 import errno
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -123,21 +124,29 @@ class Checker:
         if resolved in self._loading:
             raise ScriptSyntaxError(f"Load cycle through {path!s}")
         text = read_text(path)
+        self._loading.append(resolved)
+        try:
+            with self.all_or_nothing():
+                self.run_text(text, file=str(path))
+        finally:
+            self._loading.pop()
+        self.loaded.add(resolved)
+
+    @contextmanager
+    def all_or_nothing(self):
+        """Run the block; if it raises, the signature, the log, the output,
+        the budget and the loaded files are left as they were before it."""
         entries = dict(self.sig.entries)
         rules = {head: list(rs) for head, rs in self.sig.rules.items()}
         logged, printed = len(self.log), len(self.output)
         fuel, loaded = self.fuel, set(self.loaded)
-        self._loading.append(resolved)
         try:
-            self.run_text(text, file=str(path))
+            yield
         except Exception:
             self.sig.entries, self.sig.rules = entries, rules
             del self.log[logged:], self.output[printed:]
             self.fuel, self.loaded = fuel, loaded
             raise
-        finally:
-            self._loading.pop()
-        self.loaded.add(resolved)
 
     def run_text(self, text: str, file: str = "<script>") -> None:
         for cmd in parse_script(text, file=file):

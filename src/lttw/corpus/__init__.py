@@ -4,11 +4,13 @@ A manifest lists scripts in load order, one `file outcome` line each. The
 outcome is the one the script must produce: "accept", or
 "reject:<ErrorName>" naming an error class (subclasses match). Scripts run
 through one cumulative checker so later scripts can use names declared by
-earlier ones; a script expected to be rejected must fail on its first
-command, which keeps the shared signature clean for whatever follows. A
-rejection by any later command is a mismatch, and its outcome names that
-command: "reject:<ErrorName> at command <n>". To run a subset, write a
-manifest that lists it.
+earlier ones. A rejected script is all-or-nothing, as a `Load` is: the
+signature, log, output and budget go back to what they were before it, so
+whatever follows runs as if it had not been there. A script expected to
+be rejected must fail on its first command; a rejection by any later
+command is a mismatch, and its outcome names that command:
+"reject:<ErrorName> at command <n>". To run a subset, write a manifest
+that lists it.
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ def _run_one(checker: Checker, entry: CorpusEntry) -> CorpusResult:
     commands = at = 0  # at: the index of the command being run
     start = time.perf_counter()
     try:
-        parsed = parse_script(text, file=str(entry.path))
-        commands = len(parsed)
-        for at, cmd in enumerate(parsed):
-            checker.run_command(cmd)
+        with checker.all_or_nothing():
+            parsed = parse_script(text, file=str(entry.path))
+            commands = len(parsed)
+            for at, cmd in enumerate(parsed):
+                checker.run_command(cmd)
     except LttwError as e:
         outcome = f"{REJECT_PREFIX}{type(e).__name__}"
         if at:

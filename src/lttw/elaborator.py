@@ -9,7 +9,8 @@ lookup, so `x1` written under `[x : Nat] [x : Nat]` never reaches the
 renamed binder. Surface syntax is never rewritten.
 
 Unification is the kernel's conversion plus holes, first-order and eager:
-both sides are reduced to weak-head form (metavariable heads block). A
+both sides are reduced to weak-head form on split spines, as conversion
+reduces them (`kernel.whnf_spine`; metavariable heads block). A
 side that is a bare hole is solved to the other side, before eta; else the
 two are compared at their kind, with eta only when it is a product (None:
 no eta), and spines with one variable or constant head are compared
@@ -50,7 +51,7 @@ from .surface import (
 )
 from .syntax import (
     HOLES, PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind,
-    PrfKind, PropKind, Term, TypeKind, Var, alpha_eq, contains_meta,
+    PrfKind, PropKind, Term, TypeKind, Var, alpha_eq, app, contains_meta,
     free_vars, metas_of, rename, spine, subst_parallel,
 )
 
@@ -394,8 +395,8 @@ class Elaborator:
 
     def _unify(self, ctx: Context, a: Term, b: Term, at: Optional[Kind],
                blame) -> None:
-        a = kernel.whnf(self.sig, self.state.zonk(a), self.fuel)
-        b = kernel.whnf(self.sig, self.state.zonk(b), self.fuel)
+        a, ha, sa = self._whnf(a)
+        b, hb, sb = self._whnf(b)
         if alpha_eq(a, b):
             return
         # a bare hole is solved before eta, which would only hide it under
@@ -412,8 +413,6 @@ class Elaborator:
             cod = rename(at.codomain, at.var, x)
             self._unify(ctx2, App(a, Var(x)), App(b, Var(x)), cod, blame)
             return
-        ha, sa = spine(a)
-        hb, sb = spine(b)
         if isinstance(ha, Meta) or isinstance(hb, Meta):
             self.state.queue.append((ctx, a, b, at, blame))
             return
@@ -427,6 +426,14 @@ class Elaborator:
             "terms with different rigid heads cannot be made equal",
             span=_span(blame),
             diagnostic=Diagnostic("unify-rigid", subject=a, expected=b))
+
+    def _whnf(self, t: Term) -> tuple[Term, Term, list]:
+        """t with its holes filled, in weak-head form, and that form's
+        head and arguments. A term unchanged by reduction is not rebuilt."""
+        t = self.state.zonk(t)
+        head, args = spine(t)
+        head2, args2 = kernel.whnf_spine(self.sig, head, args, self.fuel)
+        return (t if args2 is args else app(head2, *args2)), head2, args2
 
     def _solve(self, ctx: Context, ident: int, value: Term, blame) -> None:
         value = self.state.zonk(value)

@@ -17,8 +17,10 @@ their elaborator counterparts carry a map from the head kind's binders to
 the arguments seen so far and substitute a domain only when it is needed,
 the final codomain once. Instantiating `Pi x1:A1. Pi x2:A2. B` with a1, a2
 one binder at a time equals `B[x1:=a1, x2:=a2]` done simultaneously, and a
-later binder of the same name simply overwrites the earlier entry. `whnf`
-runs on a split spine, so conversion never rebuilds a term to split it.
+later binder of the same name simply overwrites the earlier entry.
+Reduction runs on split spines (`whnf_spine`): a contractum is substituted
+split (`subst_spine`), and conversion and the elaborator's unification
+split each side once, so nothing builds an application only to split it.
 
 A lambda is checked against a product known to be valid (`check_against`;
 Coquand, SCP 1996): an annotation alpha-equivalent to the product's domain
@@ -48,7 +50,7 @@ from .errors import (
 from .syntax import (
     PROP, TYPE, App, Const, ElKind, Expr, Kind, Lam, Meta, PiKind, PrfKind,
     PropKind, Term, TypeKind, Var, alpha_eq, app, free_vars, fresh_name,
-    name_mask, rename, spine, subst_masked, subst_parallel,
+    name_mask, rename, spine, subst_masked, subst_parallel, subst_spine,
 )
 
 DEFAULT_FUEL = 100000
@@ -190,12 +192,12 @@ def whnf(sig: Signature, t: Term, fuel: Fuel) -> Term:
     definition, is contracted in one substitution for all the binders that
     have an argument; each binder still spends one step of fuel."""
     head, args = spine(t)
-    head2, args2 = _whnf(sig, head, args, fuel)
+    head2, args2 = whnf_spine(sig, head, args, fuel)
     return t if args2 is args else app(head2, *args2)
 
 
-def _whnf(sig: Signature, head: Term, args: list, fuel: Fuel,
-          delta: bool = True) -> tuple[Term, list]:
+def whnf_spine(sig: Signature, head: Term, args: list, fuel: Fuel,
+               delta: bool = True) -> tuple[Term, list]:
     """whnf of the spine `head args`, split; without `delta`, short of a
     defined head. `args` is never changed, and is returned iff unreduced."""
     entries, rules = sig.entries, sig.rules
@@ -211,7 +213,7 @@ def _whnf(sig: Signature, head: Term, args: list, fuel: Fuel,
                 keys |= name_mask(head.var)
                 head = head.body
                 n += 1
-            head, inner = spine(subst_masked(head, mapping, keys))
+            head, inner = subst_spine(head, mapping, keys)
             args = inner + args[n:]
             continue
         if cls is not Const:
@@ -228,7 +230,7 @@ def _whnf(sig: Signature, head: Term, args: list, fuel: Fuel,
         split = {}  # constructor position -> its argument's normal spine
         for i in candidates[-1].con_positions:
             h, sub = spine(args[i])
-            h2, sub2 = split[i] = _whnf(sig, h, sub, fuel)
+            h2, sub2 = split[i] = whnf_spine(sig, h, sub, fuel)
             if sub2 is not sub:
                 args = args[:i] + [app(h2, *sub2)] + args[i + 1:]
         for rule in candidates:
@@ -239,7 +241,7 @@ def _whnf(sig: Signature, head: Term, args: list, fuel: Fuel,
             break  # no rule fires
         fuel.spend()
         # the match binds every free name of the right-hand side
-        head, inner = spine(subst_masked(rule.rhs, binding, rule.rhs.mask))
+        head, inner = subst_spine(rule.rhs, binding, rule.rhs.mask)
         args = inner + args[rule.arity:]
     return head, args
 
@@ -266,7 +268,7 @@ def normalize(sig: Signature, t: Term, fuel: Fuel) -> Term:
     one in the loop, so a numeral costs no stack."""
     outer = []  # each enclosing spine: its head, normal leading arguments
     while True:
-        head, args = _whnf(sig, *spine(t), fuel)
+        head, args = whnf_spine(sig, *spine(t), fuel)
         if not args:
             t = head
             if isinstance(t, Lam):
@@ -310,15 +312,15 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
         x, ctx = ctx.bind(at.var, at.domain, a, b, at)
         a, b = App(a, Var(x)), App(b, Var(x))
         at = rename(at.codomain, at.var, x)
-    ha, sa = _whnf(sig, *spine(a), fuel, False)
-    hb, sb = _whnf(sig, *spine(b), fuel, False)
+    ha, sa = whnf_spine(sig, *spine(a), fuel, False)
+    hb, sb = whnf_spine(sig, *spine(b), fuel, False)
     if type(ha) is Const and type(sig.entries.get(ha.name)) is Definition:
         if (type(hb) is Const and hb.name == ha.name and len(sa) == len(sb)
                 and _argwise(sig, ctx, ha, sa, sb, fuel, unequal)):
             return True
-        ha, sa = _whnf(sig, ha, sa, fuel)
+        ha, sa = whnf_spine(sig, ha, sa, fuel)
     if type(hb) is Const and type(sig.entries.get(hb.name)) is Definition:
-        hb, sb = _whnf(sig, hb, sb, fuel)
+        hb, sb = whnf_spine(sig, hb, sb, fuel)
     if type(ha) is not type(hb) or len(sa) != len(sb):
         return False
     if type(ha) is not Var and type(ha) is not Const:

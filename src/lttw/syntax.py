@@ -29,8 +29,10 @@ shared per name is one tracked object, not one per occurrence.
 
 Substitution has one engine, subst_parallel: a single simultaneous,
 capture-avoiding pass. subst (one name), rename (one name to a fresh
-variable) and subst_masked (the mask of the names in hand) call into it,
-and a binder that would capture is renamed inside the same pass.
+variable), subst_masked (the mask of the names in hand) and subst_spine
+(the result split, so reduction builds no chain only to split it) call
+into it. A binder that would capture is renamed inside the same pass, and
+a spine takes one loop, down its `fn` chain to the deepest mapped name.
 """
 
 from __future__ import annotations
@@ -90,8 +92,19 @@ class _Node:
         return self[:-1]
 
     def __repr__(self):
-        fields = ", ".join(map(repr, self[:-1]))
-        return f"{type(self).__name__}({fields})"
+        # the fields less `mask`, on a stack: no recursion for a deep numeral
+        parts, todo = [], [self]
+        while todo:
+            e = todo.pop()
+            if not isinstance(e, _Node):
+                parts.append(e)
+                continue
+            parts.append(type(e).__name__ + "(")
+            todo.append(")")
+            for i, f in enumerate(reversed(e[:-1])):
+                f = f if isinstance(f, _Node) else repr(f)
+                todo += (", ", f) if i else (f,)
+        return "".join(parts)
 
 
 class Term(_Node):
@@ -273,6 +286,18 @@ def subst_masked(target: Expr, mapping: dict[str, Term], keys: int) -> Expr:
     return _subst(target, mapping, keys) if target.mask & keys else target
 
 
+def subst_spine(target: Term, mapping: dict[str, Term],
+                keys: int) -> tuple[Term, list[Term]]:
+    """spine(subst_masked(target, mapping, keys)), building no chain: only
+    a head that substitution made an application is split again."""
+    head, args = spine(target)
+    args = [_subst(a, mapping, keys) if a.mask & keys else a for a in args]
+    if not head.mask & keys:
+        return head, args
+    head, inner = spine(_subst(head, mapping, keys))
+    return head, inner + args
+
+
 def _subst(target: Expr, mapping: dict[str, Term], keys: int) -> Expr:
     """subst_parallel's recursion; `keys` is the mask of mapping's names,
     and `target` has one of them free. A child is entered only when it has
@@ -280,10 +305,18 @@ def _subst(target: Expr, mapping: dict[str, Term], keys: int) -> Expr:
     cls = type(target)
     if cls is Var:
         return mapping[target.name]
-    if cls is App:
-        fn, arg = target.fn, target.arg
-        return App(_subst(fn, mapping, keys) if fn.mask & keys else fn,
-                   _subst(arg, mapping, keys) if arg.mask & keys else arg)
+    if cls is App:  # one loop per spine
+        args = []
+        while type(target) is App and target.mask & keys:
+            args.append(target.arg)
+            target = target.fn
+        if target.mask & keys:
+            target = _subst(target, mapping, keys)
+        for arg in reversed(args):
+            if arg.mask & keys:
+                arg = _subst(arg, mapping, keys)
+            target = _new(App, (target, arg, target.mask | arg.mask))
+        return target
     if cls is ElKind or cls is PrfKind:  # the body has the kind's names
         return cls(_subst(target.body, mapping, keys))
     if cls is Lam or cls is PiKind:  # a binder: name, domain, body
@@ -301,17 +334,16 @@ def _under_binder(x: str, body: Expr, mapping: dict[str, Term], keys: int):
     live = body.mask & keys & ~bound
     if not live:
         return x, body
-    sub = {v: mapping[v] for v in _names(live)}
-    incoming = 0
-    for t in sub.values():
-        incoming |= t.mask
-    if incoming & bound:
-        # binder would capture; rename it away from everything in sight
-        x2 = fresh_name(x, _names(body.mask | incoming).union(sub))
-        sub[x] = Var(x2)
-        x = x2
-        live |= bound
-    return x, _subst(body, sub, live)
+    incoming, rest = 0, live  # the replacements' free names, from `live`
+    while rest:
+        low = rest & -rest
+        incoming |= mapping[_NAMES[low.bit_length() - 1]].mask
+        rest ^= low
+    if not incoming & bound:  # `live` keys what is substituted below
+        return x, _subst(body, mapping, live)
+    # binder would capture; rename it away from everything in sight
+    x2 = fresh_name(x, _names(body.mask | incoming))
+    return x2, _subst(body, {**mapping, x: Var(x2)}, live | bound)
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
@@ -353,25 +385,16 @@ def _aeq(a: Expr, b: Expr, ea: dict, eb: dict, depth: int) -> bool:
 
 
 def metas_of(e: Expr) -> set[int]:
-    out: set[int] = set()
-    _collect_metas(e, out)
+    """The idents of e's holes, found on a stack rather than by recursion."""
+    out, todo = set(), [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is Meta:
+            out.add(e.ident)
+        elif e.mask & HOLES:
+            todo += (f for f in e[:-1] if isinstance(f, _Node))
     return out
 
 
 def contains_meta(e: Expr) -> bool:
     return bool(e.mask & HOLES)
-
-
-def _collect_metas(e: Expr, out: set[int]) -> None:
-    if not e.mask & HOLES:
-        return
-    if isinstance(e, Meta):
-        out.add(e.ident)
-    elif isinstance(e, App):
-        _collect_metas(e.fn, out)
-        _collect_metas(e.arg, out)
-    elif isinstance(e, (Lam, PiKind)):  # a binder: name, domain, body
-        _collect_metas(e[1], out)
-        _collect_metas(e[2], out)
-    elif isinstance(e, (ElKind, PrfKind)):
-        _collect_metas(e.body, out)

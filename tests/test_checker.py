@@ -545,6 +545,17 @@ def test_too_deep_a_command_is_explained_like_any_rejection():
     assert ck.output[-1] == f"TypeOf K zero ({numeral(10**4)}) : Nat"
 
 
+def test_the_record_of_a_deep_numeral_prints():
+    # the CI's 10^4-deep numeral: its log record's repr takes no stack
+    ck = load_standard()
+    ck.run_text(f"> Check {numeral(10**4)} : Nat;\n")
+    shown = repr(ck.log[-1])
+    assert shown.startswith("('check', App(Const('succ'), App(Const('succ'),")
+    assert shown.count("App(Const('succ'), ") == 10**4
+    assert shown.endswith("Const('zero'))" + ")" * (10**4 - 1)
+                          + ", ElKind(Const('Nat')))")
+
+
 def test_a_300_deep_numeral_is_accepted():
     # perfbench's deep family checks this numeral (check_numeral_300); a
     # parser that spent more stack frames per parenthesis would reject it

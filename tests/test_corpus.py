@@ -6,9 +6,13 @@ assertion; everything else is structural (outcomes match the manifest,
 logs replay, kinds survive reduction).
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from lttw import kernel
+from lttw.checker import Checker
 from lttw.corpus import (
     CORPUS_DIR, MANIFEST, MANIFEST_IMPREDICATIVE, MismatchedOutcome,
     check_corpus, parse_manifest,
@@ -18,11 +22,14 @@ from lttw.errors import (
     FuelExhausted, KindMismatch, LttwError, NestingTooDeep, UnknownConstant,
 )
 from lttw.kernel import EMPTY_CONTEXT, Fuel
-from lttw.parser import parse_term
+from lttw.parser import parse_script, parse_term
 from lttw.printer import print_term
 from lttw.signature import Signature, commit, replay
 from lttw.stdlib import load_standard
 from lttw.syntax import App, Lam, free_vars
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import ARITH_SIZE, arith_script  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +136,19 @@ def test_a_script_to_be_rejected_must_fail_on_its_first_command(tmp_path):
         check_corpus(manifest)
 
 
+def test_a_script_rejected_late_is_taken_back(tmp_path):
+    # `late.lf` declares A before it is rejected; `next.lf` declares A again
+    (tmp_path / "late.lf").write_text("> [A : Type];\n> Check ghost : A;\n")
+    (tmp_path / "next.lf").write_text("> [A : Type];\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("late.lf reject:UnknownConstant\nnext.lf accept\n")
+    ck, (late, following) = check_corpus(manifest, strict=False)
+    assert not late.ok
+    assert late.outcome == "reject:UnknownConstant at command 2"
+    assert following.ok and following.outcome == "accept"
+    assert [r[1] for r in ck.log if r[0] == "declare"].count("A") == 1
+
+
 def test_rejected_scripts_leave_no_trace():
     ck = load_standard()
     with pytest.raises(KindMismatch):
@@ -217,6 +237,31 @@ def test_replay_spends_the_pinned_kernel_work(manifest, mode, prop_at):
         commit(sig, record, fuel)
         spent += fuel.limit - fuel.left
     assert spent == 7574
+
+
+@pytest.mark.parametrize("seed, spent", [(1, 39167), (2, 38656),
+                                         (3, 40007)])
+def test_arith_spends_the_pinned_kernel_work(seed, spent, monkeypatch):
+    # the steps of each command's budget over the arith workload's script,
+    # rejected commands included; a change that moves this count must say so
+    ck = load_standard()
+    ck.run_path(CORPUS_DIR / "arith.lf")
+    budgets = []
+    make = Checker._elaborator
+
+    def metered(self):
+        el = make(self)
+        budgets.append(el.fuel)
+        return el
+
+    monkeypatch.setattr(Checker, "_elaborator", metered)
+    script, _ = arith_script(seed, *ARITH_SIZE)
+    for cmd in parse_script(script, file="<arith>"):
+        try:
+            ck.run_command(cmd)
+        except LttwError:
+            pass
+    assert sum(f.limit - f.left for f in budgets) == spent
 
 
 def _tower(n, innermost):

@@ -312,8 +312,8 @@ def test_replay_rejection_names_its_rule(record, error, message, rule,
      "rewrite-pattern-depth"),
 ], ids=["rhs", "argument", "under-constructor"])
 def test_replay_rejects_a_rule_with_a_hole(lhs, rhs, rule):
-    # `_whnf` substitutes into a stored right-hand side with its own mask
-    # as the keys, so no stored rule may hold a hole
+    # `whnf_spine` substitutes into a stored right-hand side with its own
+    # mask as the keys, so no stored rule may hold a hole
     sig = nat_signature()
     declare_constant(sig, "f", arrow(NAT, NAT), Fuel())
     rules = sig.rule_count()

@@ -19,7 +19,8 @@ from lttw.signature import Signature
 from lttw.syntax import (
     HOLES, PROP, TYPE, App, Const, ElKind, Lam, Meta, PiKind, PrfKind,
     TypeKind, PropKind, Var, alpha_eq, contains_meta, free_vars, fresh_name,
-    metas_of, name_mask, spine, app, subst, subst_parallel,
+    metas_of, name_mask, spine, app, subst, subst_masked, subst_parallel,
+    subst_spine,
 )
 import lttw.syntax
 from lttw.syntax import rename
@@ -201,6 +202,24 @@ def test_subst_parallel_matches_oracle(t, mapping):
     want = nameless_subst_parallel(
         nameless(t), {v: nameless(r) for v, r in mapping.items()})
     assert got == want
+
+
+# spines of up to four arguments, so a split has something to split
+spines = st.builds(lambda h, args: app(h, *args), holey_terms,
+                   st.lists(holey_terms, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(exprs, holey_exprs, spines),
+       st.dictionaries(names, st.one_of(terms, holey_terms), max_size=3))
+def test_subst_spine_matches_splitting_the_substitution(t, mapping):
+    keys = 0
+    for v in mapping:
+        keys |= name_mask(v)
+    head, args = subst_spine(t, mapping, keys)
+    want_head, want_args = spine(subst_masked(t, mapping, keys))
+    assert nameless(head) == nameless(want_head)
+    assert list(map(nameless, args)) == list(map(nameless, want_args))
 
 
 def test_subst_parallel_is_simultaneous():
@@ -406,6 +425,16 @@ def test_stored_names_and_hole_flag_match_a_reference(e):
     assert (e.mask & ~HOLES == 0) == (not fv)
     assert contains_meta(e) is bool(metas)
     assert metas_of(e) == metas
+
+
+def test_nodes_print_their_fields_without_the_mask():
+    t = Lam("x", ElKind(Const("Nat")), App(App(Var("f"), Meta(3)), Var("x")))
+    assert repr(t) == ("Lam('x', ElKind(Const('Nat')), "
+                       "App(App(Var('f'), Meta(3)), Var('x')))")
+    k = PiKind("A", TYPE, PrfKind(App(Const("P"), Var("A"))))
+    assert repr(k) == ("PiKind('A', TypeKind(), "
+                       "PrfKind(App(Const('P'), Var('A'))))")
+    assert repr((PROP, "check", Var("y"))) == "(PropKind(), 'check', Var('y'))"
 
 
 def test_node_fields_cannot_be_assigned():
