@@ -37,6 +37,7 @@ as a span: a node builds its span on demand, and only an error or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Any, Optional
 
 from .errors import (
@@ -117,27 +118,17 @@ class MetaState:
     def zonk(self, e):
         """Apply current solutions throughout a term or kind. Subterms
         without a solved hole are shared, not copied, and a subterm without
-        a hole is not walked."""
+        a hole is not walked. A loop walks the fields: before Python 3.12,
+        a comprehension would be a second frame for each level of a term."""
         if not self.solutions or not e.mask & HOLES:
             return e
-        cls = type(e)
-        if cls is Meta:
+        if type(e) is Meta:
             sol = self.solutions.get(e.ident)
             return e if sol is None else self.zonk(sol)
-        if cls is App:
-            fn, arg = self.zonk(e.fn), self.zonk(e.arg)
-            return e if fn is e.fn and arg is e.arg else App(fn, arg)
-        if cls is Lam:
-            ann, body = self.zonk(e.ann), self.zonk(e.body)
-            return e if ann is e.ann and body is e.body \
-                else Lam(e.var, ann, body)
-        if cls is ElKind or cls is PrfKind:
-            body = self.zonk(e.body)
-            return e if body is e.body else cls(body)
-        # the only other node a hole can occur in
-        dom, cod = self.zonk(e.domain), self.zonk(e.codomain)
-        return e if dom is e.domain and cod is e.codomain \
-            else PiKind(e.var, dom, cod)
+        new = []
+        for f in e[:-1]:
+            new.append(self.zonk(f) if isinstance(f, (Term, Kind)) else f)
+        return e if all(map(is_, new, e)) else type(e)(*new)
 
 
 class Elaborator:
@@ -212,8 +203,9 @@ class Elaborator:
 
         The obligations are decided in order, each with the steps deciding
         in place would have had left at that point: the first that is
-        false or runs out of steps gives the error. When all hold, `error`
-        stands, unless its steps and theirs together overrun the budget."""
+        false, runs out of steps or overflows the stack gives the error.
+        When all hold, `error` stands, unless its steps and theirs together
+        overrun the budget."""
         budget = self.fuel.limit
         used = 0  # steps the obligations decided so far took
         for ctx, actual, expected, blame, rule, spent in self.obligations:
@@ -227,7 +219,7 @@ class Elaborator:
                 if not kernel.equal_kinds(self.sig, ctx, actual, expected,
                                           fuel):
                     return _kind_mismatch(blame, rule, expected, actual)
-            except FuelExhausted as e:
+            except (FuelExhausted, RecursionError) as e:
                 return e
             used += left - fuel.left
         if used > self.fuel.left:
@@ -436,9 +428,8 @@ class Elaborator:
         return (t if args2 is args else app(head2, *args2)), head2, args2
 
     def _solve(self, ctx: Context, ident: int, value: Term, blame) -> None:
-        value = self.state.zonk(value)
-        if isinstance(value, Meta) and value.ident == ident:
-            return
+        """Record `value` as the solution of the hole `ident`. `_unify`
+        passes it zonked, and not that hole itself."""
         if ident in metas_of(value):
             raise OccursCheck(
                 "a hole's solution mentions the hole itself",

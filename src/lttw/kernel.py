@@ -301,11 +301,11 @@ def convertible(sig: Signature, ctx: Context, a: Term, b: Term,
     Eta happens only when `at` is a product; None means no eta at this
     level, where a lambda is ill-typed and convertible with nothing."""
     # the kernel itself calls `_conv`, the name perfbench's tracer counts
-    return _conv(sig, ctx, a, b, at, fuel, {})
+    return _conv(sig, ctx, a, b, at, fuel, set())
 
 
 def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
-          at: Optional[Kind], fuel: Fuel, unequal: dict) -> bool:
+          at: Optional[Kind], fuel: Fuel, unequal: set) -> bool:
     if alpha_eq(a, b):
         return True
     while isinstance(at, PiKind):
@@ -330,13 +330,13 @@ def _conv(sig: Signature, ctx: Context, a: Term, b: Term,
 
 
 def _argwise(sig: Signature, ctx: Context, head: Term, sa: list, sb: list,
-             fuel: Fuel, unequal: dict) -> bool:
+             fuel: Fuel, unequal: set) -> bool:
     """`head sa` against `head sb`. A pair found unequal is recorded, as
     the sides of an unfolded definition hold the same argument objects."""
     for u, v, arg_at in zip(sa, sb, spine_domains(sig, ctx, head, sa)):
-        if ((id(u), id(v)) in unequal
+        if ((u, v) in unequal
                 or not _conv(sig, ctx, u, v, arg_at, fuel, unequal)):
-            unequal[id(u), id(v)] = u, v  # held, so no id is reused
+            unequal.add((u, v))
             return False
     return True
 
@@ -374,7 +374,7 @@ def equal_kinds(sig: Signature, ctx: Context, k1: Kind, k2: Kind,
     if t1 is TypeKind or t1 is PropKind:
         return True
     if t1 is ElKind or t1 is PrfKind:  # at Type or Prop: no eta
-        return _conv(sig, ctx, k1.body, k2.body, None, fuel, {})
+        return _conv(sig, ctx, k1.body, k2.body, None, fuel, set())
     if t1 is PiKind:
         if not equal_kinds(sig, ctx, k1.domain, k2.domain, fuel):
             return False

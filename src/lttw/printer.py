@@ -65,17 +65,10 @@ def _constants(root) -> frozenset:
     names, stack = set(), [root]
     while stack:
         e = stack.pop()
-        cls = type(e)
-        if cls is Const:
+        if type(e) is Const:
             names.add(e.name)
-        elif cls is App:
-            stack += (e.fn, e.arg)
-        elif cls is Lam:
-            stack += (e.ann, e.body)
-        elif cls is PiKind:
-            stack += (e.domain, e.codomain)
-        elif cls is ElKind or cls is PrfKind:
-            stack.append(e.body)
+        else:
+            stack += (f for f in e[:-1] if isinstance(f, (Term, Kind)))
     return frozenset(names)
 
 

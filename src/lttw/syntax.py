@@ -276,7 +276,7 @@ def subst_parallel(target: Expr, mapping: dict[str, Term]) -> Expr:
         return target
     keys = 0
     for v in mapping:
-        keys |= Var(v).mask
+        keys |= name_mask(v)
     return subst_masked(target, mapping, keys)
 
 

@@ -545,6 +545,39 @@ def test_too_deep_a_command_is_explained_like_any_rejection():
     assert ck.output[-1] == f"TypeOf K zero ({numeral(10**4)}) : Nat"
 
 
+@pytest.mark.parametrize("form", [
+    "> Check EqI hatNat ({n}) : Prf (Eq hatNat ({n}) ({n}));\n",
+    "> [deep = EqI hatNat ({n}) : Prf (Eq hatNat ({n}) ({n}))];\n"],
+    ids=["Check", "Define"])
+def test_a_deep_true_equation_is_a_typed_rejection(form):
+    # comparing two distinct deep numerals overflows alpha-equality, in the
+    # kernel and again when the obligation is explained: a typed rejection,
+    # not a RecursionError. Once conversion runs on a work list (ROADMAP
+    # item 13), both forms should be accepted at this depth too
+    ck = load_standard()
+    entries, log = dict(ck.sig.entries), list(ck.log)
+    with pytest.raises(NestingTooDeep) as info:
+        ck.run_text(form.format(n=numeral(BEYOND)), file="deep.lf")
+    span = info.value.span
+    assert (span.file, span.line, span.col) == ("deep.lf", 1, 3)
+    assert info.value.diagnostic.rule == "depth"
+    assert ck.sig.entries == entries and ck.log == log
+    ck.run_text(form.format(n=numeral(300)))
+    assert len(ck.log) == len(log) + 1
+
+
+def test_a_hole_inside_a_deep_numeral_is_filled():
+    # filling the hole rebuilds the numeral by recursion, a frame a level:
+    # 700 levels fit the interpreter's default stack, and two frames a
+    # level would not
+    hole, n = "succ (" * 700 + "?" + ")" * 700, numeral(700)
+    ck = load_standard()
+    ck.run_text(f"> Check EqI hatNat ({hole}) : "
+                f"Prf (Eq hatNat ({n}) ({n}));\n")
+    assert ck.output[-1] == (f"Check EqI hatNat ({n}) : "
+                             f"Prf (Eq hatNat ({n}) ({n}))")
+
+
 def test_the_record_of_a_deep_numeral_prints():
     # the CI's 10^4-deep numeral: its log record's repr takes no stack
     ck = load_standard()

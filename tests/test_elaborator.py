@@ -13,7 +13,8 @@ from lttw.errors import (
 from lttw.kernel import EMPTY_CONTEXT, Fuel, equal_kinds, infer_kind
 from lttw.parser import parse_kind, parse_term
 from lttw.syntax import (
-    PROP, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq, app,
+    PROP, App, Const, ElKind, Kind, Lam, PiKind, PrfKind, Term, Var, alpha_eq,
+    app,
 )
 
 
@@ -148,6 +149,44 @@ def test_elaborated_result_rechecks_pure(sig):
     k = infer_kind(sig, EMPTY_CONTEXT, t, Fuel())  # kernel alone, no holes
     assert equal_kinds(sig, EMPTY_CONTEXT, k, _nat_eq_nat(Const("zero")),
                        Fuel())
+
+
+# ------------------------------------------------------------------ zonk
+
+def _subterms(e):
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        yield e
+        todo += (f for f in e[:-1] if isinstance(f, (Term, Kind)))
+
+
+# each node class a hole can occur in, holding `solved` and a child `kept`
+# that zonk must leave as it is
+HOLDERS = {
+    "App": lambda solved, kept: App(kept, solved),
+    "Lam": lambda solved, kept: Lam("x", ElKind(kept), solved),
+    "ElKind": lambda solved, kept: ElKind(App(kept, solved)),
+    "PrfKind": lambda solved, kept: PrfKind(App(kept, solved)),
+    "PiKind": lambda solved, kept: PiKind("x", ElKind(kept), PrfKind(solved)),
+}
+
+
+@pytest.mark.parametrize("holder", HOLDERS.values(), ids=HOLDERS)
+def test_zonk_fills_solutions_and_shares_what_it_leaves(holder):
+    st = MetaState()
+    solved, left = st.fresh(EMPTY_CONTEXT), st.fresh(EMPTY_CONTEXT)
+    st.solutions[solved.ident] = Const("zero")
+    # a child with a hole but no solution: walked, and not copied
+    kept = App(Const("succ"), left)
+    e = holder(solved, kept)
+    got = st.zonk(e)
+    assert alpha_eq(got, holder(Const("zero"), kept))
+    assert any(sub is kept for sub in _subterms(got))
+    unsolved = holder(left, kept)
+    assert st.zonk(unsolved) is unsolved
+    closed = holder(Const("zero"), App(Const("succ"), Const("zero")))
+    assert st.zonk(closed) is closed
 
 
 # ----------------------------------------------------------- unification

@@ -17,7 +17,8 @@ from lttw.surface import (
 )
 from lttw.stdlib import STDLIB_DIR
 from lttw.syntax import (
-    PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq, app,
+    PROP, TYPE, App, Const, ElKind, Lam, Meta, PiKind, PrfKind, Var, alpha_eq,
+    app,
 )
 
 settings.register_profile("thorough", max_examples=500, deadline=None,
@@ -508,6 +509,13 @@ def test_printed_term_parenthesisation():
     lam = Lam("x", ElKind(Const("Nat")), App(Const("succ"), Var("x")))
     assert print_term(lam) == "[x : Nat] succ x"
     assert print_term(App(Const("f"), lam)) == "f ([x : Nat] succ x)"
+
+
+def test_a_hole_under_a_binder_prints():
+    # the binder asks for the printed term's constants, and that walk
+    # passes a hole's ident, an int, without taking it for a node
+    lam = Lam("x", ElKind(Const("Nat")), App(Meta(0), Var("x")))
+    assert print_term(lam) == "[x : Nat] ?0 x"
 
 
 def test_printer_renames_captured_binder():

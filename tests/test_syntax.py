@@ -229,6 +229,15 @@ def test_subst_parallel_is_simultaneous():
     assert alpha_eq(got, App(Var("y"), Var("x")))
 
 
+def test_a_key_no_variable_has_takes_no_bit():
+    # a name that is only ever a mapping's key occurs free nowhere: the
+    # target comes back as it is, and the name stays out of the registry
+    name = "no_variable_has_this_name"
+    t = App(Var("x"), Const("c"))
+    assert subst_parallel(t, {name: Const("d")}) is t
+    assert name_mask(name) == 0
+
+
 @CASES
 @given(exprs, st.sampled_from(NAMES[:3]), st.sampled_from(NAMES[3:]),
        closed_terms, closed_terms)

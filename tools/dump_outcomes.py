@@ -3,14 +3,16 @@
     python3 tools/dump_outcomes.py > outcomes.jsonl
 
 One JSON line per command of the bundled corpus in its three shipped
-configurations and of the `arith` workload's scripts for seeds 1-3: its
-outcome, error class, message, span and Diagnostic, the output lines and
-log records it added (as `repr`), and the fuel it spent. A line per
-configuration gives the kernel-only replay of the final log, record by
-record, and a line per CLI probe gives the exit status and both streams.
-Run it in two checkouts and `diff` the files: a change that should not
-alter behaviour leaves the diff empty. The checker is imported from `src/`
-of the checkout the script lives in; only the standard library is needed.
+configurations, each script run as `lttw corpus` runs it (up to its first
+rejection, which rolls the whole script back), and of the `arith`
+workload's scripts for seeds 1-3: its outcome, error class, message, span
+and Diagnostic, the output lines and log records it added (as `repr`), and
+the fuel it spent. A line per configuration gives the kernel-only replay
+of the final log, record by record, and a line per CLI probe gives the
+exit status and both streams. Run it in two checkouts and `diff` the
+files: a change that should not alter behaviour leaves the diff empty. The
+checker is imported from `src/` of the checkout the script lives in; only
+the standard library is needed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from lttw.checker import Checker  # noqa: E402
+from lttw.checker import Checker, read_text  # noqa: E402
 from lttw.cli import main as cli_main  # noqa: E402
 from lttw.corpus import (  # noqa: E402
     CORPUS_DIR, MANIFEST, MANIFEST_IMPREDICATIVE, parse_manifest,
@@ -61,8 +63,8 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True).replace(str(ROOT), "<root>"))
 
 
-def _run(checker: Checker, cmd, where: str) -> bool:
-    """Run one command and dump what it did; True when it was accepted."""
+def _run(checker: Checker, cmd, where: str) -> None:
+    """Run one command and dump what it did, then raise its rejection."""
     output, logged = len(checker.output), len(checker.log)
     budgets = len(_budgets)
     record = {"where": where, "outcome": "accept"}
@@ -74,11 +76,12 @@ def _run(checker: Checker, cmd, where: str) -> bool:
             outcome="reject", error=type(e).__name__, message=e.message,
             span=None if e.span is None else tuple(e.span),
             diagnostic=None if d is None else [repr(d), render(d)])
-    record["output"] = checker.output[output:]
-    record["log"] = [repr(r) for r in checker.log[logged:]]
-    record["fuel"] = [f.limit - f.left for f in _budgets[budgets:]]
-    _emit(record)
-    return record["outcome"] == "accept"
+        raise
+    finally:
+        record["output"] = checker.output[output:]
+        record["log"] = [repr(r) for r in checker.log[logged:]]
+        record["fuel"] = [f.limit - f.left for f in _budgets[budgets:]]
+        _emit(record)
 
 
 def _setup(where: str, checker: Checker) -> None:
@@ -94,12 +97,13 @@ def corpus() -> None:
         checker = load_standard(mode=mode, prop_placement=prop_at)
         _setup(f"{config} setup", checker)
         for entry in parse_manifest(manifest):
-            text = entry.path.read_text(encoding="utf-8")
-            commands = parse_script(text, file=str(entry.path))
-            for i, cmd in enumerate(commands, 1):
-                # the corpus runner stops a script at its first rejection
-                if not _run(checker, cmd, f"{config} {entry.name} #{i}"):
-                    break
+            commands = parse_script(read_text(entry.path),
+                                    file=str(entry.path))
+            # as `lttw corpus` runs it: the script stops at its first
+            # rejection, and the whole script is rolled back
+            with contextlib.suppress(LttwError), checker.all_or_nothing():
+                for i, cmd in enumerate(commands, 1):
+                    _run(checker, cmd, f"{config} {entry.name} #{i}")
         spent = []
         sig = Signature()
         for record in checker.log:
@@ -118,7 +122,8 @@ def arith() -> None:
         _setup(f"arith {seed} setup", checker)
         script, _ = arith_script(seed, *ARITH_SIZE)
         for i, cmd in enumerate(parse_script(script, file="<arith>"), 1):
-            _run(checker, cmd, f"arith {seed} #{i}")
+            with contextlib.suppress(LttwError):
+                _run(checker, cmd, f"arith {seed} #{i}")
 
 
 # the command-line checks a release is tried with: argument lists, with
