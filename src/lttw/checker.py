@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Optional
 
 from .elaborator import Elaborator
-from .errors import Diagnostic, LttwError, NestingTooDeep, ScriptSyntaxError
+from .errors import LttwError
 from . import kernel
 from .kernel import (
     DEFAULT_FUEL, EMPTY_CONTEXT, Context, Fuel, RewriteRule, Signature,
@@ -67,6 +67,7 @@ from .printer import print_kind, print_term
 from .signature import commit, replay  # noqa: F401
 from .surface import (
     Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
+    ScriptSyntaxError,
 )
 from .syntax import TYPE, Lam, PiKind, PropKind
 
@@ -168,14 +169,10 @@ class Checker:
             # past a false obligation, elaboration and the kernel may fail
             # in any way; the explanation says which error stands
             error = el.explain(e)
-            if isinstance(error, RecursionError):
-                raise NestingTooDeep("command nests too deeply to check",
-                                     span=cmd.span,
-                                     diagnostic=Diagnostic("depth")) from None
             # the innermost command that raised it is the one to blame
             if isinstance(error, LttwError) and error.span is None:
                 error.span = cmd.span
-            raise error
+            raise error from None
         finally:
             self._el = None  # its obligations hold the command's terms
 
@@ -224,10 +221,9 @@ class Checker:
         body = el.finish_term(body, cmd)
         ascription = None
         if expected is not None:
-            k = el.finish_kind(expected, cmd)
-            for name, bk in reversed(pairs):
-                k = PiKind(name, bk, k)
-            ascription = k
+            ascription = el.finish_kind(expected, cmd)
+            for name, k in reversed(pairs):
+                ascription = PiKind(name, k, ascription)
         self._commit(("define", cmd.name, body, ascription), el.fuel)
 
     def _rule(self, cmd: DeclareRule) -> None:

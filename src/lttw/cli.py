@@ -176,10 +176,7 @@ def main(argv=None) -> int:
             print(textwrap.indent(render(e.diagnostic), "  "),
                   file=sys.stderr)
         return 1
-    except UsageError as e:
-        print(f"lttw: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (UsageError, OSError) as e:
         print(f"lttw: {e}", file=sys.stderr)
         return 2
 

@@ -21,10 +21,11 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..checker import Checker, read_text
-from ..errors import LttwError, ScriptSyntaxError
+from ..errors import LttwError
 from ..kernel import DEFAULT_FUEL
 from ..parser import parse_script
 from ..stdlib import load_standard
+from ..surface import ScriptSyntaxError
 
 CORPUS_DIR = Path(__file__).parent
 MANIFEST = CORPUS_DIR / "manifest.txt"

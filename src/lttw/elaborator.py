@@ -42,13 +42,13 @@ from typing import Any, Optional
 
 from .errors import (
     Diagnostic, FuelExhausted, IllFormedKind, KindMismatch, LttwError,
-    NotAProduct, SourceSpan, UnknownConstant,
+    NestingTooDeep, NotAProduct, UnknownConstant,
 )
 from . import kernel
 from .kernel import Context, Fuel, Signature
 from .surface import (
-    SApp, SEl, SHole, SLam, SName, SPi, SProp, SPrf, SType, STermKind,
-    SurfaceKind, SurfaceTerm,
+    SApp, SEl, SHole, SLam, SLift, SName, SPi, SProp, SType, SourceSpan,
+    STermKind, SurfaceKind, SurfaceTerm,
 )
 from .syntax import (
     HOLES, PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind,
@@ -79,6 +79,10 @@ class ScopeEscape(UnificationFailure):
 
 class Mismatch(UnificationFailure):
     pass
+
+
+# each sort, and the kind that lifts a term of that sort
+_LIFTS = {TypeKind: ElKind, PropKind: PrfKind}
 
 
 def _span(blame) -> Optional[SourceSpan]:
@@ -205,7 +209,8 @@ class Elaborator:
         in place would have had left at that point: the first that is
         false, runs out of steps or overflows the stack gives the error.
         When all hold, `error` stands, unless its steps and theirs together
-        overrun the budget."""
+        overrun the budget. A stack overflow, the command's own or an
+        obligation's, is a NestingTooDeep."""
         budget = self.fuel.limit
         used = 0  # steps the obligations decided so far took
         for ctx, actual, expected, blame, rule, spent in self.obligations:
@@ -220,10 +225,15 @@ class Elaborator:
                                           fuel):
                     return _kind_mismatch(blame, rule, expected, actual)
             except (FuelExhausted, RecursionError) as e:
-                return e
+                error = e
+                break
             used += left - fuel.left
-        if used > self.fuel.left:
-            return self.fuel.exhausted()
+        else:
+            if used > self.fuel.left:
+                return self.fuel.exhausted()
+        if isinstance(error, RecursionError):
+            return NestingTooDeep("command nests too deeply to check",
+                                  diagnostic=Diagnostic("depth"))
         return error
 
     def _lambda(self, ctx: Context, s: SLam,
@@ -327,12 +337,10 @@ class Elaborator:
             return TYPE
         if isinstance(s, SProp):
             return PROP
-        if isinstance(s, SEl):
-            t, _ = self.term(ctx, s.body, TYPE)
-            return ElKind(t)
-        if isinstance(s, SPrf):
-            t, _ = self.term(ctx, s.body, PROP)
-            return PrfKind(t)
+        if isinstance(s, SLift):
+            sort = TYPE if isinstance(s, SEl) else PROP
+            t, _ = self.term(ctx, s.body, sort)
+            return _LIFTS[type(sort)](t)
         if isinstance(s, SPi):
             dom = self.kind(ctx, s.domain)
             x, ctx2, outer = self._bind(ctx, s.var, dom)
@@ -343,10 +351,8 @@ class Elaborator:
         if isinstance(s, STermKind):
             t, k = self.term(ctx, s.term, None)
             k = self.state.zonk(k)
-            if isinstance(k, TypeKind):
-                return ElKind(t)
-            if isinstance(k, PropKind):
-                return PrfKind(t)
+            if type(k) in _LIFTS:
+                return _LIFTS[type(k)](t)
             raise IllFormedKind(
                 "a term used as a kind must be a type or a proposition",
                 span=s.span,
@@ -503,7 +509,7 @@ def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
         kernel.check_term(sig, ctx, t, el.finish_kind(k, s), fuel)
         return t
     except Exception as e:
-        raise el.explain(e)
+        raise el.explain(e) from None
 
 
 def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
@@ -515,7 +521,7 @@ def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
         kernel.check_kind_valid(sig, ctx, k, fuel)
         return k
     except Exception as e:
-        raise el.explain(e)
+        raise el.explain(e) from None
 
 
 def unify(sig: Signature, ctx: Context, a: Term, b: Term,

@@ -4,30 +4,16 @@ Every error raised on purpose by this package is an LttwError. Rejections
 coming out of the kernel carry a Diagnostic naming the violated rule and the
 judgement pieces involved, so callers can print *why* without re-running
 anything. This module imports nothing from lttw. It holds the errors of the
-trusted core and those several layers share; printing a Diagnostic is the
-printer's job, and an error only one other layer raises lives with it (the
-elaborator's, the parser's UnterminatedCommand, the corpus runner's).
+trusted core and those several layers share, and no type of the script
+language (`lttw.surface` has its spans and its syntax error). Printing a
+Diagnostic is the printer's job, and an error only one other layer raises
+lives with it (the elaborator's, the parser's, the corpus runner's).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, Optional
-
-
-class SourceSpan(namedtuple("SourceSpan", "file line col end_line end_col")):
-    """Half-open source range: line/col are 1-based, end is exclusive.
-
-    An immutable tuple of its five fields. The parser builds one for each
-    command and each of a command's binders; a term or kind node builds
-    its own from its first and last tokens only when asked, which in
-    practice only an error does."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.col}"
 
 
 @dataclass
@@ -46,9 +32,10 @@ class Diagnostic:
 
 
 class LttwError(Exception):
-    """Base class; carries an optional span and diagnostic."""
+    """Base class; carries an optional diagnostic and an optional span,
+    a `lttw.surface.SourceSpan` that the layers reading a script set."""
 
-    def __init__(self, message: str, span: Optional[SourceSpan] = None,
+    def __init__(self, message: str, span: Any = None,
                  diagnostic: Optional[Diagnostic] = None):
         super().__init__(message)
         self.message = message
@@ -65,12 +52,6 @@ class NestingTooDeep(LttwError):
     """The input nests deeper than the interpreter's stack allows, other
     than through an application's last argument, which costs no stack. Its
     diagnostic's rule is "depth"."""
-
-
-# lexing / parsing
-
-class ScriptSyntaxError(LttwError):
-    pass
 
 
 # signature management

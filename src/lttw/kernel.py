@@ -91,9 +91,7 @@ class Context:
             raise DuplicateVariable(
                 f"variable {name!r} already in context",
                 diagnostic=Diagnostic("context-fresh", subject=Var(name)))
-        m = dict(self._map)
-        m[name] = kind
-        return Context(m)
+        return Context({**self._map, name: kind})
 
     def bind(self, hint: str, kind: Kind,
              *terms: Expr) -> tuple[str, "Context"]:
@@ -101,21 +99,16 @@ class Context:
         extended with it. The name is `hint` when that is neither in the
         context nor free in `terms`, else a fresh name avoiding the
         context and the free names of `terms`."""
-        if hint not in self._map:
-            bit = name_mask(hint)
-            for e in terms:
-                if e.mask & bit:
-                    break
-            else:
-                return hint, self.extend(hint, kind)
-        x = fresh_name(hint, set(self._map).union(*map(free_vars, terms)))
-        return x, self.extend(x, kind)
+        free = 0
+        for e in terms:
+            free |= e.mask
+        if hint in self._map or free & name_mask(hint):
+            hint = fresh_name(hint,
+                              set(self._map).union(*map(free_vars, terms)))
+        return hint, self.extend(hint, kind)
 
     def lookup(self, name: str) -> Optional[Kind]:
         return self._map.get(name)
-
-    def __repr__(self) -> str:
-        return "Context(" + ", ".join(self._map) + ")"
 
 
 EMPTY_CONTEXT = Context()
@@ -357,13 +350,13 @@ def spine_domains(sig: Signature, ctx: Context, head: Term,
         k = entry.kind if entry is not None else None
     mapping: dict[str, Term] = {}
     for u in args:
-        if not isinstance(k, PiKind):
+        if isinstance(k, PiKind):
+            yield (subst_parallel(k.domain, mapping)
+                   if isinstance(k.domain, PiKind) else None)
+            mapping[k.var] = u
+            k = k.codomain
+        else:  # past the end of the head's product, or no kind at all
             yield None
-            continue
-        yield (subst_parallel(k.domain, mapping)
-               if isinstance(k.domain, PiKind) else None)
-        mapping[k.var] = u
-        k = k.codomain
 
 
 def equal_kinds(sig: Signature, ctx: Context, k1: Kind, k2: Kind,
@@ -496,21 +489,16 @@ def check_kind_valid(sig: Signature, ctx: Context, k: Kind,
                      fuel: Fuel) -> None:
     if isinstance(k, (TypeKind, PropKind)):
         return
-    if isinstance(k, ElKind):
+    if isinstance(k, (ElKind, PrfKind)):
+        sort, name, what, rule = (
+            (TYPE, "Type", "a type", "el-body") if type(k) is ElKind
+            else (PROP, "Prop", "a proposition", "prf-body"))
         body_kind = infer_kind(sig, ctx, k.body, fuel)
-        if not isinstance(body_kind, TypeKind):
+        if type(body_kind) is not type(sort):
             raise IllFormedKind(
-                "only a term of kind Type can be used as a type",
-                diagnostic=Diagnostic("el-body", subject=k.body,
-                                      expected=TYPE, actual=body_kind))
-        return
-    if isinstance(k, PrfKind):
-        body_kind = infer_kind(sig, ctx, k.body, fuel)
-        if not isinstance(body_kind, PropKind):
-            raise IllFormedKind(
-                "only a term of kind Prop can be used as a proposition",
-                diagnostic=Diagnostic("prf-body", subject=k.body,
-                                      expected=PROP, actual=body_kind))
+                f"only a term of kind {name} can be used as {what}",
+                diagnostic=Diagnostic(rule, subject=k.body, expected=sort,
+                                      actual=body_kind))
         return
     if isinstance(k, PiKind):
         check_kind_valid(sig, ctx, k.domain, fuel)

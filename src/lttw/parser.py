@@ -46,11 +46,11 @@ import re
 from sys import intern
 from typing import Optional
 
-from .errors import Diagnostic, NestingTooDeep, ScriptSyntaxError, SourceSpan
+from .errors import Diagnostic, NestingTooDeep
 from .surface import (
     Binder, Command, Declare, DeclareRule, Define, Directive, DirectiveOp,
-    SApp, SEl, SHole, SLam, SName, SPi, SProp, SPrf, SType, STermKind,
-    SurfaceKind, SurfaceTerm, Token, token_span,
+    SApp, SEl, SHole, SLam, SName, SPi, SProp, SPrf, SType, ScriptSyntaxError,
+    SourceSpan, STermKind, SurfaceKind, SurfaceTerm, Token, token_span,
 )
 
 
@@ -69,7 +69,10 @@ _TOKEN = re.compile(r"""
 _TYPES = (None, "string", None, "ident", "number")  # by group; None: value
 _BAD = 5
 
-KEYWORDS_KIND = {"Type", "Prop", "El", "Prf"}
+# the kind keywords: a sort stands alone, a lift takes the term after it
+_SORTS = {"Type": SType, "Prop": SProp}
+_LIFTS = {"El": SEl, "Prf": SPrf}
+KEYWORDS_KIND = _SORTS.keys() | _LIFTS.keys()
 DIRECTIVES = {d.value: d for d in DirectiveOp}
 _RESERVED = KEYWORDS_KIND | DIRECTIVES.keys()  # names that start no term
 
@@ -349,20 +352,13 @@ class _Parser:
     def _kind_arrow_operand(self, start: Token) -> SurfaceKind:
         t = self.peek()
         type_, value, _, _ = t
-        if type_ == "ident" and value == "Type":
+        if type_ == "ident" and value in _SORTS:
             self.pos += 1
-            return SType(t, t, self.file)
-        if type_ == "ident" and value == "Prop":
+            return _SORTS[value](t, t, self.file)
+        if type_ == "ident" and value in _LIFTS:
             self.pos += 1
-            return SProp(t, t, self.file)
-        if type_ == "ident" and value == "El":
-            self.pos += 1
-            body = self.parse_term()
-            return SEl(body, start, self._last(), self.file)
-        if type_ == "ident" and value == "Prf":
-            self.pos += 1
-            body = self.parse_term()
-            return SPrf(body, start, self._last(), self.file)
+            return _LIFTS[value](self.parse_term(), start, self._last(),
+                                 self.file)
         if self.accept("("):
             # parenthesised kind; may continue as a term application
             inner = self.parse_kind()

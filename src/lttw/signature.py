@@ -50,8 +50,7 @@ def declare_constant(sig: Signature, name: str, kind: Kind,
                      fuel: Fuel) -> ConstDecl:
     _require_fresh(sig, name)
     check_kind_valid(sig, EMPTY_CONTEXT, kind, fuel)
-    decl = ConstDecl(name, kind)
-    sig.entries[name] = decl
+    decl = sig.entries[name] = ConstDecl(name, kind)
     return decl
 
 
@@ -73,8 +72,7 @@ def define(sig: Signature, name: str, body: Term,
                 diagnostic=Diagnostic("define-ascription", subject=body,
                                       expected=ascription, actual=inferred))
         kind = ascription
-    defn = Definition(name, kind, body)
-    sig.entries[name] = defn
+    defn = sig.entries[name] = Definition(name, kind, body)
     return defn
 
 
@@ -187,18 +185,14 @@ def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
 def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel: Fuel) -> None:
     ctx = check_context(sig, rule.binders, fuel)
     check_kind_valid(sig, ctx, rule.ascription, fuel)
-    lhs_kind = check_against(sig, ctx, rule.lhs, rule.ascription, fuel)
-    if lhs_kind is not None:
-        raise KindMismatch(
-            "rule left-hand side does not have the ascribed kind",
-            diagnostic=Diagnostic("rewrite-lhs-kind", subject=rule.lhs,
-                                  expected=rule.ascription, actual=lhs_kind))
-    rhs_kind = check_against(sig, ctx, rule.rhs, rule.ascription, fuel)
-    if rhs_kind is not None:
-        raise KindMismatch(
-            "rule right-hand side does not have the ascribed kind",
-            diagnostic=Diagnostic("rewrite-rhs-kind", subject=rule.rhs,
-                                  expected=rule.ascription, actual=rhs_kind))
+    for side, t, name in (("left", rule.lhs, "rewrite-lhs-kind"),
+                          ("right", rule.rhs, "rewrite-rhs-kind")):
+        actual = check_against(sig, ctx, t, rule.ascription, fuel)
+        if actual is not None:
+            raise KindMismatch(
+                f"rule {side}-hand side does not have the ascribed kind",
+                diagnostic=Diagnostic(name, subject=t,
+                                      expected=rule.ascription, actual=actual))
 
 
 def _distinguishable(a: CompiledRule, b: CompiledRule) -> bool:
@@ -217,7 +211,11 @@ def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
     from `fuel`, and store what it declares. A `check` record stores
     nothing; its kind must be well formed and its term of that kind.
     Raises on rejection, leaving `sig` unchanged."""
-    tag = record[0]
+    tag = record[0] if record else None
+    if len(record) != _FIELDS.get(tag, len(record)):
+        raise SignatureError(
+            f"replay record {tag!r} needs {_FIELDS[tag]} fields, "
+            f"not {len(record)}", diagnostic=Diagnostic("replay-record"))
     if tag == "declare":
         _, name, kind = record
         declare_constant(sig, name, kind, fuel)

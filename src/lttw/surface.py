@@ -1,4 +1,5 @@
-"""Surface syntax produced by the parser and consumed by the elaborator.
+"""The script language's types: source spans, the syntax error, and the
+surface syntax produced by the parser and consumed by the elaborator.
 
 Names are unresolved (binder or constant is decided during elaboration),
 holes stand for arguments to be inferred, and binder annotations may be
@@ -19,11 +20,28 @@ not. Commands stay frozen dataclasses.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .errors import SourceSpan
+from .errors import LttwError
+
+
+class SourceSpan(namedtuple("SourceSpan", "file line col end_line end_col")):
+    """Half-open source range: line/col are 1-based, end is exclusive. The
+    parser builds one for each command and each of a command's binders; a
+    term or kind node builds its own only when asked."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return f"{self.file}:{self.line}:{self.col}"
+
+
+class ScriptSyntaxError(LttwError):
+    """A script that is not well formed, or a command it cannot run."""
+
 
 # (type, value, line, col): type is "ident", "string", "number", "eof" or
 # the punctuation itself; value is as written, so a string literal keeps
@@ -104,7 +122,9 @@ class SProp(SurfaceKind):
     __slots__ = ()
 
 
-class SEl(SurfaceKind):
+class SLift(SurfaceKind):
+    """`El t` or `Prf t`: a term lifted to a kind."""
+
     __slots__ = ("body",)
 
     def __init__(self, body: SurfaceTerm, first: Token, last: Token,
@@ -113,13 +133,12 @@ class SEl(SurfaceKind):
         self.first, self.last, self.file = first, last, file
 
 
-class SPrf(SurfaceKind):
-    __slots__ = ("body",)
+class SEl(SLift):
+    __slots__ = ()
 
-    def __init__(self, body: SurfaceTerm, first: Token, last: Token,
-                 file: str):
-        self.body = body
-        self.first, self.last, self.file = first, last, file
+
+class SPrf(SLift):
+    __slots__ = ()
 
 
 class SPi(SurfaceKind):

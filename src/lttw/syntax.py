@@ -347,41 +347,44 @@ def _under_binder(x: str, body: Expr, mapping: dict[str, Term], keys: int):
 
 
 def alpha_eq(a: Expr, b: Expr) -> bool:
-    """Equality up to consistent renaming of bound variables."""
+    """Equality up to consistent renaming of bound variables. The last
+    field (an argument, a binder's body, a lifted term) is compared in a
+    loop, so two numerals cost no stack; a function and a domain recurse."""
     return a is b or _aeq(a, b, {}, {}, 0)
 
 
 def _aeq(a: Expr, b: Expr, ea: dict, eb: dict, depth: int) -> bool:
-    if a is b and ea == eb:
-        return True
-    ta, tb = type(a), type(b)
-    if ta is not tb:
-        return False
-    if ta is Var:
-        la, lb = ea.get(a.name), eb.get(b.name)
-        if la is None and lb is None:
-            return a.name == b.name
-        return la == lb
-    if ta is Const:
-        return a.name == b.name
-    if ta is Meta:
-        return a.ident == b.ident
-    if ta is App:
-        return (_aeq(a.fn, b.fn, ea, eb, depth)
-                and _aeq(a.arg, b.arg, ea, eb, depth))
-    if ta is Lam or ta is PiKind:  # a binder: name, domain, body
-        if not _aeq(a[1], b[1], ea, eb, depth):
+    while True:
+        if a is b and ea == eb:
+            return True
+        ta, tb = type(a), type(b)
+        if ta is not tb:
             return False
-        ea2 = dict(ea)
-        eb2 = dict(eb)
-        ea2[a[0]] = depth
-        eb2[b[0]] = depth
-        return _aeq(a[2], b[2], ea2, eb2, depth + 1)
-    if ta is TypeKind or ta is PropKind:
-        return True
-    if ta is ElKind or ta is PrfKind:
-        return _aeq(a.body, b.body, ea, eb, depth)
-    raise TypeError(f"not a term or kind: {a!r}")
+        if ta is App:
+            if not _aeq(a.fn, b.fn, ea, eb, depth):
+                return False
+            a, b = a.arg, b.arg
+        elif ta is Var:
+            la, lb = ea.get(a.name), eb.get(b.name)
+            if la is None and lb is None:
+                return a.name == b.name
+            return la == lb
+        elif ta is Const:
+            return a.name == b.name
+        elif ta is Meta:
+            return a.ident == b.ident
+        elif ta is Lam or ta is PiKind:  # a binder: name, domain, body
+            if not _aeq(a[1], b[1], ea, eb, depth):
+                return False
+            ea = {**ea, a[0]: depth}
+            eb = {**eb, b[0]: depth}
+            a, b, depth = a[2], b[2], depth + 1
+        elif ta is TypeKind or ta is PropKind:
+            return True
+        elif ta is ElKind or ta is PrfKind:
+            a, b = a.body, b.body
+        else:
+            raise TypeError(f"not a term or kind: {a!r}")
 
 
 def metas_of(e: Expr) -> set[int]:

@@ -14,12 +14,13 @@ from lttw.checker import Checker
 from lttw.corpus import CORPUS_DIR
 from lttw.errors import (
     DomainMismatch, DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
-    NotAProduct, ScriptSyntaxError, SignatureError, UnknownConstant,
+    NotAProduct, SignatureError, UnknownConstant,
 )
 from lttw.kernel import DEFAULT_FUEL, Fuel
 from lttw.printer import render
 from lttw.signature import Definition, declare_rewrite, replay
 from lttw.stdlib import load_standard
+from lttw.surface import ScriptSyntaxError
 from lttw.syntax import (
     TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, PropKind, TypeKind, Var,
     alpha_eq, contains_meta, metas_of,
@@ -545,25 +546,40 @@ def test_too_deep_a_command_is_explained_like_any_rejection():
     assert ck.output[-1] == f"TypeOf K zero ({numeral(10**4)}) : Nat"
 
 
-@pytest.mark.parametrize("form", [
-    "> Check EqI hatNat ({n}) : Prf (Eq hatNat ({n}) ({n}));\n",
-    "> [deep = EqI hatNat ({n}) : Prf (Eq hatNat ({n}) ({n}))];\n"],
-    ids=["Check", "Define"])
-def test_a_deep_true_equation_is_a_typed_rejection(form):
-    # comparing two distinct deep numerals overflows alpha-equality, in the
-    # kernel and again when the obligation is explained: a typed rejection,
-    # not a RecursionError. Once conversion runs on a work list (ROADMAP
-    # item 13), both forms should be accepted at this depth too
+# an equation between the numerals n and m, as a query and as a definition
+EQUATIONS = {
+    "Check": "> Check EqI hatNat ({n}) : Prf (Eq hatNat ({n}) ({m}));\n",
+    "Define": "> [deep = EqI hatNat ({n}) : Prf (Eq hatNat ({n}) ({m}))];\n"}
+
+
+@pytest.mark.parametrize("form", EQUATIONS)
+def test_a_deep_true_equation_is_accepted(form):
+    # alpha-equality compares two distinct equal numerals in its loop, in
+    # the kernel and when the obligation is explained, at no stack cost
+    ck = load_standard()
+    logged = len(ck.log)
+    n = numeral(BEYOND)
+    ck.run_text(EQUATIONS[form].format(n=n, m=n))
+    assert len(ck.log) == logged + 1
+
+
+@pytest.mark.parametrize("form", EQUATIONS)
+def test_a_deep_false_equation_is_a_typed_rejection(form):
+    # conversion still recurses into the arguments of two numerals that
+    # differ (ROADMAP item 13): a typed rejection, not a RecursionError
     ck = load_standard()
     entries, log = dict(ck.sig.entries), list(ck.log)
+    equation = EQUATIONS[form].format(n=numeral(BEYOND),
+                                      m=numeral(BEYOND + 1))
     with pytest.raises(NestingTooDeep) as info:
-        ck.run_text(form.format(n=numeral(BEYOND)), file="deep.lf")
+        ck.run_text(equation, file="deep.lf")
     span = info.value.span
     assert (span.file, span.line, span.col) == ("deep.lf", 1, 3)
     assert info.value.diagnostic.rule == "depth"
     assert ck.sig.entries == entries and ck.log == log
-    ck.run_text(form.format(n=numeral(300)))
-    assert len(ck.log) == len(log) + 1
+    with pytest.raises(KindMismatch) as info:
+        ck.run_text(EQUATIONS[form].format(n=numeral(300), m=numeral(301)))
+    assert info.value.diagnostic.rule == "check"
 
 
 def test_a_hole_inside_a_deep_numeral_is_filled():

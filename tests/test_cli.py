@@ -9,6 +9,7 @@ import ast
 import errno
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -465,7 +466,11 @@ def test_rewrite_rule_rejection_names_its_rule(capsys, tmp_path, rule,
 def _rule_names(tree):
     """The rule names written as literals: the first argument of a
     `Diagnostic(...)`, and the last of an elaborator `_require_kinds_equal`
-    call, which names the rule of the obligation it records."""
+    call, which names the rule of the obligation it records. A module
+    with a Diagnostic whose rule is a variable may read it from a table:
+    there the literals of its tuples that look like rule names (words
+    joined by hyphens) count as well."""
+    tables = False
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
@@ -475,6 +480,12 @@ def _rule_names(tree):
                "_require_kinds_equal": node.args[-1]}.get(name)
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             yield arg.value
+        tables |= name == "Diagnostic" and isinstance(arg, ast.Name)
+    for node in ast.walk(tree) if tables else ():
+        for elt in node.elts if isinstance(node, ast.Tuple) else ():
+            if (isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                    and re.fullmatch(r"[a-z]+(-[a-z]+)+", elt.value)):
+                yield elt.value
 
 
 def test_every_diagnostic_rule_name_is_tested():

@@ -8,13 +8,14 @@ from lttw.elaborator import (
     UnificationFailure, UnsolvedMeta, elaborate, elaborate_kind, unify,
 )
 from lttw.errors import (
-    IllFormedKind, KindMismatch, NotAProduct, UnknownConstant,
+    IllFormedKind, KindMismatch, NestingTooDeep, NotAProduct, UnknownConstant,
 )
 from lttw.kernel import EMPTY_CONTEXT, Fuel, equal_kinds, infer_kind
 from lttw.parser import parse_kind, parse_term
+from lttw.signature import declare_constant
 from lttw.syntax import (
-    PROP, App, Const, ElKind, Kind, Lam, PiKind, PrfKind, Term, Var, alpha_eq,
-    app,
+    PROP, TYPE, App, Const, ElKind, Kind, Lam, PiKind, PrfKind, Term, Var,
+    alpha_eq, app,
 )
 
 
@@ -290,6 +291,17 @@ def test_unify_kinds_at_a_product(sig):
             PiKind("y", NAT, eq_zero(Const("zero"), Var("y"))), None)
 
 
+def test_unify_kinds_under_a_product_over_a_sort(sig):
+    # the domains are the same sort, and the codomains solve the hole
+    def family(b):
+        return PiKind("A", TYPE, ElKind(app(Const("Times"), Var("A"), b)))
+
+    el = Elaborator(sig, Fuel())
+    hole = el.state.fresh(EMPTY_CONTEXT)
+    el.unify_kinds(EMPTY_CONTEXT, family(hole), family(Const("Nat")), None)
+    assert alpha_eq(el.state.solutions[hole.ident], Const("Nat"))
+
+
 def test_unification_respects_reduction(sig):
     # plus 2 2 and 4 unify with a hole inside one side's argument
     st = MetaState()
@@ -331,3 +343,22 @@ def test_dependent_kind_elaboration(sig):
     assert alpha_eq(k.domain, ElKind(Const("U")))
     inner = k.codomain
     assert alpha_eq(inner.domain, ElKind(App(Const("T"), Var("A"))))
+
+
+# ------------------------------------------------------------- deep input
+
+def test_both_entry_points_reject_too_deep_a_term():
+    # nested 2000 deep through a leading argument, elaboration overflows
+    # the stack: a NestingTooDeep, as a checker command gives, and not a
+    # RecursionError
+    sig = universe_signature()
+    declare_constant(sig, "f", arrow(NAT, arrow(NAT, NAT)), Fuel())
+    deep = "f (" * 2000 + "zero" + ") zero" * 2000
+    for run in (lambda: elaborate(sig, EMPTY_CONTEXT, parse_term(deep),
+                                  fuel=Fuel()),
+                lambda: elaborate_kind(sig, EMPTY_CONTEXT,
+                                       parse_kind(f"El ({deep})"), Fuel())):
+        with pytest.raises(NestingTooDeep) as info:
+            run()
+        assert info.value.message == "command nests too deeply to check"
+        assert info.value.diagnostic.rule == "depth"

@@ -19,7 +19,7 @@ from lttw.errors import (
 )
 from lttw.kernel import (
     EMPTY_CONTEXT, Fuel, check_context, check_kind_valid, convertible,
-    equal_kinds, infer_kind, normalize, whnf,
+    equal_kinds, infer_kind, normalize, spine_domains, whnf,
 )
 from lttw.printer import render
 from lttw.signature import RewriteRule, declare_constant, declare_rewrite
@@ -235,6 +235,39 @@ def test_eta_only_at_the_product_kind_compared_at(sig):
                        arrow(NAT, NAT), Fuel())
     assert not convertible(sig, EMPTY_CONTEXT, expanded, Const("f"), None,
                            Fuel())
+
+
+def test_a_definition_meets_its_own_lambda_at_no_kind(sig):
+    # at None no eta applies, and unfolding `plus` exposes a lambda: two
+    # lambda heads are compared by alpha-equality alone
+    body = sig.entries["plus"].body
+    assert convertible(sig, EMPTY_CONTEXT, Const("plus"), body, None, Fuel())
+    second = Lam("m", NAT, Lam("n", NAT, Var("n")))
+    assert not convertible(sig, EMPTY_CONTEXT, Const("plus"), second, None,
+                           Fuel())
+
+
+def test_spine_domains_past_a_product_and_without_a_kind(sig):
+    # only a product domain is given; an argument past the end of the
+    # head's product, or of a head with no kind, is compared at no kind
+    z = Const("zero")
+    domains = list(spine_domains(sig, EMPTY_CONTEXT, Const("E_Nat"),
+                                 [const_nat_family(), z, z, z, z]))
+    assert alpha_eq(domains[0], arrow(NAT, TYPE))
+    assert isinstance(domains[2], PiKind)
+    assert domains[1] is domains[3] is domains[4] is None
+    for head in (Var("ghost"), Const("ghost"), Lam("x", NAT, Var("x"))):
+        assert list(spine_domains(sig, EMPTY_CONTEXT, head, [z])) == [None]
+
+
+def test_bind_avoids_a_name_free_in_its_terms():
+    # a hint free in one of the terms is renamed away from them and from
+    # the context, also when the context does not hold it
+    ctx = EMPTY_CONTEXT.extend("x1", NAT)
+    x, ctx2 = ctx.bind("x", NAT, App(Const("succ"), Var("x")))
+    assert x == "x2" and ctx2.lookup("x2") is NAT
+    assert ctx2.lookup("x") is None
+    assert ctx.bind("y", NAT, Var("x"))[0] == "y"
 
 
 def test_distinct_constructors_not_convertible(sig):

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lttw.corpus import CORPUS_DIR
-from lttw.errors import ScriptSyntaxError, SourceSpan
 from lttw.parser import (
     UnterminatedCommand, parse_kind, parse_script, parse_term, tokenize,
 )
 from lttw.printer import print_kind, print_term
 from lttw.surface import (
     Declare, DeclareRule, Define, Directive, DirectiveOp, SApp, SEl, SHole,
-    SLam, SName, SPi, SProp, SPrf, SType, STermKind,
+    SLam, SName, SPi, SProp, SPrf, SType, ScriptSyntaxError, SourceSpan,
+    STermKind,
 )
 from lttw.stdlib import STDLIB_DIR
 from lttw.syntax import (

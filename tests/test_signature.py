@@ -386,3 +386,19 @@ def test_commit_rejects_an_unknown_record():
         commit(Signature(), ("mystery",), Fuel())
     assert str(info.value) == "unknown replay record 'mystery'"
     assert info.value.diagnostic.rule == "replay-record"
+
+
+@pytest.mark.parametrize("record, message", [
+    (("declare", "x"), "replay record 'declare' needs 3 fields, not 2"),
+    (("check", Const("zero"), NAT, NAT),
+     "replay record 'check' needs 3 fields, not 4"),
+    ((), "unknown replay record None"),
+], ids=["short", "long", "empty"])
+def test_commit_rejects_a_record_of_the_wrong_length(record, message):
+    # a typed rejection naming the record, as `replay` gives, and not an
+    # unpacking ValueError
+    with pytest.raises(SignatureError) as info:
+        commit(Signature(), record, Fuel())
+    assert type(info.value) is SignatureError
+    assert str(info.value) == message
+    assert info.value.diagnostic.rule == "replay-record"
