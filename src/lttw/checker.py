@@ -219,11 +219,11 @@ class Checker:
         for name, k in reversed(pairs):
             body = Lam(name, k, body)
         body = el.finish_term(body, cmd)
-        ascription = None
+        ascription = expected
         if expected is not None:
-            ascription = el.finish_kind(expected, cmd)
             for name, k in reversed(pairs):
                 ascription = PiKind(name, k, ascription)
+            ascription = el.finish_kind(ascription, cmd)
         self._commit(("define", cmd.name, body, ascription), el.fuel)
 
     def _rule(self, cmd: DeclareRule) -> None:
@@ -232,7 +232,8 @@ class Checker:
         ascription = el.kind(ctx, cmd.kind)
         lhs, _ = el.term(ctx, cmd.lhs, ascription)
         rhs, _ = el.term(ctx, cmd.rhs, ascription)
-        rule = RewriteRule(binders=tuple(pairs),
+        rule = RewriteRule(binders=tuple((name, el.finish_kind(k, cmd))
+                                         for name, k in pairs),
                            lhs=el.finish_term(lhs, cmd),
                            rhs=el.finish_term(rhs, cmd),
                            ascription=el.finish_kind(ascription, cmd))

@@ -36,7 +36,6 @@ as a span: a node builds its span on demand, and only an error or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
 from typing import Any, Optional
 
@@ -98,41 +97,47 @@ def _kind_mismatch(blame, rule: str, expected: Kind,
                                               actual=actual))
 
 
-@dataclass
-class MetaInfo:
-    ctx: Context  # the context the hole was made in
-    blame: Any  # the hole's surface node, or None
-
-
 class MetaState:
     """Metavariables and pending constraints for one command."""
 
     def __init__(self):
-        self.counter = 0
-        self.info: dict[int, MetaInfo] = {}
+        # by ident: each hole's context and surface node (or None)
+        self.info: list[tuple[Context, Any]] = []
         self.solutions: dict[int, Term] = {}
         self.queue: list[tuple] = []  # (ctx, a, b, at, blame)
 
     def fresh(self, ctx: Context, blame=None) -> Meta:
-        ident = self.counter
-        self.counter += 1
-        self.info[ident] = MetaInfo(ctx, blame)
-        return Meta(ident)
+        self.info.append((ctx, blame))
+        return Meta(len(self.info) - 1)
 
     def zonk(self, e):
         """Apply current solutions throughout a term or kind. Subterms
         without a solved hole are shared, not copied, and a subterm without
-        a hole is not walked. A loop walks the fields: before Python 3.12,
-        a comprehension would be a second frame for each level of a term."""
+        a hole is not walked. The last field is filled in the loop, so a
+        numeral costs no stack, and the leading ones by recursion, from a
+        plain loop: before Python 3.12 a comprehension is one more frame."""
         if not self.solutions or not e.mask & HOLES:
             return e
-        if type(e) is Meta:
-            sol = self.solutions.get(e.ident)
-            return e if sol is None else self.zonk(sol)
-        new = []
-        for f in e[:-1]:
-            new.append(self.zonk(f) if isinstance(f, (Term, Kind)) else f)
-        return e if all(map(is_, new, e)) else type(e)(*new)
+        outer = []  # each enclosing node, and its leading fields filled
+        while e.mask & HOLES:
+            if type(e) is Meta:
+                sol = self.solutions.get(e.ident)
+                if sol is None:
+                    break
+                e = sol
+                continue
+            lead = []
+            for f in e[:-2]:
+                lead.append(self.zonk(f) if isinstance(f, (Term, Kind))
+                            else f)
+            outer.append((e, lead))
+            e = e[-2]
+        while outer:
+            node, lead = outer.pop()
+            if e is not node[-2] or not all(map(is_, lead, node)):
+                node = type(node)(*lead, e)
+            e = node
+        return e
 
 
 class Elaborator:
@@ -160,8 +165,7 @@ class Elaborator:
                 raise UnsolvedMeta(
                     "hole in a position whose kind is not determined",
                     span=s.span, diagnostic=Diagnostic("hole-kind"))
-            m = self.state.fresh(ctx, s)
-            return m, expected
+            return self.state.fresh(ctx, s), expected
         if isinstance(s, SLam):
             return self._lambda(ctx, s, expected)
         if isinstance(s, SApp):
@@ -193,7 +197,7 @@ class Elaborator:
         unification. A command that has made no hole needs no scan."""
         a = self.state.zonk(actual)
         e = self.state.zonk(expected)
-        if self.state.counter == 0 or not (
+        if not self.state.info or not (
                 contains_meta(a) or contains_meta(e)):
             self.obligations.append(
                 (ctx, a, e, blame, rule, self.fuel.limit - self.fuel.left))
@@ -240,8 +244,7 @@ class Elaborator:
                 expected: Optional[Kind]) -> tuple[Term, Kind]:
         if expected is not None and not isinstance(expected, PiKind):
             raise KindMismatch(
-                "an abstraction only has product kinds",
-                span=s.span,
+                "an abstraction only has product kinds", span=s.span,
                 diagnostic=Diagnostic("lam-kind", expected=expected))
         if s.ann is not None:
             dom = self.kind(ctx, s.ann)
@@ -378,9 +381,8 @@ class Elaborator:
         if t1 is PiKind:
             self.unify_kinds(ctx, k1.domain, k2.domain, blame)
             x, ctx2 = ctx.bind(k1.var, k1.domain, k1, k2)
-            c1 = rename(k1.codomain, k1.var, x)
-            c2 = rename(k2.codomain, k2.var, x)
-            self.unify_kinds(ctx2, c1, c2, blame)
+            self.unify_kinds(ctx2, rename(k1.codomain, k1.var, x),
+                             rename(k2.codomain, k2.var, x), blame)
             return
         raise TypeError(f"not a kind: {k1!r}")
 
@@ -389,41 +391,45 @@ class Elaborator:
         """Make a and b equal at `at`, the kind both have, solving holes.
         Eta only when `at` is a product; None means no eta at this level."""
         self._unify(ctx, a, b, at, blame)
-        self._drain(blame)
+        self._drain()
 
     def _unify(self, ctx: Context, a: Term, b: Term, at: Optional[Kind],
                blame) -> None:
-        a, ha, sa = self._whnf(a)
-        b, hb, sb = self._whnf(b)
-        if alpha_eq(a, b):
-            return
-        # a bare hole is solved before eta, which would only hide it under
-        # an application no first-order step can solve
-        if isinstance(a, Meta):
-            self._solve(ctx, a.ident, b, blame)
-            return
-        if isinstance(b, Meta):
-            self._solve(ctx, b.ident, a, blame)
-            return
-        at = self.state.zonk(at) if at is not None else None
-        if isinstance(at, PiKind):
-            x, ctx2 = ctx.bind(at.var, at.domain, a, b, at)
-            cod = rename(at.codomain, at.var, x)
-            self._unify(ctx2, App(a, Var(x)), App(b, Var(x)), cod, blame)
-            return
-        if isinstance(ha, Meta) or isinstance(hb, Meta):
-            self.state.queue.append((ctx, a, b, at, blame))
-            return
-        if (isinstance(ha, (Var, Const)) and type(ha) is type(hb)
-                and ha.name == hb.name and len(sa) == len(sb)):
-            for u, v, arg_at in zip(sa, sb, kernel.spine_domains(
-                    self.sig, ctx, ha, sa)):
+        """`unify` short of draining the queue. Of two spines with one rigid
+        head, the last argument pair is unified in the loop, at no stack."""
+        while True:
+            a, ha, sa = self._whnf(a)
+            b, hb, sb = self._whnf(b)
+            if alpha_eq(a, b):
+                return
+            # a bare hole is solved before eta, which would only hide it
+            # under an application no first-order step can solve
+            if isinstance(a, Meta):
+                self._solve(ctx, a.ident, b, blame)
+                return
+            if isinstance(b, Meta):
+                self._solve(ctx, b.ident, a, blame)
+                return
+            at = self.state.zonk(at) if at is not None else None
+            if isinstance(at, PiKind):
+                x, ctx = ctx.bind(at.var, at.domain, a, b, at)
+                a, b = App(a, Var(x)), App(b, Var(x))
+                at = rename(at.codomain, at.var, x)
+                continue
+            if isinstance(ha, Meta) or isinstance(hb, Meta):
+                self.state.queue.append((ctx, a, b, at, blame))
+                return
+            if not (isinstance(ha, (Var, Const)) and type(ha) is type(hb)
+                    and ha.name == hb.name and len(sa) == len(sb)):
+                raise Mismatch(
+                    "terms with different rigid heads cannot be made equal",
+                    span=_span(blame), diagnostic=Diagnostic(
+                        "unify-rigid", subject=a, expected=b))
+            # equal bare heads were alpha-equal: the spines are not empty
+            *leading, (a, b, at) = zip(sa, sb, kernel.spine_domains(
+                self.sig, ctx, ha, sa))
+            for u, v, arg_at in leading:
                 self._unify(ctx, u, v, arg_at, blame)
-            return
-        raise Mismatch(
-            "terms with different rigid heads cannot be made equal",
-            span=_span(blame),
-            diagnostic=Diagnostic("unify-rigid", subject=a, expected=b))
 
     def _whnf(self, t: Term) -> tuple[Term, Term, list]:
         """t with its holes filled, in weak-head form, and that form's
@@ -441,17 +447,17 @@ class Elaborator:
                 "a hole's solution mentions the hole itself",
                 span=_span(blame),
                 diagnostic=Diagnostic("occurs", subject=value))
-        info = self.state.info[ident]
-        escaped = [x for x in free_vars(value) if info.ctx.lookup(x) is None]
+        scope, hole = self.state.info[ident]
+        escaped = [x for x in free_vars(value) if scope.lookup(x) is None]
         if escaped:
             raise ScopeEscape(
                 "solution mentions variables not in scope at the hole: "
                 + ", ".join(sorted(escaped)),
-                span=_span(blame or info.blame),
+                span=_span(blame or hole),
                 diagnostic=Diagnostic("scope", subject=value))
         self.state.solutions[ident] = value
 
-    def _drain(self, blame) -> None:
+    def _drain(self) -> None:
         progress = True
         while progress and self.state.queue:
             progress = False
@@ -473,9 +479,9 @@ class Elaborator:
         """Drain the pending constraints and return the term or kind `e`
         with every hole filled; raises if a hole or constraint is left.
         A command that made no hole has nothing to drain or fill."""
-        if self.state.counter == 0:
+        if not self.state.info:
             return e
-        self._drain(blame)
+        self._drain()
         e = self.state.zonk(e)
         left = metas_of(e)
         if left or self.state.queue:
@@ -492,10 +498,9 @@ class Elaborator:
                 "decide", span=_span(queued or blame),
                 diagnostic=Diagnostic("postponed", subject=self.state.zonk(a),
                                       expected=self.state.zonk(b)))
-        ident = min(left)
-        info = self.state.info[ident]
+        _, hole = self.state.info[min(left)]
         raise UnsolvedMeta("a hole was never determined",
-                           span=_span(info.blame or blame),
+                           span=_span(hole or blame),
                            diagnostic=Diagnostic("hole-solved"))
 
 

@@ -118,13 +118,11 @@ EMPTY_CONTEXT = Context()
 
 @dataclass(frozen=True)
 class ConstDecl:
-    name: str
     kind: Kind
 
 
 @dataclass(frozen=True)
 class Definition:
-    name: str
     kind: Kind
     body: Term
 
@@ -145,29 +143,27 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class CompiledRule:
-    """Match-ready form. Each pattern is ("var", name) or ("con", constant,
-    subpatterns); a subpattern is ("var", name) for a first binding or
-    ("forced", name) for a repeat the kind system already forces equal.
-    `con_positions` are the sorted argument positions where this rule or an
-    earlier rule for the same head has a constructor pattern: the ones
-    reduction must bring to weak-head form before the head's rules match."""
+    """Match-ready form of a rule for the head it is stored under in
+    `Signature.rules`, taking one argument per pattern. A pattern is
+    ("var", name) or ("con", constant, subpatterns); a subpattern is
+    ("var", name) for a first binding or ("forced", name) for a repeat the
+    kind system already forces equal. `con_positions` are the sorted
+    argument positions where this rule or an earlier rule for the same head
+    has a constructor pattern: the ones reduction must bring to weak-head
+    form before the head's rules match."""
 
-    head: str
-    arity: int
     patterns: tuple
     rhs: Term
-    source: RewriteRule
     con_positions: tuple[int, ...]
 
 
 class Signature:
     def __init__(self):
-        self.entries: dict[str, Entry] = {}
+        self.entries: dict[str, Entry] = {}  # by name
         self.rules: dict[str, list[CompiledRule]] = {}
 
     def constant_count(self) -> int:
-        return sum(1 for e in self.entries.values()
-                   if isinstance(e, ConstDecl))
+        return sum(isinstance(e, ConstDecl) for e in self.entries.values())
 
     def rule_count(self) -> int:
         return sum(len(rs) for rs in self.rules.values())
@@ -218,7 +214,7 @@ def whnf_spine(sig: Signature, head: Term, args: list, fuel: Fuel,
             args = inner + args
             continue
         candidates = rules.get(head.name)
-        if not candidates or len(args) < candidates[0].arity:
+        if not candidates or len(args) < len(candidates[0].patterns):
             break
         split = {}  # constructor position -> its argument's normal spine
         for i in candidates[-1].con_positions:
@@ -235,7 +231,7 @@ def whnf_spine(sig: Signature, head: Term, args: list, fuel: Fuel,
         fuel.spend()
         # the match binds every free name of the right-hand side
         head, inner = subst_spine(rule.rhs, binding, rule.rhs.mask)
-        args = inner + args[rule.arity:]
+        args = inner + args[len(rule.patterns):]
     return head, args
 
 

@@ -50,7 +50,7 @@ def declare_constant(sig: Signature, name: str, kind: Kind,
                      fuel: Fuel) -> ConstDecl:
     _require_fresh(sig, name)
     check_kind_valid(sig, EMPTY_CONTEXT, kind, fuel)
-    decl = sig.entries[name] = ConstDecl(name, kind)
+    decl = sig.entries[name] = ConstDecl(kind)
     return decl
 
 
@@ -72,30 +72,30 @@ def define(sig: Signature, name: str, body: Term,
                 diagnostic=Diagnostic("define-ascription", subject=body,
                                       expected=ascription, actual=inferred))
         kind = ascription
-    defn = sig.entries[name] = Definition(name, kind, body)
+    defn = sig.entries[name] = Definition(kind, body)
     return defn
 
 
 def declare_rewrite(sig: Signature, rule: RewriteRule,
                     fuel: Fuel) -> CompiledRule:
-    compiled = _compile_rule(sig, rule)
-    for other in sig.rules.get(compiled.head, ()):
-        if other.arity != compiled.arity:
+    head, compiled = _compile_rule(sig, rule)
+    for other in sig.rules.get(head, ()):
+        if len(other.patterns) != len(compiled.patterns):
             raise SignatureError(
-                f"rules for {compiled.head!r} must all take "
-                f"{other.arity} arguments",
+                f"rules for {head!r} must all take "
+                f"{len(other.patterns)} arguments",
                 diagnostic=Diagnostic("rewrite-arity", subject=rule.lhs))
         if not _distinguishable(other, compiled):
             raise DuplicateName(
-                f"rewrite rule overlaps an existing rule for "
-                f"{compiled.head!r}",
+                f"rewrite rule overlaps an existing rule for {head!r}",
                 diagnostic=Diagnostic("rewrite-overlap", subject=rule.lhs))
     _check_rule_kinds(sig, rule, fuel)
-    sig.rules.setdefault(compiled.head, []).append(compiled)
+    sig.rules.setdefault(head, []).append(compiled)
     return compiled
 
 
-def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
+def _compile_rule(sig: Signature,
+                  rule: RewriteRule) -> tuple[str, CompiledRule]:
     binders: set[str] = set()
     for x, _ in rule.binders:
         if x in binders:
@@ -134,8 +134,8 @@ def _compile_rule(sig: Signature, rule: RewriteRule) -> CompiledRule:
     earlier = sig.rules.get(head.name)
     positions = {i for i, p in enumerate(patterns) if p[0] == "con"}
     positions.update(earlier[-1].con_positions if earlier else ())
-    return CompiledRule(head.name, len(patterns), tuple(patterns), rule.rhs,
-                        rule, tuple(sorted(positions)))
+    return head.name, CompiledRule(tuple(patterns), rule.rhs,
+                                   tuple(sorted(positions)))
 
 
 def _compile_pattern(sig: Signature, arg: Term, binders: set[str],
@@ -198,10 +198,8 @@ def _check_rule_kinds(sig: Signature, rule: RewriteRule, fuel: Fuel) -> None:
 def _distinguishable(a: CompiledRule, b: CompiledRule) -> bool:
     """Rules may share a head only if some argument position has constructor
     patterns with different constructors in the two rules."""
-    for pa, pb in zip(a.patterns, b.patterns):
-        if pa[0] == "con" and pb[0] == "con" and pa[1] != pb[1]:
-            return True
-    return False
+    return any(pa[0] == pb[0] == "con" and pa[1] != pb[1]
+               for pa, pb in zip(a.patterns, b.patterns))
 
 
 # ----------------------------------------------------------------- replay
@@ -236,15 +234,15 @@ def commit(sig: Signature, record: tuple, fuel: Fuel) -> None:
 _FIELDS = {"declare": 3, "define": 4, "rule": 2, "check": 3, "fuel": 2}
 
 
-def replay(log: list[tuple], sig: Optional[Signature] = None,
-           fuel: int = DEFAULT_FUEL) -> Signature:
+def replay(log: list[tuple], sig: Optional[Signature] = None) -> Signature:
     """Re-check a session from its replay records: signature and kernel
     only, no parsing, no elaboration. Each record is committed on its own
-    budget of `fuel` steps, as its command was; a `("fuel", n)` record,
-    which a session logs where its budget changes, sets the budget of the
-    records after it; its `n` must be a positive int. Raises on the first
-    rejection, or on a record whose tag or length is none of `_FIELDS`."""
+    budget, as its command was: `DEFAULT_FUEL` steps, or `n` after a
+    `("fuel", n)` record, which a session logs where its budget changes;
+    `n` must be a positive int. Raises on the first rejection, or on a
+    record whose tag or length is none of `_FIELDS`."""
     sig = sig if sig is not None else Signature()
+    fuel = DEFAULT_FUEL
     for i, record in enumerate(log):
         tag = record[0] if type(record) is tuple and record else None
         if type(tag) is not str or _FIELDS.get(tag) != len(record):

@@ -64,8 +64,9 @@ def test_01_standard_signature_matches_golden_kinds_within_a_second():
     core = load_core_signature()
     elapsed = time.perf_counter() - t0
 
-    lines = [f"{e.name} : {print_kind(e.kind)}"
-             for e in core.sig.entries.values() if isinstance(e, ConstDecl)]
+    lines = [f"{name} : {print_kind(e.kind)}"
+             for name, e in core.sig.entries.items()
+             if isinstance(e, ConstDecl)]
     golden = GOLDEN_KINDS.read_text(encoding="utf-8").rstrip("\n").splitlines()
     assert lines == golden
     assert core.sig.constant_count() == 38
@@ -77,21 +78,23 @@ def test_02_every_rewrite_rule_reduces_its_pattern_at_the_head():
     # Each declared equation, instantiated with its own fresh binder
     # variables, must take a head step under whnf and land exactly (up to
     # alpha, after unfolding any defined constants on the right) on its
-    # stated right-hand side.
-    def fires(sig, expect_count):
-        seen = 0
-        for rules in sig.rules.values():
-            for r in rules:
-                src = r.source
-                reduced = kernel.whnf(sig, src.lhs, Fuel())
-                assert not alpha_eq(reduced, src.lhs), print_term(src.lhs)
-                assert alpha_eq(reduced, kernel.whnf(sig, src.rhs, Fuel())), \
-                    print_term(src.lhs)
-                seen += 1
+    # stated right-hand side. The rules as written are the log's records.
+    def fires(ck, expect_count):
+        sig, seen = ck.sig, 0
+        for record in ck.log:
+            if record[0] != "rule":
+                continue
+            _, src = record
+            reduced = kernel.whnf(sig, src.lhs, Fuel())
+            assert not alpha_eq(reduced, src.lhs), print_term(src.lhs)
+            assert alpha_eq(reduced, kernel.whnf(sig, src.rhs, Fuel())), \
+                print_term(src.lhs)
+            seen += 1
         assert seen == expect_count
+        assert sig.rule_count() == expect_count
 
-    fires(load_core_signature().sig, 11)
-    fires(load_standard(mode="impredicative").sig, 13)
+    fires(load_core_signature(), 11)
+    fires(load_standard(mode="impredicative"), 13)
 
     # beta and eta ride along with the declared rules
     sig = load_core_signature().sig

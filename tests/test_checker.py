@@ -12,6 +12,7 @@ import lttw.elaborator
 import lttw.kernel
 from lttw.checker import Checker
 from lttw.corpus import CORPUS_DIR
+from lttw.elaborator import Mismatch, UnsolvedMeta
 from lttw.errors import (
     DomainMismatch, DuplicateName, FuelExhausted, KindMismatch, NestingTooDeep,
     NotAProduct, SignatureError, UnknownConstant,
@@ -134,6 +135,52 @@ def test_only_a_command_with_holes_finishes_them(monkeypatch):
     ck.run_text("> Check id ? zero : Nat;\n")
     assert calls
     assert ck.output == ["Check zero : Nat", "Check id Nat zero : Nat"]
+
+
+# a hole in a parameter's annotation, solved by the body or a rule's sides
+BINDER_HOLES = """
+> [f [A : Type] [x : El ?] = x : El A];
+> [h : Nat -> Nat];
+> rule [n : El ?] h n = n : Nat;
+> Reduce h (succ zero);
+"""
+
+
+def test_a_hole_in_a_parameter_annotation_is_filled_in_the_ascription():
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE + BINDER_HOLES)
+    _, name, body, ascription = ck.log[3]
+    assert name == "f" and not contains_meta(ascription)
+    assert alpha_eq(ascription, PiKind("A", TYPE, PiKind(
+        "x", ElKind(Var("A")), ElKind(Var("A")))))
+    assert alpha_eq(ck.sig.entries["f"].kind, ascription)
+
+
+def test_a_hole_in_a_rule_binder_is_filled_and_the_rule_fires():
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE + BINDER_HOLES)
+    (_, rule), = [r for r in ck.log if r[0] == "rule"]
+    ((x, k),) = rule.binders
+    assert x == "n" and alpha_eq(k, ElKind(Const("Nat")))
+    assert ck.output == ["Reduce h (succ zero) = succ zero"]
+    # the kernel alone rebuilds the session from its log
+    sig = replay(ck.log)
+    assert list(sig.entries) == list(ck.sig.entries)
+    assert sig.rule_count() == ck.sig.rule_count() == 1
+
+
+def test_an_unsolved_hole_in_a_rule_binder_is_blamed_at_the_hole():
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE)
+    with pytest.raises(UnsolvedMeta) as info:
+        ck.run_text("> [h : Nat -> Nat];\n"
+                    "> rule [A : Type] [x : El ?] h zero = zero : Nat;\n",
+                    file="binder.lf")
+    assert info.value.diagnostic.rule == "hole-solved"
+    span = info.value.span
+    assert (span.file, span.line, span.col) == ("binder.lf", 2, 27)
+    # the rejected rule left nothing behind
+    assert ck.sig.rule_count() == 0 and ck.log[-1][:2] == ("declare", "h")
 
 
 def test_typeof_output():
@@ -272,8 +319,8 @@ def test_replay_gives_each_record_one_budget():
     ck = _run_with_fuel(4, "> rule c1 = p1 : P one;\n")
     *before, record = ck.log
     with pytest.raises(FuelExhausted):
-        replay([record], replay(before), fuel=1)
-    replay([record], replay(before), fuel=2)
+        replay([("fuel", 1), record], replay(before))
+    replay([("fuel", 2), record], replay(before))
 
 
 def test_replay_gives_each_record_the_budget_its_command_ran_under():
@@ -501,7 +548,8 @@ def test_fresh_name_of_a_shadowing_binder_is_hidden():
 
 # Nesting through an application's last argument, as in a numeral, costs
 # no stack. Through a leading argument it costs the elaborator and the
-# kernel a frame or more a level, so this runs out of the interpreter's
+# kernel a frame or more a level, so this depth runs out of the
+# interpreter's stack
 BEYOND = 2000
 
 
@@ -583,15 +631,29 @@ def test_a_deep_false_equation_is_a_typed_rejection(form):
 
 
 def test_a_hole_inside_a_deep_numeral_is_filled():
-    # filling the hole rebuilds the numeral by recursion, a frame a level:
-    # 700 levels fit the interpreter's default stack, and two frames a
-    # level would not
-    hole, n = "succ (" * 700 + "?" + ")" * 700, numeral(700)
+    # unification and filling the hole loop on an application's last
+    # argument, so the numeral's depth costs them no stack
     ck = load_standard()
-    ck.run_text(f"> Check EqI hatNat ({hole}) : "
-                f"Prf (Eq hatNat ({n}) ({n}));\n")
-    assert ck.output[-1] == (f"Check EqI hatNat ({n}) : "
-                             f"Prf (Eq hatNat ({n}) ({n}))")
+    for depth in (700, BEYOND):
+        hole, n = "succ (" * depth + "?" + ")" * depth, numeral(depth)
+        ck.run_text(f"> Check EqI hatNat ({hole}) : "
+                    f"Prf (Eq hatNat ({n}) ({n}));\n")
+        assert ck.output[-1] == (f"Check EqI hatNat ({n}) : "
+                                 f"Prf (Eq hatNat ({n}) ({n}))")
+
+
+def test_a_hole_inside_a_deep_numeral_against_a_false_equation():
+    # the hole is solved against the left side, and the right side, one
+    # longer, differs from it at the bottom
+    hole = "succ (" * BEYOND + "?" + ")" * BEYOND
+    ck = load_standard()
+    with pytest.raises(Mismatch) as info:
+        ck.run_text(f"> Check EqI hatNat ({hole}) : Prf (Eq hatNat "
+                    f"({numeral(BEYOND)}) ({numeral(BEYOND + 1)}));\n")
+    diagnostic = info.value.diagnostic
+    assert diagnostic.rule == "unify-rigid"
+    assert diagnostic.subject is Const("zero")
+    assert alpha_eq(diagnostic.expected, App(Const("succ"), Const("zero")))
 
 
 def test_the_record_of_a_deep_numeral_prints():

@@ -55,8 +55,8 @@ def test_load_order_names_every_stdlib_file_once():
 
 
 def test_declared_kinds_match_golden(core):
-    lines = [f"{e.name} : {print_kind(e.kind)}"
-             for e in core.sig.entries.values()
+    lines = [f"{name} : {print_kind(e.kind)}"
+             for name, e in core.sig.entries.items()
              if isinstance(e, ConstDecl)]
     golden = GOLDEN.read_text(encoding="utf-8").rstrip("\n").splitlines()
     assert lines == golden
@@ -95,16 +95,17 @@ def test_unknown_mode_rejected():
 
 # ------------------------------------------------- the definitional equality
 
-def rule_instances(sig):
-    for rules in sig.rules.values():
-        for r in rules:
-            yield r.source
+def rule_instances(ck):
+    """The session's rules as written: its log's rule records."""
+    for record in ck.log:
+        if record[0] == "rule":
+            yield record[1]
 
 
 def test_each_rule_holds_by_reduction(core):
     sig = core.sig
     seen = 0
-    for src in rule_instances(sig):
+    for src in rule_instances(core):
         ctx = EMPTY_CONTEXT
         for x, k in src.binders:
             ctx = ctx.extend(x, k)
@@ -114,12 +115,13 @@ def test_each_rule_holds_by_reduction(core):
                                   Fuel())
         seen += 1
     assert seen == 11
+    assert sig.rule_count() == 11
 
 
 def test_overlay_rules_hold_by_reduction(impredicative):
     sig = impredicative.sig
     seen = 0
-    for src in rule_instances(sig):
+    for src in rule_instances(impredicative):
         ctx = EMPTY_CONTEXT
         for x, k in src.binders:
             ctx = ctx.extend(x, k)
@@ -127,6 +129,7 @@ def test_overlay_rules_hold_by_reduction(impredicative):
                                   src.rhs, src.ascription, Fuel())
         seen += 1
     assert seen == 13
+    assert sig.rule_count() == 13
 
 
 def test_beta_holds(core):
