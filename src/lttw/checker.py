@@ -20,27 +20,40 @@ the error that deciding them during elaboration would have raised.
 Every command runs through `run_command` with an elaborator of its own; a
 `Load` or `SetOption` records no obligation, so its error stands unchanged.
 
+An explicit command is translated instead (`Translator`): a declaration,
+definition, rule or `Check t : K` with every binder annotated and no hole.
+For such a command the elaborator would only record obligations, so the
+kernel's check at the commit is the only inference it gets. If the
+translation or the commit raises, nothing was stored, and the command runs
+again through its elaborator on the whole budget, which explains the
+rejection as above: every rejection, output and fuel count is the one
+elaboration gives. `TypeOf`, `Reduce` and a `Check` without a kind print
+the kind the elaborator infers, so they are always elaborated.
+
 One command spends from one step budget of `fuel` steps: hole solving, the
 kernel check of what was elaborated and the normalisation of a `Reduce`
-draw on the same `Fuel`. A budget other than the default is logged as a
-`("fuel", n)` record where it changes, so `replay` gives each record the
-budget its command ran under. A `Load` runs each command of the loaded
-file on its own budget and is all-or-nothing (`all_or_nothing`): a file
-that fails leaves the signature, the log, the budget, the output and the
-loaded files as they were.
+draw on the same `Fuel`, and a translated command that is rejected hands
+it back whole to the elaborator. A budget other than the default is
+logged as a `("fuel", n)` record where it changes, so `replay` gives each
+record the budget its command ran under. A `Load` runs each command of
+the loaded file on its own budget and is all-or-nothing
+(`all_or_nothing`): a file that fails leaves the signature, the log, the
+budget, the output and the loaded files as they were.
 
-Each command runs once. The parser, the elaborator, the kernel and the
-printer each loop on an application's last argument, so a numeral costs
-them no stack, however long. A command nested deeper than the
-interpreter's stack allows elsewhere is explained like any other
-rejection: a false obligation recorded before the stack ran out gives the
-error, and otherwise the command is rejected with NestingTooDeep. Either
-way a rejected command leaves the signature unchanged, and its log and
-output too: a command appends to `log` and `output` only as its last step,
-after it has printed.
+Each command runs once, or twice when a translated command is rejected.
+The parser, the elaborator, the translator, the kernel and the printer
+each loop on an application's last argument, so a numeral costs them no
+stack, however long. A command nested deeper than the interpreter's
+stack allows elsewhere is explained like any other rejection: a false
+obligation recorded before the stack ran out gives the error, and
+otherwise the command is rejected with NestingTooDeep. Either way a
+rejected command leaves the signature unchanged, and its log and output
+too: a command appends to `log` and `output` only as its last step, after
+it has printed.
 
 A `Checker` session has two settings, both given to the constructor.
-`fuel` is each command's budget until a `SetOption fuel` changes it.
+`fuel` is each command's budget until a `SetOption fuel` changes it: a
+positive int, as `replay` requires of a logged budget.
 `prop_placement` decides what kind the distinguished constant `prop` is
 declared at: "prop" keeps the script's `Prop`, "type" turns the declaration
 into `Type`. Scripts that consistently write bare `prop` in binder
@@ -55,7 +68,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-from .elaborator import Elaborator
+from .elaborator import Elaborator, Translator, explicit
 from .errors import LttwError
 from . import kernel
 from .kernel import (
@@ -104,6 +117,9 @@ class Checker:
                  fuel: int = DEFAULT_FUEL):
         if prop_placement not in ("prop", "type"):
             raise ValueError(f"unknown prop placement {prop_placement!r}")
+        # the budgets `replay` accepts
+        if type(fuel) is not int or fuel <= 0:
+            raise ValueError(f"fuel must be a positive int, got {fuel!r}")
         self.prop_placement = prop_placement
         self.fuel = fuel
         self.sig = Signature()
@@ -156,13 +172,26 @@ class Checker:
     # --------------------------------------------------------- commands
 
     def run_command(self, cmd: Command) -> None:
-        """Run `cmd` once, on an elaborator of its own, and raise a rejection
-        as explained from its obligations (see the module docstring)."""
+        """Run `cmd`, translated if it is explicit, else on an elaborator
+        of its own, and raise a rejection as explained from its
+        obligations (see the module docstring)."""
         # looked up on the instance, so a method replaced on the class runs
         name = _METHODS.get(type(cmd))
         if name is None:
             raise TypeError(f"not a command: {cmd!r}")
-        el = self._el = self._elaborator()
+        el = self._elaborator()
+        if self._explicit(cmd):
+            self._el = Translator(self.sig, el.fuel)
+            try:
+                getattr(self, name)(cmd)
+                return
+            except Exception:
+                # nothing was stored: the elaborator runs the command
+                # again, on the whole budget, and explains the rejection
+                el.fuel.left = el.fuel.limit
+            finally:
+                self._el = None
+        self._el = el
         try:
             getattr(self, name)(cmd)
         except Exception as e:
@@ -175,6 +204,24 @@ class Checker:
             raise error from None
         finally:
             self._el = None  # its obligations hold the command's terms
+
+    def _explicit(self, cmd: Command) -> bool:
+        """Whether `cmd` is translated: a declaration, definition, rule or
+        `Check t : K` with every binder annotated and no hole. A query
+        that prints the kind the elaborator infers is not. The term is
+        walked before the kind, which may be large."""
+        cls = type(cmd)
+        if cls is Directive:
+            return (cmd.op is DirectiveOp.CHECK
+                    and cmd.payload[1] is not None and explicit(cmd.payload))
+        # a binder with no annotation is given to `explicit` as None
+        anns = [ann for _, ann, _ in cmd.binders]
+        if cls is Declare:
+            return explicit((*anns, cmd.kind))
+        if cls is Define:
+            return explicit((cmd.body, *anns) if cmd.kind is None
+                            else (cmd.body, *anns, cmd.kind))
+        return explicit((cmd.lhs, cmd.rhs, *anns, cmd.kind))
 
     def _elaborator(self) -> Elaborator:
         # the command's one budget: elaboration, the commit and a Reduce's

@@ -1,4 +1,5 @@
-"""Elaboration: resolve names, fill holes, coerce terms used as kinds.
+"""Elaboration: resolve names, fill holes, coerce terms used as kinds;
+and translation of explicit commands, which only resolves names.
 
 A surface name resolves to the innermost binder of that name in scope,
 else to a constant of the signature. Kernel contexts hold each name once,
@@ -32,6 +33,15 @@ order with the steps deciding them in place would have had left.
 A position travels as the surface node or command to blame (`blame`), not
 as a span: a node builds its span on demand, and only an error or
 `explain` asks for one.
+
+A command with no hole and no lambda without an annotation (`explicit`)
+gives the elaborator nothing to solve: every equality it meets becomes an
+obligation. The `Translator` builds such a command's terms and kinds with
+the Elaborator's name resolution and binder renaming (`Resolver`) and
+nothing else, and the checker's commit is the only inference they get. It
+gives up where the elaborator would raise without the kernel raising too:
+an unknown name, or a term in kind position whose kind is no sort. Either
+way the checker then elaborates the command.
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ from .errors import (
 from . import kernel
 from .kernel import Context, Fuel, Signature
 from .surface import (
-    SApp, SEl, SHole, SLam, SLift, SName, SPi, SProp, SType, SourceSpan,
-    STermKind, SurfaceKind, SurfaceTerm,
+    SApp, SEl, SHole, SLam, SLift, SName, SPi, SPrf, SProp, SType,
+    SourceSpan, STermKind, SurfaceKind, SurfaceTerm,
 )
 from .syntax import (
     HOLES, PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind,
@@ -140,14 +150,48 @@ class MetaState:
         return e
 
 
-class Elaborator:
+class Resolver:
+    """Name resolution and binder renaming, which the Elaborator and the
+    Translator share."""
+
     def __init__(self, sig: Signature, fuel: Fuel):
         self.sig = sig
         self.fuel = fuel
-        self.state = MetaState()
         # surface name -> kernel name, for the binders `_bind` renamed;
         # None hides a fresh kernel name from surface lookup
         self.scope: dict[str, Optional[str]] = {}
+
+    def _name(self, ctx: Context, s: SName) -> tuple[Term, Kind]:
+        x = self.scope.get(s.name, s.name)
+        k = ctx.lookup(x)
+        if k is not None:
+            return Var(x), k
+        entry = self.sig.entries.get(s.name)
+        if entry is not None:
+            return Const(s.name), entry.kind
+        raise UnknownConstant(
+            f"unknown name {s.name!r}", span=s.span,
+            diagnostic=Diagnostic("name-declared", subject=Const(s.name)))
+
+    def _bind(self, ctx: Context, name: str, kind: Kind):
+        """Enter the surface binder `name`: its kernel name, the extended
+        context and the scope to restore on leaving it. A name already in
+        the context gets a fresh kernel name; the surface name resolves to
+        it, and surface lookup of the fresh name itself finds no binder, so
+        a constant of that name stays a constant. The fresh name may be a
+        constant's: the kernel tells `Var` from `Const`, and the printer
+        renames a binder that would capture a constant it prints."""
+        x, ctx2 = ctx.bind(name, kind)
+        outer = self.scope
+        if x != name:
+            self.scope = {**outer, name: x, x: None}
+        return x, ctx2, outer
+
+
+class Elaborator(Resolver):
+    def __init__(self, sig: Signature, fuel: Fuel):
+        super().__init__(sig, fuel)
+        self.state = MetaState()
         # each kind equality without holes, as (ctx, actual, expected,
         # blame, rule, steps spent so far), for `explain`: the node or
         # command to blame builds its span only for a rejection
@@ -171,18 +215,6 @@ class Elaborator:
         if isinstance(s, SApp):
             return self._application(ctx, s, expected)
         raise TypeError(f"not a surface term: {s!r}")
-
-    def _name(self, ctx: Context, s: SName) -> tuple[Term, Kind]:
-        x = self.scope.get(s.name, s.name)
-        k = ctx.lookup(x)
-        if k is not None:
-            return Var(x), k
-        entry = self.sig.entries.get(s.name)
-        if entry is not None:
-            return Const(s.name), entry.kind
-        raise UnknownConstant(
-            f"unknown name {s.name!r}", span=s.span,
-            diagnostic=Diagnostic("name-declared", subject=Const(s.name)))
 
     def _against(self, ctx: Context, t: Term, k: Kind,
                  expected: Optional[Kind], blame) -> tuple[Term, Kind]:
@@ -319,20 +351,6 @@ class Elaborator:
             diagnostic=Diagnostic("app-fn", actual=self.state.zonk(
                 subst_parallel(k, mapping))))
 
-    def _bind(self, ctx: Context, name: str, kind: Kind):
-        """Enter the surface binder `name`: its kernel name, the extended
-        context and the scope to restore on leaving it. A name already in
-        the context gets a fresh kernel name; the surface name resolves to
-        it, and surface lookup of the fresh name itself finds no binder, so
-        a constant of that name stays a constant. The fresh name may be a
-        constant's: the kernel tells `Var` from `Const`, and the printer
-        renames a binder that would capture a constant it prints."""
-        x, ctx2 = ctx.bind(name, kind)
-        outer = self.scope
-        if x != name:
-            self.scope = {**outer, name: x, x: None}
-        return x, ctx2, outer
-
     # ----------------------------------------------------------- kinds
 
     def kind(self, ctx: Context, s: SurfaceKind) -> Kind:
@@ -352,15 +370,19 @@ class Elaborator:
             finally:
                 self.scope = outer
         if isinstance(s, STermKind):
-            t, k = self.term(ctx, s.term, None)
-            k = self.state.zonk(k)
-            if type(k) in _LIFTS:
-                return _LIFTS[type(k)](t)
-            raise IllFormedKind(
-                "a term used as a kind must be a type or a proposition",
-                span=s.span,
-                diagnostic=Diagnostic("kind-coercion", subject=t, actual=k))
+            return self._coerce(ctx, s)
         raise TypeError(f"not a surface kind: {s!r}")
+
+    def _coerce(self, ctx: Context, s: STermKind) -> Kind:
+        """El or Prf of a term written where a kind belongs, by its kind."""
+        t, k = self.term(ctx, s.term, None)
+        k = self.state.zonk(k)
+        if type(k) in _LIFTS:
+            return _LIFTS[type(k)](t)
+        raise IllFormedKind(
+            "a term used as a kind must be a type or a proposition",
+            span=s.span,
+            diagnostic=Diagnostic("kind-coercion", subject=t, actual=k))
 
     # ----------------------------------------------------- unification
 
@@ -502,6 +524,109 @@ class Elaborator:
         raise UnsolvedMeta("a hole was never determined",
                            span=_span(hole or blame),
                            diagnostic=Diagnostic("hole-solved"))
+
+
+class Untranslatable(Exception):
+    """The translator gives a command up; the elaborator runs it."""
+
+
+class Translator(Resolver):
+    """The terms and kinds of an explicit command, built with the
+    Elaborator's interface, so that the checker runs a command with
+    either. A bare term in kind position becomes El or Prf by the sort its
+    head's kind ends in after one product per argument: substitution never
+    changes a kind's constructor, so that is the sort the elaborator's
+    instantiated kind has."""
+
+    def term(self, ctx: Context, s: SurfaceTerm,
+             expected: Optional[Kind]) -> tuple[Term, Optional[Kind]]:
+        return self._term(ctx, s), expected
+
+    def _term(self, ctx: Context, s: SurfaceTerm) -> Term:
+        """The leading arguments of an application are translated by
+        recursion and its last argument in the loop, as `_application`
+        elaborates them."""
+        outer = []  # each enclosing application's head, leading arguments
+        while type(s) is SApp:
+            chain = []
+            while type(s) is SApp:
+                chain.append(s.arg)
+                s = s.fn
+            lead = [self._term(ctx, s)]
+            for arg_s in reversed(chain[1:]):
+                lead.append(self._term(ctx, arg_s))
+            outer.append(lead)
+            s = chain[0]
+        if type(s) is SName:
+            t = self._name(ctx, s)[0]
+        elif type(s) is SLam and s.ann is not None:
+            dom = self.kind(ctx, s.ann)
+            x, ctx2, scope = self._bind(ctx, s.var, dom)
+            try:
+                t = Lam(x, dom, self._term(ctx2, s.body))
+            finally:
+                self.scope = scope
+        else:
+            raise Untranslatable(f"not an explicit surface term: {s!r}")
+        while outer:
+            t = app(*outer.pop(), t)
+        return t
+
+    # the Elaborator's walk, which calls `term` and `_coerce`; taken from
+    # the class itself, so perfbench's tracer, which wraps the Elaborator's
+    # methods, books translation under the checker
+    kind = Elaborator.kind
+
+    def _coerce(self, ctx: Context, s: STermKind) -> Kind:
+        t = self._term(ctx, s.term)
+        head, args = spine(t)
+        k = None  # a lambda head gives up
+        if type(head) is Var:
+            k = ctx.lookup(head.name)
+        elif type(head) is Const:
+            k = self.sig.entries[head.name].kind
+        for _ in args:
+            k = k.codomain if type(k) is PiKind else None
+        lift = _LIFTS.get(type(k))
+        if lift is None:
+            raise Untranslatable("not a type or a proposition")
+        return lift(t)
+
+    @staticmethod
+    def finish_term(e, blame=None):
+        return e
+
+    finish_kind = finish_term
+
+
+def explicit(nodes) -> bool:
+    """Whether the surface terms and kinds `nodes` hold no hole, no None
+    and no lambda without an annotation, so that the Translator can build
+    them. Each node is walked to its end before the next, so a caller
+    that puts a term before its kind finds a hole in the term without
+    walking the kind."""
+    stack = list(nodes)
+    stack.reverse()
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is SApp:
+            stack += s.arg, s.fn
+        elif cls is SName or cls is SType or cls is SProp:
+            continue
+        elif cls is SLam:
+            if s.ann is None:
+                return False
+            stack += s.body, s.ann
+        elif cls is SPi:
+            stack += s.codomain, s.domain
+        elif cls is STermKind:
+            stack.append(s.term)
+        elif cls is SEl or cls is SPrf:
+            stack.append(s.body)
+        else:  # a hole, or None for a binder with no annotation
+            return False
+    return True
 
 
 def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,

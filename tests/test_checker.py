@@ -113,11 +113,13 @@ def test_only_a_command_with_holes_scans_for_them(monkeypatch):
     ck = Checker()
     ck.run_text(NAT_PRELUDE + "> [id [A : Type] [x : A] = x];\n")
     monkeypatch.setattr(lttw.elaborator, "contains_meta", counted)
-    ck.run_text("> Check zero : Nat;\n")
+    # the first is translated, the second elaborated
+    ck.run_text("> Check zero : Nat;\n> Check zero;\n")
     assert calls == []
     ck.run_text("> Check id ? zero : Nat;\n")
     assert calls
-    assert ck.output == ["Check zero : Nat", "Check id Nat zero : Nat"]
+    assert ck.output == ["Check zero : Nat", "Check zero : Nat",
+                         "Check id Nat zero : Nat"]
 
 
 def test_only_a_command_with_holes_finishes_them(monkeypatch):
@@ -130,11 +132,13 @@ def test_only_a_command_with_holes_finishes_them(monkeypatch):
     ck = Checker()
     ck.run_text(NAT_PRELUDE + "> [id [A : Type] [x : A] = x];\n")
     monkeypatch.setattr(lttw.elaborator, "metas_of", counted)
-    ck.run_text("> Check zero : Nat;\n")
+    # the first is translated, the second elaborated
+    ck.run_text("> Check zero : Nat;\n> Check zero;\n")
     assert calls == []
     ck.run_text("> Check id ? zero : Nat;\n")
     assert calls
-    assert ck.output == ["Check zero : Nat", "Check id Nat zero : Nat"]
+    assert ck.output == ["Check zero : Nat", "Check zero : Nat",
+                         "Check id Nat zero : Nat"]
 
 
 # a hole in a parameter's annotation, solved by the body or a rule's sides
@@ -862,3 +866,15 @@ def test_checker_rejects_an_unknown_prop_placement():
         Checker(prop_placement="tpye")
     with pytest.raises(ValueError, match="unknown prop placement 'tpye'"):
         load_standard(prop_placement="tpye")
+
+
+@pytest.mark.parametrize("fuel", [0, -3, 2.5, True])
+def test_checker_refuses_a_budget_that_replay_refuses(fuel):
+    # `replay` would refuse the session's ("fuel", n) record
+    with pytest.raises(ValueError, match="fuel must be a positive int"):
+        Checker(fuel=fuel)
+
+
+def test_load_standard_refuses_a_zero_budget():
+    with pytest.raises(ValueError, match="fuel must be a positive int"):
+        load_standard(fuel=0)

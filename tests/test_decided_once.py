@@ -2,9 +2,11 @@
 
 The elaborator records such an equality as an obligation instead of
 deciding it, and a rejected command is explained from the obligations.
-These tests run the same commands through the checker and through a
-reference whose elaborator, `InPlaceElaborator` (defined here, not in the
-package), decides every such equality in place before the commit. They
+These tests run the same commands through the checker, which translates
+an explicit command and elaborates it only when it is rejected, and
+through a reference that elaborates every command with
+`InPlaceElaborator` (defined here, not in the package), which decides
+every such equality in place before the commit. They
 require the same verdict, the same error (class, message, span and
 diagnostic) for every rejection and the same output and log for every
 acceptance. The one difference allowed is a command that runs out of fuel
@@ -61,9 +63,13 @@ class InPlaceElaborator(Elaborator):
 
 
 class InPlaceChecker(Checker):
-    """The reference: every equality without holes is decided in place by
-    the elaborator, and the kernel then checks what it elaborated. With no
-    obligation left, `explain` returns each error unchanged."""
+    """The reference: every command is elaborated, none translated, and
+    every equality without holes is decided in place by the elaborator;
+    the kernel then checks what it elaborated. With no obligation left,
+    `explain` returns each error unchanged."""
+
+    def _explicit(self, cmd):
+        return False
 
     def _elaborator(self):
         return InPlaceElaborator(self.sig, Fuel(self.fuel))
