@@ -1,55 +1,36 @@
 """Running proof-script commands against a signature.
 
-The elaborator fills holes and coerces terms written in kind position; every
-accepted command is then turned into a replay record (kernel objects, no
-surface syntax) and committed: `lttw.signature.commit` checks the record
-with the signature layer and the kernel, which see only hole-free syntax,
-and the record is appended to the log. `lttw.signature.replay` commits a
-log the same way, so a whole session can be re-checked later with the
-elaborator out of the loop entirely. The three queries, `Check`, `TypeOf`
-and `Reduce`, share `commit`'s check of a `("check", t, k)` record, which is
-`kernel.check_term` at the empty context: it validates the kind and then
-checks the term against it, before the term is printed or normalised. Only
-a `Check` logs that record.
+Every command is turned into a replay record (kernel objects, no surface
+syntax) and committed: `lttw.signature.commit` checks the record with the
+signature layer and the kernel, and the record is appended to the log, so
+`lttw.signature.replay` can re-check a session with the elaborator out of
+the loop. A query's record is `("check", t, k)`, which only a `Check` logs;
+it is checked before the term is printed or normalised.
 
-The kernel decides every kind equality without holes, once. The elaborator
-decides only the equalities that involve a hole and records the others as
-obligations for the kernel's check. A rejected command is explained from
-them (`Elaborator.explain`): decided in order, the first that fails gives
-the error that deciding them during elaboration would have raised.
-Every command runs through `run_command` with an elaborator of its own; a
-`Load` or `SetOption` records no obligation, so its error stands unchanged.
+An explicit command, with every binder annotated and no hole, is
+translated (`Translator`), and the kernel's check is the only inference it
+gets: a query without a kind takes it from `kernel.infer_kind` and then
+validates it, where `commit` would infer it twice. Any other command is
+elaborated: the elaborator fills its holes, deciding only the kind
+equalities that involve one, and the kernel decides the others. The
+translator hands a command to the elaborator only by raising
+`Untranslatable`, before the kernel is asked anything.
 
-An explicit command is translated instead (`Translator`): a declaration,
-definition, rule or `Check t : K` with every binder annotated and no hole.
-For such a command the elaborator would only record obligations, so the
-kernel's check at the commit is the only inference it gets. If the
-translation or the commit raises, nothing was stored, and the command runs
-again through its elaborator on the whole budget, which explains the
-rejection as above: every rejection, output and fuel count is the one
-elaboration gives. `TypeOf`, `Reduce` and a `Check` without a kind print
-the kind the elaborator infers, so they are always elaborated.
+Every command is checked once, and the kernel's rejection stands: it
+carries no span, and `run_command` gives it the span of the node of the
+command that its Diagnostic names (`elaborator.blame`). A command nested
+deeper than the interpreter's stack allows is rejected with
+NestingTooDeep. A rejected command leaves the signature, the log and the
+output as they were: it appends to `log` and `output` only as its last
+step, after it has printed.
 
-One command spends from one step budget of `fuel` steps: hole solving, the
-kernel check of what was elaborated and the normalisation of a `Reduce`
-draw on the same `Fuel`, and a translated command that is rejected hands
-it back whole to the elaborator. A budget other than the default is
+One command spends from one step budget of `fuel` steps, made by
+`_elaborator`: hole solving, the kernel's check and the normalisation of a
+`Reduce` draw on the same `Fuel`. A budget other than the default is
 logged as a `("fuel", n)` record where it changes, so `replay` gives each
 record the budget its command ran under. A `Load` runs each command of
 the loaded file on its own budget and is all-or-nothing
-(`all_or_nothing`): a file that fails leaves the signature, the log, the
-budget, the output and the loaded files as they were.
-
-Each command runs once, or twice when a translated command is rejected.
-The parser, the elaborator, the translator, the kernel and the printer
-each loop on an application's last argument, so a numeral costs them no
-stack, however long. A command nested deeper than the interpreter's
-stack allows elsewhere is explained like any other rejection: a false
-obligation recorded before the stack ran out gives the error, and
-otherwise the command is rejected with NestingTooDeep. Either way a
-rejected command leaves the signature unchanged, and its log and output
-too: a command appends to `log` and `output` only as its last step, after
-it has printed.
+(`all_or_nothing`).
 
 A `Checker` session has two settings, both given to the constructor.
 `fuel` is each command's budget until a `SetOption fuel` changes it: a
@@ -68,7 +49,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-from .elaborator import Elaborator, Translator, explicit
+from .elaborator import (
+    Elaborator, Resolver, Translator, Untranslatable, blame, explicit,
+    too_deep,
+)
 from .errors import LttwError
 from . import kernel
 from .kernel import (
@@ -129,8 +113,9 @@ class Checker:
         self.output: list[str] = []
         self.loaded: set[str] = set()
         self._loading: list[str] = []
-        # the elaborator of the command being run
-        self._el: Optional[Elaborator] = None
+        # the command being run's elaborator or translator, and its record
+        self._el: Optional[Resolver] = None
+        self._record: Optional[tuple] = None
 
     # ------------------------------------------------------------ files
 
@@ -173,54 +158,43 @@ class Checker:
 
     def run_command(self, cmd: Command) -> None:
         """Run `cmd`, translated if it is explicit, else on an elaborator
-        of its own, and raise a rejection as explained from its
-        obligations (see the module docstring)."""
+        of its own (see the module docstring)."""
         # looked up on the instance, so a method replaced on the class runs
         name = _METHODS.get(type(cmd))
         if name is None:
             raise TypeError(f"not a command: {cmd!r}")
         el = self._elaborator()
-        if self._explicit(cmd):
-            self._el = Translator(self.sig, el.fuel)
-            try:
-                getattr(self, name)(cmd)
-                return
-            except Exception:
-                # nothing was stored: the elaborator runs the command
-                # again, on the whole budget, and explains the rejection
-                el.fuel.left = el.fuel.limit
-            finally:
-                self._el = None
-        self._el = el
         try:
+            if self._explicit(cmd):
+                self._el = Translator(self.sig, el.fuel)
+                try:
+                    return getattr(self, name)(cmd)
+                except Untranslatable:
+                    pass  # nothing was checked, and no step spent
+            self._el = el
             getattr(self, name)(cmd)
-        except Exception as e:
-            # past a false obligation, elaboration and the kernel may fail
-            # in any way; the explanation says which error stands
-            error = el.explain(e)
-            # the innermost command that raised it is the one to blame
-            if isinstance(error, LttwError) and error.span is None:
-                error.span = cmd.span
-            raise error from None
+        except RecursionError:
+            raise too_deep(cmd.span) from None
+        except LttwError as e:
+            # the innermost command blames the node the kernel's error names
+            if e.span is None:
+                e.span = blame(cmd, self._record, e).span
+            raise
         finally:
-            self._el = None  # its obligations hold the command's terms
+            self._el = self._record = None
 
     def _explicit(self, cmd: Command) -> bool:
         """Whether `cmd` is translated: a declaration, definition, rule or
-        `Check t : K` with every binder annotated and no hole. A query
-        that prints the kind the elaborator infers is not. The term is
-        walked before the kind, which may be large."""
+        query with no hole and no unannotated lambda, its term walked first."""
         cls = type(cmd)
         if cls is Directive:
-            return (cmd.op is DirectiveOp.CHECK
-                    and cmd.payload[1] is not None and explicit(cmd.payload))
-        # a binder with no annotation is given to `explicit` as None
+            return explicit(cmd.payload)
+        # an unannotated binder (None) is refused by `_binder_telescope`
         anns = [ann for _, ann, _ in cmd.binders]
         if cls is Declare:
             return explicit((*anns, cmd.kind))
         if cls is Define:
-            return explicit((cmd.body, *anns) if cmd.kind is None
-                            else (cmd.body, *anns, cmd.kind))
+            return explicit((cmd.body, *anns, cmd.kind))
         return explicit((cmd.lhs, cmd.rhs, *anns, cmd.kind))
 
     def _elaborator(self) -> Elaborator:
@@ -229,6 +203,7 @@ class Checker:
         return Elaborator(self.sig, Fuel(self.fuel))
 
     def _commit(self, record: tuple, fuel: Fuel) -> None:
+        self._record = record
         commit(self.sig, record, fuel)
         self.log.append(record)
 
@@ -319,15 +294,21 @@ class Checker:
         expected = None if kind_s is None else el.kind(EMPTY_CONTEXT, kind_s)
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)
         t = el.finish_term(t, cmd)
-        k = el.finish_kind(k, cmd)
-        # the kernel alone confirms what elaboration produced
-        record = ("check", t, k)
-        commit(self.sig, record, el.fuel)
+        record = self._record = ("check", t, el.finish_kind(k, cmd))
+        if k is None:
+            # a translated query with no kind: the kernel infers the kind
+            # once and validates it, where `commit` would infer it again
+            k = kernel.infer_kind(self.sig, EMPTY_CONTEXT, t, el.fuel)
+            kernel.check_kind_valid(self.sig, EMPTY_CONTEXT, k, el.fuel)
+            record = ("check", t, k)
+        else:
+            # the kernel alone confirms what elaboration produced
+            commit(self.sig, record, el.fuel)
         if op is DirectiveOp.REDUCE:
             reduced = kernel.normalize(self.sig, t, el.fuel)
             line = f"Reduce {print_term(t)} = {print_term(reduced)}"
         else:
-            line = f"{op.value} {print_term(t)} : {print_kind(k)}"
+            line = f"{op.value} {print_term(t)} : {print_kind(record[2])}"
         # only a Check is also a replay record
         if op is DirectiveOp.CHECK:
             self.log.append(record)

@@ -1,13 +1,6 @@
 """Elaboration: resolve names, fill holes, coerce terms used as kinds;
-and translation of explicit commands, which only resolves names.
-
-A surface name resolves to the innermost binder of that name in scope,
-else to a constant of the signature. Kernel contexts hold each name once,
-so a binder that shadows a name already in the context enters it under a
-fresh kernel name (from `Context.bind`); the elaborator's scope maps the
-surface name to that kernel name and hides the fresh name from surface
-lookup, so `x1` written under `[x : Nat] [x : Nat]` never reaches the
-renamed binder. Surface syntax is never rewritten.
+translation of explicit commands, which only resolves names; and the walk
+that finds the node a rejection blames. Surface syntax is never rewritten.
 
 Unification is the kernel's conversion plus holes, first-order and eager:
 both sides are reduced to weak-head form on split spines, as conversion
@@ -25,23 +18,18 @@ A hole's solution may only mention variables that were in scope where the
 hole was written; solutions are final once recorded; every hole of a command
 must be solved by the end of it. Elaborated output is Meta-free, and the
 kernel alone checks it: in the checker's commit, or at the end of
-`elaborate` and `elaborate_kind`. A kind equality that involves no hole is
-recorded as an obligation, which that check decides. The elaborator only
-explains a rejection (`Elaborator.explain`), deciding the obligations in
-order with the steps deciding them in place would have had left.
+`elaborate` and `elaborate_kind`. A kind equality without holes is left to
+that check, which decides it once.
 
-A position travels as the surface node or command to blame (`blame`), not
-as a span: a node builds its span on demand, and only an error or
-`explain` asks for one.
+A command with no hole and no unannotated lambda (`explicit`) is built by
+the `Translator` instead, with the Elaborator's name resolution and binder
+renaming (`Resolver`) and nothing else. It gives up (`Untranslatable`)
+only on a term in kind position whose kind it cannot read as a sort,
+before any step is spent.
 
-A command with no hole and no lambda without an annotation (`explicit`)
-gives the elaborator nothing to solve: every equality it meets becomes an
-obligation. The `Translator` builds such a command's terms and kinds with
-the Elaborator's name resolution and binder renaming (`Resolver`) and
-nothing else, and the checker's commit is the only inference they get. It
-gives up where the elaborator would raise without the kernel raising too:
-an unknown name, or a term in kind position whose kind is no sort. Either
-way the checker then elaborates the command.
+A position travels as the surface node or command to blame, not as a
+span: a node builds its span only for an error. A kernel error has none,
+and `blame` finds the node it names.
 """
 
 from __future__ import annotations
@@ -50,13 +38,13 @@ from operator import is_
 from typing import Any, Optional
 
 from .errors import (
-    Diagnostic, FuelExhausted, IllFormedKind, KindMismatch, LttwError,
-    NestingTooDeep, NotAProduct, UnknownConstant,
+    Diagnostic, IllFormedKind, KindMismatch, LttwError, NestingTooDeep,
+    NotAProduct, UnknownConstant,
 )
 from . import kernel
 from .kernel import Context, Fuel, Signature
 from .surface import (
-    SApp, SEl, SHole, SLam, SLift, SName, SPi, SPrf, SProp, SType,
+    Command, SApp, SEl, SHole, SLam, SLift, SName, SPi, SPrf, SProp, SType,
     SourceSpan, STermKind, SurfaceKind, SurfaceTerm,
 )
 from .syntax import (
@@ -97,14 +85,6 @@ _LIFTS = {TypeKind: ElKind, PropKind: PrfKind}
 def _span(blame) -> Optional[SourceSpan]:
     """The span of the node or command to blame, if there is one."""
     return None if blame is None else blame.span
-
-
-def _kind_mismatch(blame, rule: str, expected: Kind,
-                   actual: Kind) -> KindMismatch:
-    return KindMismatch("kind does not match what this position requires",
-                        span=_span(blame),
-                        diagnostic=Diagnostic(rule, expected=expected,
-                                              actual=actual))
 
 
 class MetaState:
@@ -152,7 +132,8 @@ class MetaState:
 
 class Resolver:
     """Name resolution and binder renaming, which the Elaborator and the
-    Translator share."""
+    Translator share. A surface name resolves to the innermost binder of
+    that name in scope, else to a constant of the signature."""
 
     def __init__(self, sig: Signature, fuel: Fuel):
         self.sig = sig
@@ -192,10 +173,6 @@ class Elaborator(Resolver):
     def __init__(self, sig: Signature, fuel: Fuel):
         super().__init__(sig, fuel)
         self.state = MetaState()
-        # each kind equality without holes, as (ctx, actual, expected,
-        # blame, rule, steps spent so far), for `explain`: the node or
-        # command to blame builds its span only for a rejection
-        self.obligations: list = []
 
     # ----------------------------------------------------------- terms
 
@@ -219,58 +196,21 @@ class Elaborator(Resolver):
     def _against(self, ctx: Context, t: Term, k: Kind,
                  expected: Optional[Kind], blame) -> tuple[Term, Kind]:
         if expected is not None:
-            self._require_kinds_equal(ctx, k, expected, blame, "check")
+            self._require_kinds_equal(ctx, k, expected, blame)
             return t, expected
         return t, k
 
     def _require_kinds_equal(self, ctx: Context, actual: Kind,
-                             expected: Kind, blame, rule: str) -> None:
-        """An obligation for the kernel when no holes are involved, else
-        unification. A command that has made no hole needs no scan."""
+                             expected: Kind, blame) -> None:
+        """Unify the two kinds when a hole is involved. An equality without
+        holes is left to the kernel's check of the record, and a command
+        that has made no hole needs no scan."""
+        if not self.state.info:
+            return
         a = self.state.zonk(actual)
         e = self.state.zonk(expected)
-        if not self.state.info or not (
-                contains_meta(a) or contains_meta(e)):
-            self.obligations.append(
-                (ctx, a, e, blame, rule, self.fuel.limit - self.fuel.left))
-            return
-        self.unify_kinds(ctx, a, e, blame)
-
-    def explain(self, error: Exception) -> Exception:
-        """The error this command would have raised had every obligation
-        been decided in place, given that elaborating it with them
-        recorded, and then checking the result, raised `error`.
-
-        The obligations are decided in order, each with the steps deciding
-        in place would have had left at that point: the first that is
-        false, runs out of steps or overflows the stack gives the error.
-        When all hold, `error` stands, unless its steps and theirs together
-        overrun the budget. A stack overflow, the command's own or an
-        obligation's, is a NestingTooDeep."""
-        budget = self.fuel.limit
-        used = 0  # steps the obligations decided so far took
-        for ctx, actual, expected, blame, rule, spent in self.obligations:
-            left = budget - spent - used
-            if left < 0:
-                # elaboration would have run out before this obligation
-                return self.fuel.exhausted()
-            fuel = Fuel(budget)
-            fuel.left = left
-            try:
-                if not kernel.equal_kinds(self.sig, ctx, actual, expected,
-                                          fuel):
-                    return _kind_mismatch(blame, rule, expected, actual)
-            except (FuelExhausted, RecursionError) as e:
-                error = e
-                break
-            used += left - fuel.left
-        else:
-            if used > self.fuel.left:
-                return self.fuel.exhausted()
-        if isinstance(error, RecursionError):
-            return NestingTooDeep("command nests too deeply to check",
-                                  diagnostic=Diagnostic("depth"))
-        return error
+        if contains_meta(a) or contains_meta(e):
+            self.unify_kinds(ctx, a, e, blame)
 
     def _lambda(self, ctx: Context, s: SLam,
                 expected: Optional[Kind]) -> tuple[Term, Kind]:
@@ -281,8 +221,7 @@ class Elaborator(Resolver):
         if s.ann is not None:
             dom = self.kind(ctx, s.ann)
             if isinstance(expected, PiKind):
-                self._require_kinds_equal(ctx, dom, expected.domain, s,
-                                          "lam-domain")
+                self._require_kinds_equal(ctx, dom, expected.domain, s)
         elif isinstance(expected, PiKind):
             dom = expected.domain
         else:
@@ -532,11 +471,9 @@ class Untranslatable(Exception):
 
 class Translator(Resolver):
     """The terms and kinds of an explicit command, built with the
-    Elaborator's interface, so that the checker runs a command with
-    either. A bare term in kind position becomes El or Prf by the sort its
-    head's kind ends in after one product per argument: substitution never
-    changes a kind's constructor, so that is the sort the elaborator's
-    instantiated kind has."""
+    Elaborator's interface. A bare term in kind position becomes El or Prf
+    by the sort its head's kind ends in after one product per argument,
+    which substitution does not change."""
 
     def term(self, ctx: Context, s: SurfaceTerm,
              expected: Optional[Kind]) -> tuple[Term, Optional[Kind]]:
@@ -557,9 +494,7 @@ class Translator(Resolver):
                 lead.append(self._term(ctx, arg_s))
             outer.append(lead)
             s = chain[0]
-        if type(s) is SName:
-            t = self._name(ctx, s)[0]
-        elif type(s) is SLam and s.ann is not None:
+        if type(s) is SLam:  # annotated, as `explicit` found
             dom = self.kind(ctx, s.ann)
             x, ctx2, scope = self._bind(ctx, s.var, dom)
             try:
@@ -567,7 +502,7 @@ class Translator(Resolver):
             finally:
                 self.scope = scope
         else:
-            raise Untranslatable(f"not an explicit surface term: {s!r}")
+            t = self._name(ctx, s)[0]
         while outer:
             t = app(*outer.pop(), t)
         return t
@@ -600,11 +535,10 @@ class Translator(Resolver):
 
 
 def explicit(nodes) -> bool:
-    """Whether the surface terms and kinds `nodes` hold no hole, no None
-    and no lambda without an annotation, so that the Translator can build
-    them. Each node is walked to its end before the next, so a caller
-    that puts a term before its kind finds a hole in the term without
-    walking the kind."""
+    """Whether the surface terms and kinds `nodes` (None for one left out)
+    hold no hole and no lambda without an annotation, so that the
+    Translator can build them. Each node is walked to its end before the
+    next."""
     stack = list(nodes)
     stack.reverse()
     while stack:
@@ -612,7 +546,7 @@ def explicit(nodes) -> bool:
         cls = type(s)
         if cls is SApp:
             stack += s.arg, s.fn
-        elif cls is SName or cls is SType or cls is SProp:
+        elif cls is SName or cls is SType or cls is SProp or s is None:
             continue
         elif cls is SLam:
             if s.ann is None:
@@ -624,9 +558,15 @@ def explicit(nodes) -> bool:
             stack.append(s.term)
         elif cls is SEl or cls is SPrf:
             stack.append(s.body)
-        else:  # a hole, or None for a binder with no annotation
+        else:  # a hole, or the string a Load or a SetOption names
             return False
     return True
+
+
+def too_deep(span: Optional[SourceSpan] = None) -> NestingTooDeep:
+    """The rejection of a command that overflows the interpreter's stack."""
+    return NestingTooDeep("command nests too deeply to check", span=span,
+                          diagnostic=Diagnostic("depth"))
 
 
 def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
@@ -637,9 +577,9 @@ def elaborate(sig: Signature, ctx: Context, s: SurfaceTerm,
         t, k = el.term(ctx, s, expected)
         t = el.finish_term(t, s)
         kernel.check_term(sig, ctx, t, el.finish_kind(k, s), fuel)
-        return t
-    except Exception as e:
-        raise el.explain(e) from None
+    except RecursionError:
+        raise too_deep() from None
+    return t
 
 
 def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
@@ -649,9 +589,9 @@ def elaborate_kind(sig: Signature, ctx: Context, s: SurfaceKind,
     try:
         k = el.finish_kind(el.kind(ctx, s), s)
         kernel.check_kind_valid(sig, ctx, k, fuel)
-        return k
-    except Exception as e:
-        raise el.explain(e) from None
+    except RecursionError:
+        raise too_deep() from None
+    return k
 
 
 def unify(sig: Signature, ctx: Context, a: Term, b: Term,
@@ -660,3 +600,81 @@ def unify(sig: Signature, ctx: Context, a: Term, b: Term,
     el = Elaborator(sig, fuel)
     el.state = state
     el.unify(ctx, a, b, at)
+
+
+# ------------------------------------------------------------------ blame
+
+# the rejections of a kind judgement, whose subject is the term judged
+_JUDGED = (KindMismatch, NotAProduct, IllFormedKind)
+# each surface node's children: (kernel node's field, surface node's field)
+_CHILDREN = {SApp: (("fn", "fn"), ("arg", "arg")),
+             SLam: (("ann", "ann"), ("body", "body")),
+             SPi: (("domain", "domain"), ("codomain", "codomain")),
+             SEl: (("body", "body"),), SPrf: (("body", "body"),),
+             STermKind: (("body", "term"),)}
+
+
+def blame(cmd: Command, record: Optional[tuple], error: LttwError):
+    """The node of `cmd` that the kernel's rejection `error` of `record`,
+    the replay record built from `cmd`, names; else `cmd` itself.
+
+    A rejected kind judgement's Diagnostic names the term judged as its
+    subject: its first node in `_pairs`' order, by identity (a variable or
+    a constant is one node per name). An `app-fn` subject, the head and the
+    arguments before the one too many, is built anew: the argument after
+    the application that spells it is to blame."""
+    d = error.diagnostic
+    if not (record and isinstance(error, _JUDGED) and d and d.subject):
+        return cmd
+    for e, s in _pairs(cmd, record):
+        if d.rule != "app-fn":
+            if e is d.subject:
+                return s
+        elif type(e) is App:
+            f, g = e.fn, d.subject  # the same head and arguments?
+            while type(f) is App and type(g) is App and f.arg is g.arg:
+                f, g = f.fn, g.fn
+            if f is g:
+                return s.arg if type(s) is SApp else s
+    return cmd
+
+
+def _pairs(cmd: Command, record: tuple):
+    """Each node of `record` with the node of `cmd` it was built from,
+    parents first, left to right, on a stack: one per surface node
+    (`_CHILDREN`), and every node of a filled hole with the hole."""
+    stack = _roots(cmd, record)[::-1]
+    while stack:
+        e, s = stack.pop()
+        if e is None or s is None:
+            continue
+        yield e, s
+        if type(s) is SHole:
+            stack += [(f, s) for f in e[-2::-1] if isinstance(f, (Term, Kind))]
+        else:
+            stack += [(getattr(e, ef, None), getattr(s, sf))
+                      for ef, sf in _CHILDREN.get(type(s), ())[::-1]]
+
+
+def _roots(cmd: Command, record: tuple) -> list:
+    """The record's top nodes, each with the surface node built into it."""
+    if record[0] == "check":
+        return list(zip(record[1:], cmd.payload))
+    anns = [ann for _, ann, _ in cmd.binders]
+    if record[0] == "rule":
+        r = record[1]
+        return [*zip([k for _, k in r.binders], anns), (r.lhs, cmd.lhs),
+                (r.rhs, cmd.rhs), (r.ascription, cmd.kind)]
+    # a declaration's kind, or a definition's body and ascription, each
+    # under a Lam or product per binder
+    pairs = []
+    built = (cmd.body, cmd.kind) if record[0] == "define" else (cmd.kind,)
+    for e, inner in zip(record[2:], built):
+        for ann in anns:
+            if type(e) is not Lam and type(e) is not PiKind:
+                break
+            pairs.append((e[1], ann))  # the annotation, or the domain
+            e = e[2]
+        else:
+            pairs.append((e, inner))
+    return pairs

@@ -171,9 +171,12 @@ def test_06_impredicative_overlay_flips_exactly_one_scripted_outcome(
     before = {r.entry.name: r.outcome for r in pred}
     after = {r.entry.name: r.outcome for r in impr}
 
-    # quantifying a set body over all sets is a kind error either way
-    assert before["impredicative_neg.lf"] == "reject:KindMismatch"
-    assert after["impredicative_neg.lf"] == "reject:KindMismatch"
+    # quantifying a set body over all sets is a kind error either way: the
+    # kernel's DomainMismatch, which the manifests' reject:KindMismatch
+    # names by its base class
+    neg = [r for r in pred + impr if r.entry.name == "impredicative_neg.lf"]
+    assert [(r.outcome, r.ok) for r in neg] == \
+        [("reject:DomainMismatch", True)] * 2
 
     # the overlay's own quantifier only exists once the extension loads
     flips = sorted((n, before[n], after[n])

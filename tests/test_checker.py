@@ -18,10 +18,11 @@ from lttw.errors import (
     NotAProduct, SignatureError, UnknownConstant,
 )
 from lttw.kernel import DEFAULT_FUEL, Fuel
+from lttw.parser import parse_term
 from lttw.printer import render
 from lttw.signature import Definition, declare_rewrite, replay
 from lttw.stdlib import load_standard
-from lttw.surface import ScriptSyntaxError
+from lttw.surface import Directive, DirectiveOp, ScriptSyntaxError
 from lttw.syntax import (
     TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, PropKind, TypeKind, Var,
     alpha_eq, contains_meta, metas_of,
@@ -196,15 +197,20 @@ def test_typeof_output():
 def test_typeof_and_reduce_are_rechecked_by_the_kernel(monkeypatch):
     # an elaborator that hands back a term of the wrong kind is caught
     # before anything is printed or normalised, and neither directive
-    # leaves a replay record
+    # leaves a replay record. The queries have a hole, so they are
+    # elaborated: a query without one is translated, and the kernel
+    # infers the kind it prints
     ck = Checker()
     ck.run_text(NAT_PRELUDE + "> [Bool : Type];\n> [tt : Bool];\n"
-                + "> TypeOf zero;\n> Reduce succ zero;\n")
+                + "> [idn [A : Type] [x : El A] = x];\n"
+                + "> TypeOf idn ? zero;\n> Reduce idn ? (succ zero);\n")
+    assert ck.output == ["TypeOf idn Nat zero : Nat",
+                         "Reduce idn Nat (succ zero) = succ zero"]
     output, logged = list(ck.output), len(ck.log)
     monkeypatch.setattr(lttw.elaborator.Elaborator, "finish_term",
                         lambda self, e, span=None: Const("tt"))
     monkeypatch.setattr(lttw.kernel, "normalize", None)
-    for directive in ("TypeOf zero", "Reduce zero"):
+    for directive in ("TypeOf idn ? zero", "Reduce idn ? zero"):
         with pytest.raises(KindMismatch) as info:
             ck.run_text(f"> {directive};\n")
         assert "term does not have the required kind" in str(info.value)
@@ -467,8 +473,10 @@ def test_duplicate_declaration_carries_span():
 
 
 # A spine with one argument too many is rejected alike whether its last
-# argument is an application (elaborated and inferred in the loop on the
-# last argument) or not, by the elaborator and by replay.
+# argument is an application (translated and inferred in the loop on the
+# last argument) or not, by the checker and by replay. The kernel names the
+# head and the arguments before the extra one; the checker blames that
+# argument.
 APP_FN_PRELUDE = NAT_PRELUDE + "> [f : Nat -> Nat];\n"
 
 
@@ -480,7 +488,8 @@ def test_one_argument_too_many_is_rejected_at_that_argument(last, col):
     with pytest.raises(NotAProduct) as info:
         ck.run_text(f"> Check f zero {last};\n")
     assert (info.value.span.line, info.value.span.col) == (1, col)
-    assert render(info.value.diagnostic) == "rule: app-fn\nactual: Nat"
+    assert render(info.value.diagnostic) == (
+        "rule: app-fn\nsubject: f zero\nactual: Nat")
 
 
 @pytest.mark.parametrize("last", [Const("zero"),
@@ -494,6 +503,71 @@ def test_replay_of_one_argument_too_many_is_rejected(last):
         replay(ck.log + [("check", t, ElKind(Const("Nat")))])
     assert render(info.value.diagnostic) == (
         "rule: app-fn\nsubject: f zero\nactual: Nat")
+
+
+# Where a rejection that the kernel raises is blamed (`blame`): at the node
+# of the command that the record's rejected node was built from. Each
+# probe runs after BLAME_PRELUDE: a script, a query as the CLI builds it
+# from its argument, or a corpus file. With `copied`, the kernel names a
+# copy of the argument it rejects, a node the record does not hold.
+BLAME_PRELUDE = """
+> [f : Nat -> Nat];
+> [one = succ zero];
+> [K [x : Nat] [y : Nat] = x : Nat];
+> [P : Nat -> Prop];
+> [g : (n : Nat) Prf (P n) -> Nat];
+> [h : (x : Nat) Prf (P x)];
+> [c : Prop -> Nat];
+"""
+BLAMED = {
+    "corpus-lambda": ("impredicative_neg.lf", (7, 16), "app-domain"),
+    "query-argument": ("typeof succ bot", (1, 6), "app-domain"),
+    "definition-argument": ("> [bad = succ bot : Nat];\n", (1, 15),
+                            "app-domain"),
+    "one-too-many-leading": ("> Check f zero zero;\n", (1, 16), "app-fn"),
+    "one-too-many-last": ("> Check f zero (succ zero);\n", (1, 17),
+                          "app-fn"),
+    "script-line-3": ("> TypeOf zero;\n> Check\n>   bot : Nat;\n", (3, 5),
+                      "check"),
+    "unfolded-definition": (
+        "> Check EqI hatNat (K one one) "
+        ": Prf (Eq hatNat (K one one) (K zero one));\n", (1, 9), "check"),
+    "definition-body": (
+        "> [bad = EqI hatNat zero : Prf (Eq hatNat zero one)];\n", (1, 10),
+        "define-ascription"),
+    # ?0 := bot from `h bot`, whose `bot` the kernel reaches later
+    "filled-hole": ("> Check g ? (h bot) : Nat;\n", (1, 11), "app-domain"),
+    "record-node": ("> Check c (succ zero) : Nat;\n", (1, 12),
+                    "app-domain"),
+    "copied": ("> Check c (succ zero) : Nat;\n", (1, 3), "app-domain"),
+}
+
+
+@pytest.mark.parametrize("case", BLAMED)
+def test_a_kernel_rejection_is_blamed_on_the_node_it_names(case,
+                                                          monkeypatch):
+    probe, at, rule = BLAMED[case]
+    ck = load_standard()
+    ck.run_text(BLAME_PRELUDE)
+    entries, log = dict(ck.sig.entries), list(ck.log)
+    if case == "copied":
+        rejected = lttw.kernel._domain_mismatch
+        monkeypatch.setattr(
+            lttw.kernel, "_domain_mismatch", lambda arg, *kinds: rejected(
+                App(arg.fn, arg.arg), *kinds))
+    with pytest.raises(KindMismatch if rule != "app-fn" else NotAProduct) \
+            as info:
+        if probe.endswith(".lf"):
+            ck.run_path(CORPUS_DIR / probe)
+        elif probe.startswith("typeof "):
+            term = parse_term(probe[len("typeof "):], file="<argument>")
+            ck.run_command(Directive(DirectiveOp.TYPEOF, (term, None),
+                                     term.span))
+        else:
+            ck.run_text(probe)
+    span = info.value.span
+    assert ((span.line, span.col), info.value.diagnostic.rule) == (at, rule)
+    assert ck.sig.entries == entries and ck.log == log
 
 
 # A binder that shadows one in scope is renamed apart, perhaps to a declared
@@ -583,17 +657,21 @@ def test_too_deep_a_command_is_a_typed_rejection():
 
 
 def test_too_deep_a_command_is_explained_like_any_rejection():
-    # elaborating the last argument runs out of stack after `bot` was
-    # recorded against `Nat`: that false obligation gives the error. With
-    # `zero` every obligation holds, and the depth is the rejection
+    # translating the last argument runs out of stack before the kernel
+    # is asked anything, so the depth is the rejection, whether the first
+    # argument is `bot` or `zero`. Next to a numeral, which costs no
+    # stack, the false `bot` is the kernel's rejection, at `bot`
     ck = load_standard()
     ck.run_path(CORPUS_DIR / "arith.lf")
     ck.run_text("> [K = [a : Nat] [b : Nat] b];\n")
-    with pytest.raises(KindMismatch) as info:
-        ck.run_text(f"> TypeOf K bot ({leading(BEYOND)});\n")
-    assert info.value.diagnostic.rule == "check"
-    with pytest.raises(NestingTooDeep):
-        ck.run_text(f"> TypeOf K zero ({leading(BEYOND)});\n")
+    for first in ("bot", "zero"):
+        with pytest.raises(NestingTooDeep) as info:
+            ck.run_text(f"> TypeOf K {first} ({leading(BEYOND)});\n")
+        assert info.value.span.col == 3
+    with pytest.raises(DomainMismatch) as info:
+        ck.run_text(f"> TypeOf K bot ({numeral(10**4)});\n")
+    assert (info.value.diagnostic.rule, info.value.span.col) == \
+        ("app-domain", 12)
     ck.run_text(f"> TypeOf K zero ({numeral(10**4)});\n")
     assert ck.output[-1] == f"TypeOf K zero ({numeral(10**4)}) : Nat"
 
@@ -607,7 +685,7 @@ EQUATIONS = {
 @pytest.mark.parametrize("form", EQUATIONS)
 def test_a_deep_true_equation_is_accepted(form):
     # alpha-equality compares two distinct equal numerals in its loop, in
-    # the kernel and when the obligation is explained, at no stack cost
+    # the kernel, at no stack cost
     ck = load_standard()
     logged = len(ck.log)
     n = numeral(BEYOND)
@@ -629,9 +707,11 @@ def test_a_deep_false_equation_is_a_typed_rejection(form):
     assert (span.file, span.line, span.col) == ("deep.lf", 1, 3)
     assert info.value.diagnostic.rule == "depth"
     assert ck.sig.entries == entries and ck.log == log
+    # the kernel's own rule: a query's kind, or a definition's ascription
     with pytest.raises(KindMismatch) as info:
         ck.run_text(EQUATIONS[form].format(n=numeral(300), m=numeral(301)))
-    assert info.value.diagnostic.rule == "check"
+    assert info.value.diagnostic.rule == \
+        {"Check": "check", "Define": "define-ascription"}[form]
 
 
 def test_a_hole_inside_a_deep_numeral_is_filled():

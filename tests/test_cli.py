@@ -295,25 +295,27 @@ def _check_script(capsys, tmp_path, text):
     return run(capsys, "check", str(script))
 
 
-MISMATCH = ("kind does not match what this position requires\n"
-            "  rule: check\n  expected: Nat\n  actual: Prop\n")
-
-
 @pytest.mark.parametrize("argv, stderr", [
-    (["typeof", "succ bot"], "<argument>:1:6: " + MISMATCH),
+    (["typeof", "succ bot"],
+     "<argument>:1:6: argument kind does not match the function's domain\n"
+     "  rule: app-domain\n  subject: bot\n  expected: Nat\n"
+     "  actual: Prop\n"),
     (["typeof", "zero zero"],
-     "<argument>:1:6: too many arguments: the head's kind is not a product "
-     "here\n  rule: app-fn\n  actual: Nat\n"),
+     "<argument>:1:6: application of a term whose kind is not a product\n"
+     "  rule: app-fn\n  subject: zero\n  actual: Nat\n"),
     (["typeof", "succ ?"],
      "<argument>:1:6: a hole was never determined\n  rule: hole-solved\n"),
     (["typeof", "[x] x"],
      "<argument>:1:1: binder 'x' needs an annotation here\n"
      "  rule: lam-annotation\n"),
-    (["check", "{script}"], "{script}:3:5: " + MISMATCH),
+    (["check", "{script}"],
+     "{script}:3:5: term does not have the required kind\n  rule: check\n"
+     "  subject: bot\n  expected: Nat\n  actual: Prop\n"),
 ], ids=["arg-kind", "too-many-arguments", "hole", "lambda", "script-line-3"])
 def test_rejection_points_at_the_node_to_blame(capsys, tmp_path, argv,
                                                 stderr):
-    # the span of the node an error blames is built only for the error
+    # the span of the node an error blames is built only for the error: the
+    # kernel's rejections of the explicit queries are placed by `blame`
     script = tmp_path / "probe.lf"
     script.write_text("> [a : Nat];\n> Check\n>   bot : Nat;\n")
     code, out, err = run(capsys, *(a.format(script=script) for a in argv))
@@ -408,10 +410,9 @@ RULE_REJECTIONS = [
      "pattern arguments must be variables or constructor patterns"),
     ("kind-coercion", "> Check zero : zero;\n",
      "a term used as a kind must be a type or a proposition"),
-    ("lam-kind", "> Check [x : Nat] x : Nat;\n",
+    # without its annotation the lambda is elaborated, not translated
+    ("lam-kind", "> Check [x] x : Nat;\n",
      "an abstraction only has product kinds"),
-    ("lam-domain", "> Check [x : bot] zero : Nat -> Nat;\n",
-     "kind does not match what this position requires"),
     # the argument's kind is a product, the hole's domain `El ?0` is not
     ("kind-unify", "> [g : (A : Type) A -> Nat];\n> Check g ? succ;\n",
      "kinds with different shapes cannot be made equal"),
@@ -465,19 +466,16 @@ def test_rewrite_rule_rejection_names_its_rule(capsys, tmp_path, rule,
 
 def _rule_names(tree):
     """The rule names written as literals: the first argument of a
-    `Diagnostic(...)`, and the last of an elaborator `_require_kinds_equal`
-    call, which names the rule of the obligation it records. A module
-    with a Diagnostic whose rule is a variable may read it from a table:
-    there the literals of its tuples that look like rule names (words
-    joined by hyphens) count as well."""
+    `Diagnostic(...)`. A module with a Diagnostic whose rule is a variable
+    may read it from a table: there the literals of its tuples that look
+    like rule names (words joined by hyphens) count as well."""
     tables = False
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or not node.args:
             continue
         func = node.func
         name = getattr(func, "id", None) or getattr(func, "attr", None)
-        arg = {"Diagnostic": node.args[0],
-               "_require_kinds_equal": node.args[-1]}.get(name)
+        arg = node.args[0] if name == "Diagnostic" else None
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
             yield arg.value
         tables |= name == "Diagnostic" and isinstance(arg, ast.Name)
@@ -496,7 +494,7 @@ def test_every_diagnostic_rule_name_is_tested():
     names = set()
     for path in src.rglob("*.py"):
         names.update(_rule_names(ast.parse(path.read_text(encoding="utf-8"))))
-    assert {"check", "lam-domain", "name-declared"} <= names
+    assert {"check", "app-domain", "name-declared"} <= names
     assert len(names) >= 40
     tests = "".join(path.read_text(encoding="utf-8")
                     for path in Path(__file__).parent.rglob("*.py"))

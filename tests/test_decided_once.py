@@ -1,16 +1,15 @@
 """Each kind equality without holes is decided once, by the kernel.
 
-The elaborator records such an equality as an obligation instead of
-deciding it, and a rejected command is explained from the obligations.
-These tests run the same commands through the checker, which translates
-an explicit command and elaborates it only when it is rejected, and
-through a reference that elaborates every command with
-`InPlaceElaborator` (defined here, not in the package), which decides
-every such equality in place before the commit. They
-require the same verdict, the same error (class, message, span and
-diagnostic) for every rejection and the same output and log for every
-acceptance. The one difference allowed is a command that runs out of fuel
-deciding in place and is accepted when the kernel alone decides.
+The elaborator leaves such an equality to the kernel's check of the
+record, and the kernel's rejection stands. These tests run the same
+commands through the checker, which translates an explicit command and
+elaborates the others, and through a reference that elaborates every
+command with `InPlaceElaborator` (defined here, not in the package), which
+decides every such equality in place before the kernel's check. They
+require the same verdict for every command, and the same output, log and
+fuel for every acceptance. The one difference allowed is a command that
+runs out of fuel deciding in place and is accepted when the kernel alone
+decides.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ import pytest
 import lttw.corpus
 from lttw import Checker
 from lttw.corpus import parse_manifest
-from lttw.elaborator import Elaborator, _kind_mismatch
-from lttw.errors import FuelExhausted, KindMismatch, LttwError
+from lttw.elaborator import Elaborator
+from lttw.errors import Diagnostic, FuelExhausted, KindMismatch, LttwError
 from lttw.kernel import Fuel, equal_kinds
 from lttw.parser import parse_script
 from lttw.printer import render
@@ -39,6 +38,7 @@ from lttw.surface import (
     SApp, SEl, SLam, SName, SPi, SPrf, STermKind, Declare, DeclareRule,
     Define, Directive, DirectiveOp,
 )
+from lttw.syntax import contains_meta
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import ARITH_SIZE, arith_script  # noqa: E402
@@ -51,28 +51,47 @@ CONFIGS = (
 
 
 class InPlaceElaborator(Elaborator):
-    """Decides each equality without holes where it arises, with the
-    command's fuel, instead of leaving it to the kernel."""
+    """Decides each equality without holes where it arises, instead of
+    leaving it to the kernel. It decides on a copy of what is left of the
+    command's budget, so that it runs out where deciding in place would,
+    and an accepted command spends what the checker's does."""
 
-    def _require_kinds_equal(self, ctx, actual, expected, span, rule):
-        super()._require_kinds_equal(ctx, actual, expected, span, rule)
-        if self.obligations:
-            ctx, actual, expected, span, rule, _ = self.obligations.pop()
-            if not equal_kinds(self.sig, ctx, actual, expected, self.fuel):
-                raise _kind_mismatch(span, rule, expected, actual)
+    def _require_kinds_equal(self, ctx, actual, expected, blame):
+        actual = self.state.zonk(actual)
+        expected = self.state.zonk(expected)
+        if contains_meta(actual) or contains_meta(expected):
+            self.unify_kinds(ctx, actual, expected, blame)
+            return
+        fuel = Fuel(self.fuel.limit)
+        fuel.left = self.fuel.left
+        if not equal_kinds(self.sig, ctx, actual, expected, fuel):
+            raise KindMismatch(
+                "kind does not match what this position requires",
+                span=blame.span, diagnostic=Diagnostic(
+                    "check", expected=expected, actual=actual))
 
 
 class InPlaceChecker(Checker):
     """The reference: every command is elaborated, none translated, and
     every equality without holes is decided in place by the elaborator;
-    the kernel then checks what it elaborated. With no obligation left,
-    `explain` returns each error unchanged."""
+    the kernel then checks what it elaborated."""
 
     def _explicit(self, cmd):
         return False
 
     def _elaborator(self):
-        return InPlaceElaborator(self.sig, Fuel(self.fuel))
+        el = InPlaceElaborator(self.sig, Fuel(self.fuel))
+        self.budget = el.fuel
+        return el
+
+
+class Once(Checker):
+    """The checker, keeping each command's budget to read its fuel."""
+
+    def _elaborator(self):
+        el = super()._elaborator()
+        self.budget = el.fuel
+        return el
 
 
 def _outcome(ck: Checker, cmd):
@@ -80,16 +99,16 @@ def _outcome(ck: Checker, cmd):
     try:
         ck.run_command(cmd)
     except LttwError as e:
-        return ("reject", type(e), e.message, e.span, repr(e.diagnostic),
-                str(e))
-    return ("accept", ck.output[output:], repr(ck.log[log:]))
+        return ("reject", type(e))
+    return ("accept", ck.output[output:], repr(ck.log[log:]),
+            ck.budget.limit - ck.budget.left)
 
 
 class Pair:
     """The checker and the reference, fed the same commands."""
 
     def __init__(self, mode="predicative", prop_at="prop"):
-        self.once = Checker(prop_placement=prop_at)
+        self.once = Once(prop_placement=prop_at)
         self.in_place = InPlaceChecker(prop_placement=prop_at)
         self.rejections = 0
         self.fuel_to_accept = []
@@ -100,15 +119,19 @@ class Pair:
             self.run_file(path)
 
     def run(self, cmd) -> str:
-        """Run `cmd` on both, compare, and return the verdict."""
+        """Run `cmd` on both, compare, and return the verdict. The error
+        of a rejection is the checker's."""
         once = self.last = _outcome(self.once, cmd)
         in_place = _outcome(self.in_place, cmd)
         if (once[0] == "accept" and in_place[0] == "reject"
                 and in_place[1] is FuelExhausted):
             self.fuel_to_accept.append(cmd)
             return "accept"
-        assert once == in_place, cmd.span
-        self.rejections += once[0] == "reject"
+        if once[0] == "reject":
+            assert in_place[0] == "reject", cmd.span
+            self.rejections += 1
+        else:
+            assert once == in_place, cmd.span
         return once[0]
 
     def run_file(self, path: Path) -> None:
@@ -296,7 +319,7 @@ def test_predicative_corpus_and_its_ill_kinded_mutants_are_checked_the_same():
 def test_an_ill_kinded_check_kind_is_rejected_as_deciding_in_place_would():
     # `K bot Nat` unfolds to Nat whatever K's first argument is, so `zero`
     # checks against it; the kernel's check of the kind rejects the
-    # ill-kinded `bot`, and the explanation names the obligation it broke
+    # ill-kinded `bot`, which deciding in place rejects first
     pair = Pair()
     for cmd in parse_script("> [K = [a : Nat] [b : Type] b];\n"
                             "> Check zero : K bot Nat;\n"):
@@ -305,13 +328,13 @@ def test_an_ill_kinded_check_kind_is_rejected_as_deciding_in_place_would():
     with pytest.raises(KindMismatch) as info:
         pair.once.run_text("> Check zero : K bot Nat;\n")
     assert render(info.value.diagnostic) == \
-        "rule: check\nexpected: Nat\nactual: Prop"
+        "rule: app-domain\nsubject: bot\nexpected: Nat\nactual: Prop"
 
 
-# `one` and `two` unfold in one step each. In each probe an obligation
-# that holds spends a step before something else does: a later obligation
-# that fails, hole solving, or an unsolved hole. The budget decides whether
-# the probe runs out of fuel first.
+# `one` and `two` unfold in one step each. In each probe an equality that
+# holds spends a step before something else does: a later equality that
+# fails, hole solving, or an unsolved hole. The budget decides whether the
+# probe runs out of fuel first.
 BUDGET_PRELUDE = """
 > [one = succ zero];
 > [two = succ one];
@@ -339,7 +362,7 @@ def test_rejections_under_every_small_budget_are_explained_the_same():
         for cmd in parse_script(BUDGET_PROBES):
             assert pair.run(cmd) == "reject"
             errors.add(pair.last[1].__name__)
-    assert errors == {"FuelExhausted", "KindMismatch", "UnsolvedMeta"}
+    assert errors == {"FuelExhausted", "DomainMismatch", "UnsolvedMeta"}
 
 
 # --------------------------------------------------------------- arith
@@ -369,9 +392,13 @@ def test_arith_script_under_a_small_budget_is_checked_the_same():
     # each run only adds `check` records to the log, so the runs can share
     # one session
     pair = _arith_pair()
+    out_of_fuel = 0
     for fuel in (1, 2, 3, 5, 10, 50):
         pair.run_accepted(f"> SetOption fuel {fuel};\n")
         for cmd in _arith_commands(1):
-            pair.run(cmd)
-    # some commands need fuel only for the check the kernel repeated
-    assert pair.fuel_to_accept
+            if pair.run(cmd) == "reject":
+                out_of_fuel += pair.last[1] is FuelExhausted
+    # the budgets bite, and deciding in place on what is left of the
+    # budget runs out nowhere that the kernel's one check does not
+    assert out_of_fuel > 0
+    assert pair.fuel_to_accept == []

@@ -494,10 +494,11 @@ def test_a_false_equation_under_a_definition_keeps_its_diagnostic(arith):
     with pytest.raises(KindMismatch) as info:
         _with_k(arith).run_text(
             f"> Check EqI hatNat (K one one) : {K_EQUATION};\n")
-    assert str(info.value) == ("<script>:1:9: kind does not match what "
-                               "this position requires")
+    assert str(info.value) == ("<script>:1:9: term does not have the "
+                               "required kind")
     assert render(info.value.diagnostic) == (
-        f"rule: check\nexpected: {K_EQUATION}\n"
+        f"rule: check\nsubject: EqI hatNat (K one one)\n"
+        f"expected: {K_EQUATION}\n"
         "actual: Prf (Eq hatNat (K one one) (K one one))")
 
 

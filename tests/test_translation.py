@@ -1,12 +1,12 @@
 """Explicit commands are translated, not elaborated.
 
-A declaration, definition, rule or `Check t : K` with no hole and no
-lambda without an annotation is translated: names are resolved and the
-kernel's check at the commit is its only inference. If the translation
-or the check raises, the command runs again through the elaborator on
-its whole budget. These tests run a translating checker and one that
-elaborates every command side by side, and require the same rejections,
-output, log records and fuel for every command.
+A declaration, definition, rule or query with no hole and no lambda
+without an annotation is translated: names are resolved and the kernel's
+check is its only inference. Its rejection is the kernel's, and it stands:
+the command is not run again. These tests run a translating checker and
+one that elaborates every command side by side, and require the same
+verdict for every command, and the same output, log records and fuel for
+every accepted one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import lttw.checker
 from lttw.checker import Checker
 from lttw.corpus import MANIFEST, MANIFEST_IMPREDICATIVE, parse_manifest
 from lttw.elaborator import Translator
-from lttw.errors import DomainMismatch, KindMismatch, LttwError
+from lttw.errors import DomainMismatch, FuelExhausted, LttwError
 from lttw.kernel import Fuel
 from lttw.parser import parse_script
 from lttw.printer import render
@@ -52,13 +52,13 @@ class Elaborating(Translating):
 
 
 def _outcome(ck: Checker, cmd):
+    """What `cmd` did: "reject", or its output, log records and fuel."""
     output, log = len(ck.output), len(ck.log)
     try:
         ck.run_command(cmd)
-        error = None
-    except LttwError as e:
-        error = (type(e), e.message, e.span, repr(e.diagnostic))
-    return (error, ck.output[output:], [repr(r) for r in ck.log[log:]],
+    except LttwError:
+        return "reject"
+    return (ck.output[output:], [repr(r) for r in ck.log[log:]],
             ck.budget.limit - ck.budget.left)
 
 
@@ -72,17 +72,13 @@ class Pair:
         self.paths = Counter()
 
     def run(self, cmd) -> bool:
-        """Run `cmd` on both, compare, and return whether it was accepted.
-        An explicit command that is rejected was translated first and then
-        elaborated."""
+        """Run `cmd` on both, compare, and return whether it was
+        accepted."""
         translated = _outcome(self.translating, cmd)
         assert translated == _outcome(self.elaborating, cmd), cmd.span
-        accepted = translated[0] is None
-        if not self.translating._explicit(cmd):
-            self.paths["elaborated"] += 1
-        else:
-            self.paths["translated" if accepted else "fell back"] += 1
-        return accepted
+        explicit = self.translating._explicit(cmd)
+        self.paths["translated" if explicit else "elaborated"] += 1
+        return translated != "reject"
 
     def run_file(self, path: Path) -> None:
         for cmd in parse_script(path.read_text(encoding="utf-8"),
@@ -90,10 +86,12 @@ class Pair:
             assert self.run(cmd), cmd.span
 
 
+# the commands translated in the stdlib, and in the corpus the commands
+# translated and elaborated: a definition with an unannotated lambda
 CONFIGS = (
-    (MANIFEST, "predicative", "prop", 77, (140, 2, 27)),
-    (MANIFEST, "predicative", "type", 77, (140, 2, 27)),
-    (MANIFEST_IMPREDICATIVE, "impredicative", "prop", 81, (142, 1, 28)),
+    (MANIFEST, "predicative", "prop", 77, (166, 3)),
+    (MANIFEST, "predicative", "type", 77, (166, 3)),
+    (MANIFEST_IMPREDICATIVE, "impredicative", "prop", 81, (168, 3)),
 )
 
 
@@ -121,34 +119,36 @@ def test_the_stdlib_and_the_corpus_are_checked_as_by_elaboration(
             continue
         for cmd in commands:
             assert pair.run(cmd), cmd.span
-    translated, fell_back, elaborated = corpus
-    assert pair.paths == {"translated": translated, "fell back": fell_back,
-                          "elaborated": elaborated}
+    translated, elaborated = corpus
+    assert pair.paths == {"translated": translated, "elaborated": elaborated}
 
 
 def test_the_arith_script_translates_only_its_explicit_shape():
     # tests/test_decided_once.py checks the arith script against a
-    # reference that elaborates every command; the false equations have
-    # holes
+    # reference that elaborates every command; the `explicit` shape's
+    # Checks and every Reduce are translated, and the false equations and
+    # the other shapes have holes
     ck = Checker()
     commands = parse_script(arith_script(1, *ARITH_SIZE)[0], file="<arith>")
-    assert sum(map(ck._explicit, commands)) == 36
+    assert sum(map(ck._explicit, commands)) == 72
     assert len(commands) == 144
 
 
-def test_an_explicit_command_the_kernel_rejects_keeps_the_elaborators_error():
+def test_an_explicit_command_the_kernel_rejects_keeps_the_kernels_error():
+    # the kernel blames the application's domain, and the checker places
+    # it at the argument
     ck = load_standard()
-    with pytest.raises(KindMismatch) as info:
+    with pytest.raises(DomainMismatch) as info:
         ck.run_text("> [bad = succ bot : Nat];\n")
     assert (info.value.span.line, info.value.span.col) == (1, 15)
-    assert render(info.value.diagnostic) == \
-        "rule: check\nexpected: Nat\nactual: Prop"
-    # the kernel alone blames the application's domain
+    shown = "rule: app-domain\nsubject: bot\nexpected: Nat\nactual: Prop"
+    assert render(info.value.diagnostic) == shown
+    # the kernel alone, on the record, says the same
     nat = ElKind(Const("Nat"))
     record = ("define", "bad", App(Const("succ"), Const("bot")), nat)
     with pytest.raises(DomainMismatch) as info:
         commit(ck.sig, record, Fuel())
-    assert info.value.diagnostic.rule == "app-domain"
+    assert render(info.value.diagnostic) == shown
     assert "bad" not in ck.sig.entries
 
 
@@ -163,17 +163,19 @@ BUDGET_PRELUDE = """
 """
 
 
-@pytest.mark.parametrize("fuel", [3, 5])
-def test_a_failed_translation_leaves_the_elaborator_the_whole_budget(fuel):
-    # the budget fits the failed check once, but not twice: the elaborator
-    # decides its false obligation only on a restored budget
+@pytest.mark.parametrize("fuel", [2, 3, 5])
+def test_a_rejected_explicit_command_is_checked_once_on_its_budget(fuel):
+    # the kernel's check runs once: a budget that fits it once gives its
+    # rejection, and one step less runs out
     ck = load_standard()
     ck.run_text(BUDGET_PRELUDE + f"> SetOption fuel {fuel};\n")
-    with pytest.raises(KindMismatch) as info:
+    with pytest.raises(FuelExhausted if fuel < 3 else DomainMismatch) as info:
         ck.run_text("> [bad = f p2 : Nat];\n")
-    assert (info.value.span.line, info.value.span.col) == (1, 12)
-    assert render(info.value.diagnostic) == \
-        "rule: check\nexpected: Prf (P one)\nactual: Prf (P two)"
+    if fuel >= 3:
+        assert (info.value.span.line, info.value.span.col) == (1, 12)
+        assert render(info.value.diagnostic) == (
+            "rule: app-domain\nsubject: p2\nexpected: Prf (P one)\n"
+            "actual: Prf (P two)")
 
 
 def test_only_an_explicit_command_reaches_the_translator(monkeypatch):
@@ -185,15 +187,19 @@ def test_only_an_explicit_command_reaches_the_translator(monkeypatch):
             super().__init__(sig, fuel)
 
     ck = load_standard()
+    ck.run_text("> [idn [A : Type] [x : El A] = x];\n")
     monkeypatch.setattr(lttw.checker, "Translator", Recorded)
     ck.run_text("> Check EqI hatNat zero : Prf (Eq hatNat zero ?);\n"
                 "> [g = [x] x : Nat -> Nat];\n"
                 "> [h = EqI hatNat ? : Prf (Eq hatNat zero zero)];\n"
-                "> TypeOf zero;\n"
-                "> Reduce succ zero;\n"
-                "> Check zero;\n")
+                "> TypeOf idn ? zero;\n"
+                "> Reduce idn ? zero;\n"
+                "> Check [x] x : Nat -> Nat;\n")
     assert made == []
     assert len(ck.output) == 4
-    ck.run_text("> Check zero : Nat;\n")
-    assert len(made) == 1
-    assert ck.output[-1] == "Check zero : Nat"
+    ck.run_text("> Check zero : Nat;\n> TypeOf zero;\n"
+                "> Reduce succ zero;\n> Check zero;\n")
+    assert len(made) == 4
+    assert ck.output[-4:] == ["Check zero : Nat", "TypeOf zero : Nat",
+                              "Reduce succ zero = succ zero",
+                              "Check zero : Nat"]
