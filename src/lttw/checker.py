@@ -17,10 +17,10 @@ translator hands a command to the elaborator only by raising
 `Untranslatable`, before the kernel is asked anything.
 
 Every command is checked once, and the kernel's rejection stands: it
-carries no span, and `run_command` gives it the span of the node of the
-command that its Diagnostic names (`elaborator.blame`). A command nested
-deeper than the interpreter's stack allows is rejected with
-NestingTooDeep. A rejected command leaves the signature, the log and the
+carries no span, and `elaborator.blaming` gives it the span of the node
+of the command that its Diagnostic names, or `run_command` the command's.
+A command nested deeper than the interpreter's stack allows is rejected
+with NestingTooDeep. A rejected command leaves the signature, the log and the
 output as they were: it appends to `log` and `output` only as its last
 step, after it has printed.
 
@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Optional
 
 from .elaborator import (
-    Elaborator, Resolver, Translator, Untranslatable, blame, explicit,
+    Elaborator, Resolver, Translator, Untranslatable, blaming, explicit,
     too_deep,
 )
 from .errors import LttwError
@@ -72,6 +72,16 @@ from .syntax import TYPE, Lam, PiKind, PropKind
 # the method that runs each command, by the command's type
 _METHODS = {Declare: "_declare", Define: "_define", DeclareRule: "_rule",
             Directive: "_directive"}
+
+
+def _under(e, binders, inner) -> list:
+    """The roots of `e`, built under a Lam or a product per binder: each
+    binder's kind with its annotation, and what they bind with `inner`."""
+    roots = []
+    for _, ann, _ in binders:
+        roots.append((e[1], ann))
+        e = e[2]
+    return roots + [(e, inner)]
 
 
 def parse_fuel(text: str) -> int:
@@ -113,9 +123,8 @@ class Checker:
         self.output: list[str] = []
         self.loaded: set[str] = set()
         self._loading: list[str] = []
-        # the command being run's elaborator or translator, and its record
+        # the command being run's elaborator or translator
         self._el: Optional[Resolver] = None
-        self._record: Optional[tuple] = None
 
     # ------------------------------------------------------------ files
 
@@ -176,12 +185,12 @@ class Checker:
         except RecursionError:
             raise too_deep(cmd.span) from None
         except LttwError as e:
-            # the innermost command blames the node the kernel's error names
+            # the innermost command that has no node to blame blames itself
             if e.span is None:
-                e.span = blame(cmd, self._record, e).span
+                e.span = cmd.span
             raise
         finally:
-            self._el = self._record = None
+            self._el = None
 
     def _explicit(self, cmd: Command) -> bool:
         """Whether `cmd` is translated: a declaration, definition, rule or
@@ -202,9 +211,9 @@ class Checker:
         # normalisation all spend from it
         return Elaborator(self.sig, Fuel(self.fuel))
 
-    def _commit(self, record: tuple, fuel: Fuel) -> None:
-        self._record = record
-        commit(self.sig, record, fuel)
+    def _commit(self, record: tuple, fuel: Fuel, roots: list) -> None:
+        with blaming(roots):
+            commit(self.sig, record, fuel)
         self.log.append(record)
 
     def _binder_telescope(self, el: Elaborator, binders,
@@ -231,7 +240,8 @@ class Checker:
         if (self.prop_placement == "type" and cmd.name == "prop"
                 and isinstance(kind, PropKind)):
             kind = TYPE
-        self._commit(("declare", cmd.name, kind), el.fuel)
+        self._commit(("declare", cmd.name, kind), el.fuel,
+                     _under(kind, cmd.binders, cmd.kind))
 
     def _define(self, cmd: Define) -> None:
         el = self._el
@@ -246,7 +256,10 @@ class Checker:
             for name, k in reversed(pairs):
                 ascription = PiKind(name, k, ascription)
             ascription = el.finish_kind(ascription, cmd)
-        self._commit(("define", cmd.name, body, ascription), el.fuel)
+        roots = _under(body, cmd.binders, cmd.body)
+        if ascription is not None:
+            roots += _under(ascription, cmd.binders, cmd.kind)
+        self._commit(("define", cmd.name, body, ascription), el.fuel, roots)
 
     def _rule(self, cmd: DeclareRule) -> None:
         el = self._el
@@ -259,7 +272,11 @@ class Checker:
                            lhs=el.finish_term(lhs, cmd),
                            rhs=el.finish_term(rhs, cmd),
                            ascription=el.finish_kind(ascription, cmd))
-        self._commit(("rule", rule), el.fuel)
+        roots = [(k, ann) for (_, k), (_, ann, _)
+                 in zip(rule.binders, cmd.binders)]
+        self._commit(("rule", rule), el.fuel, roots + [
+            (rule.lhs, cmd.lhs), (rule.rhs, cmd.rhs),
+            (rule.ascription, cmd.kind)])
 
     # ------------------------------------------------------- directives
 
@@ -294,16 +311,17 @@ class Checker:
         expected = None if kind_s is None else el.kind(EMPTY_CONTEXT, kind_s)
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)
         t = el.finish_term(t, cmd)
-        record = self._record = ("check", t, el.finish_kind(k, cmd))
-        if k is None:
-            # a translated query with no kind: the kernel infers the kind
-            # once and validates it, where `commit` would infer it again
-            k = kernel.infer_kind(self.sig, EMPTY_CONTEXT, t, el.fuel)
-            kernel.check_kind_valid(self.sig, EMPTY_CONTEXT, k, el.fuel)
-            record = ("check", t, k)
-        else:
-            # the kernel alone confirms what elaboration produced
-            commit(self.sig, record, el.fuel)
+        record = ("check", t, el.finish_kind(k, cmd))
+        with blaming(list(zip(record[1:], cmd.payload))):
+            if k is None:
+                # translated, with no kind: the kernel infers the kind once
+                # and validates it, where `commit` would infer it again
+                k = kernel.infer_kind(self.sig, EMPTY_CONTEXT, t, el.fuel)
+                kernel.check_kind_valid(self.sig, EMPTY_CONTEXT, k, el.fuel)
+                record = ("check", t, k)
+            else:
+                # the kernel alone confirms what elaboration produced
+                commit(self.sig, record, el.fuel)
         if op is DirectiveOp.REDUCE:
             reduced = kernel.normalize(self.sig, t, el.fuel)
             line = f"Reduce {print_term(t)} = {print_term(reduced)}"

@@ -29,11 +29,12 @@ before any step is spent.
 
 A position travels as the surface node or command to blame, not as a
 span: a node builds its span only for an error. A kernel error has none,
-and `blame` finds the node it names.
+and `blaming` finds the node it names.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from operator import is_
 from typing import Any, Optional
 
@@ -44,8 +45,8 @@ from .errors import (
 from . import kernel
 from .kernel import Context, Fuel, Signature
 from .surface import (
-    Command, SApp, SEl, SHole, SLam, SLift, SName, SPi, SPrf, SProp, SType,
-    SourceSpan, STermKind, SurfaceKind, SurfaceTerm,
+    SApp, SEl, SHole, SLam, SLift, SName, SPi, SPrf, SProp, SType, SourceSpan,
+    STermKind, SurfaceKind, SurfaceTerm,
 )
 from .syntax import (
     HOLES, PROP, TYPE, App, Const, ElKind, Kind, Lam, Meta, PiKind,
@@ -614,67 +615,47 @@ _CHILDREN = {SApp: (("fn", "fn"), ("arg", "arg")),
              STermKind: (("body", "term"),)}
 
 
-def blame(cmd: Command, record: Optional[tuple], error: LttwError):
-    """The node of `cmd` that the kernel's rejection `error` of `record`,
-    the replay record built from `cmd`, names; else `cmd` itself.
+@contextmanager
+def blaming(roots: list):
+    """Give a rejection of a kind judgement raised in the block, which the
+    kernel raises without a span, the span of the node of the command that
+    its Diagnostic names, where `_places` finds one node.
 
-    A rejected kind judgement's Diagnostic names the term judged as its
-    subject: its first node in `_pairs`' order, by identity (a variable or
-    a constant is one node per name). An `app-fn` subject, the head and the
-    arguments before the one too many, is built anew: the argument after
-    the application that spells it is to blame."""
-    d = error.diagnostic
-    if not (record and isinstance(error, _JUDGED) and d and d.subject):
-        return cmd
-    for e, s in _pairs(cmd, record):
-        if d.rule != "app-fn":
-            if e is d.subject:
-                return s
-        elif type(e) is App:
-            f, g = e.fn, d.subject  # the same head and arguments?
-            while type(f) is App and type(g) is App and f.arg is g.arg:
-                f, g = f.fn, g.fn
-            if f is g:
-                return s.arg if type(s) is SApp else s
-    return cmd
+    `roots` pairs each top node of the record checked with the surface node
+    it was built from. A variable or a constant is one node wherever it is
+    written: a subject at more than one place may be well kinded at the
+    first, so it blames none."""
+    try:
+        yield
+    except _JUDGED as error:
+        d = error.diagnostic
+        if error.span is None and d and d.subject:
+            places = {id(s): s for s in _places(roots, d)}
+            if len(places) == 1:
+                error.span = places.popitem()[1].span
+        raise
 
 
-def _pairs(cmd: Command, record: tuple):
-    """Each node of `record` with the node of `cmd` it was built from,
-    parents first, left to right, on a stack: one per surface node
-    (`_CHILDREN`), and every node of a filled hole with the hole."""
-    stack = _roots(cmd, record)[::-1]
+def _places(roots: list, d: Diagnostic):
+    """The surface nodes that hold `d`'s subject, found by identity under
+    `roots`: a surface node's children are paired with the fields they were
+    built into (`_CHILDREN`), and each node of a filled hole with the hole.
+    An `app-domain` or `app-fn` rejection yields the argument of the
+    application whose argument, or whose head and leading arguments (built
+    anew), its subject is."""
+    stack = list(roots)
     while stack:
         e, s = stack.pop()
         if e is None or s is None:
             continue
-        yield e, s
+        if d.rule == "app-domain" or d.rule == "app-fn":
+            if type(e) is App and (e.arg is d.subject if d.rule == "app-domain"
+                                   else alpha_eq(e.fn, d.subject)):
+                yield s.arg if type(s) is SApp else s
+        elif e is d.subject:
+            yield s
         if type(s) is SHole:
-            stack += [(f, s) for f in e[-2::-1] if isinstance(f, (Term, Kind))]
+            stack += [(f, s) for f in e[:-1] if isinstance(f, (Term, Kind))]
         else:
             stack += [(getattr(e, ef, None), getattr(s, sf))
-                      for ef, sf in _CHILDREN.get(type(s), ())[::-1]]
-
-
-def _roots(cmd: Command, record: tuple) -> list:
-    """The record's top nodes, each with the surface node built into it."""
-    if record[0] == "check":
-        return list(zip(record[1:], cmd.payload))
-    anns = [ann for _, ann, _ in cmd.binders]
-    if record[0] == "rule":
-        r = record[1]
-        return [*zip([k for _, k in r.binders], anns), (r.lhs, cmd.lhs),
-                (r.rhs, cmd.rhs), (r.ascription, cmd.kind)]
-    # a declaration's kind, or a definition's body and ascription, each
-    # under a Lam or product per binder
-    pairs = []
-    built = (cmd.body, cmd.kind) if record[0] == "define" else (cmd.kind,)
-    for e, inner in zip(record[2:], built):
-        for ann in anns:
-            if type(e) is not Lam and type(e) is not PiKind:
-                break
-            pairs.append((e[1], ann))  # the annotation, or the domain
-            e = e[2]
-        else:
-            pairs.append((e, inner))
-    return pairs
+                      for ef, sf in _CHILDREN.get(type(s), ())]

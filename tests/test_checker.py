@@ -509,7 +509,8 @@ def test_replay_of_one_argument_too_many_is_rejected(last):
 # of the command that the record's rejected node was built from. Each
 # probe runs after BLAME_PRELUDE: a script, a query as the CLI builds it
 # from its argument, or a corpus file. With `copied`, the kernel names a
-# copy of the argument it rejects, a node the record does not hold.
+# copy of the argument it rejects, a node the record does not hold; a
+# subject the command holds at two places blames the command as well.
 BLAME_PRELUDE = """
 > [f : Nat -> Nat];
 > [one = succ zero];
@@ -518,6 +519,8 @@ BLAME_PRELUDE = """
 > [g : (n : Nat) Prf (P n) -> Nat];
 > [h : (x : Nat) Prf (P x)];
 > [c : Prop -> Nat];
+> [d : Prop -> Nat -> Nat];
+> [any : (A : Type) El A];
 """
 BLAMED = {
     "corpus-lambda": ("impredicative_neg.lf", (7, 16), "app-domain"),
@@ -535,8 +538,16 @@ BLAMED = {
     "definition-body": (
         "> [bad = EqI hatNat zero : Prf (Eq hatNat zero one)];\n", (1, 10),
         "define-ascription"),
-    # ?0 := bot from `h bot`, whose `bot` the kernel reaches later
-    "filled-hole": ("> Check g ? (h bot) : Nat;\n", (1, 11), "app-domain"),
+    # ?0 := c bot from the ascription, an El body, not an argument; the
+    # kernel checks the body first
+    "filled-hole": ("> [bad = any ? : El (c bot)];\n", (1, 14), "app-domain"),
+    # the argument, not the annotation that also names Nat
+    "binder-annotation": ("> [bad [n : El Nat] = K n Nat : Nat];\n", (1, 27),
+                          "app-domain"),
+    # one `bot` node at two arguments, the first well kinded: the command
+    "one-name-twice": ("> Check d bot bot;\n", (1, 3), "app-domain"),
+    # ?0 := bot from `h bot`, whose `bot` is a second place: the command
+    "hole-and-name": ("> Check g ? (h bot) : Nat;\n", (1, 3), "app-domain"),
     "record-node": ("> Check c (succ zero) : Nat;\n", (1, 12),
                     "app-domain"),
     "copied": ("> Check c (succ zero) : Nat;\n", (1, 3), "app-domain"),

@@ -2,9 +2,10 @@
 
 tools/fuzz_scripts.py changes one token of one command of a corpus script
 and runs it on a translating checker and on one that elaborates every
-command. Every failure must be an LttwError, a rejected command must leave
-the session as it was, and both checkers must give each command the same
-verdict. The long runs are the script's; this is one seed of it.
+command, in each of the corpus's three configurations. Every failure must
+be an LttwError, a rejected command must leave the session as it was, and
+both checkers must give each command the same verdict. The long runs are
+the script's; this is one seed of it.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ the standard signature, or preceded by a keyword or a bracket. It runs as
 `lttw corpus` runs a script: on a checker that holds the standard
 signature and the manifest's earlier scripts, up to its first rejection.
 Only the commands from the mutated one on are run, since the ones before
-it are the corpus's own, and the script is then rolled back. Three
-properties are checked:
+it are the corpus's own, and the script is then rolled back. The mutants
+are split evenly among the three configurations the corpus is checked in
+(`CONFIGS`). Three properties are checked:
 
 - `errors`: every failure, parsing included, is an `LttwError`;
 - `rollback`: a rejected command leaves the signature, the log, the
@@ -50,6 +51,9 @@ from lttw.stdlib import load_standard  # noqa: E402
 INSERTS = ("Check", "TypeOf", "Reduce", "rule", "Type", "Prop", "El", "Prf",
            "?", "->", "[", "]", "(", ")", ":", "=", ";")
 OPERATORS = ("delete", "duplicate", "swap", "replace", "insert")
+# (mode, where `prop` is declared): the configurations of the corpus
+CONFIGS = (("predicative", "prop"), ("predicative", "type"),
+           ("impredicative", "prop"))
 # failures kept per property, with their mutants
 SHOWN = 5
 
@@ -138,12 +142,26 @@ def _fail(report: dict, prop: str, where: dict, what: str) -> None:
         report["failures"][prop].append({**where, "what": what})
 
 
-def fuzz(seed: int, count: int, mode: str = "predicative",
-         prop_placement: str = "prop") -> dict:
-    """Run `count` mutants drawn with `seed` from the corpus of `mode`,
-    with `prop` at `prop_placement`, and report as the module docstring
-    says."""
+def fuzz(seed: int, count: int) -> dict:
+    """Run `count` mutants drawn with `seed`, split among `CONFIGS`, and
+    report as the module docstring says."""
     rng = random.Random(seed)
+    report = {"seed": seed, "count": count, "outcomes": Counter(),
+              "commands": 0, "translated": 0, "failed": Counter(),
+              "failures": {"errors": [], "rollback": [], "verdicts": []}}
+    for i, (mode, prop_placement) in enumerate(CONFIGS):
+        share = count // len(CONFIGS) + (i < count % len(CONFIGS))
+        _fuzz(rng, share, mode, prop_placement, report)
+    report["outcomes"] = dict(sorted(report["outcomes"].items()))
+    report["failed"] = {prop: report["failed"][prop]
+                        for prop in report["failures"]}
+    return report
+
+
+def _fuzz(rng: random.Random, count: int, mode: str, prop_placement: str,
+          report: dict) -> None:
+    """Run `count` mutants drawn from the corpus of `mode`, with `prop`
+    at `prop_placement`, adding to `report`."""
     manifest = MANIFEST_IMPREDICATIVE if mode == "impredicative" else MANIFEST
     entries = parse_manifest(manifest)
     texts = [read_text(entry.path) for entry in entries]
@@ -168,14 +186,11 @@ def fuzz(seed: int, count: int, mode: str = "predicative",
         text = _mutate(texts[i], token, after, op, word)
         mutants[i, k].append((token[2], _from(text, scripts[i][k].span)))
 
-    report = {"seed": seed, "count": count, "mode": mode,
-              "prop_placement": prop_placement, "outcomes": Counter(),
-              "commands": 0, "translated": 0, "failed": Counter(),
-              "failures": {"errors": [], "rollback": [], "verdicts": []}}
     for i, (entry, commands) in enumerate(zip(entries, scripts)):
         for k, cmd in enumerate(commands):
             for line, text in mutants.get((i, k), ()):
-                where = {"script": entry.name, "line": line,
+                where = {"config": f"{mode}, prop at {prop_placement}",
+                         "script": entry.name, "line": line,
                          "text": text.split("\n")[line - 1].strip()}
                 _run_mutant(translating, elaborating, text, str(entry.path),
                             report, where)
@@ -183,10 +198,6 @@ def fuzz(seed: int, count: int, mode: str = "predicative",
                 break
             for ck in (translating, elaborating):
                 ck.run_command(cmd)
-    report["outcomes"] = dict(sorted(report["outcomes"].items()))
-    report["failed"] = {prop: report["failed"][prop]
-                        for prop in report["failures"]}
-    return report
 
 
 def _run_mutant(translating: Checker, elaborating: Checker, text: str,
@@ -226,12 +237,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--mode", choices=("predicative", "impredicative"),
-                   default="predicative")
-    p.add_argument("--prop-at", choices=("prop", "type"), default="prop",
-                   dest="prop_at")
     args = p.parse_args(argv)
-    report = fuzz(args.seed, args.count, args.mode, args.prop_at)
+    report = fuzz(args.seed, args.count)
     print(json.dumps(report, indent=1))
     return 1 if any(report["failed"].values()) else 0
 
