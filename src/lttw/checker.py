@@ -7,14 +7,13 @@ signature layer and the kernel, and the record is appended to the log, so
 the loop. A query's record is `("check", t, k)`, which only a `Check` logs;
 it is checked before the term is printed or normalised.
 
-An explicit command, with every binder annotated and no hole, is
-translated (`Translator`), and the kernel's check is the only inference it
-gets: a query without a kind takes it from `kernel.infer_kind` and then
-validates it, where `commit` would infer it twice. Any other command is
-elaborated: the elaborator fills its holes, deciding only the kind
-equalities that involve one, and the kernel decides the others. The
-translator hands a command to the elaborator only by raising
-`Untranslatable`, before the kernel is asked anything.
+Every command runs on one `Elaborator`. Until the command's first hole, a
+subterm checked against a kind is translated, by name resolution alone,
+and the kernel's check is its only inference; a spine checked against no
+kind, such as a query's without one, is elaborated for its kind, its
+arguments translated. From the first hole on, the elaborator fills the
+holes, deciding only the kind equalities that involve one, and the kernel
+decides the others.
 
 Every command is checked once, and the kernel's rejection stands: it
 carries no span, and `elaborator.blaming` gives it the span of the node
@@ -49,10 +48,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
-from .elaborator import (
-    Elaborator, Resolver, Translator, Untranslatable, blaming, explicit,
-    too_deep,
-)
+from .elaborator import Elaborator, blaming, too_deep
 from .errors import LttwError
 from . import kernel
 from .kernel import (
@@ -123,8 +119,8 @@ class Checker:
         self.output: list[str] = []
         self.loaded: set[str] = set()
         self._loading: list[str] = []
-        # the command being run's elaborator or translator
-        self._el: Optional[Resolver] = None
+        # the command being run's elaborator
+        self._el: Optional[Elaborator] = None
 
     # ------------------------------------------------------------ files
 
@@ -166,21 +162,14 @@ class Checker:
     # --------------------------------------------------------- commands
 
     def run_command(self, cmd: Command) -> None:
-        """Run `cmd`, translated if it is explicit, else on an elaborator
-        of its own (see the module docstring)."""
+        """Run `cmd` on an elaborator of its own (see the module
+        docstring)."""
         # looked up on the instance, so a method replaced on the class runs
         name = _METHODS.get(type(cmd))
         if name is None:
             raise TypeError(f"not a command: {cmd!r}")
-        el = self._elaborator()
+        self._el = self._elaborator()
         try:
-            if self._explicit(cmd):
-                self._el = Translator(self.sig, el.fuel)
-                try:
-                    return getattr(self, name)(cmd)
-                except Untranslatable:
-                    pass  # nothing was checked, and no step spent
-            self._el = el
             getattr(self, name)(cmd)
         except RecursionError:
             raise too_deep(cmd.span) from None
@@ -191,20 +180,6 @@ class Checker:
             raise
         finally:
             self._el = None
-
-    def _explicit(self, cmd: Command) -> bool:
-        """Whether `cmd` is translated: a declaration, definition, rule or
-        query with no hole and no unannotated lambda, its term walked first."""
-        cls = type(cmd)
-        if cls is Directive:
-            return explicit(cmd.payload)
-        # an unannotated binder (None) is refused by `_binder_telescope`
-        anns = [ann for _, ann, _ in cmd.binders]
-        if cls is Declare:
-            return explicit((*anns, cmd.kind))
-        if cls is Define:
-            return explicit((cmd.body, *anns, cmd.kind))
-        return explicit((cmd.lhs, cmd.rhs, *anns, cmd.kind))
 
     def _elaborator(self) -> Elaborator:
         # the command's one budget: elaboration, the commit and a Reduce's
@@ -312,16 +287,9 @@ class Checker:
         t, k = el.term(EMPTY_CONTEXT, term_s, expected)
         t = el.finish_term(t, cmd)
         record = ("check", t, el.finish_kind(k, cmd))
+        # the kernel alone confirms what elaboration produced
         with blaming(list(zip(record[1:], cmd.payload))):
-            if k is None:
-                # translated, with no kind: the kernel infers the kind once
-                # and validates it, where `commit` would infer it again
-                k = kernel.infer_kind(self.sig, EMPTY_CONTEXT, t, el.fuel)
-                kernel.check_kind_valid(self.sig, EMPTY_CONTEXT, k, el.fuel)
-                record = ("check", t, k)
-            else:
-                # the kernel alone confirms what elaboration produced
-                commit(self.sig, record, el.fuel)
+            commit(self.sig, record, el.fuel)
         if op is DirectiveOp.REDUCE:
             reduced = kernel.normalize(self.sig, t, el.fuel)
             line = f"Reduce {print_term(t)} = {print_term(reduced)}"

@@ -1,6 +1,13 @@
 """Elaboration: resolve names, fill holes, coerce terms used as kinds;
-translation of explicit commands, which only resolves names; and the walk
-that finds the node a rejection blames. Surface syntax is never rewritten.
+and the walk that finds the node a rejection blames. Surface syntax is
+never rewritten.
+
+Until a command makes its first hole, a subterm that holds no hole and no
+lambda without an annotation (its `holes` flag is clear) is translated: it
+is built by name resolution alone, at the kind it is checked against
+(`Elaborator._translates`). No kind holds a hole there, so elaborating it
+would decide nothing, and the kernel's check of the record is its only
+inference. Everything from the first hole on is elaborated.
 
 Unification is the kernel's conversion plus holes, first-order and eager:
 both sides are reduced to weak-head form on split spines, as conversion
@@ -19,13 +26,8 @@ hole was written; solutions are final once recorded; every hole of a command
 must be solved by the end of it. Elaborated output is Meta-free, and the
 kernel alone checks it: in the checker's commit, or at the end of
 `elaborate` and `elaborate_kind`. A kind equality without holes is left to
-that check, which decides it once.
-
-A command with no hole and no unannotated lambda (`explicit`) is built by
-the `Translator` instead, with the Elaborator's name resolution and binder
-renaming (`Resolver`) and nothing else. It gives up (`Untranslatable`)
-only on a term in kind position whose kind it cannot read as a sort,
-before any step is spent.
+that check, which decides it once. A spine with one argument too many is
+rejected as the kernel rejects it, at that argument.
 
 A position travels as the surface node or command to blame, not as a
 span: a node builds its span only for an error. A kernel error has none,
@@ -131,14 +133,15 @@ class MetaState:
         return e
 
 
-class Resolver:
-    """Name resolution and binder renaming, which the Elaborator and the
-    Translator share. A surface name resolves to the innermost binder of
-    that name in scope, else to a constant of the signature."""
+class Elaborator:
+    """Elaborates the terms and kinds of one command. A surface name
+    resolves to the innermost binder of that name in scope, else to a
+    constant of the signature."""
 
     def __init__(self, sig: Signature, fuel: Fuel):
         self.sig = sig
         self.fuel = fuel
+        self.state = MetaState()
         # surface name -> kernel name, for the binders `_bind` renamed;
         # None hides a fresh kernel name from surface lookup
         self.scope: dict[str, Optional[str]] = {}
@@ -169,16 +172,19 @@ class Resolver:
             self.scope = {**outer, name: x, x: None}
         return x, ctx2, outer
 
-
-class Elaborator(Resolver):
-    def __init__(self, sig: Signature, fuel: Fuel):
-        super().__init__(sig, fuel)
-        self.state = MetaState()
-
     # ----------------------------------------------------------- terms
+
+    def _translates(self, s) -> bool:
+        """Whether the surface term `s` is built by name resolution alone
+        (`_term`): it holds no hole and no lambda without an annotation,
+        and the command has made no hole, so no kind equality on the way
+        involves one."""
+        return not s.holes and not self.state.info
 
     def term(self, ctx: Context, s: SurfaceTerm,
              expected: Optional[Kind]) -> tuple[Term, Kind]:
+        if expected is not None and self._translates(s):
+            return self._term(ctx, s), expected
         if isinstance(s, SName):
             t, k = self._name(ctx, s)
             return self._against(ctx, t, k, expected, s)
@@ -193,6 +199,34 @@ class Elaborator(Resolver):
         if isinstance(s, SApp):
             return self._application(ctx, s, expected)
         raise TypeError(f"not a surface term: {s!r}")
+
+    def _term(self, ctx: Context, s: SurfaceTerm) -> Term:
+        """The term `s`, which `_translates`, by name resolution alone. The
+        leading arguments of an application are translated by recursion and
+        its last argument in the loop, as `_application` elaborates them."""
+        outer = []  # each enclosing application's head, leading arguments
+        while type(s) is SApp:
+            chain = []
+            while type(s) is SApp:
+                chain.append(s.arg)
+                s = s.fn
+            lead = [self._term(ctx, s)]
+            for arg_s in reversed(chain[1:]):
+                lead.append(self._term(ctx, arg_s))
+            outer.append(lead)
+            s = chain[0]
+        if type(s) is SLam:  # annotated, as its flag says
+            dom = self.kind(ctx, s.ann)
+            x, ctx2, scope = self._bind(ctx, s.var, dom)
+            try:
+                t = Lam(x, dom, self._term(ctx2, s.body))
+            finally:
+                self.scope = scope
+        else:
+            t = self._name(ctx, s)[0]
+        while outer:
+            t = app(*outer.pop(), t)
+        return t
 
     def _against(self, ctx: Context, t: Term, k: Kind,
                  expected: Optional[Kind], blame) -> tuple[Term, Kind]:
@@ -243,9 +277,10 @@ class Elaborator(Resolver):
 
     def _application(self, ctx: Context, s: SApp,
                      expected: Optional[Kind]) -> tuple[Term, Kind]:
-        """`term` of an application. The leading arguments are elaborated
-        by recursion and a last argument that is an application in the
-        loop, so a numeral costs no stack."""
+        """`term` of an application. The leading arguments are built by
+        recursion, and a last argument that is an application is elaborated
+        in the loop unless it is translated (`_term` loops too), so a
+        numeral costs no stack either way."""
         outer = []  # each enclosing application and its expected kind,
         # its head and leading arguments, the product its last argument is
         # the domain of, and its map so far
@@ -255,25 +290,25 @@ class Elaborator(Resolver):
             while isinstance(fn, SApp):
                 chain.append(fn.arg)
                 fn = fn.fn
-            chain.reverse()
-            inner = chain.pop() if isinstance(chain[-1], SApp) else None
             t, k = self.term(ctx, fn, None)
             # the head's kind is instantiated lazily, as in the kernel
             mapping: dict[str, Term] = {}
-            for arg_s in chain:
+            while chain:
+                arg_s = chain.pop()
                 if not isinstance(k, PiKind):
-                    raise self._too_many_arguments(arg_s, k, mapping)
+                    raise self._too_many_arguments(arg_s, t, k, mapping)
                 domain = subst_parallel(k.domain, mapping)
+                if (not chain and type(arg_s) is SApp
+                        and not self._translates(arg_s)):
+                    break
                 arg, _ = self.term(ctx, arg_s, domain)
                 t = App(t, arg)
                 mapping[k.var] = arg
                 k = k.codomain
-            if inner is None:
+            else:  # every argument is built
                 break
-            if not isinstance(k, PiKind):
-                raise self._too_many_arguments(inner, k, mapping)
             outer.append((s, expected, t, k, mapping))
-            s, expected = inner, subst_parallel(k.domain, mapping)
+            s, expected = arg_s, domain
         t, k = self._against(ctx, t, subst_parallel(k, mapping), expected,
                              s)
         while outer:
@@ -283,13 +318,15 @@ class Elaborator(Resolver):
                 product.codomain, mapping), expected, s)
         return t, k
 
-    def _too_many_arguments(self, arg_s, k: Kind,
+    def _too_many_arguments(self, arg_s, fn: Term, k: Kind,
                             mapping: dict) -> NotAProduct:
-        return NotAProduct(
-            "too many arguments: the head's kind is not a product here",
-            span=arg_s.span,
-            diagnostic=Diagnostic("app-fn", actual=self.state.zonk(
-                subst_parallel(k, mapping))))
+        """The kernel's rejection of `fn` applied to `arg_s` at the kind
+        `k` under `mapping`, blamed at `arg_s`."""
+        zonk = self.state.zonk
+        error = kernel.not_a_product(
+            zonk(fn), [], zonk(k), {x: zonk(a) for x, a in mapping.items()})
+        error.span = arg_s.span
+        return error
 
     # ----------------------------------------------------------- kinds
 
@@ -314,7 +351,23 @@ class Elaborator(Resolver):
         raise TypeError(f"not a surface kind: {s!r}")
 
     def _coerce(self, ctx: Context, s: STermKind) -> Kind:
-        """El or Prf of a term written where a kind belongs, by its kind."""
+        """El or Prf of a term written where a kind belongs, by its kind.
+        A translated term's sort is read off its head's kind after one
+        product per argument, which substitution does not change; a term
+        whose sort this does not find (a lambda head, or a fault) is
+        elaborated."""
+        if self._translates(s.term):
+            t = self._term(ctx, s.term)
+            head, args = spine(t)
+            k = None  # a lambda head is elaborated
+            if type(head) is Var:
+                k = ctx.lookup(head.name)
+            elif type(head) is Const:
+                k = self.sig.entries[head.name].kind
+            for _ in args:
+                k = k.codomain if type(k) is PiKind else None
+            if type(k) in _LIFTS:
+                return _LIFTS[type(k)](t)
         t, k = self.term(ctx, s.term, None)
         k = self.state.zonk(k)
         if type(k) in _LIFTS:
@@ -464,104 +517,6 @@ class Elaborator(Resolver):
         raise UnsolvedMeta("a hole was never determined",
                            span=_span(hole or blame),
                            diagnostic=Diagnostic("hole-solved"))
-
-
-class Untranslatable(Exception):
-    """The translator gives a command up; the elaborator runs it."""
-
-
-class Translator(Resolver):
-    """The terms and kinds of an explicit command, built with the
-    Elaborator's interface. A bare term in kind position becomes El or Prf
-    by the sort its head's kind ends in after one product per argument,
-    which substitution does not change."""
-
-    def term(self, ctx: Context, s: SurfaceTerm,
-             expected: Optional[Kind]) -> tuple[Term, Optional[Kind]]:
-        return self._term(ctx, s), expected
-
-    def _term(self, ctx: Context, s: SurfaceTerm) -> Term:
-        """The leading arguments of an application are translated by
-        recursion and its last argument in the loop, as `_application`
-        elaborates them."""
-        outer = []  # each enclosing application's head, leading arguments
-        while type(s) is SApp:
-            chain = []
-            while type(s) is SApp:
-                chain.append(s.arg)
-                s = s.fn
-            lead = [self._term(ctx, s)]
-            for arg_s in reversed(chain[1:]):
-                lead.append(self._term(ctx, arg_s))
-            outer.append(lead)
-            s = chain[0]
-        if type(s) is SLam:  # annotated, as `explicit` found
-            dom = self.kind(ctx, s.ann)
-            x, ctx2, scope = self._bind(ctx, s.var, dom)
-            try:
-                t = Lam(x, dom, self._term(ctx2, s.body))
-            finally:
-                self.scope = scope
-        else:
-            t = self._name(ctx, s)[0]
-        while outer:
-            t = app(*outer.pop(), t)
-        return t
-
-    # the Elaborator's walk, which calls `term` and `_coerce`; taken from
-    # the class itself, so perfbench's tracer, which wraps the Elaborator's
-    # methods, books translation under the checker
-    kind = Elaborator.kind
-
-    def _coerce(self, ctx: Context, s: STermKind) -> Kind:
-        t = self._term(ctx, s.term)
-        head, args = spine(t)
-        k = None  # a lambda head gives up
-        if type(head) is Var:
-            k = ctx.lookup(head.name)
-        elif type(head) is Const:
-            k = self.sig.entries[head.name].kind
-        for _ in args:
-            k = k.codomain if type(k) is PiKind else None
-        lift = _LIFTS.get(type(k))
-        if lift is None:
-            raise Untranslatable("not a type or a proposition")
-        return lift(t)
-
-    @staticmethod
-    def finish_term(e, blame=None):
-        return e
-
-    finish_kind = finish_term
-
-
-def explicit(nodes) -> bool:
-    """Whether the surface terms and kinds `nodes` (None for one left out)
-    hold no hole and no lambda without an annotation, so that the
-    Translator can build them. Each node is walked to its end before the
-    next."""
-    stack = list(nodes)
-    stack.reverse()
-    while stack:
-        s = stack.pop()
-        cls = type(s)
-        if cls is SApp:
-            stack += s.arg, s.fn
-        elif cls is SName or cls is SType or cls is SProp or s is None:
-            continue
-        elif cls is SLam:
-            if s.ann is None:
-                return False
-            stack += s.body, s.ann
-        elif cls is SPi:
-            stack += s.codomain, s.domain
-        elif cls is STermKind:
-            stack.append(s.term)
-        elif cls is SEl or cls is SPrf:
-            stack.append(s.body)
-        else:  # a hole, or the string a Load or a SetOption names
-            return False
-    return True
 
 
 def too_deep(span: Optional[SourceSpan] = None) -> NestingTooDeep:

@@ -394,7 +394,7 @@ def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
             keys = 0  # the mask of mapping's names
             for i, arg in enumerate(args):
                 if not isinstance(k, PiKind):
-                    raise _not_a_product(head, args[:i], k, mapping)
+                    raise not_a_product(head, args[:i], k, mapping)
                 domain = subst_masked(k.domain, mapping, keys)
                 arg_kind = check_against(sig, ctx, arg, domain, fuel)
                 if arg_kind is not None:
@@ -405,7 +405,7 @@ def infer_kind(sig: Signature, ctx: Context, t: Term, fuel: Fuel) -> Kind:
             if t is None:
                 break
             if not isinstance(k, PiKind):
-                raise _not_a_product(head, args, k, mapping)
+                raise not_a_product(head, args, k, mapping)
             outer.append((t, subst_masked(k.domain, mapping, keys), k,
                           mapping, keys))
         k = subst_masked(k, mapping, keys)
@@ -465,8 +465,10 @@ def check_against(sig: Signature, ctx: Context, t: Term, expected: Kind,
     return actual
 
 
-def _not_a_product(head: Term, args: list, k: Kind,
-                   mapping: dict) -> NotAProduct:
+def not_a_product(head: Term, args: list, k: Kind,
+                  mapping: dict) -> NotAProduct:
+    """The rejection of `head args` applied to one more argument, where
+    `k` under `mapping` is its kind, not a product."""
     return NotAProduct(
         "application of a term whose kind is not a product",
         diagnostic=Diagnostic("app-fn", subject=app(head, *args),

@@ -5,8 +5,10 @@ Names are unresolved (binder or constant is decided during elaboration),
 holes stand for arguments to be inferred, and binder annotations may be
 missing. Every term and kind node holds the first and the last token it
 covers and its file; its source span is built from them only when
-something asks for it, which in practice is an error. Commands carry their
-span.
+something asks for it, which in practice is an error. Each term and kind
+node also has a `holes` flag, set when it is built from its children: true
+when it holds a hole or a lambda without an annotation. Commands carry
+their span.
 
 Term and kind nodes are plain classes with __slots__. The parser builds one
 for nearly every token, and a slotted object is built several times faster
@@ -83,6 +85,7 @@ class SurfaceKind(_Node):
 
 class SName(SurfaceTerm):
     __slots__ = ("name",)
+    holes = False
 
     def __init__(self, name: str, first: Token, last: Token, file: str):
         self.name = name
@@ -91,45 +94,51 @@ class SName(SurfaceTerm):
 
 class SHole(SurfaceTerm):
     __slots__ = ()
+    holes = True
 
 
 class SLam(SurfaceTerm):
-    __slots__ = ("var", "ann", "body")
+    __slots__ = ("var", "ann", "body", "holes")
 
     def __init__(self, var: str, ann: Optional[SurfaceKind],
                  body: SurfaceTerm, first: Token, last: Token, file: str):
         self.var = var
         self.ann = ann
         self.body = body
+        self.holes = ann is None or ann.holes or body.holes
         self.first, self.last, self.file = first, last, file
 
 
 class SApp(SurfaceTerm):
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn", "arg", "holes")
 
     def __init__(self, fn: SurfaceTerm, arg: SurfaceTerm, first: Token,
                  last: Token, file: str):
         self.fn = fn
         self.arg = arg
+        self.holes = fn.holes or arg.holes
         self.first, self.last, self.file = first, last, file
 
 
 class SType(SurfaceKind):
     __slots__ = ()
+    holes = False
 
 
 class SProp(SurfaceKind):
     __slots__ = ()
+    holes = False
 
 
 class SLift(SurfaceKind):
     """`El t` or `Prf t`: a term lifted to a kind."""
 
-    __slots__ = ("body",)
+    __slots__ = ("body", "holes")
 
     def __init__(self, body: SurfaceTerm, first: Token, last: Token,
                  file: str):
         self.body = body
+        self.holes = body.holes
         self.first, self.last, self.file = first, last, file
 
 
@@ -142,13 +151,14 @@ class SPrf(SLift):
 
 
 class SPi(SurfaceKind):
-    __slots__ = ("var", "domain", "codomain")
+    __slots__ = ("var", "domain", "codomain", "holes")
 
     def __init__(self, var: str, domain: SurfaceKind, codomain: SurfaceKind,
                  first: Token, last: Token, file: str):
         self.var = var
         self.domain = domain
         self.codomain = codomain
+        self.holes = domain.holes or codomain.holes
         self.first, self.last, self.file = first, last, file
 
 
@@ -156,11 +166,12 @@ class STermKind(SurfaceKind):
     """A term written where a kind belongs; elaboration coerces it to El or
     Prf according to its inferred kind."""
 
-    __slots__ = ("term",)
+    __slots__ = ("term", "holes")
 
     def __init__(self, term: SurfaceTerm, first: Token, last: Token,
                  file: str):
         self.term = term
+        self.holes = term.holes
         self.first, self.last, self.file = first, last, file
 
 

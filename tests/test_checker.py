@@ -114,7 +114,7 @@ def test_only_a_command_with_holes_scans_for_them(monkeypatch):
     ck = Checker()
     ck.run_text(NAT_PRELUDE + "> [id [A : Type] [x : A] = x];\n")
     monkeypatch.setattr(lttw.elaborator, "contains_meta", counted)
-    # the first is translated, the second elaborated
+    # the first is translated, the second's spine elaborated
     ck.run_text("> Check zero : Nat;\n> Check zero;\n")
     assert calls == []
     ck.run_text("> Check id ? zero : Nat;\n")
@@ -133,7 +133,7 @@ def test_only_a_command_with_holes_finishes_them(monkeypatch):
     ck = Checker()
     ck.run_text(NAT_PRELUDE + "> [id [A : Type] [x : A] = x];\n")
     monkeypatch.setattr(lttw.elaborator, "metas_of", counted)
-    # the first is translated, the second elaborated
+    # the first is translated, the second's spine elaborated
     ck.run_text("> Check zero : Nat;\n> Check zero;\n")
     assert calls == []
     ck.run_text("> Check id ? zero : Nat;\n")
@@ -142,7 +142,8 @@ def test_only_a_command_with_holes_finishes_them(monkeypatch):
                          "Check id Nat zero : Nat"]
 
 
-# a hole in a parameter's annotation, solved by the body or a rule's sides
+# a hole in a parameter's annotation, solved by the body or a rule's sides,
+# which come after the hole and so are elaborated, not translated
 BINDER_HOLES = """
 > [f [A : Type] [x : El ?] = x : El A];
 > [h : Nat -> Nat];
@@ -197,9 +198,8 @@ def test_typeof_output():
 def test_typeof_and_reduce_are_rechecked_by_the_kernel(monkeypatch):
     # an elaborator that hands back a term of the wrong kind is caught
     # before anything is printed or normalised, and neither directive
-    # leaves a replay record. The queries have a hole, so they are
-    # elaborated: a query without one is translated, and the kernel
-    # infers the kind it prints
+    # leaves a replay record. The queries have a hole, so what follows it
+    # is elaborated
     ck = Checker()
     ck.run_text(NAT_PRELUDE + "> [Bool : Type];\n> [tt : Bool];\n"
                 + "> [idn [A : Type] [x : El A] = x];\n"
@@ -473,10 +473,11 @@ def test_duplicate_declaration_carries_span():
 
 
 # A spine with one argument too many is rejected alike whether its last
-# argument is an application (translated and inferred in the loop on the
-# last argument) or not, by the checker and by replay. The kernel names the
-# head and the arguments before the extra one; the checker blames that
-# argument.
+# argument is an application (elaborated or inferred in the loop on the
+# last argument) or not, by the checker and by replay, and whether the
+# spine holds a hole or not. The kernel names the head and the arguments
+# before the extra one, and the elaborator names them as the kernel does;
+# the checker blames that argument.
 APP_FN_PRELUDE = NAT_PRELUDE + "> [f : Nat -> Nat];\n"
 
 
@@ -490,6 +491,21 @@ def test_one_argument_too_many_is_rejected_at_that_argument(last, col):
     assert (info.value.span.line, info.value.span.col) == (1, col)
     assert render(info.value.diagnostic) == (
         "rule: app-fn\nsubject: f zero\nactual: Nat")
+
+
+@pytest.mark.parametrize("first, col", [("?", 20), ("Nat", 22)],
+                         ids=["hole", "explicit"])
+def test_one_argument_too_many_after_a_hole_is_rejected_as_the_kernel_would(
+        first, col):
+    ck = Checker()
+    ck.run_text(NAT_PRELUDE + "> [idn [A : Type] [x : El A] = x];\n")
+    with pytest.raises(NotAProduct) as info:
+        ck.run_text(f"> Check idn {first} zero zero;\n")
+    assert (info.value.span.line, info.value.span.col) == (1, col)
+    assert str(info.value).endswith(
+        ": application of a term whose kind is not a product")
+    assert render(info.value.diagnostic) == (
+        "rule: app-fn\nsubject: idn Nat zero\nactual: Nat")
 
 
 @pytest.mark.parametrize("last", [Const("zero"),

@@ -315,7 +315,9 @@ def _check_script(capsys, tmp_path, text):
 def test_rejection_points_at_the_node_to_blame(capsys, tmp_path, argv,
                                                 stderr):
     # the span of the node an error blames is built only for the error: the
-    # kernel's rejections of the explicit queries are placed by `blame`
+    # kernel's rejections of the explicit queries are placed by `blame`,
+    # and an argument too many is rejected by the elaborator as the kernel
+    # names it, at that argument
     script = tmp_path / "probe.lf"
     script.write_text("> [a : Nat];\n> Check\n>   bot : Nat;\n")
     code, out, err = run(capsys, *(a.format(script=script) for a in argv))

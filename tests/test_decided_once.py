@@ -2,10 +2,11 @@
 
 The elaborator leaves such an equality to the kernel's check of the
 record, and the kernel's rejection stands. These tests run the same
-commands through the checker, which translates an explicit command and
-elaborates the others, and through a reference that elaborates every
-command with `InPlaceElaborator` (defined here, not in the package), which
-decides every such equality in place before the kernel's check. They
+commands through the checker, which translates what comes before a
+command's first hole and elaborates the rest, and through a reference that
+elaborates every command in full with `InPlaceElaborator` (defined here,
+not in the package), which decides every such equality in place before the
+kernel's check. They
 require the same verdict for every command, and the same output, log and
 fuel for every acceptance. The one difference allowed is a command that
 runs out of fuel deciding in place and is accepted when the kernel alone
@@ -51,10 +52,14 @@ CONFIGS = (
 
 
 class InPlaceElaborator(Elaborator):
-    """Decides each equality without holes where it arises, instead of
-    leaving it to the kernel. It decides on a copy of what is left of the
-    command's budget, so that it runs out where deciding in place would,
-    and an accepted command spends what the checker's does."""
+    """Translates nothing, and decides each equality without holes where
+    it arises, instead of leaving it to the kernel. It decides on a copy of
+    what is left of the command's budget, so that it runs out where
+    deciding in place would, and an accepted command spends what the
+    checker's does."""
+
+    def _translates(self, s):
+        return False
 
     def _require_kinds_equal(self, ctx, actual, expected, blame):
         actual = self.state.zonk(actual)
@@ -72,12 +77,9 @@ class InPlaceElaborator(Elaborator):
 
 
 class InPlaceChecker(Checker):
-    """The reference: every command is elaborated, none translated, and
-    every equality without holes is decided in place by the elaborator;
-    the kernel then checks what it elaborated."""
-
-    def _explicit(self, cmd):
-        return False
+    """The reference: every command is elaborated in full, and every
+    equality without holes is decided in place by the elaborator; the
+    kernel then checks what it elaborated."""
 
     def _elaborator(self):
         el = InPlaceElaborator(self.sig, Fuel(self.fuel))

@@ -1,8 +1,8 @@
 """Mutants of the corpus scripts keep the checker's safety properties.
 
 tools/fuzz_scripts.py changes one token of one command of a corpus script
-and runs it on a translating checker and on one that elaborates every
-command, in each of the corpus's three configurations. Every failure must
+and runs it on the checker and on one whose elaborator translates
+nothing, in each of the corpus's three configurations. Every failure must
 be an LttwError, a rejected command must leave the session as it was, and
 both checkers must give each command the same verdict. The long runs are
 the script's; this is one seed of it.
@@ -23,7 +23,7 @@ def test_corpus_mutants_fail_typed_roll_back_and_agree():
                                   "verdicts": []}
     outcomes = report["outcomes"]
     assert sum(outcomes.values()) == 300
-    # the mutants reach the kernel's rejections, and mostly through the
-    # translation
+    # the mutants reach the kernel's rejections, and most commands make no
+    # hole
     assert outcomes["DomainMismatch"] + outcomes["NotAProduct"] >= 50
     assert report["translated"] >= report["commands"] * 3 // 4

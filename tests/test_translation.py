@@ -1,30 +1,32 @@
-"""Explicit commands are translated, not elaborated.
+"""What comes before a command's first hole is translated, not elaborated.
 
-A declaration, definition, rule or query with no hole and no lambda
-without an annotation is translated: names are resolved and the kernel's
-check is its only inference. Its rejection is the kernel's, and it stands:
-the command is not run again. These tests run a translating checker and
-one that elaborates every command side by side, and require the same
-verdict for every command, and the same output, log records and fuel for
-every accepted one.
+A subterm with no hole and no lambda without an annotation, reached before
+the command has made a hole, is built by name resolution alone, and the
+kernel's check is its only inference. A command without a hole is
+translated in full, and its rejection is the kernel's. These tests run the
+checker and a reference whose elaborator translates nothing side by side,
+and require the same verdict for every command, and the same output, log
+records and fuel for every accepted one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import lttw.checker
 from lttw.checker import Checker
-from lttw.corpus import MANIFEST, MANIFEST_IMPREDICATIVE, parse_manifest
-from lttw.elaborator import Translator
+from lttw.corpus import (
+    CORPUS_DIR, MANIFEST, MANIFEST_IMPREDICATIVE, parse_manifest,
+)
+from lttw.elaborator import Elaborator
 from lttw.errors import DomainMismatch, FuelExhausted, LttwError
 from lttw.kernel import Fuel
 from lttw.parser import parse_script
-from lttw.printer import render
+from lttw.printer import print_term, render
 from lttw.signature import commit
 from lttw.stdlib import (
     CORE_FILES, DERIVED_FILE, IMPREDICATIVE_FILE, STDLIB_DIR, load_standard,
@@ -36,19 +38,32 @@ from perfbench.workloads import ARITH_SIZE, arith_script  # noqa: E402
 
 
 class Translating(Checker):
-    """The checker, keeping each command's budget to read its fuel."""
+    """The checker, keeping each command's elaborator and budget."""
 
     def _elaborator(self):
-        el = super()._elaborator()
-        self.budget = el.fuel
+        return self._keep(super()._elaborator())
+
+    def _keep(self, el):
+        self.el, self.budget = el, el.fuel
         return el
 
 
-class Elaborating(Translating):
-    """The reference: every command is elaborated."""
-
-    def _explicit(self, cmd):
+class TranslatesNothing(Elaborator):
+    def _translates(self, s):
         return False
+
+
+class Elaborating(Translating):
+    """The reference: every command is elaborated in full."""
+
+    def _elaborator(self):
+        return self._keep(TranslatesNothing(self.sig, Fuel(self.fuel)))
+
+
+def _made_no_hole(ck: Translating) -> bool:
+    """Whether the last command `ck` ran made no hole: then every subterm
+    of it that was checked against a kind was translated."""
+    return not ck.el.state.info
 
 
 def _outcome(ck: Checker, cmd):
@@ -63,8 +78,9 @@ def _outcome(ck: Checker, cmd):
 
 
 class Pair:
-    """A translating and an elaborating checker, fed the same commands;
-    `paths` counts the commands by the path they took."""
+    """The checker and the reference, fed the same commands; `paths`
+    counts the commands that made no hole ("translated") and the others
+    ("elaborated")."""
 
     def __init__(self, prop_placement: str = "prop"):
         self.translating = Translating(prop_placement)
@@ -76,8 +92,8 @@ class Pair:
         accepted."""
         translated = _outcome(self.translating, cmd)
         assert translated == _outcome(self.elaborating, cmd), cmd.span
-        explicit = self.translating._explicit(cmd)
-        self.paths["translated" if explicit else "elaborated"] += 1
+        self.paths["translated" if _made_no_hole(self.translating)
+                   else "elaborated"] += 1
         return translated != "reject"
 
     def run_file(self, path: Path) -> None:
@@ -86,8 +102,8 @@ class Pair:
             assert self.run(cmd), cmd.span
 
 
-# the commands translated in the stdlib, and in the corpus the commands
-# translated and elaborated: a definition with an unannotated lambda
+# the commands that made no hole in the stdlib, and in the corpus the
+# commands that made none and those that made one
 CONFIGS = (
     (MANIFEST, "predicative", "prop", 77, (166, 3)),
     (MANIFEST, "predicative", "type", 77, (166, 3)),
@@ -106,7 +122,7 @@ def test_the_stdlib_and_the_corpus_are_checked_as_by_elaboration(
         files.append(STDLIB_DIR / IMPREDICATIVE_FILE)
     for path in files:
         pair.run_file(path)
-    # every stdlib command is translated
+    # no stdlib command makes a hole
     assert pair.paths == {"translated": stdlib}
     pair.paths.clear()
     for entry in parse_manifest(manifest):
@@ -125,12 +141,20 @@ def test_the_stdlib_and_the_corpus_are_checked_as_by_elaboration(
 
 def test_the_arith_script_translates_only_its_explicit_shape():
     # tests/test_decided_once.py checks the arith script against a
-    # reference that elaborates every command; the `explicit` shape's
-    # Checks and every Reduce are translated, and the false equations and
-    # the other shapes have holes
-    ck = Checker()
+    # reference that decides in place; the `explicit` shape's Checks and
+    # every Reduce make no hole, and the false equations and the other
+    # shapes have holes
+    ck = Translating()
+    for name in CORE_FILES + (DERIVED_FILE,):
+        ck.run_path(STDLIB_DIR / name)
+    ck.run_path(CORPUS_DIR / "arith.lf")
     commands = parse_script(arith_script(1, *ARITH_SIZE)[0], file="<arith>")
-    assert sum(map(ck._explicit, commands)) == 72
+    made_none = 0
+    for cmd in commands:
+        with contextlib.suppress(LttwError):
+            ck.run_command(cmd)
+        made_none += _made_no_hole(ck)
+    assert made_none == 72
     assert len(commands) == 144
 
 
@@ -178,28 +202,68 @@ def test_a_rejected_explicit_command_is_checked_once_on_its_budget(fuel):
             "actual: Prf (P two)")
 
 
-def test_only_an_explicit_command_reaches_the_translator(monkeypatch):
-    made = []
+def test_nothing_after_the_first_hole_is_translated(monkeypatch):
+    translated, open_ = [], []
+    term = Elaborator._term
 
-    class Recorded(Translator):
-        def __init__(self, sig, fuel):
-            made.append(fuel)
-            super().__init__(sig, fuel)
+    def recorded(self, ctx, s):
+        open_.append(s)
+        try:
+            t = term(self, ctx, s)
+        finally:
+            open_.pop()
+        if not open_:
+            translated.append(print_term(t))
+        return t
 
     ck = load_standard()
     ck.run_text("> [idn [A : Type] [x : El A] = x];\n")
-    monkeypatch.setattr(lttw.checker, "Translator", Recorded)
-    ck.run_text("> Check EqI hatNat zero : Prf (Eq hatNat zero ?);\n"
-                "> [g = [x] x : Nat -> Nat];\n"
-                "> [h = EqI hatNat ? : Prf (Eq hatNat zero zero)];\n"
-                "> TypeOf idn ? zero;\n"
-                "> Reduce idn ? zero;\n"
-                "> Check [x] x : Nat -> Nat;\n")
-    assert made == []
-    assert len(ck.output) == 4
-    ck.run_text("> Check zero : Nat;\n> TypeOf zero;\n"
-                "> Reduce succ zero;\n> Check zero;\n")
-    assert len(made) == 4
-    assert ck.output[-4:] == ["Check zero : Nat", "TypeOf zero : Nat",
-                              "Reduce succ zero = succ zero",
-                              "Check zero : Nat"]
+    monkeypatch.setattr(Elaborator, "_term", recorded)
+    # (command, what it translates): the kind is elaborated before the
+    # term, a head and a query's spine are elaborated to find their kinds,
+    # and an unannotated lambda makes no hole
+    probes = [
+        ("Check EqI hatNat zero : Prf (Eq hatNat zero ?)",
+         ["hatNat", "zero"]),
+        ("TypeOf idn ? (succ zero)", []),
+        ("Reduce idn Nat (succ zero)", ["Nat", "succ zero"]),
+        ("[g = [x] succ x : Nat -> Nat]", ["Nat", "Nat", "succ x"]),
+        ("[h = EqI hatNat ? : Prf (Eq hatNat zero zero)]",
+         ["Eq hatNat zero zero", "hatNat"]),
+        ("Check zero : Nat", ["Nat", "zero"]),
+    ]
+    for command, expected in probes:
+        translated.clear()
+        ck.run_text(f"> {command};\n")
+        assert translated == expected, command
+    assert ck.output == [
+        "Check EqI hatNat zero : Prf (Eq hatNat zero zero)",
+        "TypeOf idn Nat (succ zero) : Nat",
+        "Reduce idn Nat (succ zero) = succ zero", "Check zero : Nat"]
+
+
+# the kernel's checks before the first hole come in the kernel's order
+BOUNDARY_PRELUDE = "> [h : Nat -> (A : Type) El A -> Nat];\n"
+
+
+@pytest.mark.parametrize("second", ["?", "Nat"], ids=["hole", "explicit"])
+def test_a_fault_before_the_first_hole_is_the_kernels(second):
+    # the lambda, ahead of the hole, is translated, and the kernel rejects
+    # it as the lambda of the explicit command
+    ck = load_standard()
+    with pytest.raises(DomainMismatch) as info:
+        ck.run_text(BOUNDARY_PRELUDE
+                    + f"> Check h ([x : Nat] x) {second} zero : Nat;\n")
+    assert (info.value.span.line, info.value.span.col) == (2, 12)
+    assert render(info.value.diagnostic) == (
+        "rule: app-domain\nsubject: [x : Nat] x\nexpected: Nat\n"
+        "actual: Nat -> Nat")
+
+
+def test_a_deep_last_argument_after_the_first_hole_costs_no_stack():
+    n = 10**4
+    numeral = "succ (" * (n - 1) + "succ zero" + ")" * (n - 1)
+    ck = load_standard()
+    ck.run_text("> [k : (A : Type) El A -> El A -> Nat];\n"
+                f"> Check k ? zero ({numeral}) : Nat;\n")
+    assert ck.output[-1].startswith("Check k Nat zero (succ (succ ")

@@ -15,11 +15,13 @@ are split evenly among the three configurations the corpus is checked in
 - `errors`: every failure, parsing included, is an `LttwError`;
 - `rollback`: a rejected command leaves the signature, the log, the
   output, the budget and the loaded files as they were;
-- `verdicts`: a checker that elaborates every command accepts or rejects
-  each command as the checker does, which translates the explicit ones.
+- `verdicts`: a checker whose elaborator translates nothing accepts or
+  rejects each command as the checker does, which translates what comes
+  before a command's first hole.
 
 The report is one JSON object on stdout: the counts of mutants by outcome
-and by the error that rejected them, and each property's failures with
+and by the error that rejected them, of the commands run and of those that
+made no hole (`translated`), and each property's failures with
 the script, line and text of the mutant. The exit status is 1 when a
 property fails. Only the standard library is needed; the checker is
 imported from `src/` of the checkout this script lives in. tests/test_fuzz.py
@@ -43,7 +45,9 @@ from lttw.checker import Checker, read_text  # noqa: E402
 from lttw.corpus import (  # noqa: E402
     MANIFEST, MANIFEST_IMPREDICATIVE, parse_manifest,
 )
+from lttw.elaborator import Elaborator  # noqa: E402
 from lttw.errors import LttwError  # noqa: E402
+from lttw.kernel import Fuel  # noqa: E402
 from lttw.parser import parse_script, tokenize  # noqa: E402
 from lttw.stdlib import load_standard  # noqa: E402
 
@@ -56,6 +60,22 @@ CONFIGS = (("predicative", "prop"), ("predicative", "type"),
            ("impredicative", "prop"))
 # failures kept per property, with their mutants
 SHOWN = 5
+
+
+class _TranslatesNothing(Elaborator):
+    def _translates(self, s):
+        return False
+
+
+def _keeping(ck: Checker) -> Checker:
+    """`ck`, keeping each command's elaborator as `ck.el`."""
+    make = ck._elaborator
+
+    def elaborator():
+        ck.el = make()
+        return ck.el
+    ck._elaborator = elaborator
+    return ck
 
 
 class _RolledBack(Exception):
@@ -167,9 +187,10 @@ def _fuzz(rng: random.Random, count: int, mode: str, prop_placement: str,
     texts = [read_text(entry.path) for entry in entries]
     scripts = [parse_script(text, file=str(entry.path))
                for text, entry in zip(texts, entries)]
-    translating = load_standard(mode, prop_placement)
+    translating = _keeping(load_standard(mode, prop_placement))
     elaborating = load_standard(mode, prop_placement)
-    elaborating._explicit = lambda cmd: False
+    elaborating._elaborator = lambda: _TranslatesNothing(
+        elaborating.sig, Fuel(elaborating.fuel))
     names = sorted(translating.sig.entries)
 
     sites = []
@@ -217,8 +238,8 @@ def _run_mutant(translating: Checker, elaborating: Checker, text: str,
             elaborating.all_or_nothing():
         for cmd in commands:
             report["commands"] += 1
-            report["translated"] += translating._explicit(cmd)
             verdict = _run(translating, cmd, report, where)
+            report["translated"] += not translating.el.state.info
             reference = _run(elaborating, cmd, report, where)
             if None in (verdict, reference):
                 outcome = "crashed"
