@@ -349,8 +349,10 @@ def _under_binder(x: str, body: Expr, mapping: dict[str, Term], keys: int):
 def alpha_eq(a: Expr, b: Expr) -> bool:
     """Equality up to consistent renaming of bound variables. The last
     field (an argument, a binder's body, a lifted term) is compared in a
-    loop, so two numerals cost no stack; a function and a domain recurse."""
-    return a is b or _aeq(a, b, {}, {}, 0)
+    loop, so two numerals cost no stack; a function and a domain recurse.
+    Alpha-equal nodes have the same free names and the same holes, so
+    unequal masks answer without a walk."""
+    return a is b or (a.mask == b.mask and _aeq(a, b, {}, {}, 0))
 
 
 def _aeq(a: Expr, b: Expr, ea: dict, eb: dict, depth: int) -> bool:

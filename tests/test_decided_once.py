@@ -1,16 +1,15 @@
 """Each kind equality without holes is decided once, by the kernel.
 
 The elaborator leaves such an equality to the kernel's check of the
-record, and the kernel's rejection stands. These tests run the same
-commands through the checker, which translates what comes before a
-command's first hole and elaborates the rest, and through a reference that
-elaborates every command in full with `InPlaceElaborator` (defined here,
-not in the package), which decides every such equality in place before the
-kernel's check. They
-require the same verdict for every command, and the same output, log and
-fuel for every acceptance. The one difference allowed is a command that
-runs out of fuel deciding in place and is accepted when the kernel alone
-decides.
+record, and the kernel's rejection stands. These tests run commands
+through `oracle.Pair`: the checker, and a reference that elaborates every
+command in full and decides every such equality in place before the
+kernel's check. They require the same verdict for every command, and the
+same output, log and fuel for every acceptance: on the standard signature
+and the corpus in its three configurations, on ill-kinded mutants of the
+corpus, under small budgets and on the arith scripts. A command that the
+checker accepts and the reference runs out of fuel on, deciding in place,
+is counted, and no test has one.
 """
 
 from __future__ import annotations
@@ -24,160 +23,33 @@ from pathlib import Path
 
 import pytest
 
-import lttw.corpus
-from lttw import Checker
-from lttw.corpus import parse_manifest
-from lttw.elaborator import Elaborator
-from lttw.errors import Diagnostic, FuelExhausted, KindMismatch, LttwError
-from lttw.kernel import Fuel, equal_kinds
+from lttw.corpus import CORPUS_DIR
+from lttw.errors import KindMismatch
 from lttw.parser import parse_script
 from lttw.printer import render
-from lttw.stdlib import (
-    CORE_FILES, DERIVED_FILE, IMPREDICATIVE_FILE, STDLIB_DIR,
-)
 from lttw.surface import (
     SApp, SEl, SLam, SName, SPi, SPrf, STermKind, Declare, DeclareRule,
     Define, Directive, DirectiveOp,
 )
-from lttw.syntax import contains_meta
+from oracle import Pair, corpus_commands, corpus_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.workloads import ARITH_SIZE, arith_script  # noqa: E402
 
-# the predicative configuration with `Prop` at `prop` is run with mutants
-CONFIGS = (
-    ("manifest.txt", "predicative", "type"),
-    ("manifest_impredicative.txt", "impredicative", "prop"),
-)
+
+# (mode, where `prop` is declared)
+CONFIGS = (("predicative", "prop"), ("predicative", "type"),
+           ("impredicative", "prop"))
 
 
-class InPlaceElaborator(Elaborator):
-    """Translates nothing, and decides each equality without holes where
-    it arises, instead of leaving it to the kernel. It decides on a copy of
-    what is left of the command's budget, so that it runs out where
-    deciding in place would, and an accepted command spends what the
-    checker's does."""
-
-    def _translates(self, s):
-        return False
-
-    def _require_kinds_equal(self, ctx, actual, expected, blame):
-        actual = self.state.zonk(actual)
-        expected = self.state.zonk(expected)
-        if contains_meta(actual) or contains_meta(expected):
-            self.unify_kinds(ctx, actual, expected, blame)
-            return
-        fuel = Fuel(self.fuel.limit)
-        fuel.left = self.fuel.left
-        if not equal_kinds(self.sig, ctx, actual, expected, fuel):
-            raise KindMismatch(
-                "kind does not match what this position requires",
-                span=blame.span, diagnostic=Diagnostic(
-                    "check", expected=expected, actual=actual))
-
-
-class InPlaceChecker(Checker):
-    """The reference: every command is elaborated in full, and every
-    equality without holes is decided in place by the elaborator; the
-    kernel then checks what it elaborated."""
-
-    def _elaborator(self):
-        el = InPlaceElaborator(self.sig, Fuel(self.fuel))
-        self.budget = el.fuel
-        return el
-
-
-class Once(Checker):
-    """The checker, keeping each command's budget to read its fuel."""
-
-    def _elaborator(self):
-        el = super()._elaborator()
-        self.budget = el.fuel
-        return el
-
-
-def _outcome(ck: Checker, cmd):
-    output, log = len(ck.output), len(ck.log)
-    try:
-        ck.run_command(cmd)
-    except LttwError as e:
-        return ("reject", type(e))
-    return ("accept", ck.output[output:], repr(ck.log[log:]),
-            ck.budget.limit - ck.budget.left)
-
-
-class Pair:
-    """The checker and the reference, fed the same commands."""
-
-    def __init__(self, mode="predicative", prop_at="prop"):
-        self.once = Once(prop_placement=prop_at)
-        self.in_place = InPlaceChecker(prop_placement=prop_at)
-        self.rejections = 0
-        self.fuel_to_accept = []
-        files = [STDLIB_DIR / name for name in CORE_FILES + (DERIVED_FILE,)]
-        if mode == "impredicative":
-            files.append(STDLIB_DIR / IMPREDICATIVE_FILE)
-        for path in files:
-            self.run_file(path)
-
-    def run(self, cmd) -> str:
-        """Run `cmd` on both, compare, and return the verdict. The error
-        of a rejection is the checker's."""
-        once = self.last = _outcome(self.once, cmd)
-        in_place = _outcome(self.in_place, cmd)
-        if (once[0] == "accept" and in_place[0] == "reject"
-                and in_place[1] is FuelExhausted):
-            self.fuel_to_accept.append(cmd)
-            return "accept"
-        if once[0] == "reject":
-            assert in_place[0] == "reject", cmd.span
-            self.rejections += 1
-        else:
-            assert once == in_place, cmd.span
-        return once[0]
-
-    def run_file(self, path: Path) -> None:
-        self.run_accepted(path.read_text(encoding="utf-8"), str(path))
-
-    def run_accepted(self, text: str, file: str = "<script>") -> None:
-        for cmd in parse_script(text, file=file):
-            assert self.run(cmd) == "accept", cmd.span
-
-    def snapshot(self):
-        return [(dict(ck.sig.entries),
-                 {head: list(rs) for head, rs in ck.sig.rules.items()},
-                 len(ck.log), len(ck.output))
-                for ck in (self.once, self.in_place)]
-
-    def restore(self, snap) -> None:
-        for ck, (entries, rules, log, output) in zip(
-                (self.once, self.in_place), snap):
-            ck.sig.entries, ck.sig.rules = entries, rules
-            del ck.log[log:]
-            del ck.output[output:]
-
-
-def _corpus_commands(manifest: str):
-    """(command, whether its script expects it to be accepted) in manifest
-    order; a script expected to be rejected contributes its first command
-    only."""
-    for entry in parse_manifest(lttw.corpus.CORPUS_DIR / manifest):
-        commands = parse_script(entry.path.read_text(encoding="utf-8"),
-                                file=str(entry.path))
-        if entry.outcome != "accept":
-            yield commands[0], False
-            continue
-        for cmd in commands:
-            yield cmd, True
-
-
-@pytest.mark.parametrize("manifest, mode, prop_at", CONFIGS,
-                         ids=["prop-at-type", "impredicative"])
-def test_corpus_configuration_is_checked_the_same(manifest, mode, prop_at):
-    pair = Pair(mode, prop_at)
-    for cmd, accepted in _corpus_commands(manifest):
-        assert pair.run(cmd) == ("accept" if accepted else "reject")
-    assert pair.fuel_to_accept == []
+@pytest.mark.parametrize("mode, prop_at", CONFIGS,
+                         ids=["prop-at-prop", "prop-at-type",
+                              "impredicative"])
+def test_corpus_configuration_is_checked_the_same(mode, prop_at):
+    # every command gets its script's verdict on both sides, and the
+    # reference runs out of fuel on none the checker accepts;
+    # tests/test_translation.py reads the same sweep's path counts
+    assert corpus_sweep(mode, prop_at).fuel_to_accept == ()
 
 
 # ------------------------------------------------------------- mutants
@@ -306,14 +178,13 @@ MUTANT_POOL = 100
 def test_predicative_corpus_and_its_ill_kinded_mutants_are_checked_the_same():
     pair = Pair()
     rng = random.Random(12)
-    for cmd, accepted in _corpus_commands("manifest.txt"):
+    for cmd, accepted in corpus_commands("predicative"):
         mutants = list(itertools.islice(_command_mutants(cmd), MUTANT_POOL))
         for mutant in rng.sample(mutants,
                                  min(MUTANTS_PER_COMMAND, len(mutants))):
-            snap = pair.snapshot()
-            pair.run(mutant)
-            pair.restore(snap)
-        assert pair.run(cmd) == ("accept" if accepted else "reject")
+            with pair.rolled_back():
+                pair.run(mutant)
+        assert (pair.run(cmd) == "accept") == accepted, cmd.span
     assert pair.rejections >= 300
     assert pair.fuel_to_accept == []
 
@@ -328,7 +199,7 @@ def test_an_ill_kinded_check_kind_is_rejected_as_deciding_in_place_would():
         pair.run(cmd)
     assert pair.rejections == 1
     with pytest.raises(KindMismatch) as info:
-        pair.once.run_text("> Check zero : K bot Nat;\n")
+        pair.checker.run_text("> Check zero : K bot Nat;\n")
     assert render(info.value.diagnostic) == \
         "rule: app-domain\nsubject: bot\nexpected: Nat\nactual: Prop"
 
@@ -362,8 +233,7 @@ def test_rejections_under_every_small_budget_are_explained_the_same():
     for fuel in range(1, 6):
         pair.run_accepted(f"> SetOption fuel {fuel};\n")
         for cmd in parse_script(BUDGET_PROBES):
-            assert pair.run(cmd) == "reject"
-            errors.add(pair.last[1].__name__)
+            errors.add(pair.run(cmd))
     assert errors == {"FuelExhausted", "DomainMismatch", "UnsolvedMeta"}
 
 
@@ -377,7 +247,8 @@ def _arith_commands(seed: int) -> tuple:
 
 def _arith_pair() -> Pair:
     pair = Pair()
-    pair.run_file(lttw.corpus.CORPUS_DIR / "arith.lf")
+    pair.run_file(CORPUS_DIR / "arith.lf")
+    pair.paths.clear()
     return pair
 
 
@@ -385,8 +256,12 @@ def _arith_pair() -> Pair:
 def test_arith_script_is_checked_the_same(seed):
     pair = _arith_pair()
     verdicts = [pair.run(cmd) for cmd in _arith_commands(seed)]
-    # the false equations, and nothing else
-    assert verdicts.count("reject") == pair.rejections == 36
+    # the false equations, and nothing else; the `explicit` shape's Checks
+    # and every Reduce make no hole, and the false equations and the other
+    # shapes have holes
+    assert len(verdicts) == 144
+    assert len(verdicts) - verdicts.count("accept") == pair.rejections == 36
+    assert pair.paths["translated"] == 72
     assert pair.fuel_to_accept == []
 
 
@@ -398,8 +273,7 @@ def test_arith_script_under_a_small_budget_is_checked_the_same():
     for fuel in (1, 2, 3, 5, 10, 50):
         pair.run_accepted(f"> SetOption fuel {fuel};\n")
         for cmd in _arith_commands(1):
-            if pair.run(cmd) == "reject":
-                out_of_fuel += pair.last[1] is FuelExhausted
+            out_of_fuel += pair.run(cmd) == "FuelExhausted"
     # the budgets bite, and deciding in place on what is left of the
     # budget runs out nowhere that the kernel's one check does not
     assert out_of_fuel > 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+import lttw.syntax
 from mini import NAT, arrow, define_plus, numeral, universe_signature
 from lttw.elaborator import (
     Elaborator, MetaState, Mismatch, OccursCheck, ScopeEscape,
@@ -13,6 +14,7 @@ from lttw.errors import (
 from lttw.kernel import EMPTY_CONTEXT, Fuel, equal_kinds, infer_kind
 from lttw.parser import parse_kind, parse_term
 from lttw.signature import declare_constant
+from lttw.stdlib import load_standard
 from lttw.syntax import (
     PROP, TYPE, App, Const, ElKind, Kind, Lam, PiKind, PrfKind, Term, Var,
     alpha_eq, app,
@@ -362,3 +364,25 @@ def test_both_entry_points_reject_too_deep_a_term():
             run()
         assert info.value.message == "command nests too deeply to check"
         assert info.value.diagnostic.rule == "depth"
+
+
+def test_a_hole_at_a_numerals_bottom_is_solved_in_linear_time(monkeypatch):
+    # unification compares the two sides with `alpha_eq` at every level of
+    # the numerals; a side holding the hole and a closed side differ in
+    # their masks, so no comparison walks what is left below it
+    n = 2000
+    m = "(" + "succ (" * n + "zero" + ")" * n + ")"
+    h = "(" + "succ (" * n + "?" + ")" * n + ")"
+    ck = load_standard()
+    calls = 0
+    aeq = lttw.syntax._aeq
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return aeq(*args)
+
+    monkeypatch.setattr(lttw.syntax, "_aeq", counted)
+    ck.run_text(f"> Check EqI hatNat {h} : Prf (Eq hatNat {m} {m});\n")
+    assert ck.output[-1].startswith("Check EqI hatNat (succ (succ ")
+    assert calls < 10 * n

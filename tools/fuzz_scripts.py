@@ -10,28 +10,32 @@ signature and the manifest's earlier scripts, up to its first rejection.
 Only the commands from the mutated one on are run, since the ones before
 it are the corpus's own, and the script is then rolled back. The mutants
 are split evenly among the three configurations the corpus is checked in
-(`CONFIGS`). Three properties are checked:
+(`CONFIGS`). Each command runs on both sides of tests/oracle.py's `Pair`:
+the checker, and a reference whose elaborator translates nothing and
+decides each kind equality without holes in place. Three properties are
+checked:
 
 - `errors`: every failure, parsing included, is an `LttwError`;
 - `rollback`: a rejected command leaves the signature, the log, the
-  output, the budget and the loaded files as they were;
-- `verdicts`: a checker whose elaborator translates nothing accepts or
-  rejects each command as the checker does, which translates what comes
-  before a command's first hole.
+  output, the budget and the loaded files of both as they were;
+- `verdicts`: the reference gives each command the checker's verdict and,
+  when it is accepted, the same output lines, log records and fuel
+  (`Pair.run`).
 
 The report is one JSON object on stdout: the counts of mutants by outcome
-and by the error that rejected them, of the commands run and of those that
-made no hole (`translated`), and each property's failures with
-the script, line and text of the mutant. The exit status is 1 when a
-property fails. Only the standard library is needed; the checker is
-imported from `src/` of the checkout this script lives in. tests/test_fuzz.py
-runs a few hundred mutants of one seed.
+and by the error that rejected them, of the commands run, of those that
+made no hole (`translated`) and of those the checker accepts and the
+reference runs out of fuel on (`reference_out_of_fuel`), and each
+property's failures with the script, line and text of the mutant. The exit
+status is 1 when a property fails. Only the standard library is needed;
+the checker is imported from `src/` and the oracle from `tests/` of the
+checkout this script lives in. tests/test_fuzz.py runs a few hundred
+mutants of one seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import random
 import sys
@@ -39,17 +43,15 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from lttw.checker import Checker, read_text  # noqa: E402
 from lttw.corpus import (  # noqa: E402
     MANIFEST, MANIFEST_IMPREDICATIVE, parse_manifest,
 )
-from lttw.elaborator import Elaborator  # noqa: E402
 from lttw.errors import LttwError  # noqa: E402
-from lttw.kernel import Fuel  # noqa: E402
 from lttw.parser import parse_script, tokenize  # noqa: E402
-from lttw.stdlib import load_standard  # noqa: E402
+from oracle import Disagreement, Pair  # noqa: E402
 
 # what a mutation inserts before a token: keywords and brackets
 INSERTS = ("Check", "TypeOf", "Reduce", "rule", "Type", "Prop", "El", "Prf",
@@ -60,26 +62,6 @@ CONFIGS = (("predicative", "prop"), ("predicative", "type"),
            ("impredicative", "prop"))
 # failures kept per property, with their mutants
 SHOWN = 5
-
-
-class _TranslatesNothing(Elaborator):
-    def _translates(self, s):
-        return False
-
-
-def _keeping(ck: Checker) -> Checker:
-    """`ck`, keeping each command's elaborator as `ck.el`."""
-    make = ck._elaborator
-
-    def elaborator():
-        ck.el = make()
-        return ck.el
-    ck._elaborator = elaborator
-    return ck
-
-
-class _RolledBack(Exception):
-    """Ends a mutant's run, so that `all_or_nothing` undoes it."""
 
 
 def _state(ck: Checker) -> tuple:
@@ -140,20 +122,22 @@ def _from(text: str, span) -> str:
     return "\n" * (span.line - 1) + "\n".join(lines[span.line - 1:])
 
 
-def _run(ck: Checker, cmd, report: dict, where: dict):
-    """Run `cmd` on `ck`: "accept", the class of the LttwError that
-    rejected it, or None after any other exception."""
-    before = _state(ck)
+def _run(pair: Pair, cmd, report: dict, where: dict) -> str:
+    """Run `cmd` on both sides of `pair`: "accept", the name of the
+    LttwError that rejected it, or "disagreed" or "crashed" after a failed
+    property."""
+    before = [_state(ck) for ck in pair.checkers]
     try:
-        ck.run_command(cmd)
-        return "accept"
-    except LttwError as e:
-        if _state(ck) != before:
-            _fail(report, "rollback", where, type(e).__name__)
-        return type(e).__name__
+        verdict = pair.run(cmd)
+    except Disagreement as e:
+        _fail(report, "verdicts", where, str(e))
+        return "disagreed"
     except Exception as e:  # the property under test
         _fail(report, "errors", where, f"{type(e).__name__}: {e}")
-        return None
+        return "crashed"
+    if verdict != "accept" and [_state(ck) for ck in pair.checkers] != before:
+        _fail(report, "rollback", where, verdict)
+    return verdict
 
 
 def _fail(report: dict, prop: str, where: dict, what: str) -> None:
@@ -167,7 +151,8 @@ def fuzz(seed: int, count: int) -> dict:
     report as the module docstring says."""
     rng = random.Random(seed)
     report = {"seed": seed, "count": count, "outcomes": Counter(),
-              "commands": 0, "translated": 0, "failed": Counter(),
+              "commands": 0, "translated": 0, "reference_out_of_fuel": 0,
+              "failed": Counter(),
               "failures": {"errors": [], "rollback": [], "verdicts": []}}
     for i, (mode, prop_placement) in enumerate(CONFIGS):
         share = count // len(CONFIGS) + (i < count % len(CONFIGS))
@@ -187,11 +172,9 @@ def _fuzz(rng: random.Random, count: int, mode: str, prop_placement: str,
     texts = [read_text(entry.path) for entry in entries]
     scripts = [parse_script(text, file=str(entry.path))
                for text, entry in zip(texts, entries)]
-    translating = _keeping(load_standard(mode, prop_placement))
-    elaborating = load_standard(mode, prop_placement)
-    elaborating._elaborator = lambda: _TranslatesNothing(
-        elaborating.sig, Fuel(elaborating.fuel))
-    names = sorted(translating.sig.entries)
+    pair = Pair(mode, prop_placement)
+    pair.paths.clear()
+    names = sorted(pair.checker.sig.entries)
 
     sites = []
     for i, (text, entry, commands) in enumerate(zip(texts, entries, scripts)):
@@ -213,18 +196,20 @@ def _fuzz(rng: random.Random, count: int, mode: str, prop_placement: str,
                 where = {"config": f"{mode}, prop at {prop_placement}",
                          "script": entry.name, "line": line,
                          "text": text.split("\n")[line - 1].strip()}
-                _run_mutant(translating, elaborating, text, str(entry.path),
-                            report, where)
+                _run_mutant(pair, text, str(entry.path), report, where)
             if entry.outcome != "accept":
                 break
-            for ck in (translating, elaborating):
+            for ck in pair.checkers:
                 ck.run_command(cmd)
+    report["commands"] += sum(pair.paths.values())
+    report["translated"] += pair.paths["translated"]
+    report["reference_out_of_fuel"] += len(pair.fuel_to_accept)
 
 
-def _run_mutant(translating: Checker, elaborating: Checker, text: str,
-                file: str, report: dict, where: dict) -> None:
+def _run_mutant(pair: Pair, text: str, file: str, report: dict,
+                where: dict) -> None:
     """Run `text`, a mutant cut to start at its mutated command, to its
-    first rejection on both checkers, compare them, and roll both back."""
+    first rejection on both sides of `pair`, and roll both back."""
     try:
         commands = parse_script(text, file=file)
     except LttwError:
@@ -234,23 +219,11 @@ def _run_mutant(translating: Checker, elaborating: Checker, text: str,
         _fail(report, "errors", where, f"{type(e).__name__}: {e}")
         return
     outcome = "accept"
-    with contextlib.suppress(_RolledBack), translating.all_or_nothing(), \
-            elaborating.all_or_nothing():
+    with pair.rolled_back():
         for cmd in commands:
-            report["commands"] += 1
-            verdict = _run(translating, cmd, report, where)
-            report["translated"] += not translating.el.state.info
-            reference = _run(elaborating, cmd, report, where)
-            if None in (verdict, reference):
-                outcome = "crashed"
+            outcome = _run(pair, cmd, report, where)
+            if outcome != "accept":
                 break
-            if (verdict == "accept") != (reference == "accept"):
-                _fail(report, "verdicts", where,
-                      f"translated: {verdict}, elaborated: {reference}")
-            if verdict != "accept":
-                outcome = verdict
-                break
-        raise _RolledBack
     report["outcomes"][outcome] += 1
 
 
