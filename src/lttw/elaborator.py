@@ -351,23 +351,7 @@ class Elaborator:
         raise TypeError(f"not a surface kind: {s!r}")
 
     def _coerce(self, ctx: Context, s: STermKind) -> Kind:
-        """El or Prf of a term written where a kind belongs, by its kind.
-        A translated term's sort is read off its head's kind after one
-        product per argument, which substitution does not change; a term
-        whose sort this does not find (a lambda head, or a fault) is
-        elaborated."""
-        if self._translates(s.term):
-            t = self._term(ctx, s.term)
-            head, args = spine(t)
-            k = None  # a lambda head is elaborated
-            if type(head) is Var:
-                k = ctx.lookup(head.name)
-            elif type(head) is Const:
-                k = self.sig.entries[head.name].kind
-            for _ in args:
-                k = k.codomain if type(k) is PiKind else None
-            if type(k) in _LIFTS:
-                return _LIFTS[type(k)](t)
+        """El or Prf of a term written where a kind belongs, by its kind."""
         t, k = self.term(ctx, s.term, None)
         k = self.state.zonk(k)
         if type(k) in _LIFTS:

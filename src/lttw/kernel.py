@@ -67,14 +67,10 @@ class Fuel:
 
     def spend(self) -> None:
         if self.left <= 0:
-            raise self.exhausted()
+            raise FuelExhausted(
+                f"no reduction head-normalised within {self.limit} steps",
+                diagnostic=Diagnostic("fuel"))
         self.left -= 1
-
-    def exhausted(self) -> FuelExhausted:
-        """The error a spend beyond this budget raises."""
-        return FuelExhausted(
-            f"no reduction head-normalised within {self.limit} steps",
-            diagnostic=Diagnostic("fuel"))
 
 
 class Context:

@@ -15,9 +15,7 @@ import pytest
 from lttw import kernel
 from lttw.checker import Checker
 from lttw.cli import main
-from lttw.corpus import (
-    CORPUS_DIR, MANIFEST_IMPREDICATIVE, check_corpus,
-)
+from lttw.corpus import CORPUS_DIR, check_corpus
 from lttw.errors import UnknownConstant
 from lttw.kernel import EMPTY_CONTEXT, Fuel
 from lttw.parser import parse_term
@@ -26,29 +24,19 @@ from lttw.signature import ConstDecl, Signature, replay
 from lttw.stdlib import (
     CORE_FILES, STDLIB_DIR, load_core_signature, load_standard,
 )
-from lttw.surface import SApp, SEl, SLam, SName, SPi, SProp, SPrf, SType, STermKind
 from lttw.syntax import (
     PROP, TYPE, App, Const, ElKind, Lam, PiKind, PrfKind, Var, alpha_eq,
     free_vars, subst,
 )
 
+from test_parser import resolve_term
 from test_syntax import nameless, nameless_subst
 
 GOLDEN_KINDS = Path(__file__).parent / "golden" / "standard_kinds.txt"
 
 
-# ----------------------------------------------------------- shared runs
-
-@pytest.fixture(scope="module")
-def predicative():
-    return check_corpus(strict=False)
-
-
-@pytest.fixture(scope="module")
-def impredicative():
-    return check_corpus(manifest_path=MANIFEST_IMPREDICATIVE,
-                        mode="impredicative", strict=False)
-
+# the corpus runs `predicative` and `impredicative` are shared fixtures
+# (conftest.py)
 
 def numeral(n):
     t = Const("zero")
@@ -240,37 +228,6 @@ def gen_arith(rng, depth):
                gen_arith(rng, depth - 1))
 
 
-def resolve_term(s, bound=frozenset()):
-    """Surface tree back to core, vars vs consts split by the pools above."""
-    if isinstance(s, SName):
-        if s.name not in bound and s.name in CONST_POOL:
-            return Const(s.name)
-        return Var(s.name)
-    if isinstance(s, SApp):
-        return App(resolve_term(s.fn, bound), resolve_term(s.arg, bound))
-    if isinstance(s, SLam):
-        assert s.ann is not None
-        return Lam(s.var, resolve_kind(s.ann, bound),
-                   resolve_term(s.body, bound | {s.var}))
-    raise AssertionError(f"unexpected surface node {s!r}")
-
-
-def resolve_kind(s, bound=frozenset()):
-    if isinstance(s, SType):
-        return TYPE
-    if isinstance(s, SProp):
-        return PROP
-    if isinstance(s, (SEl, STermKind)):
-        body = s.body if isinstance(s, SEl) else s.term
-        return ElKind(resolve_term(body, bound))
-    if isinstance(s, SPrf):
-        return PrfKind(resolve_term(s.body, bound))
-    if isinstance(s, SPi):
-        return PiKind(s.var, resolve_kind(s.domain, bound),
-                      resolve_kind(s.codomain, bound | {s.var}))
-    raise AssertionError(f"unexpected surface node {s!r}")
-
-
 def test_08_randomized_property_suites_hold_with_five_hundred_cases_each(
         predicative):
     rng = random.Random(20260816)
@@ -322,7 +279,8 @@ def test_08_randomized_property_suites_hold_with_five_hundred_cases_each(
     for _ in range(500):
         t = gen_term(rng, 4)
         printed = print_term(t)
-        assert alpha_eq(resolve_term(parse_term(printed)), t), printed
+        assert alpha_eq(resolve_term(parse_term(printed), CONST_POOL),
+                        t), printed
 
     # every term the corpus checked stays well-kinded after reduction
     ck2, _ = predicative
@@ -353,7 +311,11 @@ def test_09_elaborated_corpus_replays_without_the_elaborator(predicative):
     ck, results = predicative
     assert all(r.ok for r in results)
     assert len(ck.log) > 200
-    replay(ck.log, Signature())
+    sig = replay(ck.log, Signature())
+    # two late results: the exact three-witness, and rationals.lf's
+    # reflexivity of equality
+    assert sig.entries.get("card_three_exact") is not None
+    assert sig.entries.get("qeq_refl") is not None
 
 
 def test_10_whole_corpus_command_finishes_inside_a_minute(capsys):

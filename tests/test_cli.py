@@ -41,9 +41,10 @@ def run(capsys, *argv):
 # ---------------------------------------------------------- subcommands
 
 def test_typeof_prints_kind(capsys):
-    code, out, err = run(capsys, "typeof", "TopI")
+    code, out, err = run(capsys, "typeof", "TopI", "EqI hatNat zero")
     assert code == 0
-    assert out == "TypeOf TopI : Prf (imp bot bot)\n"
+    assert out == ("TypeOf TopI : Prf (imp bot bot)\n"
+                   "TypeOf EqI hatNat zero : Prf (Eq hatNat zero zero)\n")
     assert err == ""
 
 
@@ -295,6 +296,8 @@ def _check_script(capsys, tmp_path, text):
     return run(capsys, "check", str(script))
 
 
+# The rejections of queries and scripts through the CLI, stderr in full: a
+# query's argument, or a `check` of a script whose text is the second word
 @pytest.mark.parametrize("argv, stderr", [
     (["typeof", "succ bot"],
      "<argument>:1:6: argument kind does not match the function's domain\n"
@@ -308,10 +311,29 @@ def _check_script(capsys, tmp_path, text):
     (["typeof", "[x] x"],
      "<argument>:1:1: binder 'x' needs an annotation here\n"
      "  rule: lam-annotation\n"),
-    (["check", "{script}"],
+    (["check", "> [a : Nat];\n> Check\n>   bot : Nat;\n"],
      "{script}:3:5: term does not have the required kind\n  rule: check\n"
      "  subject: bot\n  expected: Nat\n  actual: Prop\n"),
-], ids=["arg-kind", "too-many-arguments", "hole", "lambda", "script-line-3"])
+    (["typeof", "ghost"],
+     "<argument>:1:1: unknown name 'ghost'\n  rule: name-declared\n"
+     "  subject: ghost\n"),
+    # T ?0 ~ Nat: the hole behind the decoding rule is not inverted, while
+    # the explicit `EqI hatNat zero` types (test_typeof_prints_kind)
+    (["typeof", "EqI ? zero"],
+     "<argument>:1:7: terms with different rigid heads cannot be made "
+     "equal\n  rule: unify-rigid\n  subject: Nat\n  expected: T ?0\n"),
+    # a definition without a hole: the kernel's rejection, at the argument
+    (["check", "> [bad = succ bot : Nat];\n"],
+     "{script}:1:15: argument kind does not match the function's domain\n"
+     "  rule: app-domain\n  subject: bot\n  expected: Nat\n"
+     "  actual: Prop\n"),
+    (["check", "> [idn [A : Type] [x : El A] = x];\n"
+               "> Check idn ? zero zero;\n"],
+     "{script}:2:20: application of a term whose kind is not a product\n"
+     "  rule: app-fn\n  subject: idn Nat zero\n  actual: Nat\n"),
+], ids=["arg-kind", "too-many-arguments", "hole", "lambda", "script-line-3",
+        "unknown-name", "hole-behind-a-rule-head", "definition-argument",
+        "too-many-after-a-hole"])
 def test_rejection_points_at_the_node_to_blame(capsys, tmp_path, argv,
                                                 stderr):
     # the span of the node an error blames is built only for the error: the
@@ -319,8 +341,10 @@ def test_rejection_points_at_the_node_to_blame(capsys, tmp_path, argv,
     # and an argument too many is rejected by the elaborator as the kernel
     # names it, at that argument
     script = tmp_path / "probe.lf"
-    script.write_text("> [a : Nat];\n> Check\n>   bot : Nat;\n")
-    code, out, err = run(capsys, *(a.format(script=script) for a in argv))
+    if argv[0] == "check":
+        script.write_text(argv[1])
+        argv = ["check", str(script)]
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", stderr.format(script=script))
 
 

@@ -408,35 +408,37 @@ def test_arrow_is_right_associative():
 CONSTS = {"f", "g", "h", "Nat", "succ"}
 
 
-def resolve_term(s, bound=frozenset()):
+def resolve_term(s, consts, bound=frozenset()):
+    """The core term of the surface term `s`, built without a signature: a
+    name is a constant when it is in `consts` and no binder in scope has
+    it, else a variable. test_acceptance.py's round trip uses it too."""
     if isinstance(s, SName):
-        if s.name in bound:
-            return Var(s.name)
-        if s.name in CONSTS:
+        if s.name in consts and s.name not in bound:
             return Const(s.name)
         return Var(s.name)
     if isinstance(s, SApp):
-        return App(resolve_term(s.fn, bound), resolve_term(s.arg, bound))
+        return App(resolve_term(s.fn, consts, bound),
+                   resolve_term(s.arg, consts, bound))
     if isinstance(s, SLam):
         assert s.ann is not None
-        return Lam(s.var, resolve_kind(s.ann, bound),
-                   resolve_term(s.body, bound | {s.var}))
+        return Lam(s.var, resolve_kind(s.ann, consts, bound),
+                   resolve_term(s.body, consts, bound | {s.var}))
     raise AssertionError(f"unexpected surface node {s!r}")
 
 
-def resolve_kind(s, bound=frozenset()):
+def resolve_kind(s, consts, bound=frozenset()):
     if isinstance(s, SType):
         return TYPE
     if isinstance(s, SProp):
         return PROP
     if isinstance(s, (SEl, STermKind)):
         body = s.body if isinstance(s, SEl) else s.term
-        return ElKind(resolve_term(body, bound))
+        return ElKind(resolve_term(body, consts, bound))
     if isinstance(s, SPrf):
-        return PrfKind(resolve_term(s.body, bound))
+        return PrfKind(resolve_term(s.body, consts, bound))
     if isinstance(s, SPi):
-        return PiKind(s.var, resolve_kind(s.domain, bound),
-                      resolve_kind(s.codomain, bound | {s.var}))
+        return PiKind(s.var, resolve_kind(s.domain, consts, bound),
+                      resolve_kind(s.codomain, consts, bound | {s.var}))
     raise AssertionError(f"unexpected surface node {s!r}")
 
 
@@ -476,14 +478,14 @@ def _kinds(depth):
 @given(_terms(4))
 def test_term_print_parse_round_trip(t):
     printed = print_term(t)
-    back = resolve_term(parse_term(printed))
+    back = resolve_term(parse_term(printed), CONSTS)
     assert alpha_eq(back, t), f"{printed!r} reparsed differently"
 
 
 @given(_kinds(4))
 def test_kind_print_parse_round_trip(k):
     printed = print_kind(k)
-    back = resolve_kind(parse_kind(printed))
+    back = resolve_kind(parse_kind(printed), CONSTS)
     assert alpha_eq(back, k), f"{printed!r} reparsed differently"
 
 
@@ -524,5 +526,5 @@ def test_printer_renames_captured_binder():
     printed = print_term(lam)
     binder = printed[1:printed.index(" :")]
     assert binder != "Nat"
-    back = resolve_term(parse_term(printed))
+    back = resolve_term(parse_term(printed), CONSTS)
     assert alpha_eq(back, lam)

@@ -89,18 +89,18 @@ def test_nothing_after_the_first_hole_is_translated(monkeypatch):
     pair.paths.clear()
     monkeypatch.setattr(Elaborator, "_term", recorded)
     # (command, what the checker translates): the kind is elaborated
-    # before the term, a head and a query's spine are elaborated to find
-    # their kinds, and an unannotated lambda makes no hole; the reference
-    # translates nothing
+    # before the term, a head, a query's spine and a term written as a kind
+    # are elaborated to find their kinds, and an unannotated lambda makes
+    # no hole; the reference translates nothing
     probes = [
         ("Check EqI hatNat zero : Prf (Eq hatNat zero ?)",
          ["hatNat", "zero"]),
         ("TypeOf idn ? (succ zero)", []),
         ("Reduce idn Nat (succ zero)", ["Nat", "succ zero"]),
-        ("[g = [x] succ x : Nat -> Nat]", ["Nat", "Nat", "succ x"]),
+        ("[g = [x] succ x : Nat -> Nat]", ["succ x"]),
         ("[h = EqI hatNat ? : Prf (Eq hatNat zero zero)]",
          ["Eq hatNat zero zero", "hatNat"]),
-        ("Check zero : Nat", ["Nat", "zero"]),
+        ("Check zero : Nat", ["zero"]),
     ]
     for command, expected in probes:
         translated.clear()
